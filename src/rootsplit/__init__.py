@@ -33,12 +33,14 @@ from .catalog import (
 from .subalgebra import (
     ClosedSubsystem,
     IsotropyWeights,
+    ParentContext,
     closed_subsystem,
     enumerate_closed_subsystems,
     is_closed,
     is_symmetric_pair,
     is_wolf_pair,
     isotropy_weights,
+    parent_context,
     weights_from_set,
     wolf_subsystem,
 )

@@ -18,6 +18,8 @@ from .linalg import (
     Vector,
     dot,
     identity_matrix,
+    idot,
+    int_scaled,
     lex_positive,
     mat_add,
     mat_scale,
@@ -207,6 +209,7 @@ def direct_sum(parts: Sequence[RootSystem]) -> RootSystem:
 def components(system: RootSystem) -> list[tuple[Vector, ...]]:
     """Irreducible components: connected classes under non-orthogonality."""
     roots = list(system.roots)
+    iroots = int_scaled(roots)  # orthogonality is scale-invariant
     parent = list(range(len(roots)))
 
     def find(x):
@@ -215,9 +218,9 @@ def components(system: RootSystem) -> list[tuple[Vector, ...]]:
             x = parent[x]
         return x
 
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if dot(roots[i], roots[j]) != 0:
+    for i, a in enumerate(iroots):
+        for j in range(i + 1, len(iroots)):
+            if idot(a, iroots[j]):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj

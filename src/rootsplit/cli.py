@@ -164,7 +164,6 @@ def _cmd_classify(args) -> int:
             args.max_rank,
             series=args.series,
             include_products=args.include_products,
-            jobs=args.jobs,
             cache_dir=args.cache_dir,
         )
         print(f"elapsed: {report.elapsed_seconds:.2f}s", file=sys.stderr)
@@ -183,7 +182,7 @@ def main(argv=None) -> int:
     parser = _Parser(prog="rootsplit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_h=False):
+    def common(p):
         p.add_argument("--output", "-o", default=None, help="write to file instead of stdout")
 
     p = sub.add_parser("build", help="emit a catalog root system")
@@ -229,9 +228,7 @@ def main(argv=None) -> int:
                    help="restrict to these series letters")
     p.add_argument("--include-products", action="store_true")
     p.add_argument("--format", choices=FORMATS, default="json")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--no-dedup", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_classify)
 

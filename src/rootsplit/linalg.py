@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -41,6 +42,11 @@ def dot(u: Vector, v: Vector) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def idot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """Inner product of integer vectors, e.g. from int_scaled."""
+    return sum(map(mul, u, v))
 
 
 def is_zero(v: Vector) -> bool:

@@ -18,7 +18,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -27,10 +26,8 @@ from typing import Iterable, Sequence
 from . import catalog
 from .catalog import (
     CartanLabel,
-    G2Component,
     build_sum,
     identify_type,
-    normalize,
     parse_label_sum,
 )
 from .linalg import Vector, parse_rational
@@ -47,11 +44,13 @@ from .splitting import (
 from .subalgebra import (
     ClosedSubsystem,
     IsotropyWeights,
+    ParentContext,
     closed_subsystem,
     enumerate_closed_subsystems,
     is_symmetric_pair,
     is_wolf_pair,
     isotropy_weights,
+    parent_context,
     wolf_subsystem,
 )
 
@@ -132,18 +131,23 @@ def _parse_vector(entry) -> Vector:
     return tuple(parse_rational(str(c)) for c in entry)
 
 
-def parse_h_spec(parent: RootSystem, h_spec: str) -> ClosedSubsystem:
+def parse_h_spec(
+    parent: RootSystem, h_spec: str, ctx: ParentContext | None = None
+) -> ClosedSubsystem:
     """Resolve an h specification against g.
 
     Grammar: 'torus' (the empty subsystem, h = maximal torus), 'wolf'
     (highest-root normalizer), 'TYPE#k' (k-th Weyl class with that
     component type, e.g. 'A2#0'), or a JSON list of root vectors with
-    rationals as 'p/q' strings.
+    rationals as 'p/q' strings. ctx, when given, supplies the Wolf
+    subsystem of an irreducible parent.
     """
     h_spec = h_spec.strip()
     if h_spec in ("torus", ""):
         return closed_subsystem(parent, ())
     if h_spec == "wolf":
+        if ctx is not None and ctx.wolf is not None:
+            return ctx.wolf
         return wolf_subsystem(parent)
     if h_spec.startswith("["):
         try:
@@ -200,25 +204,24 @@ def classify_subsystem(
     parent: RootSystem,
     h: ClosedSubsystem,
     h_description: str | None = None,
+    ctx: ParentContext | None = None,
 ) -> PairReport:
-    """Full pipeline for one equal-rank pair."""
+    """Full pipeline for one equal-rank pair.
+
+    ctx holds the facts of parent shared by all its pairs; it is computed
+    when not given.
+    """
     w = isotropy_weights(parent, h)
     if w.dim_M == 0:
         raise EmptyWeights("h = g: the quotient is a point")
     if h_description is None:
         h_description = describe_subsystem(h)
+    if ctx is None:
+        ctx = parent_context(parent)
 
     eligible = w.dim_M % 4 == 0
     symmetric = is_symmetric_pair(w)
-    g_types = identify_type(parent)
-    irreducible = len(g_types) == 1
-
-    wolf = False
-    if irreducible:
-        if set(h.roots) == set(wolf_subsystem(parent).roots):
-            wolf = True
-        elif parent.rank <= catalog.WEYL_RANK_CAP:
-            wolf = is_wolf_pair(parent, h)
+    wolf = ctx.irreducible and is_wolf_pair(parent, h, ctx)
 
     certificates: tuple[SplittingCertificate, ...] = ()
     cases: tuple[CaseTag, ...] = ()
@@ -227,19 +230,14 @@ def classify_subsystem(
     if eligible:
         certificates = tuple(find_splittings(w))
         cases = tuple(case_analysis(w, c) for c in certificates)
-        if certificates and irreducible:
-            try:
-                normalized = normalize(parent)
-            except G2Component:
-                normalized = None  # G2 handled raw; constraints skipped
-            if normalized is not None:
-                constraints = tuple(
-                    check_constraints(normalized, c) for c in certificates
-                )
-                constraints_checked = True
+        if certificates and ctx.normalized is not None:  # G2 is handled raw
+            constraints = tuple(
+                check_constraints(ctx.normalized, c, ctx) for c in certificates
+            )
+            constraints_checked = True
 
     verdict = _assign_verdict(
-        g_types, eligible, symmetric, wolf, certificates, cases, h
+        ctx.types, eligible, symmetric, wolf, certificates, cases, h
     )
     report = PairReport(
         g_label,
@@ -289,8 +287,9 @@ def _assign_verdict(g_types, eligible, symmetric, wolf, certificates, cases, h):
 def classify_pair(g_spec: str, h_spec: str) -> PairReport:
     """Classify one pair given CLI spec strings."""
     g_label, parent = parse_g_spec(g_spec)
-    h = parse_h_spec(parent, h_spec)
-    return classify_subsystem(g_label, parent, h)
+    ctx = parent_context(parent)
+    h = parse_h_spec(parent, h_spec, ctx)
+    return classify_subsystem(g_label, parent, h, ctx=ctx)
 
 
 def _product_labels(max_rank: int, series) -> list[list[CartanLabel]]:
@@ -308,7 +307,6 @@ def classify_all(
     series: Iterable[str] | None = None,
     include_products: bool = False,
     include_ineligible: bool = False,
-    jobs: int = 1,
     cache_dir: str | None = None,
 ) -> ClassificationReport:
     """Classify every equal-rank pair over the catalog up to max_rank.
@@ -327,28 +325,19 @@ def classify_all(
         for combo in _product_labels(max_rank, series):
             groups.append(("+".join(str(l) for l in combo), build_sum(combo)))
 
-    tasks = []
+    pairs = []
     n_subsystems = 0
     for g_label, parent in groups:
         subsystems = _enumerate_cached(g_label, parent, cache_dir)
         n_subsystems += len(subsystems)
+        ctx = parent_context(parent)
         for h in subsystems:
             w_size = len(parent.roots) - len(h.roots)
             if w_size == 0:
                 continue
             if not include_ineligible and w_size % 4 != 0:
                 continue
-            tasks.append((g_label, parent, h))
-
-    def run(task):
-        g_label, parent, h = task
-        return classify_subsystem(g_label, parent, h)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(run, tasks))
-    else:
-        pairs = [run(t) for t in tasks]
+            pairs.append(classify_subsystem(g_label, parent, h, ctx=ctx))
 
     pairs.sort(key=lambda p: (p.g_label, p.h_description, p.dim_M))
     return ClassificationReport(

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 from .linalg import (
     Vector,
     dot,
+    idot,
     int_scaled,
     is_zero,
     lex_positive,
@@ -183,9 +184,6 @@ def validate_root_system(candidate: Sequence[Vector]) -> ValidationReport:
                 Violation("R2", "proportional roots beyond a negative pair",
                           tuple(roots[i] for i in idxs))
             )
-
-    def idot(u, v):
-        return sum(a * b for a, b in zip(u, v))
 
     # R3 + R4 in one sweep over ordered pairs.
     r3_seen = r4_seen = False

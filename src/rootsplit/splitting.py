@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .catalog import WeylGroup, highest_root, components
+from .catalog import highest_root
 from .linalg import (
     Vector,
     dot,
     lex_positive,
+    lex_rep,
     metric_inner,
     vadd,
     vneg,
@@ -26,7 +27,13 @@ from .linalg import (
     vsub,
 )
 from .rootcore import LONG2, RootsplitError, RootSystem, cartan_int
-from .subalgebra import IsotropyWeights, isotropy_weights, wolf_subsystem
+from .subalgebra import (
+    IsotropyWeights,
+    ParentContext,
+    isotropy_weights,
+    parent_context,
+    wolf_subsystem,
+)
 
 ADMISSIBLE_PAIRINGS = frozenset({Fraction(0), Fraction(1, 4)})
 ADMISSIBLE_BETA_NORMS = frozenset({Fraction(1, 4), Fraction(3, 4), Fraction(5, 4)})
@@ -135,11 +142,12 @@ def _canonical_certificate(beta: Vector, plus_half: Iterable[Vector]) -> Splitti
     return SplittingCertificate(beta, tuple(sorted(alphas)))
 
 
-def _partitions_for_translation(wset: frozenset, v: Vector):
+def _partitions_for_translation(wset: frozenset, order: Sequence[Vector], v: Vector):
     """All partitions W = W+ | W- with W+ = v + W- and W+ symmetric about
     v/2, via orbit propagation over the maps w -> -w, w -> v-w, w -> w-v.
 
-    Yields the W+ halves. Constraint rules (side +1 is W+):
+    order is W sorted, so orbits are visited deterministically. Yields
+    the W+ halves. Constraint rules (side +1 is W+):
       w in W+  =>  -w in W-,  v-w in W+,  w-v in W-
       w in W-  =>  -w in W+,  w+v in W+,  -v-w in W-
     """
@@ -167,7 +175,6 @@ def _partitions_for_translation(wset: frozenset, v: Vector):
                 stack.append((vneg(vadd(u, v)), -1))  # -v-u
         return True
 
-    order = sorted(wset)
     orbit_choices: list[list[dict[Vector, int]]] = []
     assigned: set[Vector] = set()
     for w0 in order:
@@ -195,15 +202,13 @@ def _partitions_for_translation(wset: frozenset, v: Vector):
             yield plus
 
 
-def find_splittings(
-    w: IsotropyWeights, weyl: WeylGroup | None = None
-) -> list[SplittingCertificate]:
+def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
     """All splitting certificates of W, canonicalized and sorted.
 
-    Candidate translations are the pairwise weight differences (2*beta is
-    always such a difference); each candidate is checked by exhaustive
-    propagation over sign orbits. Pass a WeylGroup to additionally dedup
-    certificates by Weyl orbit (off by default).
+    Candidate translations come from one anchor w0 = min(W): every
+    splitting puts w0 in W+ or W-, so 2*beta = +-(w0 - w) for some w in W,
+    which gives |W| - 1 candidates. Each candidate is checked by
+    exhaustive propagation over sign orbits.
     """
     if w.dim_M == 0:
         raise EmptyWeights("the weight set is empty (g = h)")
@@ -213,16 +218,14 @@ def find_splittings(
     if any(vneg(x) not in wset for x in wset):
         raise ValueError("W must be closed under negation")
 
-    candidates = set()
-    for a, b in itertools.permutations(wset, 2):
-        v = vsub(a, b)
-        if lex_positive(v):
-            candidates.add(v)
+    order = sorted(wset)
+    w0 = order[0]
+    candidates = {lex_rep(vsub(w0, x)) for x in order[1:]}
 
     found: set[SplittingCertificate] = set()
     for v in sorted(candidates):
         beta = vscale(Fraction(1, 2), v)
-        for plus in _partitions_for_translation(wset, v):
+        for plus in _partitions_for_translation(wset, order, v):
             if beta in plus:
                 continue  # alpha_i = 0
             cert = _canonical_certificate(beta, plus)
@@ -232,29 +235,7 @@ def find_splittings(
     certs = sorted(found, key=lambda c: (c.beta, c.alphas))
     for c in certs:
         assert verify_certificate(w, c)
-    if weyl is not None:
-        certs = _dedup_by_weyl(certs, weyl)
     return certs
-
-
-def _dedup_by_weyl(certs: Sequence[SplittingCertificate], weyl: WeylGroup):
-    canon: dict[SplittingCertificate, SplittingCertificate] = {}
-    out = []
-    for c in certs:
-        best = None
-        for word in weyl.words:
-            beta = weyl.apply_word(word, c.beta)
-            plus = [vadd(weyl.apply_word(word, a), beta)
-                    for a in c.alphas] + [vsub(beta, weyl.apply_word(word, a))
-                                          for a in c.alphas]
-            img = _canonical_certificate(beta, plus)
-            key = (img.beta, img.alphas)
-            if best is None or key < best[0]:
-                best = (key, img)
-        if best[1] not in canon:
-            canon[best[1]] = c
-            out.append(c)
-    return out
 
 
 def splittings_oracle(w: IsotropyWeights) -> list[SplittingCertificate]:
@@ -294,16 +275,21 @@ def splittings_oracle(w: IsotropyWeights) -> list[SplittingCertificate]:
     return sorted(found, key=lambda c: (c.beta, c.alphas))
 
 
-def check_constraints(parent: RootSystem, cert: SplittingCertificate) -> ConstraintReport:
+def check_constraints(
+    parent: RootSystem, cert: SplittingCertificate, ctx: ParentContext | None = None
+) -> ConstraintReport:
     """Evaluate <beta,alpha_i> and |beta|^2 in the normalized metric against
-    the admissible sets {0, 1/4} and {1/4, 3/4, 5/4}."""
+    the admissible sets {0, 1/4} and {1/4, 3/4, 5/4}.
+
+    ctx holds the facts of parent's roots; it is computed when not given.
+    """
     if parent.normalization != LONG2:
         raise NotNormalized("parent must be normalized to long roots of square length 2")
-    comps = components(parent)
-    if len(comps) != 1:
+    if ctx is None:
+        ctx = parent_context(parent)
+    if not ctx.irreducible:
         raise ValueError("check_constraints requires an irreducible parent")
-    lengths = sorted({dot(r, r) for r in parent.roots})
-    if len(lengths) == 2 and lengths[1] / lengths[0] == 3:
+    if ctx.is_g2:
         raise G2Input("constraints do not apply to G2")
     m = parent.metric
     pairings = tuple(metric_inner(m, cert.beta, a) for a in cert.alphas)

@@ -13,8 +13,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .catalog import WEYL_RANK_CAP, weyl_group, highest_root, components
-from .linalg import Vector, dot, lex_positive, rank_of, vadd, vneg, vsub
+from .catalog import (
+    WEYL_RANK_CAP,
+    CartanLabel,
+    components,
+    highest_root,
+    identify_type,
+    normalize,
+    weyl_group,
+)
+from .linalg import (
+    Vector,
+    dot,
+    idot,
+    int_scaled,
+    lex_positive,
+    rank_of,
+    vadd,
+    vneg,
+    vsub,
+)
 from .rootcore import RootsplitError, RootSystem, positive_roots
 
 
@@ -233,29 +251,82 @@ def is_symmetric_pair(w: IsotropyWeights) -> bool:
     return not any(vadd(a, b) in ws for a, b in itertools.combinations(ws, 2))
 
 
-def wolf_subsystem(parent: RootSystem) -> ClosedSubsystem:
+def wolf_subsystem(parent: RootSystem, theta: Vector | None = None) -> ClosedSubsystem:
     """The subsystem {+-theta} plus everything orthogonal to the highest
     root theta; the root datum of the Wolf pair G/N."""
-    theta = highest_root(parent)  # raises for reducible parents
+    if theta is None:
+        theta = highest_root(parent)  # raises for reducible parents
     roots = [r for r in parent.roots if r in (theta, vneg(theta)) or dot(r, theta) == 0]
     return closed_subsystem(parent, roots)
 
 
-def is_wolf_pair(parent: RootSystem, h: ClosedSubsystem) -> bool:
-    """True iff h is Weyl-equivalent to wolf_subsystem(parent)."""
-    target = set(wolf_subsystem(parent).roots)
-    hset = set(h.roots)
-    if hset == target:
-        return True
-    if len(hset) != len(target):
+@dataclass(frozen=True)
+class ParentContext:
+    """Facts about one parent g that every pair (g, h) shares.
+
+    Build it once per command and pass it down; it is deliberately not
+    cached beyond that, so a fresh process and an in-process repeat do
+    the same work. theta and wolf are None for a reducible parent;
+    normalized is None for a reducible parent and for G2.
+    """
+
+    int_roots: dict[Vector, tuple[int, ...]]  # root -> integer-scaled copy
+    components: tuple[tuple[Vector, ...], ...]
+    types: tuple[CartanLabel, ...]
+    long_norm: int  # squared length of a long root, integer-scaled
+    is_g2: bool
+    theta: Vector | None
+    wolf: ClosedSubsystem | None
+    normalized: RootSystem | None
+
+    @property
+    def irreducible(self) -> bool:
+        return len(self.components) == 1
+
+
+def parent_context(system: RootSystem) -> ParentContext:
+    """Compute the per-parent facts of system."""
+    int_roots = dict(zip(system.roots, int_scaled(system.roots)))
+    norms = {idot(v, v) for v in int_roots.values()}
+    comps = tuple(components(system))
+    is_g2 = len(comps) == 1 and len(norms) == 2 and max(norms) == 3 * min(norms)
+    theta = wolf = normalized = None
+    if len(comps) == 1:
+        theta = highest_root(system)
+        wolf = wolf_subsystem(system, theta)
+        if not is_g2:
+            normalized = normalize(system)
+    return ParentContext(
+        int_roots, comps, tuple(identify_type(system)), max(norms),
+        is_g2, theta, wolf, normalized,
+    )
+
+
+def is_wolf_pair(
+    parent: RootSystem, h: ClosedSubsystem, ctx: ParentContext | None = None
+) -> bool:
+    """True iff h is Weyl-equivalent to wolf_subsystem(parent).
+
+    Long roots form one Weyl orbit, so h is Wolf exactly when R(h) is
+    {+-gamma} plus every root orthogonal to gamma, for some long root
+    gamma; such a gamma spans an A1 component of h. No Weyl group is
+    needed.
+    """
+    if ctx is None:
+        ctx = parent_context(parent)
+    if ctx.wolf is None:
+        raise ValueError("is_wolf_pair requires an irreducible parent")
+    if len(h.roots) != len(ctx.wolf.roots):
         return False
-    if parent.rank > WEYL_RANK_CAP:
-        raise ValueError(f"is_wolf_pair needs the Weyl group (rank <= {WEYL_RANK_CAP})")
-    w = weyl_group(parent)
-    index = {r: i for i, r in enumerate(w.roots)}
-    hidx = sorted(index[r] for r in hset)
-    tidx = set(index[r] for r in target)
-    for perm in w.elements:
-        if all(perm[i] in tidx for i in hidx):
+    if h.roots == ctx.wolf.roots:
+        return True
+    ih = [ctx.int_roots[r] for r in h.roots]
+    for r, g in zip(h.roots, ih):
+        if not lex_positive(r) or idot(g, g) != ctx.long_norm:
+            continue
+        if sum(1 for x in ih if idot(g, x)) != 2:  # gamma is orthogonal to the rest of h
+            continue
+        perp = sum(1 for x in ctx.int_roots.values() if not idot(g, x))
+        if perp == len(ih) - 2:  # so h \ {+-gamma} is all of gamma-perp
             return True
     return False

@@ -16,7 +16,7 @@ from rootsplit.catalog import (
     simple_labels_up_to,
     weyl_group,
 )
-from rootsplit.pipeline import classify_all, classify_pair
+from rootsplit.pipeline import _product_labels, classify_all, classify_pair
 from rootsplit.rootcore import classify_pair as classify_root_pair
 from rootsplit.rootcore import validate_root_system
 from rootsplit.splitting import (
@@ -132,6 +132,28 @@ def test_criterion_6_oracle_equivalence_rank_3():
             assert fast == slow, f"{parent.roots} / {h.roots}"
             checked += 1
     assert checked >= 10
+
+
+def test_criterion_6_oracle_equivalence_rank_4():
+    """The single-anchor translation rule beyond rank 3: every eligible
+    rank-4 class (simple and product g) with |W| <= 20."""
+    parents = [build(lab) for lab in simple_labels_up_to(4) if lab.rank == 4]
+    parents += [
+        build_sum(combo) for combo in _product_labels(4, None)
+        if sum(lab.rank for lab in combo) == 4
+    ]
+    checked = 0
+    for parent in parents:
+        for h in enumerate_closed_subsystems(parent):
+            weights = isotropy_weights(parent, h)
+            if (not weights.weights or weights.dim_M % 4 != 0
+                    or len(weights.weights) > 20):
+                continue
+            assert set(find_splittings(weights)) == set(splittings_oracle(weights)), (
+                f"{parent.roots} / {h.roots}"
+            )
+            checked += 1
+    assert checked >= 100
 
 
 def test_criterion_7_weyl_equivariance_100_random_cases():

@@ -1,7 +1,9 @@
 """End-to-end pair classification, verdicts, caching, determinism."""
+import json
+
 import pytest
 
-from rootsplit.catalog import build, label
+from rootsplit.catalog import build, label, simple_base
 from rootsplit.pipeline import (
     ParseError,
     check_report_invariants,
@@ -10,6 +12,8 @@ from rootsplit.pipeline import (
     parse_g_spec,
     parse_h_spec,
 )
+from rootsplit.rootcore import reflect
+from rootsplit.subalgebra import wolf_subsystem
 
 
 class TestParsing:
@@ -93,6 +97,22 @@ class TestVerdicts:
         assert rep.verdict == "not_eligible"
         assert rep.certificates == ()
 
+    @pytest.mark.parametrize("g", ["B5", "E6"])
+    def test_conjugate_wolf_subsystem_above_rank_4(self, g):
+        # theta's Wolf subsystem reflected by one simple root: a Weyl
+        # conjugate that is not the literal set, passed as a JSON root list.
+        _, parent = parse_g_spec(g)
+        wolf = set(wolf_subsystem(parent).roots)
+        moved = next(
+            image for image in (
+                {reflect(r, a) for r in wolf} for a in simple_base(parent.roots)
+            ) if image != wolf
+        )
+        spec = json.dumps([[str(c) for c in r] for r in sorted(moved)])
+        rep = classify_pair(g, spec)
+        assert rep.verdict == "wolf_space"
+        assert rep.is_wolf
+
     def test_invariants_hold(self):
         for g, h in [("A2", "wolf"), ("B3", "A2#0"), ("G2", "torus"),
                      ("A1+A1", "torus"), ("B2", "torus")]:
@@ -113,9 +133,6 @@ class TestClassifyAll:
         a = classify_all(2)
         b = classify_all(2)
         assert a.pairs == b.pairs
-
-    def test_jobs_agree(self):
-        assert classify_all(2).pairs == classify_all(2, jobs=2).pairs
 
     def test_series_filter(self):
         rep = classify_all(3, series=["B"])

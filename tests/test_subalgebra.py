@@ -13,6 +13,7 @@ from rootsplit.subalgebra import (
     is_symmetric_pair,
     is_wolf_pair,
     isotropy_weights,
+    parent_context,
     weights_from_set,
     wolf_subsystem,
 )
@@ -168,6 +169,22 @@ class TestWolf:
         for perm in wg.elements:
             image = [wg.roots[perm[index[r]]] for r in h.roots]
             assert is_wolf_pair(b2, closed_subsystem(b2, image))
+
+    @pytest.mark.parametrize("lab", [
+        ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3),
+        ("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4),
+    ])
+    def test_recognition_matches_weyl_orbit(self, lab):
+        # Oracle: the Weyl orbit of the Wolf subsystem, as index sets.
+        parent = build(label(*lab))
+        ctx = parent_context(parent)
+        wg = weyl_group(parent)
+        index = {r: i for i, r in enumerate(wg.roots)}
+        target = [index[r] for r in wolf_subsystem(parent).roots]
+        orbit = {frozenset(perm[i] for i in target) for perm in wg.elements}
+        for h in enumerate_closed_subsystems(parent, dedup=False):
+            expected = frozenset(index[r] for r in h.roots) in orbit
+            assert is_wolf_pair(parent, h, ctx) == expected, h.roots
 
     def test_wolf_pair_is_symmetric(self):
         for lab in [("A", 2), ("B", 3), ("C", 3), ("G", 2), ("F", 4)]:
