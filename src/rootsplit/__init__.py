@@ -7,10 +7,9 @@ from .rootcore import (
     RootSystem,
     ValidationReport,
     cartan_int,
-    classify_pair,
-    inner,
     is_root_subsystem,
     make_root_system,
+    pair_class,
     reflect,
     reflection_closure,
     root_chain,
@@ -60,8 +59,8 @@ from .pipeline import (
     ClassificationReport,
     PairReport,
     classify_all,
+    classify_pair,
     classify_subsystem,
 )
-from .pipeline import classify_pair as classify_pair_spec
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .linalg import (
+    IntVector,
     Matrix,
     Vector,
     dot,
@@ -24,7 +25,7 @@ from .linalg import (
     mat_add,
     mat_scale,
     projection_matrix,
-    rank_of,
+    span_basis,
     vadd,
     vneg,
 )
@@ -33,7 +34,6 @@ from .rootcore import (
     RAW,
     RootsplitError,
     RootSystem,
-    cartan_int,
     make_root_system,
     positive_roots,
     reflect,
@@ -208,9 +208,14 @@ def direct_sum(parts: Sequence[RootSystem]) -> RootSystem:
 
 def components(system: RootSystem) -> list[tuple[Vector, ...]]:
     """Irreducible components: connected classes under non-orthogonality."""
-    roots = list(system.roots)
-    iroots = int_scaled(roots)  # orthogonality is scale-invariant
-    parent = list(range(len(roots)))
+    iroots = int_scaled(system.roots)  # orthogonality is scale-invariant
+    back = dict(zip(iroots, system.roots))
+    return [tuple(back[r] for r in c) for c in int_components(iroots)]
+
+
+def int_components(iroots: Sequence[IntVector]) -> list[tuple[IntVector, ...]]:
+    """components on integer vectors, each sorted, in sorted order."""
+    parent = list(range(len(iroots)))
 
     def find(x):
         while parent[x] != x:
@@ -224,38 +229,50 @@ def components(system: RootSystem) -> list[tuple[Vector, ...]]:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
-    groups: dict[int, list[Vector]] = {}
-    for i, r in enumerate(roots):
+    groups: dict[int, list[IntVector]] = {}
+    for i, r in enumerate(iroots):
         groups.setdefault(find(i), []).append(r)
-    return sorted((tuple(sorted(g)) for g in groups.values()))
+    return sorted(tuple(sorted(g)) for g in groups.values())
 
 
 def simple_base(roots: Iterable[Vector]) -> list[Vector]:
     """Deterministic simple-root base: indecomposable elements of the
-    lexicographically positive half."""
-    pos = sorted(r for r in roots if lex_positive(r))
+    lexicographically positive half, sorted."""
+    roots = list(roots)
+    iroots = int_scaled(roots)
+    back = dict(zip(iroots, roots))
+    return [back[a] for a in int_simple_base(iroots)]
+
+
+def int_simple_base(iroots: Iterable[IntVector]) -> list[IntVector]:
+    """simple_base on integer vectors."""
+    pos = sorted(r for r in iroots if lex_positive(r))
     pos_set = set(pos)
-    simple = []
-    for a in pos:
-        if not any(tuple(x - y for x, y in zip(a, b)) in pos_set for b in pos
-                   if b != a):
-            simple.append(a)
-    return simple
+    return [
+        a for a in pos
+        if not any(tuple(x - y for x, y in zip(a, b)) in pos_set for b in pos)
+    ]
 
 
 def highest_root(system: RootSystem) -> Vector:
     """The unique maximal root of an irreducible system (always long)."""
-    comps = components(system)
-    if len(comps) != 1:
+    iroots = int_scaled(system.roots)
+    if len(int_components(iroots)) != 1:
         raise ValueError("highest_root requires an irreducible system")
-    base = simple_base(system.roots)
+    theta = int_highest_root(iroots, int_simple_base(iroots))
+    return system.roots[iroots.index(theta)]
+
+
+def int_highest_root(iroots: Iterable[IntVector], base: Sequence[IntVector]) -> IntVector:
+    """highest_root on integer vectors, given the irreducible system's base."""
+    root_set = set(iroots)
     theta = base[0]
     changed = True
     while changed:
         changed = False
         for a in base:
             cand = vadd(theta, a)
-            if cand in system:
+            if cand in root_set:
                 theta = cand
                 changed = True
     return theta
@@ -310,10 +327,18 @@ def weyl_group(system: RootSystem) -> WeylGroup:
     return WeylGroup(roots, gens, elems, tuple(seen[e] for e in elems))
 
 
-def _cartan_matrix(base: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(int(cartan_int(a, b)) for b in base) for a in base
-    )
+def _cartan_matrix(base: Sequence[IntVector]) -> tuple[tuple[int, ...], ...]:
+    rows = []
+    for a in base:
+        aa = idot(a, a)
+        row = []
+        for b in base:
+            q, r = divmod(2 * idot(a, b), aa)
+            if r:
+                raise ValueError("non-integral Cartan number in a base")
+            row.append(q)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _matrices_isomorphic(m1, m2) -> bool:
@@ -357,28 +382,27 @@ def _candidate_labels(rank: int, count: int, nlong: int, laced: bool):
 def identify_type(system: RootSystem) -> list[CartanLabel]:
     """Cartan labels of the irreducible components, using canonical aliases
     (B1 -> A1, C2 -> B2, D2 -> A1+A1, D3 -> A3)."""
-    out: list[CartanLabel] = []
-    for comp in components(system):
-        base = simple_base(comp)
-        rank = len(base)
-        if rank > 8:
-            raise ValueError("component rank exceeds the catalog (8)")
-        lengths = {dot(r, r) for r in comp}
-        laced = len(lengths) == 1
-        nlong = sum(1 for r in comp if dot(r, r) == max(lengths))
-        cm = _cartan_matrix(base)
-        hit = None
-        for cand in _candidate_labels(rank, len(comp), nlong, laced):
-            ref = _cartan_matrix(simple_base(build(cand).roots))
-            if _matrices_isomorphic(cm, ref):
-                hit = cand
-                break
-        if hit is None:
-            raise ValueError(
-                f"component of rank {rank} with {len(comp)} roots matches no catalog type"
-            )
-        out.append(hit)
-    return sorted(out, key=lambda l: (l.series, l.rank))
+    comps = int_components(int_scaled(system.roots))
+    return sorted(int_component_type(c, int_simple_base(c)) for c in comps)
+
+
+def int_component_type(comp: Sequence[IntVector], base: Sequence[IntVector]) -> CartanLabel:
+    """Cartan label of one irreducible component given on integers, with
+    its simple base."""
+    rank = len(base)
+    if rank > 8:
+        raise ValueError("component rank exceeds the catalog (8)")
+    lengths = {idot(r, r) for r in comp}
+    laced = len(lengths) == 1
+    nlong = sum(1 for r in comp if idot(r, r) == max(lengths))
+    cm = _cartan_matrix(base)
+    for cand in _candidate_labels(rank, len(comp), nlong, laced):
+        ref = _cartan_matrix(int_simple_base(int_scaled(build(cand).roots)))
+        if _matrices_isomorphic(cm, ref):
+            return cand
+    raise ValueError(
+        f"component of rank {rank} with {len(comp)} roots matches no catalog type"
+    )
 
 
 def normalize(system: RootSystem) -> RootSystem:
@@ -407,19 +431,10 @@ def normalize(system: RootSystem) -> RootSystem:
             raise ValueError("length ratio is neither 1, sqrt(2) nor sqrt(3)")
         scale = Fraction(2) / lengths[-1]
         if scale != 1:
-            basis = _span_basis(comp)
-            proj = projection_matrix(basis, dim)
+            proj = projection_matrix(span_basis(comp), dim)
             metric = mat_add(metric, mat_scale(scale - 1, proj))
             adjusted = True
     return RootSystem(dim, system.roots, LONG2, metric if adjusted else identity_matrix(dim))
-
-
-def _span_basis(vectors: Sequence[Vector]) -> list[Vector]:
-    basis: list[Vector] = []
-    for v in vectors:
-        if rank_of(basis + [v]) > len(basis):
-            basis.append(v)
-    return basis
 
 
 def simple_labels_up_to(max_rank: int, series: Iterable[str] | None = None):

@@ -1,7 +1,11 @@
 """Exact rational vectors and small-matrix linear algebra.
 
-All coordinates are `fractions.Fraction`; nothing here ever touches a
-float, so equality tests and rank computations are exact.
+Boundary rule: vectors are `fractions.Fraction` tuples where they are
+parsed, emitted and measured in the normalized metric, and in every
+public value. Hot loops work on integer copies scaled by a common
+denominator (`int_scaled`, `scale_to_int`), which is exact because the
+questions they answer (membership, sums, signs of dots, ratios) are
+invariant under a positive rescale. Nothing here ever touches a float.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
+IntVector = tuple[int, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
@@ -44,8 +49,9 @@ def dot(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def idot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    """Inner product of integer vectors, e.g. from int_scaled."""
+def idot(u: IntVector, v: IntVector) -> int:
+    """Inner product of integer vectors, e.g. from int_scaled (no dimension
+    check, and no Fraction start value)."""
     return sum(map(mul, u, v))
 
 
@@ -75,13 +81,27 @@ def common_scale(vectors: Iterable[Vector]) -> int:
     return L
 
 
-def int_scaled(vectors: Sequence[Vector]) -> list[tuple[int, ...]]:
-    """Clear denominators: the same vectors up to a global positive scale."""
-    L = common_scale(vectors)
-    return [tuple(int(a * L) for a in v) for v in vectors]
+def scale_to_int(v: Vector, scale: int) -> IntVector:
+    """scale * v as integers; scale must be a multiple of every denominator."""
+    return tuple(int(a * scale) for a in v)
 
 
-def primitive_direction(v: tuple[int, ...]) -> tuple[int, ...]:
+def int_scaled(vectors: Sequence[Vector]) -> list[IntVector]:
+    """Clear denominators: the same vectors up to a global positive scale.
+
+    A positive scale keeps the lexicographic order, so sorted input gives
+    sorted output.
+    """
+    scale = common_scale(vectors)
+    return [scale_to_int(v, scale) for v in vectors]
+
+
+def unscale(v: IntVector, scale: int) -> Vector:
+    """Inverse of scale_to_int: the rational vector v / scale."""
+    return tuple(Fraction(a, scale) for a in v)
+
+
+def primitive_direction(v: IntVector) -> IntVector:
     """Sign-normalized primitive integer vector along v (v must be nonzero)."""
     g = 0
     for a in v:
@@ -93,28 +113,31 @@ def primitive_direction(v: tuple[int, ...]) -> tuple[int, ...]:
     raise ValueError("zero vector has no direction")
 
 
+def span_basis(vectors: Sequence[Vector]) -> list[Vector]:
+    """The vectors that are independent of those before them: a basis of
+    the span, by fraction-free elimination on int_scaled copies."""
+    basis = []
+    echelon: list[tuple[int, IntVector]] = []  # (leading column, row), by column
+    for v, row in zip(vectors, int_scaled(vectors)):
+        for col, piv in echelon:
+            a = row[col]
+            if a:
+                p = piv[col]
+                row = tuple(p * x - a * y for x, y in zip(row, piv))
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is not None:
+            basis.append(v)
+            g = gcd(*row)
+            echelon.append((lead, tuple(x // g for x in row)))
+            echelon.sort()
+            if len(echelon) == len(row):
+                break
+    return basis
+
+
 def rank_of(vectors: Iterable[Vector]) -> int:
-    """Rank of the span, by Gaussian elimination over the rationals."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        rows[rank] = [a * inv for a in prow]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    """Rank of the span."""
+    return len(span_basis(list(vectors)))
 
 
 def identity_matrix(n: int) -> Matrix:

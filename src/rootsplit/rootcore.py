@@ -116,11 +116,6 @@ def make_root_system(
     return RootSystem(dim, roots, normalization, metric)
 
 
-def inner(u: Vector, v: Vector) -> Fraction:
-    """Exact inner product (raises on dimension mismatch)."""
-    return dot(u, v)
-
-
 def reflect(v: Vector, alpha: Vector) -> Vector:
     """Reflection of v through the hyperplane orthogonal to alpha."""
     aa = dot(alpha, alpha)
@@ -217,7 +212,7 @@ def validate_root_system(candidate: Sequence[Vector]) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def classify_pair(alpha: Vector, beta: Vector) -> PairClass:
+def pair_class(alpha: Vector, beta: Vector) -> PairClass:
     """Length-ratio/Cartan trichotomy for a pair of roots.
 
     Either the roots are orthogonal, or (ratio^2, Cartan number on the
@@ -226,7 +221,7 @@ def classify_pair(alpha: Vector, beta: Vector) -> PairClass:
     ambient set was not a root system.
     """
     if beta == alpha or beta == vneg(alpha):
-        raise ValueError("classify_pair requires beta != +-alpha")
+        raise ValueError("pair_class requires beta != +-alpha")
     p = dot(alpha, beta)
     if p == 0:
         return PairClass("orthogonal", 0)
@@ -293,24 +288,8 @@ def is_root_subsystem(candidate: Iterable[Vector]) -> bool:
     """True iff candidate satisfies R1-R3 on its hull and its reflection
     closure is a root system."""
     vecs = sorted(set(candidate))
-    if not vecs or any(is_zero(v) for v in vecs):
+    if set(validate_root_system(vecs).axioms_violated()) - {"R4"}:
         return False
-    iroots = int_scaled(vecs)
-    # R2
-    by_dir: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for iv in iroots:
-        by_dir.setdefault(primitive_direction(iv), []).append(iv)
-    for group in by_dir.values():
-        if len(group) > 2:
-            return False
-        if len(group) == 2 and group[0] != tuple(-a for a in group[1]):
-            return False
-    # R3
-    for a in iroots:
-        aa = sum(x * x for x in a)
-        for b in iroots:
-            if (2 * sum(x * y for x, y in zip(a, b))) % aa != 0:
-                return False
     try:
         closure = reflection_closure(vecs)
     except RootsplitError:

@@ -16,11 +16,16 @@ from typing import Iterable, Sequence
 
 from .catalog import highest_root
 from .linalg import (
+    IntVector,
     Vector,
+    common_scale,
     dot,
+    idot,
     lex_positive,
     lex_rep,
     metric_inner,
+    scale_to_int,
+    unscale,
     vadd,
     vneg,
     vscale,
@@ -123,6 +128,12 @@ def verify_certificate(w: IsotropyWeights, cert: SplittingCertificate) -> bool:
 def _canonical_certificate(beta: Vector, plus_half: Iterable[Vector]) -> SplittingCertificate:
     """Canonicalize: beta lexicographically positive, alpha signs by
     <beta,alpha> >= 0 with a lexicographic tie-break when orthogonal."""
+    return SplittingCertificate(*_canonical(beta, plus_half))
+
+
+def _canonical(beta, plus_half):
+    """_canonical_certificate as a (beta, alphas) pair, on rational or
+    integer vectors alike."""
     raw = []
     seen = set()
     for w in plus_half:
@@ -135,25 +146,26 @@ def _canonical_certificate(beta: Vector, plus_half: Iterable[Vector]) -> Splitti
         beta = vneg(beta)
     alphas = []
     for a in raw:
-        p = dot(beta, a)
+        p = idot(beta, a)
         if p < 0 or (p == 0 and not lex_positive(a)):
             a = vneg(a)
         alphas.append(a)
-    return SplittingCertificate(beta, tuple(sorted(alphas)))
+    return beta, tuple(sorted(alphas))
 
 
-def _partitions_for_translation(wset: frozenset, order: Sequence[Vector], v: Vector):
+def _partitions_for_translation(wset: frozenset, order: Sequence[IntVector], v: IntVector):
     """All partitions W = W+ | W- with W+ = v + W- and W+ symmetric about
     v/2, via orbit propagation over the maps w -> -w, w -> v-w, w -> w-v.
 
-    order is W sorted, so orbits are visited deterministically. Yields
-    the W+ halves. Constraint rules (side +1 is W+):
+    W is given on integers. order is W sorted, so orbits are visited
+    deterministically. Yields the W+ halves. Constraint rules (side +1
+    is W+):
       w in W+  =>  -w in W-,  v-w in W+,  w-v in W-
       w in W-  =>  -w in W+,  w+v in W+,  -v-w in W-
     """
-    side: dict[Vector, int] = {}
+    side: dict[IntVector, int] = {}
 
-    def force(w: Vector, s: int) -> bool:
+    def force(w: IntVector, s: int) -> bool:
         stack = [(w, s)]
         while stack:
             u, su = stack.pop()
@@ -175,8 +187,8 @@ def _partitions_for_translation(wset: frozenset, order: Sequence[Vector], v: Vec
                 stack.append((vneg(vadd(u, v)), -1))  # -v-u
         return True
 
-    orbit_choices: list[list[dict[Vector, int]]] = []
-    assigned: set[Vector] = set()
+    orbit_choices: list[list[dict[IntVector, int]]] = []
+    assigned: set[IntVector] = set()
     for w0 in order:
         if w0 in assigned:
             continue
@@ -194,7 +206,7 @@ def _partitions_for_translation(wset: frozenset, order: Sequence[Vector], v: Vec
         side.clear()
 
     for combo in itertools.product(*orbit_choices):
-        merged: dict[Vector, int] = {}
+        merged: dict[IntVector, int] = {}
         for part in combo:
             merged.update(part)
         plus = frozenset(u for u, s in merged.items() if s > 0)
@@ -208,13 +220,16 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
     Candidate translations come from one anchor w0 = min(W): every
     splitting puts w0 in W+ or W-, so 2*beta = +-(w0 - w) for some w in W,
     which gives |W| - 1 candidates. Each candidate is checked by
-    exhaustive propagation over sign orbits.
+    exhaustive propagation over sign orbits. The search runs on the
+    doubled lattice 2L*W (L clears W's denominators), where beta = v/2
+    is integral; certificates are turned back into rationals at the end.
     """
     if w.dim_M == 0:
         raise EmptyWeights("the weight set is empty (g = h)")
     if w.dim_M % 4 != 0:
         raise ValueError("|W| must be divisible by 4")
-    wset = frozenset(w.weights)
+    scale = 2 * common_scale(w.weights)
+    wset = frozenset(scale_to_int(x, scale) for x in w.weights)
     if any(vneg(x) not in wset for x in wset):
         raise ValueError("W must be closed under negation")
 
@@ -222,17 +237,22 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
     w0 = order[0]
     candidates = {lex_rep(vsub(w0, x)) for x in order[1:]}
 
-    found: set[SplittingCertificate] = set()
+    found = set()
     for v in sorted(candidates):
-        beta = vscale(Fraction(1, 2), v)
+        beta = tuple(a // 2 for a in v)
         for plus in _partitions_for_translation(wset, order, v):
             if beta in plus:
                 continue  # alpha_i = 0
-            cert = _canonical_certificate(beta, plus)
-            if len(cert.alphas) * 4 == len(wset):
+            cert = _canonical(beta, plus)
+            if len(cert[1]) * 4 == len(wset):
                 found.add(cert)
 
-    certs = sorted(found, key=lambda c: (c.beta, c.alphas))
+    certs = [
+        SplittingCertificate(
+            unscale(beta, scale), tuple(unscale(a, scale) for a in alphas)
+        )
+        for beta, alphas in sorted(found)  # a positive scale keeps the order
+    ]
     for c in certs:
         assert verify_certificate(w, c)
     return certs
@@ -302,17 +322,6 @@ def check_constraints(
     )
 
 
-def _weight_decomposition(cert: SplittingCertificate):
-    """Map each generated weight to (alpha index, eps_i, eps)."""
-    table = {}
-    for i, a in enumerate(cert.alphas):
-        for ei in (1, -1):
-            for e in (1, -1):
-                wvec = vadd(vscale(ei, a), vscale(e, cert.beta))
-                table[wvec] = (i, ei, e)
-    return table
-
-
 def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
     """Resolve the first weight triple w1 + w2 = w3 into the exhaustive case
     list; with no triple the pair is symmetric at the weight level.
@@ -325,17 +334,25 @@ def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
       |s| = 3, coefficient {1}                           -> case b
     Sub-cases of d are told apart scale-invariantly: two vanishing
     <beta,alpha> give d1; otherwise |beta|^2 / <beta,alpha> = 1 is d2 and
-    = 3 is d3.
+    = 3 is d3. The search runs on the doubled lattice of find_splittings.
     """
     if not verify_certificate(w, cert):
         raise ValueError("certificate does not verify against the weights")
-    table = _weight_decomposition(cert)
-    ws = sorted(w.weights)
-    wset = set(ws)
+    scale = 2 * common_scale(w.weights)
+    beta = scale_to_int(cert.beta, scale)
+    alphas = [scale_to_int(a, scale) for a in cert.alphas]
+    table = {}  # generated weight -> (alpha index, eps_i, eps)
+    for i, a in enumerate(alphas):
+        for ei in (1, -1):
+            for e in (1, -1):
+                table[tuple(ei * x + e * y for x, y in zip(a, beta))] = (i, ei, e)
+    ws = [scale_to_int(x, scale) for x in w.weights]
+    back = dict(zip(ws, w.weights))
+    ws.sort()
     triple = None
     for w1, w2 in itertools.combinations_with_replacement(ws, 2):
         w3 = vadd(w1, w2)
-        if w3 in wset:
+        if w3 in back:
             triple = (w1, w2, w3)
             break
     if triple is None:
@@ -344,6 +361,7 @@ def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
     (i1, e1, d1) = table[triple[0]]
     (i2, e2, d2) = table[triple[1]]
     (i3, e3, d3) = table[triple[2]]
+    triple = tuple(back[x] for x in triple)
     s = d1 + d2 - d3
     coeffs: dict[int, int] = {}
     coeffs[i3] = coeffs.get(i3, 0) + e3
@@ -354,7 +372,7 @@ def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
 
     if abs(s) == 1:
         if pattern == [1, 1, 1]:
-            return _d_subcase(cert, tuple(coeffs), triple)
+            return _d_subcase(beta, [alphas[i] for i in coeffs], triple)
         if pattern == [1, 2]:
             return CaseTag("case_a", triple)
     elif abs(s) == 3:
@@ -367,21 +385,21 @@ def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
     )
 
 
-def _d_subcase(cert: SplittingCertificate, indices: tuple[int, ...], triple) -> CaseTag:
-    beta = cert.beta
-    pairings = [dot(beta, cert.alphas[i]) for i in indices]
+def _d_subcase(beta: IntVector, alphas: Sequence[IntVector], triple) -> CaseTag:
+    """Case d by <beta,alpha> on the doubled lattice; the ratios to
+    |beta|^2 are scale-invariant."""
+    pairings = [idot(beta, a) for a in alphas]
     zeros = sum(1 for p in pairings if p == 0)
     if zeros == 2:
         return CaseTag("case_d1", triple)
     if zeros == 0:
-        b2 = dot(beta, beta)
-        ratios = {b2 / p for p in pairings}
-        if ratios == {Fraction(1)}:
+        b2 = idot(beta, beta)
+        if all(b2 == p for p in pairings):
             return CaseTag("case_d2", triple)
-        if ratios == {Fraction(3)}:
+        if all(b2 == 3 * p for p in pairings):
             return CaseTag("case_d3", triple)
     raise UnclassifiableTriple(
-        f"case d signature unmatched: pairings {pairings} for triple {triple}"
+        f"case d signature unmatched: scaled pairings {pairings} for triple {triple}"
     )
 
 

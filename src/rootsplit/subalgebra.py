@@ -16,19 +16,23 @@ from typing import Iterable, Sequence
 from .catalog import (
     WEYL_RANK_CAP,
     CartanLabel,
-    components,
     highest_root,
-    identify_type,
+    int_component_type,
+    int_components,
+    int_highest_root,
+    int_simple_base,
     normalize,
     weyl_group,
 )
 from .linalg import (
+    IntVector,
     Vector,
-    dot,
+    common_scale,
     idot,
     int_scaled,
     lex_positive,
     rank_of,
+    scale_to_int,
     vadd,
     vneg,
     vsub,
@@ -65,12 +69,14 @@ def is_closed(subset: Iterable[Vector], parent: RootSystem) -> bool:
     s = frozenset(subset)
     if not s <= parent.root_set:
         raise ValueError("subset is not contained in the parent root system")
-    for a in s:
-        if vneg(a) not in s:
-            return False
-    for a, b in itertools.combinations(s, 2):
+    scale = common_scale(parent.roots)
+    iparent = {scale_to_int(r, scale) for r in parent.roots}
+    isub = {scale_to_int(r, scale) for r in s}
+    if any(vneg(a) not in isub for a in isub):
+        return False
+    for a, b in itertools.combinations(isub, 2):
         c = vadd(a, b)
-        if c in parent.root_set and c not in s:
+        if c in iparent and c not in isub:
             return False
     return True
 
@@ -247,17 +253,26 @@ def weights_from_set(weights: Iterable[Vector]) -> IsotropyWeights:
 
 def is_symmetric_pair(w: IsotropyWeights) -> bool:
     """Weight-level symmetry criterion: no two weights sum to a weight."""
-    ws = set(w.weights)
+    ws = set(int_scaled(w.weights))
     return not any(vadd(a, b) in ws for a, b in itertools.combinations(ws, 2))
 
 
-def wolf_subsystem(parent: RootSystem, theta: Vector | None = None) -> ClosedSubsystem:
+def wolf_subsystem(parent: RootSystem) -> ClosedSubsystem:
     """The subsystem {+-theta} plus everything orthogonal to the highest
     root theta; the root datum of the Wolf pair G/N."""
-    if theta is None:
-        theta = highest_root(parent)  # raises for reducible parents
-    roots = [r for r in parent.roots if r in (theta, vneg(theta)) or dot(r, theta) == 0]
-    return closed_subsystem(parent, roots)
+    theta = highest_root(parent)  # raises for reducible parents
+    iroots = int_scaled(parent.roots)
+    return _wolf_subsystem(parent, iroots, iroots[parent.roots.index(theta)])
+
+
+def _wolf_subsystem(
+    parent: RootSystem, iroots: Sequence[IntVector], theta: IntVector
+) -> ClosedSubsystem:
+    """wolf_subsystem from the integer copy iroots of parent.roots."""
+    ends = (theta, vneg(theta))
+    return closed_subsystem(parent, [
+        r for r, ir in zip(parent.roots, iroots) if ir in ends or not idot(ir, theta)
+    ])
 
 
 @dataclass(frozen=True)
@@ -285,19 +300,26 @@ class ParentContext:
 
 
 def parent_context(system: RootSystem) -> ParentContext:
-    """Compute the per-parent facts of system."""
-    int_roots = dict(zip(system.roots, int_scaled(system.roots)))
-    norms = {idot(v, v) for v in int_roots.values()}
-    comps = tuple(components(system))
+    """Compute the per-parent facts of system from one integer copy."""
+    iroots = int_scaled(system.roots)
+    back = dict(zip(iroots, system.roots))
+    norms = {idot(v, v) for v in iroots}
+    comps = int_components(iroots)
+    bases = [int_simple_base(c) for c in comps]
+    types = sorted(int_component_type(c, b) for c, b in zip(comps, bases))
     is_g2 = len(comps) == 1 and len(norms) == 2 and max(norms) == 3 * min(norms)
     theta = wolf = normalized = None
     if len(comps) == 1:
-        theta = highest_root(system)
-        wolf = wolf_subsystem(system, theta)
+        itheta = int_highest_root(iroots, bases[0])
+        theta = back[itheta]
+        wolf = _wolf_subsystem(system, iroots, itheta)
         if not is_g2:
             normalized = normalize(system)
     return ParentContext(
-        int_roots, comps, tuple(identify_type(system)), max(norms),
+        dict(zip(system.roots, iroots)),
+        tuple(tuple(back[r] for r in c) for c in comps),
+        tuple(types),
+        max(norms),
         is_g2, theta, wolf, normalized,
     )
 

@@ -17,8 +17,7 @@ from rootsplit.catalog import (
     weyl_group,
 )
 from rootsplit.pipeline import _product_labels, classify_all, classify_pair
-from rootsplit.rootcore import classify_pair as classify_root_pair
-from rootsplit.rootcore import validate_root_system
+from rootsplit.rootcore import pair_class, validate_root_system
 from rootsplit.splitting import (
     check_constraints,
     find_splittings,
@@ -43,7 +42,7 @@ def test_criterion_1_axiom_suite_all_catalog_systems_under_30s():
         for a, b in combinations(system.roots, 2):
             if a == tuple(-x for x in b):
                 continue
-            classify_root_pair(a, b)  # raises on any trichotomy violation
+            pair_class(a, b)  # raises on any trichotomy violation
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"axiom suite took {elapsed:.1f}s"
 
@@ -72,7 +71,15 @@ def test_criterion_3_so7_u3_certificate():
     assert set(constraints.pairings) == {Fraction(1, 4)}
 
 
-def test_criterion_4_wolf_witnesses_rank_8_verify_rank_4_rediscovered():
+#: certificates of each rank-8 Wolf pair (and E6, E7), as find_splittings
+#: found them when the search ran on rational vectors
+WOLF_CERTIFICATE_COUNTS = {
+    "A8": 1, "B8": 2, "C8": 1, "D8": 2, "E6": 1, "E7": 1, "E8": 1,
+}
+
+
+def test_criterion_4_wolf_witnesses_rediscovered_through_rank_8():
+    counts = {}
     for lab in simple_labels_up_to(8):
         parent = build(lab)
         weights = isotropy_weights(parent, wolf_subsystem(parent))
@@ -80,8 +87,10 @@ def test_criterion_4_wolf_witnesses_rank_8_verify_rank_4_rediscovered():
             continue  # rank 1: h = g, the quotient is a point
         cert = wolf_certificate(parent)
         assert verify_certificate(weights, cert), str(lab)
-        if lab.rank <= 4:
-            assert cert in find_splittings(weights), str(lab)
+        found = find_splittings(weights)
+        assert cert in found, str(lab)
+        counts[str(lab)] = len(found)
+    assert {g: counts[g] for g in WOLF_CERTIFICATE_COUNTS} == WOLF_CERTIFICATE_COUNTS
 
 
 def test_criterion_5_rank_3_classification_under_5min():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rootsplit.linalg import vec
+from rootsplit.linalg import dot, vec
 from rootsplit.catalog import (
     G2Component,
     build,
@@ -20,7 +20,7 @@ from rootsplit.catalog import (
     simple_labels_up_to,
     weyl_group,
 )
-from rootsplit.rootcore import inner, make_root_system, validate_root_system
+from rootsplit.rootcore import make_root_system, validate_root_system
 
 EXPECTED_COUNTS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 12,
@@ -38,7 +38,7 @@ class TestBuild:
 
     def test_g2_length_ratio(self):
         g2 = build(label("G", 2))
-        lengths = {inner(r, r) for r in g2.roots}
+        lengths = {dot(r, r) for r in g2.roots}
         assert len(lengths) == 2 and max(lengths) == 3 * min(lengths)
 
     def test_small_systems_validate(self):
@@ -66,7 +66,7 @@ class TestDirectSum:
         assert len(blocks) == 2
         for a in blocks[0]:
             for b in blocks[1]:
-                assert inner(a, b) == 0
+                assert dot(a, b) == 0
 
     def test_identity(self):
         a2 = build(label("A", 2))
@@ -92,7 +92,7 @@ class TestHighestRoot:
         for lab in simple_labels_up_to(4):
             sys = build(lab)
             theta = highest_root(sys)
-            assert inner(theta, theta) == max(inner(r, r) for r in sys.roots)
+            assert dot(theta, theta) == max(dot(r, r) for r in sys.roots)
 
 
 class TestWeylGroup:

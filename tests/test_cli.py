@@ -1,19 +1,28 @@
 """Report serialization and the command-line interface."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rootsplit
 from rootsplit.pipeline import classify_all, classify_pair
 from rootsplit.report import emit
 
 CLI = [sys.executable, "-m", "rootsplit.cli"]
+# the child imports the same rootsplit as the tests, installed or not
+PACKAGE_ROOT = str(Path(rootsplit.__file__).resolve().parents[1])
+CHILD_PATH = os.pathsep.join(
+    p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def run(*args, **kw):
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, **kw
+        CLI + list(args), capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": CHILD_PATH}, **kw
     )
 
 

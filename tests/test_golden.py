@@ -17,6 +17,16 @@ GOLDEN = {
         "d8d0d5242b6aee1b5cc0d45a28a5dc4a42b7c8603c947a8cc1b9cb1c37791973",
     ("classify", "E6", "wolf"):
         "78264aa5de567562df708e9e8d779c99bfa29308a4ff65c593083e306233e152",
+    # half-integer coordinates (F4, E7), long roots 2e_i (C8), and the
+    # case_d3 path through the split subcommand
+    ("classify", "F4", "wolf"):
+        "f46eefa8dfc96bfaa5d6c1f1f6ae5a097ecb296f75afff543179bdd81ff53ed0",
+    ("classify", "E7", "wolf"):
+        "8893aa39c0dcbfc774ed79c8a01dc647588b4583c7ad66bf79ec1330075ec549",
+    ("classify", "C8", "wolf"):
+        "0e53e09edd0b9c9990b0a357a0cb7333b821cd7f595fca9a3fbe2db126f7bc91",
+    ("split", "B3", "A2#0"):
+        "78e3cd98d0e7dd701586cbd249109d4b549990c05ee7f44a45e68b9e8f889b13",
 }
 
 

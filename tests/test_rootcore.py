@@ -4,16 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from rootsplit.linalg import vec
+from rootsplit.linalg import dot, vec
 from rootsplit.catalog import build, label
 from rootsplit.rootcore import (
     ChainBroken,
     NormscalViolation,
     cartan_int,
-    classify_pair,
-    inner,
     is_root_subsystem,
     make_root_system,
+    pair_class,
     reflect,
     reflection_closure,
     root_chain,
@@ -26,18 +25,18 @@ small_vecs = st.lists(rationals, min_size=2, max_size=4).map(lambda xs: vec(*xs)
 
 class TestInner:
     def test_orthonormal_basis(self):
-        assert inner(vec(1, 0, 0), vec(0, 1, 0)) == 0
+        assert dot(vec(1, 0, 0), vec(0, 1, 0)) == 0
 
     def test_length_squared(self):
-        assert inner(vec(1, -1, 0), vec(1, -1, 0)) == 2
+        assert dot(vec(1, -1, 0), vec(1, -1, 0)) == 2
 
     def test_direct_expansion(self):
-        assert inner(vec(1, 1, 1), vec(1, 1, -1)) == 1
+        assert dot(vec(1, 1, 1), vec(1, 1, -1)) == 1
 
     @given(small_vecs, small_vecs)
     def test_symmetric(self, u, v):
         if len(u) == len(v):
-            assert inner(u, v) == inner(v, u)
+            assert dot(u, v) == dot(v, u)
 
 
 class TestReflect:
@@ -54,11 +53,11 @@ class TestReflect:
 
     @given(small_vecs, small_vecs)
     def test_involution_and_isometry(self, v, a):
-        if len(v) != len(a) or inner(a, a) == 0:
+        if len(v) != len(a) or dot(a, a) == 0:
             return
         w = reflect(v, a)
         assert reflect(w, a) == v
-        assert inner(w, w) == inner(v, v)
+        assert dot(w, w) == dot(v, v)
 
 
 class TestCartanInt:
@@ -95,31 +94,31 @@ class TestValidate:
 
 class TestClassifyPair:
     def test_equal_length_adjacent(self):
-        pc = classify_pair(vec(1, -1, 0), vec(0, 1, -1))
+        pc = pair_class(vec(1, -1, 0), vec(0, 1, -1))
         assert (pc.kind, pc.cartan_value) == ("ratio1", -1)
 
     def test_orthogonal(self):
-        assert classify_pair(vec(1, -1), vec(1, 1)).kind == "orthogonal"
+        assert pair_class(vec(1, -1), vec(1, 1)).kind == "orthogonal"
 
     def test_ratio_two(self):
-        pc = classify_pair(vec(1, 0), vec(1, 1))
+        pc = pair_class(vec(1, 0), vec(1, 1))
         assert pc.kind == "ratio2"
         assert abs(pc.cartan_value) == 2
 
     def test_ratio_three(self):
         g2 = build(label("G", 2))
-        short = min(g2.roots, key=lambda r: inner(r, r))
+        short = min(g2.roots, key=lambda r: dot(r, r))
         long_adj = next(
             r for r in g2.roots
-            if inner(r, r) == 3 * inner(short, short) and inner(r, short) != 0
+            if dot(r, r) == 3 * dot(short, short) and dot(r, short) != 0
         )
-        pc = classify_pair(short, long_adj)
+        pc = pair_class(short, long_adj)
         assert pc.kind == "ratio3"
         assert abs(pc.cartan_value) == 3
 
     def test_violation_raises(self):
         with pytest.raises(NormscalViolation):
-            classify_pair(vec(1, 0), vec(1, 2))
+            pair_class(vec(1, 0), vec(1, 2))
 
 
 class TestRootChain:

@@ -156,9 +156,9 @@ class TestWolf:
         assert not is_wolf_pair(b3, u3_embedding(b3))
 
     def test_g2_long_a2_is_not_wolf(self):
-        from rootsplit.rootcore import inner
+        from rootsplit.linalg import dot
         g2 = build(label("G", 2))
-        long_roots = [r for r in g2.roots if inner(r, r) == 6]
+        long_roots = [r for r in g2.roots if dot(r, r) == 6]
         assert not is_wolf_pair(g2, closed_subsystem(g2, long_roots))
 
     def test_recognition_up_to_weyl(self):
