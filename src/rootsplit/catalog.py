@@ -27,15 +27,12 @@ from .linalg import (
     projection_matrix,
     span_basis,
     vadd,
-    vneg,
 )
 from .rootcore import (
     LONG2,
-    RAW,
     RootsplitError,
     RootSystem,
     make_root_system,
-    positive_roots,
     reflect,
 )
 
@@ -327,82 +324,27 @@ def weyl_group(system: RootSystem) -> WeylGroup:
     return WeylGroup(roots, gens, elems, tuple(seen[e] for e in elems))
 
 
-def _cartan_matrix(base: Sequence[IntVector]) -> tuple[tuple[int, ...], ...]:
-    rows = []
-    for a in base:
-        aa = idot(a, a)
-        row = []
-        for b in base:
-            q, r = divmod(2 * idot(a, b), aa)
-            if r:
-                raise ValueError("non-integral Cartan number in a base")
-            row.append(q)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _matrices_isomorphic(m1, m2) -> bool:
-    n = len(m1)
-    if n != len(m2):
-        return False
-    if n > 8:
-        raise ValueError("rank too large for permutation matching")
-    rows1 = sorted(sorted(r) for r in m1)
-    rows2 = sorted(sorted(r) for r in m2)
-    if rows1 != rows2:
-        return False
-    for perm in itertools.permutations(range(n)):
-        if all(m1[i][j] == m2[perm[i]][perm[j]] for i in range(n) for j in range(n)):
-            return True
-    return False
-
-
-def _candidate_labels(rank: int, count: int, nlong: int, laced: bool):
-    cands = []
-    if rank >= 1 and count == rank * (rank + 1):
-        cands.append(CartanLabel("A", rank))
-    if rank >= 2 and count == 2 * rank * rank:
-        if laced:
-            pass
-        elif nlong == 2 * rank * (rank - 1) or rank == 2:
-            cands.append(CartanLabel("B", rank))
-        if not laced and nlong == 2 * rank and rank >= 3:
-            cands.append(CartanLabel("C", rank))
-    if rank >= 4 and count == 2 * rank * (rank - 1) and laced:
-        cands.append(CartanLabel("D", rank))
-    if (rank, count) == (2, 12):
-        cands.append(CartanLabel("G", 2))
-    if (rank, count) == (4, 48) and not laced:
-        cands.append(CartanLabel("F", 4))
-    if laced and (rank, count) in ((6, 72), (7, 126), (8, 240)):
-        cands.append(CartanLabel("E", rank))
-    return cands
-
-
 def identify_type(system: RootSystem) -> list[CartanLabel]:
     """Cartan labels of the irreducible components, using canonical aliases
     (B1 -> A1, C2 -> B2, D2 -> A1+A1, D3 -> A3)."""
-    comps = int_components(int_scaled(system.roots))
-    return sorted(int_component_type(c, int_simple_base(c)) for c in comps)
+    return sorted(int_component_type(c) for c in int_components(int_scaled(system.roots)))
 
 
-def int_component_type(comp: Sequence[IntVector], base: Sequence[IntVector]) -> CartanLabel:
-    """Cartan label of one irreducible component given on integers, with
-    its simple base."""
-    rank = len(base)
-    if rank > 8:
-        raise ValueError("component rank exceeds the catalog (8)")
-    lengths = {idot(r, r) for r in comp}
-    laced = len(lengths) == 1
-    nlong = sum(1 for r in comp if idot(r, r) == max(lengths))
-    cm = _cartan_matrix(base)
-    for cand in _candidate_labels(rank, len(comp), nlong, laced):
-        ref = _cartan_matrix(int_simple_base(int_scaled(build(cand).roots)))
-        if _matrices_isomorphic(cm, ref):
-            return cand
-    raise ValueError(
-        f"component of rank {rank} with {len(comp)} roots matches no catalog type"
-    )
+def int_component_type(comp: Sequence[IntVector]) -> CartanLabel:
+    """Cartan label of one irreducible component given on integers.
+
+    An irreducible root system of rank <= 8 is determined up to isomorphism
+    by its rank, its number of roots and its number of long roots, so the
+    label is a lookup in _TYPES.
+    """
+    rank = len(int_simple_base(comp))
+    norms = [idot(r, r) for r in comp]
+    key = (rank, len(comp), norms.count(max(norms)))
+    if key not in _TYPES:
+        raise ValueError(
+            f"component of rank {rank} with {len(comp)} roots matches no catalog type"
+        )
+    return _TYPES[key]
 
 
 def normalize(system: RootSystem) -> RootSystem:
@@ -450,3 +392,24 @@ def simple_labels_up_to(max_rank: int, series: Iterable[str] | None = None):
         wanted = {s.upper() for s in series}
         out = [l for l in out if l.series in wanted]
     return sorted(out, key=str)
+
+
+def _root_counts(series: str, n: int) -> tuple[int, int]:
+    """(|R|, number of long roots) of the simple type series_n (Bourbaki,
+    Lie Groups ch. VI, Plates I-IX); all roots of a simply laced type are long."""
+    return {
+        "A": (n * (n + 1), n * (n + 1)),
+        "B": (2 * n * n, 2 * n * (n - 1)),
+        "C": (2 * n * n, 2 * n),
+        "D": (2 * n * (n - 1), 2 * n * (n - 1)),
+        "E": ({6: 72, 7: 126, 8: 240}.get(n),) * 2,
+        "F": (48, 24),
+        "G": (12, 6),
+    }[series]
+
+
+#: (rank, |R|, number of long roots) -> simple type, over every catalog label
+_TYPES = {
+    (lab.rank, *_root_counts(lab.series, lab.rank)): lab
+    for lab in simple_labels_up_to(8)
+}

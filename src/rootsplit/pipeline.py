@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import catalog
 from .catalog import (
@@ -43,7 +43,6 @@ from .splitting import (
 )
 from .subalgebra import (
     ClosedSubsystem,
-    IsotropyWeights,
     ParentContext,
     closed_subsystem,
     enumerate_closed_subsystems,
@@ -87,7 +86,6 @@ class PairReport:
     verdict: str
     cases: tuple[CaseTag, ...] = ()
     constraints: tuple[ConstraintReport, ...] = ()
-    constraints_checked: bool = False
 
 
 @dataclass(frozen=True)
@@ -226,7 +224,6 @@ def classify_subsystem(
     certificates: tuple[SplittingCertificate, ...] = ()
     cases: tuple[CaseTag, ...] = ()
     constraints: tuple[ConstraintReport, ...] = ()
-    constraints_checked = False
     if eligible:
         certificates = tuple(find_splittings(w))
         cases = tuple(case_analysis(w, c) for c in certificates)
@@ -234,7 +231,6 @@ def classify_subsystem(
             constraints = tuple(
                 check_constraints(ctx.normalized, c, ctx) for c in certificates
             )
-            constraints_checked = True
 
     verdict = _assign_verdict(
         ctx.types, eligible, symmetric, wolf, certificates, cases, h
@@ -251,7 +247,6 @@ def classify_subsystem(
         verdict,
         cases,
         constraints,
-        constraints_checked,
     )
     check_report_invariants(report)
     return report
@@ -306,7 +301,6 @@ def classify_all(
     max_rank: int,
     series: Iterable[str] | None = None,
     include_products: bool = False,
-    include_ineligible: bool = False,
     cache_dir: str | None = None,
 ) -> ClassificationReport:
     """Classify every equal-rank pair over the catalog up to max_rank.
@@ -333,9 +327,7 @@ def classify_all(
         ctx = parent_context(parent)
         for h in subsystems:
             w_size = len(parent.roots) - len(h.roots)
-            if w_size == 0:
-                continue
-            if not include_ineligible and w_size % 4 != 0:
+            if w_size == 0 or w_size % 4:  # h = g, or not eligible
                 continue
             pairs.append(classify_subsystem(g_label, parent, h, ctx=ctx))
 

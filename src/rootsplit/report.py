@@ -49,7 +49,7 @@ def pair_dict(p: PairReport) -> dict:
             certificate_dict(c, case) for c, case in zip(p.certificates, cases)
         ],
     }
-    if p.constraints_checked:
+    if p.constraints:
         d["constraints"] = [
             {
                 "pairings": [format_rational(x) for x in r.pairings],

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .catalog import highest_root
+from .catalog import CartanLabel, highest_root
 from .linalg import (
     IntVector,
     Vector,
@@ -23,7 +23,7 @@ from .linalg import (
     idot,
     lex_positive,
     lex_rep,
-    metric_inner,
+    mat_vec,
     scale_to_int,
     unscale,
     vadd,
@@ -309,11 +309,12 @@ def check_constraints(
         ctx = parent_context(parent)
     if not ctx.irreducible:
         raise ValueError("check_constraints requires an irreducible parent")
-    if ctx.is_g2:
+    if ctx.types == (CartanLabel("G", 2),):
         raise G2Input("constraints do not apply to G2")
-    m = parent.metric
-    pairings = tuple(metric_inner(m, cert.beta, a) for a in cert.alphas)
-    b2 = metric_inner(m, cert.beta, cert.beta)
+    # <beta, alpha> = alpha . (m beta), the metric being symmetric
+    mb = cert.beta if parent.metric is None else mat_vec(parent.metric, cert.beta)
+    pairings = tuple(dot(a, mb) for a in cert.alphas)
+    b2 = dot(cert.beta, mb)
     return ConstraintReport(
         pairings,
         b2,
@@ -334,11 +335,11 @@ def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
       |s| = 3, coefficient {1}                           -> case b
     Sub-cases of d are told apart scale-invariantly: two vanishing
     <beta,alpha> give d1; otherwise |beta|^2 / <beta,alpha> = 1 is d2 and
-    = 3 is d3. The search runs on the doubled lattice of find_splittings.
+    = 3 is d3. The search runs on integers that clear the denominators of
+    W and of the certificate, where the certificate is also verified.
     """
-    if not verify_certificate(w, cert):
-        raise ValueError("certificate does not verify against the weights")
-    scale = 2 * common_scale(w.weights)
+    _check_certificate_shape(cert)
+    scale = common_scale([cert.beta, *cert.alphas, *w.weights])
     beta = scale_to_int(cert.beta, scale)
     alphas = [scale_to_int(a, scale) for a in cert.alphas]
     table = {}  # generated weight -> (alpha index, eps_i, eps)
@@ -348,6 +349,8 @@ def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
                 table[tuple(ei * x + e * y for x, y in zip(a, beta))] = (i, ei, e)
     ws = [scale_to_int(x, scale) for x in w.weights]
     back = dict(zip(ws, w.weights))
+    if len(table) != 4 * cert.n or table.keys() != back.keys():
+        raise ValueError("certificate does not verify against the weights")
     ws.sort()
     triple = None
     for w1, w2 in itertools.combinations_with_replacement(ws, 2):
@@ -386,7 +389,7 @@ def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
 
 
 def _d_subcase(beta: IntVector, alphas: Sequence[IntVector], triple) -> CaseTag:
-    """Case d by <beta,alpha> on the doubled lattice; the ratios to
+    """Case d by <beta,alpha> on the integer copy; the ratios to
     |beta|^2 are scale-invariant."""
     pairings = [idot(beta, a) for a in alphas]
     zeros = sum(1 for p in pairings if p == 0)

@@ -286,41 +286,33 @@ class ParentContext:
     """
 
     int_roots: dict[Vector, tuple[int, ...]]  # root -> integer-scaled copy
-    components: tuple[tuple[Vector, ...], ...]
     types: tuple[CartanLabel, ...]
     long_norm: int  # squared length of a long root, integer-scaled
-    is_g2: bool
     theta: Vector | None
     wolf: ClosedSubsystem | None
     normalized: RootSystem | None
 
     @property
     def irreducible(self) -> bool:
-        return len(self.components) == 1
+        return len(self.types) == 1
 
 
 def parent_context(system: RootSystem) -> ParentContext:
     """Compute the per-parent facts of system from one integer copy."""
     iroots = int_scaled(system.roots)
-    back = dict(zip(iroots, system.roots))
-    norms = {idot(v, v) for v in iroots}
-    comps = int_components(iroots)
-    bases = [int_simple_base(c) for c in comps]
-    types = sorted(int_component_type(c, b) for c, b in zip(comps, bases))
-    is_g2 = len(comps) == 1 and len(norms) == 2 and max(norms) == 3 * min(norms)
+    types = tuple(sorted(int_component_type(c) for c in int_components(iroots)))
     theta = wolf = normalized = None
-    if len(comps) == 1:
-        itheta = int_highest_root(iroots, bases[0])
-        theta = back[itheta]
+    if len(types) == 1:
+        itheta = int_highest_root(iroots, int_simple_base(iroots))
+        theta = system.roots[iroots.index(itheta)]
         wolf = _wolf_subsystem(system, iroots, itheta)
-        if not is_g2:
+        if types != (CartanLabel("G", 2),):
             normalized = normalize(system)
     return ParentContext(
         dict(zip(system.roots, iroots)),
-        tuple(tuple(back[r] for r in c) for c in comps),
-        tuple(types),
-        max(norms),
-        is_g2, theta, wolf, normalized,
+        types,
+        max(idot(v, v) for v in iroots),
+        theta, wolf, normalized,
     )
 
 

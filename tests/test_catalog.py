@@ -1,9 +1,10 @@
 """Catalog builders, type identification, Weyl groups, normalization."""
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from rootsplit.linalg import dot, vec
+from rootsplit.linalg import dot, idot, int_scaled, vec
 from rootsplit.catalog import (
     G2Component,
     build,
@@ -12,6 +13,8 @@ from rootsplit.catalog import (
     direct_sum,
     highest_root,
     identify_type,
+    int_components,
+    int_simple_base,
     label,
     normalize,
     parse_label,
@@ -21,6 +24,7 @@ from rootsplit.catalog import (
     weyl_group,
 )
 from rootsplit.rootcore import make_root_system, validate_root_system
+from rootsplit.subalgebra import enumerate_closed_subsystems, wolf_subsystem
 
 EXPECTED_COUNTS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 12,
@@ -110,10 +114,62 @@ class TestWeylGroup:
         assert tuple(range(len(g.roots))) in g.elements
 
 
+def _cartan_matrix(base):
+    return tuple(tuple(2 * idot(a, b) // idot(a, a) for b in base) for a in base)
+
+
+def _matrices_isomorphic(m1, m2) -> bool:
+    n = len(m1)
+    if n != len(m2) or sorted(map(sorted, m1)) != sorted(map(sorted, m2)):
+        return False
+    return any(
+        all(m1[i][j] == m2[p[i]][p[j]] for i in range(n) for j in range(n))
+        for p in itertools.permutations(range(n))
+    )
+
+
+_REFERENCE_MATRICES = {
+    lab: _cartan_matrix(int_simple_base(int_scaled(build(lab).roots)))
+    for lab in simple_labels_up_to(8)
+}
+
+
+def _oracle_type(system) -> list:
+    """identify_type by Cartan matrices: each component's, up to a
+    permutation of its simple roots, against every catalog type's."""
+    out = []
+    for comp in int_components(int_scaled(system.roots)):
+        cm = _cartan_matrix(int_simple_base(comp))
+        matches = [lab for lab, ref in _REFERENCE_MATRICES.items()
+                   if _matrices_isomorphic(cm, ref)]
+        assert len(matches) == 1, matches
+        out.extend(matches)
+    return sorted(out)
+
+
+def _oracle_systems():
+    """Every nonempty closed subsystem (no Weyl dedup) of the simple
+    catalog through rank 4, and every simple system through rank 8 with
+    its Wolf subsystem."""
+    for lab in simple_labels_up_to(4):
+        for h in enumerate_closed_subsystems(build(lab), dedup=False):
+            if h.roots:
+                yield make_root_system(h.roots, validate=False)
+    for lab in simple_labels_up_to(8):
+        yield build(lab)
+        yield make_root_system(wolf_subsystem(build(lab)).roots, validate=False)
+
+
 class TestIdentifyType:
     def test_round_trip_simple(self):
-        for lab in simple_labels_up_to(4):
+        for lab in simple_labels_up_to(8):
             assert identify_type(build(lab)) == [lab]
+
+    def test_matches_cartan_matrix_oracle(self):
+        systems = list(_oracle_systems())
+        assert len(systems) == 1055
+        for system in systems:
+            assert identify_type(system) == _oracle_type(system), system.roots
 
     def test_round_trip_sum(self):
         s = build_sum(parse_label_sum("A1+A1"))

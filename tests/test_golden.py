@@ -27,6 +27,14 @@ GOLDEN = {
         "0e53e09edd0b9c9990b0a357a0cb7333b821cd7f595fca9a3fbe2db126f7bc91",
     ("split", "B3", "A2#0"):
         "78e3cd98d0e7dd701586cbd249109d4b549990c05ee7f44a45e68b9e8f889b13",
+    # type descriptions: long and short subsystems, the B/C aliases, D4 in
+    # F4, and E7 on half-integer coordinates
+    ("subsystems", "F4"):
+        "2f2c9b690b55a10577a83cd9012781b655d972cacc60cbfd1a6eff12f85bb91b",
+    ("subsystems", "C4"):
+        "a34567f036efc210d81f20c783eae6d05cd13315cf7f9cc5ff49f5c75bd159eb",
+    ("classify", "E8", "wolf"):
+        "95b3e43c98a35f5521ea08b822e51cd668aba8d5454ac8d00b4b29b440ee8d2a",
 }
 
 

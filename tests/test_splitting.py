@@ -184,6 +184,19 @@ class TestCaseAnalysis:
         assert tag.tag == "case_d3"
         assert tag.witness is not None
 
+    @pytest.mark.parametrize("cert", [
+        SplittingCertificate(beta=vec(1, 1), alphas=(vec(0, 1),)),
+        # alpha_2 +- beta repeats alpha_1 +- beta up to sign: 4n is not reached
+        SplittingCertificate(beta=vec(1, 0), alphas=(vec(0, 1), vec(1, 0))),
+        # off the lattice of W: truncating beta to it would give a splitting
+        SplittingCertificate(beta=vec(1, Fraction(1, 1000)), alphas=(vec(0, 1),)),
+    ], ids=["wrong_beta", "too_few_weights", "off_lattice"])
+    def test_rejects_certificate_not_generating_w(self, cert):
+        w = weights_from_set([vec(1, 1), vec(1, -1), vec(-1, 1), vec(-1, -1)])
+        assert not verify_certificate(w, cert)
+        with pytest.raises(ValueError, match="does not verify"):
+            case_analysis(w, cert)
+
 
 class TestWolfCertificate:
     def test_b2(self):
