@@ -21,6 +21,7 @@ from .pipeline import (
     describe_subsystem,
     parse_g_spec,
     parse_h_spec,
+    parse_root_list,
 )
 from .report import FORMATS, certificate_dict, emit
 from .rootcore import RootsplitError, validate_root_system
@@ -66,13 +67,11 @@ def _cmd_build(args) -> int:
 
 def _cmd_validate(args) -> int:
     if args.roots:
-        data = json.loads(args.roots)
-        from fractions import Fraction
-
-        vectors = [tuple(Fraction(str(c)) for c in row) for row in data]
+        vectors = parse_root_list(args.roots)
+    elif args.g is not None:
+        vectors = list(parse_g_spec(args.g)[1].roots)
     else:
-        _, system = parse_g_spec(args.g)
-        vectors = list(system.roots)
+        raise ParseError("validate needs either G or --roots")
     report = validate_root_system(vectors)
     return _emit_json(
         {
@@ -164,7 +163,6 @@ def _cmd_classify(args) -> int:
             args.max_rank,
             series=args.series,
             include_products=args.include_products,
-            cache_dir=args.cache_dir,
         )
         print(f"elapsed: {report.elapsed_seconds:.2f}s", file=sys.stderr)
     else:
@@ -228,7 +226,6 @@ def main(argv=None) -> int:
                    help="restrict to these series letters")
     p.add_argument("--include-products", action="store_true")
     p.add_argument("--format", choices=FORMATS, default="json")
-    p.add_argument("--cache-dir", default=None)
     common(p)
     p.set_defaults(func=_cmd_classify)
 

@@ -1,4 +1,4 @@
-"""Classification pipelines: single pairs, batch runs, caching.
+"""Classification pipelines: single pairs and batch runs.
 
 A pair (g, h) runs through: build, normalize (skipped for G2), isotropy
 weights, symmetry test, Wolf recognition, splitting search and case
@@ -15,12 +15,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable
 
 from . import catalog
@@ -125,8 +122,12 @@ def parse_g_spec(g_spec: str) -> tuple[str, RootSystem]:
     return "+".join(str(l) for l in labels), build_sum(labels)
 
 
-def _parse_vector(entry) -> Vector:
-    return tuple(parse_rational(str(c)) for c in entry)
+def parse_root_list(text: str) -> list[Vector]:
+    """A JSON list of root vectors, rationals as numbers or 'p/q' strings."""
+    try:
+        return [tuple(parse_rational(str(c)) for c in row) for row in json.loads(text)]
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad root list: {exc}") from exc
 
 
 def parse_h_spec(
@@ -148,12 +149,7 @@ def parse_h_spec(
             return ctx.wolf
         return wolf_subsystem(parent)
     if h_spec.startswith("["):
-        try:
-            data = json.loads(h_spec)
-            roots = [_parse_vector(row) for row in data]
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"bad root list: {exc}") from exc
-        return closed_subsystem(parent, roots)
+        return closed_subsystem(parent, parse_root_list(h_spec))
     if "#" in h_spec:
         type_part, _, idx_part = h_spec.rpartition("#")
         if not idx_part.isdigit():
@@ -301,7 +297,6 @@ def classify_all(
     max_rank: int,
     series: Iterable[str] | None = None,
     include_products: bool = False,
-    cache_dir: str | None = None,
 ) -> ClassificationReport:
     """Classify every equal-rank pair over the catalog up to max_rank.
 
@@ -322,7 +317,7 @@ def classify_all(
     pairs = []
     n_subsystems = 0
     for g_label, parent in groups:
-        subsystems = _enumerate_cached(g_label, parent, cache_dir)
+        subsystems = enumerate_closed_subsystems(parent)
         n_subsystems += len(subsystems)
         ctx = parent_context(parent)
         for h in subsystems:
@@ -340,24 +335,3 @@ def classify_all(
         time.monotonic() - started,
     )
 
-
-def _enumerate_cached(g_label, parent, cache_dir) -> list[ClosedSubsystem]:
-    if cache_dir is None:
-        return enumerate_closed_subsystems(parent, dedup=True)
-    path = Path(cache_dir) / f"subsystems_v{SCHEMA_VERSION}_{g_label}_dedup.json"
-    if path.exists():
-        data = json.loads(path.read_text())
-        return [
-            closed_subsystem(parent, [_parse_vector(r) for r in entry])
-            for entry in data
-        ]
-    subsystems = enumerate_closed_subsystems(parent, dedup=True)
-    payload = [
-        [[str(c) for c in root] for root in h.roots] for h in subsystems
-    ]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)  # atomic: last writer wins
-    return subsystems

@@ -226,9 +226,8 @@ def pair_class(alpha: Vector, beta: Vector) -> PairClass:
     if p == 0:
         return PairClass("orthogonal", 0)
     la, lb = dot(alpha, alpha), dot(beta, beta)
-    short, long_ = (alpha, beta) if la <= lb else (beta, alpha)
     ratio2 = max(la, lb) / min(la, lb)
-    c = cartan_int(short, long_)
+    c = 2 * p / min(la, lb)  # the Cartan number on the shorter root
     if ratio2 in (1, 2, 3) and c.denominator == 1 and abs(c) == ratio2:
         return PairClass(f"ratio{ratio2}", int(c))
     raise NormscalViolation(

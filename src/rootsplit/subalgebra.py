@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .catalog import (
     WEYL_RANK_CAP,
@@ -64,14 +64,9 @@ class IsotropyWeights:
     quaternionic_n: Fraction
 
 
-def is_closed(subset: Iterable[Vector], parent: RootSystem) -> bool:
-    """Negation- and addition-closure of subset within parent."""
-    s = frozenset(subset)
-    if not s <= parent.root_set:
-        raise ValueError("subset is not contained in the parent root system")
-    scale = common_scale(parent.roots)
-    iparent = {scale_to_int(r, scale) for r in parent.roots}
-    isub = {scale_to_int(r, scale) for r in s}
+def _int_closed(isub: set[IntVector], iparent: Container[IntVector]) -> bool:
+    """Negation- and addition-closure of isub within iparent, both scaled to
+    integers by the same factor."""
     if any(vneg(a) not in isub for a in isub):
         return False
     for a, b in itertools.combinations(isub, 2):
@@ -79,6 +74,18 @@ def is_closed(subset: Iterable[Vector], parent: RootSystem) -> bool:
         if c in iparent and c not in isub:
             return False
     return True
+
+
+def is_closed(subset: Iterable[Vector], parent: RootSystem) -> bool:
+    """Negation- and addition-closure of subset within parent."""
+    s = frozenset(subset)
+    if not s <= parent.root_set:
+        raise ValueError("subset is not contained in the parent root system")
+    scale = common_scale(parent.roots)
+    return _int_closed(
+        {scale_to_int(r, scale) for r in s},
+        {scale_to_int(r, scale) for r in parent.roots},
+    )
 
 
 def closed_subsystem(parent: RootSystem, roots: Iterable[Vector]) -> ClosedSubsystem:
@@ -90,24 +97,6 @@ def closed_subsystem(parent: RootSystem, roots: Iterable[Vector]) -> ClosedSubsy
     return ClosedSubsystem(parent, rs, corank)
 
 
-def _forced_sums(pos: Sequence[Vector], parent: RootSystem):
-    """For each pair of positive representatives, the positive representatives
-    forced into the subsystem by closure (covering all sign combinations)."""
-    index = {r: i for i, r in enumerate(pos)}
-    forced: dict[tuple[int, int], tuple[int, ...]] = {}
-    for i, j in itertools.combinations_with_replacement(range(len(pos)), 2):
-        if i == j:
-            continue
-        hits = set()
-        for s in (vadd(pos[i], pos[j]), vsub(pos[i], pos[j])):
-            if s in parent.root_set:
-                rep = s if lex_positive(s) else vneg(s)
-                hits.add(index[rep])
-        if hits:
-            forced[(i, j)] = tuple(sorted(hits))
-    return forced
-
-
 def enumerate_closed_subsystems(
     parent: RootSystem, dedup: bool = True
 ) -> list[ClosedSubsystem]:
@@ -116,104 +105,87 @@ def enumerate_closed_subsystems(
 
     Backtracking over positive-root in/out decisions with closure
     propagation; a sum of two admitted roots that is a root must be
-    admitted, which prunes the subset lattice hard.
+    admitted, which prunes the subset lattice hard. A root is its index in
+    parent.roots, the order that the Weyl group permutes, and a subset is
+    kept as its positive roots. Dedup keeps the first subset of each Weyl
+    class in search order and marks its whole orbit as seen. Every
+    subsystem returned is checked for closure.
     """
-    if dedup and parent.rank > WEYL_RANK_CAP:
+    rank = parent.rank
+    if dedup and rank > WEYL_RANK_CAP:
         raise ValueError(
             f"Weyl dedup of subsystems is capped at rank {WEYL_RANK_CAP}"
         )
-    pos = positive_roots(parent)
-    m = len(pos)
-    forced = _forced_sums(pos, parent)
-    results: list[frozenset[int]] = []
-    state = [0] * m  # 0 undecided, 1 in, -1 out
+    iroots = int_scaled(parent.roots)
+    index = {r: i for i, r in enumerate(iroots)}
+    neg = [index[vneg(r)] for r in iroots]
+    up = [i if lex_positive(r) else neg[i] for i, r in enumerate(iroots)]
+    pos = [i for i, u in enumerate(up) if u == i]
+    # forced[i][j]: the positive roots that closure admits with i and j
+    forced: list[list[tuple[int, ...]]] = [[()] * len(iroots) for _ in iroots]
+    for i, j in itertools.combinations(pos, 2):
+        a, b = iroots[i], iroots[j]
+        forced[i][j] = forced[j][i] = tuple(
+            up[index[c]] for c in (vadd(a, b), vsub(a, b)) if c in index
+        )
 
-    def propagate(queue: list[int], trail: list[int]) -> bool:
+    state = [0] * len(iroots)  # of a positive root: 0 undecided, 1 in, -1 out
+    inside: list[int] = []  # the positive roots in, in order of admission
+    found: list[frozenset[int]] = []  # the positive roots of each closed subset
+
+    def admit(k: int) -> bool:
+        """Admit k and what closure forces; False if that hits a root out."""
+        queue = [k]
         while queue:
-            k = queue.pop()
-            if state[k] == 1:
-                continue
-            if state[k] == -1:
+            j = queue.pop()
+            if state[j] == -1:
                 return False
-            state[k] = 1
-            trail.append(k)
-            for j in range(m):
-                if state[j] == 1 and j != k:
-                    key = (min(j, k), max(j, k))
-                    queue.extend(forced.get(key, ()))
+            if state[j] == 0:
+                state[j] = 1
+                for i in inside:
+                    queue.extend(forced[i][j])
+                inside.append(j)
         return True
 
-    def undo(trail: list[int]) -> None:
-        for k in trail:
-            state[k] = 0
-
-    def dfs(idx: int) -> None:
-        while idx < m and state[idx] != 0:
-            idx += 1
-        if idx == m:
-            results.append(frozenset(i for i in range(m) if state[i] == 1))
+    def dfs(t: int) -> None:
+        while t < len(pos) and state[pos[t]]:
+            t += 1
+        if t == len(pos):
+            found.append(frozenset(inside))
             return
-        # branch: idx out
-        state[idx] = -1
-        dfs(idx + 1)
-        state[idx] = 0
-        # branch: idx in (propagate closure)
-        trail: list[int] = []
-        queue = [idx]
-        for j in range(m):
-            if state[j] == 1:
-                key = (min(j, idx), max(j, idx))
-                queue.extend(forced.get(key, ()))
-        if propagate(queue, trail):
-            dfs(idx + 1)
-        undo(trail)
+        k = pos[t]
+        state[k] = -1
+        dfs(t + 1)
+        state[k] = 0
+        mark = len(inside)
+        if admit(k):
+            dfs(t + 1)
+        for j in inside[mark:]:
+            state[j] = 0
+        del inside[mark:]
 
     dfs(0)
 
     if dedup:
-        results = _weyl_dedup(parent, pos, results)
+        perms = weyl_group(parent).elements
+        seen: set[frozenset[int]] = set()
+        classes = []
+        for s in found:
+            if s not in seen:
+                classes.append(s)
+                seen.update(frozenset(up[p[i]] for i in s) for p in perms)
+        found = classes
 
     subs = []
-    for idxset in results:
-        roots = []
-        for i in idxset:
-            roots.append(pos[i])
-            roots.append(vneg(pos[i]))
-        subs.append(closed_subsystem(parent, roots))
+    for s in found:
+        members = sorted(s.union(neg[i] for i in s))
+        isub = [iroots[i] for i in members]
+        if not _int_closed(set(isub), index):
+            raise NotClosed("enumerated subset is not closed")
+        roots = tuple(parent.roots[i] for i in members)
+        subs.append(ClosedSubsystem(parent, roots, rank - rank_of(isub)))
     subs.sort(key=lambda s: (len(s.roots), s.roots))
     return subs
-
-
-def _weyl_dedup(parent, pos, index_sets):
-    w = weyl_group(parent)
-    root_index = {r: i for i, r in enumerate(w.roots)}
-    pos_global = [root_index[p] for p in pos]
-    neg_of = {root_index[p]: root_index[vneg(p)] for p in pos}
-
-    canon_seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for idxset in index_sets:
-        g = set()
-        for i in idxset:
-            g.add(pos_global[i])
-            g.add(neg_of[pos_global[i]])
-        best = None
-        for perm in w.elements:
-            img = tuple(sorted(perm[i] for i in g))
-            if best is None or img < best:
-                best = img
-        if best not in canon_seen:
-            canon_seen[best] = tuple(sorted(g))
-    back = {i: r for r, i in root_index.items()}
-    out = []
-    pos_index = {p: i for i, p in enumerate(pos)}
-    for canonical in canon_seen.values():
-        idxs = set()
-        for gi in canonical:
-            r = back[gi]
-            rep = r if lex_positive(r) else vneg(r)
-            idxs.add(pos_index[rep])
-        out.append(frozenset(idxs))
-    return out
 
 
 def brute_force_closed_subsystems(parent: RootSystem) -> list[tuple[Vector, ...]]:

@@ -86,6 +86,15 @@ class TestCli:
         assert doc["valid"] is False
         assert doc["violations"]
 
+    @pytest.mark.parametrize("args", [
+        ("--roots", "5"), ("--roots", "[1]"), ("--roots", '[["1/0"]]'), (),
+    ], ids=["scalar", "flat_list", "zero_denominator", "no_input"])
+    def test_validate_bad_input_exits_one(self, args):
+        r = run("validate", *args)
+        assert r.returncode == 1
+        assert r.stderr.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in r.stderr
+
     def test_subsystems(self):
         r = run("subsystems", "G2")
         assert r.returncode == 0
@@ -129,13 +138,6 @@ class TestCli:
         r = run("classify", "--max-rank", "2", "--format", "json")
         assert "elapsed" in r.stderr
         json.loads(r.stdout)  # stdout stays pure JSON
-
-    def test_cache_dir(self, tmp_path):
-        a = run("classify", "--max-rank", "2", "--cache-dir", str(tmp_path))
-        b = run("classify", "--max-rank", "2", "--cache-dir", str(tmp_path))
-        assert a.returncode == b.returncode == 0
-        assert a.stdout == b.stdout
-        assert any(tmp_path.iterdir())
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "report.json"

@@ -35,6 +35,18 @@ GOLDEN = {
         "a34567f036efc210d81f20c783eae6d05cd13315cf7f9cc5ff49f5c75bd159eb",
     ("classify", "E8", "wolf"):
         "95b3e43c98a35f5521ea08b822e51cd668aba8d5454ac8d00b4b29b440ee8d2a",
+    # Weyl class representatives of the enumerator (simple, product, and the
+    # undeduplicated list) and every simple verdict through rank 4
+    ("subsystems", "B4"):
+        "a4b44574fb698ec74c931b1a48d251b2c988260ecb5c1eb8fe73bceafda754ea",
+    ("subsystems", "D4"):
+        "0e2b78f868ca75afb90ce5847aaceaf215ed4501be101409e6d6072768f1bcd4",
+    ("subsystems", "A1+A1+B2"):
+        "d30eb9ecac9aac4997cab84cc2bb09ca58ae41f1b5ab4044efff46e241b377e0",
+    ("subsystems", "C3", "--no-dedup"):
+        "97461ee035242d28a4c689b7794a5f39c51d9b9cfa77c62a50b16fdcb8ce264d",
+    ("classify", "--max-rank", "4"):
+        "ab824a082ac67e4e678407c0d2e92d5ac5a0e9ca610afc95ba76f27e706e81d6",
 }
 
 

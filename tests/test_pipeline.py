@@ -144,9 +144,3 @@ class TestClassifyAll:
                  if p.g_label == "A1+A1" and p.verdict == "s2xs2_type"]
         assert len(match) == 1 and match[0].quaternionic_n == 1
 
-    def test_cache_round_trip(self, tmp_path):
-        first = classify_all(2, cache_dir=str(tmp_path))
-        assert any(tmp_path.iterdir())
-        second = classify_all(2, cache_dir=str(tmp_path))
-        assert first.pairs == second.pairs
-        assert classify_all(2).pairs == second.pairs

@@ -2,7 +2,16 @@
 import pytest
 
 from rootsplit.linalg import vec
-from rootsplit.catalog import build, identify_type, label, weyl_group
+from rootsplit.catalog import (
+    build,
+    build_sum,
+    identify_type,
+    label,
+    parse_label_sum,
+    simple_labels_up_to,
+    weyl_group,
+)
+from rootsplit.pipeline import _product_labels
 from rootsplit.rootcore import make_root_system
 from rootsplit.subalgebra import (
     NotClosed,
@@ -17,6 +26,19 @@ from rootsplit.subalgebra import (
     weights_from_set,
     wolf_subsystem,
 )
+
+
+RANK_4_PARENTS = [str(l) for l in simple_labels_up_to(4)] + [
+    "+".join(str(l) for l in combo) for combo in _product_labels(4, None)
+]
+
+
+def weyl_canonical(wg, roots):
+    """Oracle: the least sorted image of roots under W, as root indices;
+    two subsystems are Weyl-conjugate exactly when these agree."""
+    index = {r: i for i, r in enumerate(wg.roots)}
+    members = [index[r] for r in roots]
+    return min(tuple(sorted(perm[i] for i in members)) for perm in wg.elements)
 
 
 def u3_embedding(b3):
@@ -73,31 +95,37 @@ class TestEnumeration:
         short_roots = frozenset([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)])
         assert all(frozenset(c.roots) != short_roots for c in classes)
 
-    @pytest.mark.parametrize("lab", [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("B", 3)])
-    def test_matches_brute_force(self, lab):
-        parent = build(label(*lab))
+    @staticmethod
+    def assert_matches_brute_force(parent):
         fast = {frozenset(c.roots)
                 for c in enumerate_closed_subsystems(parent, dedup=False)}
         slow = {frozenset(s) for s in brute_force_closed_subsystems(parent)}
         assert fast == slow
 
+    @pytest.mark.parametrize("lab", [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("B", 3)])
+    def test_matches_brute_force(self, lab):
+        self.assert_matches_brute_force(build(label(*lab)))
+
+    @pytest.mark.parametrize("g", ["A3", "C3", "A4", "D4", "A1+A1+A1", "A1+B2", "A1+G2"])
+    def test_matches_brute_force_rank_3_4_and_products(self, g):
+        self.assert_matches_brute_force(build_sum(parse_label_sum(g)))
+
+    @staticmethod
+    def assert_one_representative_per_orbit(parent):
+        wg = weyl_group(parent)
+        reps = [weyl_canonical(wg, h.roots) for h in enumerate_closed_subsystems(parent)]
+        assert len(set(reps)) == len(reps)  # no two representatives are conjugate
+        full = enumerate_closed_subsystems(parent, dedup=False)
+        assert set(reps) == {weyl_canonical(wg, h.roots) for h in full}
+        return reps, full
+
     def test_dedup_reduces_to_orbit_representatives(self):
-        b2 = build(label("B", 2))
-        full = enumerate_closed_subsystems(b2, dedup=False)
-        reps = enumerate_closed_subsystems(b2)
+        reps, full = self.assert_one_representative_per_orbit(build(label("B", 2)))
         assert len(reps) < len(full)
-        # Every subsystem is Weyl-conjugate to some representative.
-        wg = weyl_group(b2)
-        index = {r: i for i, r in enumerate(wg.roots)}
-        rep_sets = {frozenset(c.roots) for c in reps}
-        for c in full:
-            orbit_found = False
-            for perm in wg.elements:
-                image = frozenset(wg.roots[perm[index[r]]] for r in c.roots)
-                if image in rep_sets:
-                    orbit_found = True
-                    break
-            assert orbit_found
+
+    @pytest.mark.parametrize("g", RANK_4_PARENTS)
+    def test_dedup_one_representative_per_orbit(self, g):
+        self.assert_one_representative_per_orbit(build_sum(parse_label_sum(g)))
 
 
 class TestIsotropyWeights:
