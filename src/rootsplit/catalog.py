@@ -15,17 +15,13 @@ from typing import Iterable, Sequence
 
 from .linalg import (
     IntVector,
-    Matrix,
     Vector,
     dot,
     identity_matrix,
     idot,
     int_scaled,
     lex_positive,
-    mat_add,
-    mat_scale,
-    projection_matrix,
-    span_basis,
+    rank_of,
     vadd,
 )
 from .rootcore import (
@@ -353,16 +349,21 @@ def normalize(system: RootSystem) -> RootSystem:
 
     The roots themselves are unchanged (a coordinate rescale would need
     irrational factors, e.g. for C_n); instead the returned system carries
-    an exact rational metric matrix. Cartan numbers and pair classes are
+    an exact rational metric matrix, I + sum over components of (s - 1) P
+    with s = 2/|long|^2 and P the orthogonal projection onto the span of
+    the component. The Weyl group of an irreducible component acts
+    irreducibly on that span (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 10.4 Lemma B), so the sum of r r^T over its
+    roots is (sum of |r|^2 / rank) P. Cartan numbers and pair classes are
     unaffected. Components with length ratio sqrt(3) raise G2Component.
     """
     if system.normalization == LONG2:
         return system
     dim = system.ambient_dim
-    metric: Matrix = identity_matrix(dim)
-    adjusted = False
+    metric = [list(row) for row in identity_matrix(dim)]
     for comp in components(system):
-        lengths = sorted({dot(r, r) for r in comp})
+        norms = [dot(r, r) for r in comp]
+        lengths = sorted(set(norms))
         if len(lengths) > 2:
             raise ValueError("component has more than two root lengths")
         if len(lengths) == 2 and lengths[1] / lengths[0] == 3:
@@ -373,10 +374,13 @@ def normalize(system: RootSystem) -> RootSystem:
             raise ValueError("length ratio is neither 1, sqrt(2) nor sqrt(3)")
         scale = Fraction(2) / lengths[-1]
         if scale != 1:
-            proj = projection_matrix(span_basis(comp), dim)
-            metric = mat_add(metric, mat_scale(scale - 1, proj))
-            adjusted = True
-    return RootSystem(dim, system.roots, LONG2, metric if adjusted else identity_matrix(dim))
+            c = (scale - 1) * rank_of(comp) / sum(norms)
+            for r in comp:
+                support = [(i, a) for i, a in enumerate(r) if a]
+                for i, a in support:
+                    for j, b in support:
+                        metric[i][j] += c * a * b
+    return RootSystem(dim, system.roots, LONG2, tuple(map(tuple, metric)))
 
 
 def simple_labels_up_to(max_rank: int, series: Iterable[str] | None = None):

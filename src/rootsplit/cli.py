@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from . import catalog
 from .linalg import format_rational
 from .pipeline import (
     InvariantViolation,
@@ -26,7 +25,12 @@ from .pipeline import (
 from .report import FORMATS, certificate_dict, emit
 from .rootcore import RootsplitError, validate_root_system
 from .splitting import case_analysis, find_splittings, wolf_certificate
-from .subalgebra import enumerate_closed_subsystems, isotropy_weights, wolf_subsystem
+from .subalgebra import (
+    enumerate_closed_subsystems,
+    isotropy_weights,
+    parent_context,
+    wolf_subsystem,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,14 +44,17 @@ def _vec_json(v):
     return [format_rational(c) for c in v]
 
 
-def _emit_json(doc, args) -> int:
-    data = (json.dumps(doc, indent=2) + "\n").encode()
-    out = sys.stdout.buffer
+def _write(data: bytes, args) -> None:
+    """Write the result bytes to --output, or to stdout."""
     if args.output:
         with open(args.output, "wb") as fh:
             fh.write(data)
     else:
-        out.write(data)
+        sys.stdout.buffer.write(data)
+
+
+def _emit_json(doc, args) -> int:
+    _write((json.dumps(doc, indent=2) + "\n").encode(), args)
     return 0
 
 
@@ -109,7 +116,7 @@ def _cmd_subsystems(args) -> int:
 
 def _cmd_weights(args) -> int:
     label, system = parse_g_spec(args.g)
-    h = parse_h_spec(system, args.h)
+    h = parse_h_spec(parent_context(system), args.h)
     w = isotropy_weights(system, h)
     return _emit_json(
         {
@@ -125,7 +132,7 @@ def _cmd_weights(args) -> int:
 
 def _cmd_split(args) -> int:
     label, system = parse_g_spec(args.g)
-    h = parse_h_spec(system, args.h)
+    h = parse_h_spec(parent_context(system), args.h)
     w = isotropy_weights(system, h)
     certs = find_splittings(w)
     return _emit_json(
@@ -167,12 +174,8 @@ def _cmd_classify(args) -> int:
         print(f"elapsed: {report.elapsed_seconds:.2f}s", file=sys.stderr)
     else:
         raise ParseError("classify needs either G and H, or --max-rank")
-    dest = open(args.output, "wb") if args.output else sys.stdout.buffer
-    try:
-        _, code = emit(report, args.format, dest)
-    finally:
-        if args.output:
-            dest.close()
+    data, code = emit(report, args.format)
+    _write(data, args)
     return code
 
 

@@ -150,59 +150,6 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(dot(row, v) for row in m)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c: Fraction, m: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in m)
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
-def invert(m: Matrix) -> Matrix:
-    """Inverse of a square rational matrix via Gauss-Jordan."""
-    n = len(m)
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def projection_matrix(basis: Sequence[Vector], dim: int) -> Matrix:
-    """Orthogonal projection onto span(basis), as an exact rational matrix."""
-    if not basis:
-        return tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim))
-    b = transpose(tuple(basis))          # dim x k
-    bt = tuple(basis)                    # k x dim
-    gram = mat_mul(bt, b)                # k x k
-    return mat_mul(mat_mul(b, invert(gram)), bt)
-
-
-def metric_inner(metric: Matrix | None, u: Vector, v: Vector) -> Fraction:
-    """Inner product with respect to an optional rational metric matrix."""
-    if metric is None:
-        return dot(u, v)
-    return dot(u, mat_vec(metric, v))
-
-
 def parse_rational(s: str) -> Fraction:
     return Fraction(s)
 

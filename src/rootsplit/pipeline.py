@@ -47,7 +47,6 @@ from .subalgebra import (
     is_wolf_pair,
     isotropy_weights,
     parent_context,
-    wolf_subsystem,
 )
 
 SCHEMA_VERSION = 1
@@ -123,31 +122,33 @@ def parse_g_spec(g_spec: str) -> tuple[str, RootSystem]:
 
 
 def parse_root_list(text: str) -> list[Vector]:
-    """A JSON list of root vectors, rationals as numbers or 'p/q' strings."""
+    """A JSON list of root vectors of one length, rationals as numbers or
+    'p/q' strings."""
     try:
-        return [tuple(parse_rational(str(c)) for c in row) for row in json.loads(text)]
+        roots = [tuple(parse_rational(str(c)) for c in row) for row in json.loads(text)]
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"bad root list: {exc}") from exc
+    if len({len(r) for r in roots}) > 1:
+        raise ParseError("bad root list: rows have different lengths")
+    return roots
 
 
-def parse_h_spec(
-    parent: RootSystem, h_spec: str, ctx: ParentContext | None = None
-) -> ClosedSubsystem:
-    """Resolve an h specification against g.
+def parse_h_spec(ctx: ParentContext, h_spec: str) -> ClosedSubsystem:
+    """Resolve an h specification against the parent g of ctx.
 
     Grammar: 'torus' (the empty subsystem, h = maximal torus), 'wolf'
     (highest-root normalizer), 'TYPE#k' (k-th Weyl class with that
     component type, e.g. 'A2#0'), or a JSON list of root vectors with
-    rationals as 'p/q' strings. ctx, when given, supplies the Wolf
-    subsystem of an irreducible parent.
+    rationals as 'p/q' strings.
     """
+    parent = ctx.system
     h_spec = h_spec.strip()
     if h_spec in ("torus", ""):
         return closed_subsystem(parent, ())
     if h_spec == "wolf":
-        if ctx is not None and ctx.wolf is not None:
-            return ctx.wolf
-        return wolf_subsystem(parent)
+        if ctx.wolf is None:
+            raise ValueError("highest_root requires an irreducible system")
+        return ctx.wolf
     if h_spec.startswith("["):
         return closed_subsystem(parent, parse_root_list(h_spec))
     if "#" in h_spec:
@@ -193,29 +194,15 @@ def describe_subsystem(h: ClosedSubsystem) -> str:
     return "+".join(parts)
 
 
-def classify_subsystem(
-    g_label: str,
-    parent: RootSystem,
-    h: ClosedSubsystem,
-    h_description: str | None = None,
-    ctx: ParentContext | None = None,
-) -> PairReport:
-    """Full pipeline for one equal-rank pair.
-
-    ctx holds the facts of parent shared by all its pairs; it is computed
-    when not given.
-    """
-    w = isotropy_weights(parent, h)
+def classify_subsystem(g_label: str, ctx: ParentContext, h: ClosedSubsystem) -> PairReport:
+    """Full pipeline for one equal-rank pair (g, h), g given by its context."""
+    w = isotropy_weights(ctx.system, h)
     if w.dim_M == 0:
         raise EmptyWeights("h = g: the quotient is a point")
-    if h_description is None:
-        h_description = describe_subsystem(h)
-    if ctx is None:
-        ctx = parent_context(parent)
 
     eligible = w.dim_M % 4 == 0
     symmetric = is_symmetric_pair(w)
-    wolf = ctx.irreducible and is_wolf_pair(parent, h, ctx)
+    wolf = ctx.irreducible and is_wolf_pair(ctx, h)
 
     certificates: tuple[SplittingCertificate, ...] = ()
     cases: tuple[CaseTag, ...] = ()
@@ -224,16 +211,14 @@ def classify_subsystem(
         certificates = tuple(find_splittings(w))
         cases = tuple(case_analysis(w, c) for c in certificates)
         if certificates and ctx.normalized is not None:  # G2 is handled raw
-            constraints = tuple(
-                check_constraints(ctx.normalized, c, ctx) for c in certificates
-            )
+            constraints = tuple(check_constraints(ctx, c) for c in certificates)
 
     verdict = _assign_verdict(
         ctx.types, eligible, symmetric, wolf, certificates, cases, h
     )
     report = PairReport(
         g_label,
-        h_description,
+        describe_subsystem(h),
         w.dim_M,
         w.quaternionic_n,
         eligible,
@@ -279,8 +264,7 @@ def classify_pair(g_spec: str, h_spec: str) -> PairReport:
     """Classify one pair given CLI spec strings."""
     g_label, parent = parse_g_spec(g_spec)
     ctx = parent_context(parent)
-    h = parse_h_spec(parent, h_spec, ctx)
-    return classify_subsystem(g_label, parent, h, ctx=ctx)
+    return classify_subsystem(g_label, ctx, parse_h_spec(ctx, h_spec))
 
 
 def _product_labels(max_rank: int, series) -> list[list[CartanLabel]]:
@@ -324,7 +308,7 @@ def classify_all(
             w_size = len(parent.roots) - len(h.roots)
             if w_size == 0 or w_size % 4:  # h = g, or not eligible
                 continue
-            pairs.append(classify_subsystem(g_label, parent, h, ctx=ctx))
+            pairs.append(classify_subsystem(g_label, ctx, h))
 
     pairs.sort(key=lambda p: (p.g_label, p.h_description, p.dim_M))
     return ClassificationReport(

@@ -89,12 +89,10 @@ def _render_table(rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(report: PairReport | ClassificationReport, format: str = "json",
-         destination=None) -> tuple[bytes, int]:
+def emit(report: PairReport | ClassificationReport,
+         format: str = "json") -> tuple[bytes, int]:
     """Serialize a report. Returns (bytes, exit_code); exit code 2 flags an
-    internal invariant violation detected at emit time. If destination is
-    given (a path or binary file object), the bytes are also written there.
-    """
+    internal invariant violation detected at emit time."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
     pairs = report.pairs if isinstance(report, ClassificationReport) else (report,)
@@ -126,11 +124,4 @@ def emit(report: PairReport | ClassificationReport, format: str = "json",
         data = buf.getvalue().encode()
     else:
         data = _render_table([_pair_row(p) for p in pairs]).encode()
-
-    if destination is not None:
-        if hasattr(destination, "write"):
-            destination.write(data)
-        else:
-            with open(destination, "wb") as fh:
-                fh.write(data)
     return data, code

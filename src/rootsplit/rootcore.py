@@ -98,12 +98,7 @@ class RootSystem:
         return rank_of(self.roots)
 
 
-def make_root_system(
-    vectors: Iterable[Vector],
-    normalization: str = RAW,
-    metric=None,
-    validate: bool = True,
-) -> RootSystem:
+def make_root_system(vectors: Iterable[Vector], validate: bool = True) -> RootSystem:
     """Construct a RootSystem from a set of vectors, validating the axioms."""
     roots = tuple(sorted(set(vectors)))
     if not roots:
@@ -113,7 +108,7 @@ def make_root_system(
         report = validate_root_system(roots)
         if not report.ok:
             raise ValueError(f"not a root system: {report.violations[:3]}")
-    return RootSystem(dim, roots, normalization, metric)
+    return RootSystem(dim, roots)
 
 
 def reflect(v: Vector, alpha: Vector) -> Vector:

@@ -31,12 +31,11 @@ from .linalg import (
     vscale,
     vsub,
 )
-from .rootcore import LONG2, RootsplitError, RootSystem, cartan_int
+from .rootcore import RootsplitError, RootSystem, cartan_int
 from .subalgebra import (
     IsotropyWeights,
     ParentContext,
     isotropy_weights,
-    parent_context,
     wolf_subsystem,
 )
 
@@ -54,10 +53,6 @@ class EmptyWeights(RootsplitError):
 class UnclassifiableTriple(RootsplitError):
     """A weight triple matches none of the exhaustive cases: internal
     inconsistency."""
-
-
-class NotNormalized(RootsplitError):
-    """check_constraints needs a long-squared-2 normalized parent."""
 
 
 class G2Input(RootsplitError):
@@ -295,24 +290,15 @@ def splittings_oracle(w: IsotropyWeights) -> list[SplittingCertificate]:
     return sorted(found, key=lambda c: (c.beta, c.alphas))
 
 
-def check_constraints(
-    parent: RootSystem, cert: SplittingCertificate, ctx: ParentContext | None = None
-) -> ConstraintReport:
-    """Evaluate <beta,alpha_i> and |beta|^2 in the normalized metric against
-    the admissible sets {0, 1/4} and {1/4, 3/4, 5/4}.
-
-    ctx holds the facts of parent's roots; it is computed when not given.
-    """
-    if parent.normalization != LONG2:
-        raise NotNormalized("parent must be normalized to long roots of square length 2")
-    if ctx is None:
-        ctx = parent_context(parent)
+def check_constraints(ctx: ParentContext, cert: SplittingCertificate) -> ConstraintReport:
+    """Evaluate <beta,alpha_i> and |beta|^2 in the normalized metric of the
+    parent against the admissible sets {0, 1/4} and {1/4, 3/4, 5/4}."""
     if not ctx.irreducible:
         raise ValueError("check_constraints requires an irreducible parent")
     if ctx.types == (CartanLabel("G", 2),):
         raise G2Input("constraints do not apply to G2")
     # <beta, alpha> = alpha . (m beta), the metric being symmetric
-    mb = cert.beta if parent.metric is None else mat_vec(parent.metric, cert.beta)
+    mb = mat_vec(ctx.normalized.metric, cert.beta)
     pairings = tuple(dot(a, mb) for a in cert.alphas)
     b2 = dot(cert.beta, mb)
     return ConstraintReport(

@@ -249,7 +249,8 @@ def _wolf_subsystem(
 
 @dataclass(frozen=True)
 class ParentContext:
-    """Facts about one parent g that every pair (g, h) shares.
+    """Facts about one parent g that every pair (g, h) shares, and the one
+    handle on g that the pair functions take.
 
     Build it once per command and pass it down; it is deliberately not
     cached beyond that, so a fresh process and an in-process repeat do
@@ -257,6 +258,7 @@ class ParentContext:
     normalized is None for a reducible parent and for G2.
     """
 
+    system: RootSystem
     int_roots: dict[Vector, tuple[int, ...]]  # root -> integer-scaled copy
     types: tuple[CartanLabel, ...]
     long_norm: int  # squared length of a long root, integer-scaled
@@ -281,6 +283,7 @@ def parent_context(system: RootSystem) -> ParentContext:
         if types != (CartanLabel("G", 2),):
             normalized = normalize(system)
     return ParentContext(
+        system,
         dict(zip(system.roots, iroots)),
         types,
         max(idot(v, v) for v in iroots),
@@ -288,18 +291,14 @@ def parent_context(system: RootSystem) -> ParentContext:
     )
 
 
-def is_wolf_pair(
-    parent: RootSystem, h: ClosedSubsystem, ctx: ParentContext | None = None
-) -> bool:
-    """True iff h is Weyl-equivalent to wolf_subsystem(parent).
+def is_wolf_pair(ctx: ParentContext, h: ClosedSubsystem) -> bool:
+    """True iff h is Weyl-equivalent to the Wolf subsystem of the parent.
 
     Long roots form one Weyl orbit, so h is Wolf exactly when R(h) is
     {+-gamma} plus every root orthogonal to gamma, for some long root
     gamma; such a gamma spans an A1 component of h. No Weyl group is
     needed.
     """
-    if ctx is None:
-        ctx = parent_context(parent)
     if ctx.wolf is None:
         raise ValueError("is_wolf_pair requires an irreducible parent")
     if len(h.roots) != len(ctx.wolf.roots):

@@ -11,7 +11,6 @@ from rootsplit.catalog import (
     build,
     build_sum,
     label,
-    normalize,
     parse_label_sum,
     simple_labels_up_to,
     weyl_group,
@@ -29,6 +28,7 @@ from rootsplit.subalgebra import (
     closed_subsystem,
     enumerate_closed_subsystems,
     isotropy_weights,
+    parent_context,
     weights_from_set,
     wolf_subsystem,
 )
@@ -66,7 +66,7 @@ def test_criterion_3_so7_u3_certificate():
     h = closed_subsystem(b3, [r for r in b3.roots if sum(r) == 0])
     weights = isotropy_weights(b3, h)
     cert = find_splittings(weights)[0]
-    constraints = check_constraints(normalize(b3), cert)
+    constraints = check_constraints(parent_context(b3), cert)
     assert constraints.beta_norm2 == Fraction(3, 4)
     assert set(constraints.pairings) == {Fraction(1, 4)}
 

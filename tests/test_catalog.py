@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rootsplit.linalg import dot, idot, int_scaled, vec
+from rootsplit.linalg import dot, idot, int_scaled, mat_vec, span_basis, vec, vscale
 from rootsplit.catalog import (
     G2Component,
     build,
@@ -206,6 +206,53 @@ class TestSimpleBase:
         assert reflection_closure(simple_base(b3.roots)) == b3.root_set
 
 
+def _projection_oracle(basis, dim):
+    """Orthogonal projection onto span(basis) as B (B^T B)^-1 B^T, with the
+    Gram matrix inverted by Gauss-Jordan: how normalize built each
+    component's projection before it took it from the roots."""
+    k = len(basis)
+    aug = [[dot(u, v) for v in basis] + [Fraction(int(i == j)) for j in range(k)]
+           for i, u in enumerate(basis)]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [a / aug[col][col] for a in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    inv = [row[k:] for row in aug]
+    return [
+        [sum(basis[a][i] * inv[a][b] * basis[b][j] for a in range(k) for b in range(k))
+         for j in range(dim)]
+        for i in range(dim)
+    ]
+
+
+def _metric_oracle(system):
+    """I + sum over components of (s - 1) P, s = 2/|long|^2."""
+    dim = system.ambient_dim
+    metric = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for comp in components(system):
+        s = Fraction(2) / max(dot(r, r) for r in comp)
+        p = _projection_oracle(span_basis(comp), dim)
+        metric = [[m + (s - 1) * x for m, x in zip(mr, pr)] for mr, pr in zip(metric, p)]
+    return tuple(map(tuple, metric))
+
+
+#: every non-G2 simple label through rank 8, and sums whose factors need
+#: different scales
+METRIC_SPECS = [str(l) for l in simple_labels_up_to(8) if l.series != "G"] + [
+    "A1+C3", "B2+C3", "A2+C4", "A1+A1+B2", "A3+E6",
+]
+
+
+def _first_factor_doubled(spec: str):
+    first, *rest = [build(l) for l in parse_label_sum(spec)]
+    doubled = make_root_system([vscale(2, r) for r in first.roots], validate=False)
+    return direct_sum([doubled, *rest])
+
+
 class TestNormalize:
     def test_b3_already_normalized(self):
         b3 = build(label("B", 3))
@@ -218,9 +265,8 @@ class TestNormalize:
         assert normalize(a2).roots == a2.roots
 
     def test_c3_long_roots_rescaled_to_two(self):
-        from rootsplit.linalg import metric_inner
         n = normalize(build(label("C", 3)))
-        lengths = {metric_inner(n.metric, r, r) for r in n.roots}
+        lengths = {dot(r, mat_vec(n.metric, r)) for r in n.roots}
         assert max(lengths) == 2
 
     def test_g2_rejected(self):
@@ -228,7 +274,6 @@ class TestNormalize:
             normalize(build(label("G", 2)))
 
     def test_cartan_integers_preserved(self):
-        from rootsplit.linalg import metric_inner
         from rootsplit.rootcore import cartan_int
         c3 = build(label("C", 3))
         n = normalize(c3)
@@ -236,9 +281,20 @@ class TestNormalize:
             for b in c3.roots[:6]:
                 if a != b:
                     raw = cartan_int(a, b)
-                    scaled = (2 * metric_inner(n.metric, a, b)
-                              / metric_inner(n.metric, a, a))
+                    scaled = (2 * dot(a, mat_vec(n.metric, b))
+                              / dot(a, mat_vec(n.metric, a)))
                     assert raw == scaled
+
+    @pytest.mark.parametrize("doubled", [False, True], ids=["plain", "doubled"])
+    @pytest.mark.parametrize("spec", METRIC_SPECS)
+    def test_metric_matches_gram_inverse_projection(self, spec, doubled):
+        # Doubling makes the scale of A_n, E6 and E7, whose spans are not
+        # coordinate planes, differ from 1.
+        if doubled:
+            system = _first_factor_doubled(spec)
+        else:
+            system = build_sum(parse_label_sum(spec))
+        assert normalize(system).metric == _metric_oracle(system)
 
 
 class TestCatalogEnumeration:

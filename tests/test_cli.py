@@ -19,9 +19,9 @@ CHILD_PATH = os.pathsep.join(
 )
 
 
-def run(*args, **kw):
+def run(*args, text=True, **kw):
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True,
+        CLI + list(args), capture_output=True, text=text,
         env={**os.environ, "PYTHONPATH": CHILD_PATH}, **kw
     )
 
@@ -87,8 +87,9 @@ class TestCli:
         assert doc["violations"]
 
     @pytest.mark.parametrize("args", [
-        ("--roots", "5"), ("--roots", "[1]"), ("--roots", '[["1/0"]]'), (),
-    ], ids=["scalar", "flat_list", "zero_denominator", "no_input"])
+        ("--roots", "5"), ("--roots", "[1]"), ("--roots", '[["1/0"]]'),
+        ("--roots", "[[1,0],[1]]"), (),
+    ], ids=["scalar", "flat_list", "zero_denominator", "ragged", "no_input"])
     def test_validate_bad_input_exits_one(self, args):
         r = run("validate", *args)
         assert r.returncode == 1
@@ -140,10 +141,12 @@ class TestCli:
         json.loads(r.stdout)  # stdout stays pure JSON
 
     def test_output_file(self, tmp_path):
-        out = tmp_path / "report.json"
-        r = run("classify", "A2", "wolf", "--output", str(out))
-        assert r.returncode == 0
-        assert json.loads(out.read_text())["verdict"] == "wolf_space"
+        # classify and the JSON commands write through the same helper
+        for args in (("classify", "A2", "wolf"), ("wolf", "B3")):
+            out = tmp_path / f"{args[0]}.json"
+            r = run(*args, "--output", str(out))
+            assert r.returncode == 0 and r.stdout == ""
+            assert out.read_bytes() == run(*args, text=False).stdout
 
     def test_bad_label_exits_one(self):
         assert run("build", "Z9").returncode == 1

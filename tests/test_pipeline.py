@@ -13,7 +13,7 @@ from rootsplit.pipeline import (
     parse_h_spec,
 )
 from rootsplit.rootcore import reflect
-from rootsplit.subalgebra import wolf_subsystem
+from rootsplit.subalgebra import parent_context, wolf_subsystem
 
 
 class TestParsing:
@@ -31,33 +31,34 @@ class TestParsing:
 
     def test_h_spec_torus(self):
         _, b2 = parse_g_spec("B2")
-        h = parse_h_spec(b2, "torus")
+        h = parse_h_spec(parent_context(b2), "torus")
         assert h.roots == () and h.torus_corank == 2
 
     def test_h_spec_wolf(self):
         _, b3 = parse_g_spec("B3")
-        h = parse_h_spec(b3, "wolf")
+        h = parse_h_spec(parent_context(b3), "wolf")
         assert len(h.roots) == 6
 
     def test_h_spec_indexed_type(self):
         _, b3 = parse_g_spec("B3")
-        h = parse_h_spec(b3, "A2#0")
+        h = parse_h_spec(parent_context(b3), "A2#0")
         assert len(h.roots) == 6
 
     def test_h_spec_json(self):
         _, b2 = parse_g_spec("B2")
-        h = parse_h_spec(b2, '[["1","1"],["-1","-1"],["1","-1"],["-1","1"]]')
+        spec = '[["1","1"],["-1","-1"],["1","-1"],["-1","1"]]'
+        h = parse_h_spec(parent_context(b2), spec)
         assert len(h.roots) == 4
 
     def test_h_spec_bad_index(self):
         _, b3 = parse_g_spec("B3")
         with pytest.raises(ParseError):
-            parse_h_spec(b3, "A2#9")
+            parse_h_spec(parent_context(b3), "A2#9")
 
     def test_h_spec_garbage(self):
         _, b3 = parse_g_spec("B3")
         with pytest.raises(ParseError):
-            parse_h_spec(b3, "not-a-spec")
+            parse_h_spec(parent_context(b3), "not-a-spec")
 
 
 class TestVerdicts:

@@ -4,17 +4,17 @@ from fractions import Fraction
 import pytest
 
 from rootsplit.linalg import vec
-from rootsplit.catalog import build, label, normalize, weyl_group
+from rootsplit.catalog import build, label, weyl_group
 from rootsplit.subalgebra import (
     closed_subsystem,
     isotropy_weights,
+    parent_context,
     weights_from_set,
     wolf_subsystem,
 )
 from rootsplit.splitting import (
     EmptyWeights,
     G2Input,
-    NotNormalized,
     SYMMETRIC_NO_TRIPLE,
     SplittingCertificate,
     case_analysis,
@@ -125,40 +125,21 @@ class TestCheckConstraints:
     def test_so7_u3_values(self):
         b3, w = b3_u3_weights()
         cert = find_splittings(w)[0]
-        rep = check_constraints(normalize(b3), cert)
+        rep = check_constraints(parent_context(b3), cert)
         assert rep.beta_norm2 == Fraction(3, 4)
         assert set(rep.pairings) == {Fraction(1, 4)}
         assert rep.pairings_ok and rep.beta_norm_ok
 
-    def test_requires_normalization(self):
-        b3, w = b3_u3_weights()
-        cert = find_splittings(w)[0]
-        with pytest.raises(NotNormalized):
-            check_constraints(b3, cert)
-
-    def test_raw_g2_rejected(self):
+    def test_g2_rejected(self):
         g2 = build(label("G", 2))
-        cert = wolf_certificate(g2)
-        with pytest.raises(NotNormalized):
-            check_constraints(g2, cert)
-
-    def test_normalized_g2_rejected(self):
-        from rootsplit.linalg import identity_matrix, mat_scale
-        from rootsplit.rootcore import make_root_system
-        g2 = build(label("G", 2))
-        scaled = make_root_system(
-            g2.roots,
-            normalization="long-squared-2",
-            metric=mat_scale(Fraction(1, 3), identity_matrix(3)),
-        )
         with pytest.raises(G2Input):
-            check_constraints(scaled, wolf_certificate(g2))
+            check_constraints(parent_context(g2), wolf_certificate(g2))
 
     def test_wolf_certificate_norm_outside_admissible_set(self):
         # Symmetric pairs are not subject to the norm constraint; the
         # checker still reports the raw values faithfully.
         b2 = build(label("B", 2))
-        rep = check_constraints(normalize(b2), wolf_certificate(b2))
+        rep = check_constraints(parent_context(b2), wolf_certificate(b2))
         assert rep.pairings_ok
         assert rep.beta_norm2 == Fraction(1, 2)
         assert not rep.beta_norm_ok
