@@ -15,17 +15,19 @@ from typing import Iterable, Sequence
 
 from .linalg import (
     IntVector,
+    Matrix,
     Vector,
+    common_scale,
     dot,
     identity_matrix,
     idot,
     int_scaled,
     lex_positive,
     rank_of,
+    scale_to_int,
     vadd,
 )
 from .rootcore import (
-    LONG2,
     RootsplitError,
     RootSystem,
     make_root_system,
@@ -295,14 +297,21 @@ class WeylGroup:
 
 
 def weyl_group(system: RootSystem) -> WeylGroup:
-    """Full Weyl group by closure of the simple reflections (rank <= 4)."""
-    if system.rank > WEYL_RANK_CAP:
-        raise ValueError(f"weyl_group is capped at rank {WEYL_RANK_CAP}")
+    """Full Weyl group by closure of the simple reflections (rank <= 4),
+    which are reflected on an integer copy of the roots."""
     roots = system.roots
-    index = {r: i for i, r in enumerate(roots)}
-    gens = tuple(simple_base(roots))
+    iroots = int_scaled(roots)
+    base = int_simple_base(iroots)
+    if len(base) > WEYL_RANK_CAP:
+        raise ValueError(f"weyl_group is capped at rank {WEYL_RANK_CAP}")
+    index = {r: i for i, r in enumerate(iroots)}
+    gens = tuple(roots[index[a]] for a in base)
     gen_perms = [
-        tuple(index[reflect(r, a)] for r in roots) for a in gens
+        tuple(
+            index[tuple(x - 2 * idot(a, r) // idot(a, a) * y for x, y in zip(r, a))]
+            for r in iroots
+        )
+        for a in base
     ]
     identity = tuple(range(len(roots)))
     seen = {identity: ()}
@@ -343,44 +352,48 @@ def int_component_type(comp: Sequence[IntVector]) -> CartanLabel:
     return _TYPES[key]
 
 
-def normalize(system: RootSystem) -> RootSystem:
-    """Rescale the metric per irreducible component so long roots have
-    square length 2.
+def normalize(system: RootSystem) -> Matrix:
+    """The metric matrix that rescales each irreducible component so its
+    long roots have square length 2.
 
     The roots themselves are unchanged (a coordinate rescale would need
-    irrational factors, e.g. for C_n); instead the returned system carries
-    an exact rational metric matrix, I + sum over components of (s - 1) P
-    with s = 2/|long|^2 and P the orthogonal projection onto the span of
-    the component. The Weyl group of an irreducible component acts
+    irrational factors, e.g. for C_n); instead the metric is an exact
+    rational matrix, I + sum over components of (s - 1) P with
+    s = 2/|long|^2 and P the orthogonal projection onto the span of the
+    component. The Weyl group of an irreducible component acts
     irreducibly on that span (Humphreys, Introduction to Lie Algebras and
     Representation Theory, 10.4 Lemma B), so the sum of r r^T over its
     roots is (sum of |r|^2 / rank) P. Cartan numbers and pair classes are
     unaffected. Components with length ratio sqrt(3) raise G2Component.
     """
-    if system.normalization == LONG2:
-        return system
-    dim = system.ambient_dim
-    metric = [list(row) for row in identity_matrix(dim)]
-    for comp in components(system):
-        norms = [dot(r, r) for r in comp]
+    scale = common_scale(system.roots)
+    iroots = [scale_to_int(r, scale) for r in system.roots]
+    return int_normalize(int_components(iroots), scale)
+
+
+def int_normalize(comps: Sequence[Sequence[IntVector]], scale: int) -> Matrix:
+    """normalize from the integer components of a system scaled by scale."""
+    metric = [list(row) for row in identity_matrix(len(comps[0][0]))]
+    for comp in comps:
+        norms = [idot(r, r) for r in comp]
         lengths = sorted(set(norms))
         if len(lengths) > 2:
             raise ValueError("component has more than two root lengths")
-        if len(lengths) == 2 and lengths[1] / lengths[0] == 3:
+        if len(lengths) == 2 and lengths[1] == 3 * lengths[0]:
             raise G2Component(
                 "length ratio sqrt(3): the {1,2} normalization does not apply"
             )
-        if len(lengths) == 2 and lengths[1] / lengths[0] != 2:
+        if len(lengths) == 2 and lengths[1] != 2 * lengths[0]:
             raise ValueError("length ratio is neither 1, sqrt(2) nor sqrt(3)")
-        scale = Fraction(2) / lengths[-1]
-        if scale != 1:
-            c = (scale - 1) * rank_of(comp) / sum(norms)
+        s = Fraction(2 * scale * scale, lengths[-1])
+        if s != 1:
+            c = (s - 1) * rank_of(comp) / sum(norms)
             for r in comp:
                 support = [(i, a) for i, a in enumerate(r) if a]
                 for i, a in support:
                     for j, b in support:
                         metric[i][j] += c * a * b
-    return RootSystem(dim, system.roots, LONG2, tuple(map(tuple, metric)))
+    return tuple(map(tuple, metric))
 
 
 def simple_labels_up_to(max_rank: int, series: Iterable[str] | None = None):

@@ -25,12 +25,7 @@ from .pipeline import (
 from .report import FORMATS, certificate_dict, emit
 from .rootcore import RootsplitError, validate_root_system
 from .splitting import case_analysis, find_splittings, wolf_certificate
-from .subalgebra import (
-    enumerate_closed_subsystems,
-    isotropy_weights,
-    parent_context,
-    wolf_subsystem,
-)
+from .subalgebra import enumerate_closed_subsystems, isotropy_weights, parent_context
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,8 +144,9 @@ def _cmd_split(args) -> int:
 
 def _cmd_wolf(args) -> int:
     label, system = parse_g_spec(args.g)
-    h = wolf_subsystem(system)
-    cert = wolf_certificate(system)
+    ctx = parent_context(system)
+    cert = wolf_certificate(ctx)
+    h = ctx.wolf
     return _emit_json(
         {
             "g": label,

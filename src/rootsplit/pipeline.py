@@ -210,7 +210,7 @@ def classify_subsystem(g_label: str, ctx: ParentContext, h: ClosedSubsystem) -> 
     if eligible:
         certificates = tuple(find_splittings(w))
         cases = tuple(case_analysis(w, c) for c in certificates)
-        if certificates and ctx.normalized is not None:  # G2 is handled raw
+        if certificates and ctx.metric is not None:  # G2 is handled raw
             constraints = tuple(check_constraints(ctx, c) for c in certificates)
 
     verdict = _assign_verdict(

@@ -30,9 +30,6 @@ from .linalg import (
     vsub,
 )
 
-RAW = "raw"
-LONG2 = "long-squared-2"
-
 #: reflection_closure aborts past this size; E8, the largest catalog
 #: system, has 240 roots, so anything bigger is not crystallographic.
 CLOSURE_CAP = 1000
@@ -79,12 +76,10 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A validated root system with an optional normalized metric."""
+    """A validated root system."""
 
     ambient_dim: int
     roots: tuple[Vector, ...]  # sorted lexicographically
-    normalization: str = RAW
-    metric: tuple[tuple[Fraction, ...], ...] | None = None
     root_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

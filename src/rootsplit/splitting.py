@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .catalog import CartanLabel, highest_root
+from .catalog import CartanLabel
 from .linalg import (
     IntVector,
     Vector,
@@ -31,13 +31,8 @@ from .linalg import (
     vscale,
     vsub,
 )
-from .rootcore import RootsplitError, RootSystem, cartan_int
-from .subalgebra import (
-    IsotropyWeights,
-    ParentContext,
-    isotropy_weights,
-    wolf_subsystem,
-)
+from .rootcore import RootsplitError
+from .subalgebra import IsotropyWeights, ParentContext, isotropy_weights
 
 ADMISSIBLE_PAIRINGS = frozenset({Fraction(0), Fraction(1, 4)})
 ADMISSIBLE_BETA_NORMS = frozenset({Fraction(1, 4), Fraction(3, 4), Fraction(5, 4)})
@@ -298,7 +293,7 @@ def check_constraints(ctx: ParentContext, cert: SplittingCertificate) -> Constra
     if ctx.types == (CartanLabel("G", 2),):
         raise G2Input("constraints do not apply to G2")
     # <beta, alpha> = alpha . (m beta), the metric being symmetric
-    mb = mat_vec(ctx.normalized.metric, cert.beta)
+    mb = mat_vec(ctx.metric, cert.beta)
     pairings = tuple(dot(a, mb) for a in cert.alphas)
     b2 = dot(cert.beta, mb)
     return ConstraintReport(
@@ -392,15 +387,19 @@ def _d_subcase(beta: IntVector, alphas: Sequence[IntVector], triple) -> CaseTag:
     )
 
 
-def wolf_certificate(parent: RootSystem) -> SplittingCertificate:
+def wolf_certificate(ctx: ParentContext) -> SplittingCertificate:
     """The splitting witness for the Wolf pair: beta = theta/2 and
     A = {alpha - theta/2 : 2<alpha,theta>/<theta,theta> = 1}."""
-    theta = highest_root(parent)
-    beta = vscale(Fraction(1, 2), theta)
+    if ctx.wolf is None:
+        raise ValueError("highest_root requires an irreducible system")
+    weights = isotropy_weights(ctx.system, ctx.wolf)
+    if not weights.weights:
+        raise EmptyWeights("the weight set is empty (g = h)")
+    theta = ctx.int_roots[ctx.theta]
+    tt = idot(theta, theta)
     # the roots pairing to 1 with theta-check are exactly the W+ half {alpha + beta}
-    plus = [r for r in parent.roots if cartan_int(theta, r) == 1]
-    cert = _canonical_certificate(beta, plus)
-    weights = isotropy_weights(parent, wolf_subsystem(parent))
+    plus = [r for r, ir in ctx.int_roots.items() if 2 * idot(theta, ir) == tt]
+    cert = _canonical_certificate(vscale(Fraction(1, 2), ctx.theta), plus)
     if not verify_certificate(weights, cert):
         raise RootsplitError("wolf certificate failed verification")
     return cert

@@ -11,21 +11,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable
 
 from .catalog import (
     WEYL_RANK_CAP,
     CartanLabel,
-    highest_root,
     int_component_type,
     int_components,
     int_highest_root,
+    int_normalize,
     int_simple_base,
-    normalize,
     weyl_group,
 )
 from .linalg import (
     IntVector,
+    Matrix,
     Vector,
     common_scale,
     idot,
@@ -49,10 +49,6 @@ class ClosedSubsystem:
     parent: RootSystem
     roots: tuple[Vector, ...]  # sorted
     torus_corank: int
-
-    @property
-    def rank(self) -> int:
-        return rank_of(self.roots) if self.roots else 0
 
 
 @dataclass(frozen=True)
@@ -232,19 +228,10 @@ def is_symmetric_pair(w: IsotropyWeights) -> bool:
 def wolf_subsystem(parent: RootSystem) -> ClosedSubsystem:
     """The subsystem {+-theta} plus everything orthogonal to the highest
     root theta; the root datum of the Wolf pair G/N."""
-    theta = highest_root(parent)  # raises for reducible parents
-    iroots = int_scaled(parent.roots)
-    return _wolf_subsystem(parent, iroots, iroots[parent.roots.index(theta)])
-
-
-def _wolf_subsystem(
-    parent: RootSystem, iroots: Sequence[IntVector], theta: IntVector
-) -> ClosedSubsystem:
-    """wolf_subsystem from the integer copy iroots of parent.roots."""
-    ends = (theta, vneg(theta))
-    return closed_subsystem(parent, [
-        r for r, ir in zip(parent.roots, iroots) if ir in ends or not idot(ir, theta)
-    ])
+    wolf = parent_context(parent).wolf
+    if wolf is None:
+        raise ValueError("highest_root requires an irreducible system")
+    return wolf
 
 
 @dataclass(frozen=True)
@@ -255,7 +242,8 @@ class ParentContext:
     Build it once per command and pass it down; it is deliberately not
     cached beyond that, so a fresh process and an in-process repeat do
     the same work. theta and wolf are None for a reducible parent;
-    normalized is None for a reducible parent and for G2.
+    metric, the normalized metric matrix, is None for a reducible parent
+    and for G2.
     """
 
     system: RootSystem
@@ -264,7 +252,7 @@ class ParentContext:
     long_norm: int  # squared length of a long root, integer-scaled
     theta: Vector | None
     wolf: ClosedSubsystem | None
-    normalized: RootSystem | None
+    metric: Matrix | None
 
     @property
     def irreducible(self) -> bool:
@@ -273,21 +261,28 @@ class ParentContext:
 
 def parent_context(system: RootSystem) -> ParentContext:
     """Compute the per-parent facts of system from one integer copy."""
-    iroots = int_scaled(system.roots)
-    types = tuple(sorted(int_component_type(c) for c in int_components(iroots)))
-    theta = wolf = normalized = None
+    scale = common_scale(system.roots)
+    iroots = [scale_to_int(r, scale) for r in system.roots]
+    int_roots = dict(zip(system.roots, iroots))
+    comps = int_components(iroots)
+    types = tuple(sorted(int_component_type(c) for c in comps))
+    theta = wolf = metric = None
     if len(types) == 1:
-        itheta = int_highest_root(iroots, int_simple_base(iroots))
+        base = int_simple_base(iroots)
+        itheta = int_highest_root(iroots, base)
         theta = system.roots[iroots.index(itheta)]
-        wolf = _wolf_subsystem(system, iroots, itheta)
+        ends = (itheta, vneg(itheta))
+        roots = tuple(
+            r for r, ir in int_roots.items() if ir in ends or not idot(ir, itheta)
+        )
+        iwolf = [int_roots[r] for r in roots]
+        if not _int_closed(set(iwolf), set(iroots)):
+            raise NotClosed("the Wolf subsystem is not closed")
+        wolf = ClosedSubsystem(system, roots, len(base) - rank_of(iwolf))
         if types != (CartanLabel("G", 2),):
-            normalized = normalize(system)
+            metric = int_normalize(comps, scale)
     return ParentContext(
-        system,
-        dict(zip(system.roots, iroots)),
-        types,
-        max(idot(v, v) for v in iroots),
-        theta, wolf, normalized,
+        system, int_roots, types, max(idot(v, v) for v in iroots), theta, wolf, metric
     )
 
 

@@ -85,7 +85,7 @@ def test_criterion_4_wolf_witnesses_rediscovered_through_rank_8():
         weights = isotropy_weights(parent, wolf_subsystem(parent))
         if not weights.weights:
             continue  # rank 1: h = g, the quotient is a point
-        cert = wolf_certificate(parent)
+        cert = wolf_certificate(parent_context(parent))
         assert verify_certificate(weights, cert), str(lab)
         found = find_splittings(weights)
         assert cert in found, str(lab)

@@ -4,7 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from rootsplit.linalg import dot, idot, int_scaled, mat_vec, span_basis, vec, vscale
+from rootsplit.linalg import (
+    dot,
+    identity_matrix,
+    idot,
+    int_scaled,
+    mat_vec,
+    span_basis,
+    vec,
+    vscale,
+)
 from rootsplit.catalog import (
     G2Component,
     build,
@@ -23,7 +32,8 @@ from rootsplit.catalog import (
     simple_labels_up_to,
     weyl_group,
 )
-from rootsplit.rootcore import make_root_system, validate_root_system
+from rootsplit.pipeline import _product_labels
+from rootsplit.rootcore import make_root_system, reflect, validate_root_system
 from rootsplit.subalgebra import enumerate_closed_subsystems, wolf_subsystem
 
 EXPECTED_COUNTS = {
@@ -112,6 +122,17 @@ class TestWeylGroup:
     def test_identity_word_present(self):
         g = weyl_group(build(label("B", 2)))
         assert tuple(range(len(g.roots))) in g.elements
+
+    @pytest.mark.parametrize("spec", [str(l) for l in simple_labels_up_to(4)] + [
+        "+".join(map(str, combo)) for combo in _product_labels(4, None)
+    ])
+    def test_generators_match_rational_reflection(self, spec):
+        # Oracle: the Fraction reflection the generator permutations were
+        # built with before they were reflected on integers.
+        g = weyl_group(build_sum(parse_label_sum(spec)))
+        for k, gen in enumerate(g.generators):
+            perm = g.elements[g.words.index((k,))]
+            assert [g.roots[j] for j in perm] == [reflect(r, gen) for r in g.roots]
 
 
 def _cartan_matrix(base):
@@ -255,18 +276,15 @@ def _first_factor_doubled(spec: str):
 
 class TestNormalize:
     def test_b3_already_normalized(self):
-        b3 = build(label("B", 3))
-        n = normalize(b3)
-        assert n.roots == b3.roots
-        assert n.normalization == "long-squared-2"
+        assert normalize(build(label("B", 3))) == identity_matrix(3)
 
     def test_a2_already_normalized(self):
-        a2 = build(label("A", 2))
-        assert normalize(a2).roots == a2.roots
+        assert normalize(build(label("A", 2))) == identity_matrix(3)
 
     def test_c3_long_roots_rescaled_to_two(self):
-        n = normalize(build(label("C", 3)))
-        lengths = {dot(r, mat_vec(n.metric, r)) for r in n.roots}
+        c3 = build(label("C", 3))
+        m = normalize(c3)
+        lengths = {dot(r, mat_vec(m, r)) for r in c3.roots}
         assert max(lengths) == 2
 
     def test_g2_rejected(self):
@@ -276,13 +294,13 @@ class TestNormalize:
     def test_cartan_integers_preserved(self):
         from rootsplit.rootcore import cartan_int
         c3 = build(label("C", 3))
-        n = normalize(c3)
+        m = normalize(c3)
         for a in c3.roots[:6]:
             for b in c3.roots[:6]:
                 if a != b:
                     raw = cartan_int(a, b)
-                    scaled = (2 * dot(a, mat_vec(n.metric, b))
-                              / dot(a, mat_vec(n.metric, a)))
+                    scaled = (2 * dot(a, mat_vec(m, b))
+                              / dot(a, mat_vec(m, a)))
                     assert raw == scaled
 
     @pytest.mark.parametrize("doubled", [False, True], ids=["plain", "doubled"])
@@ -294,7 +312,7 @@ class TestNormalize:
             system = _first_factor_doubled(spec)
         else:
             system = build_sum(parse_label_sum(spec))
-        assert normalize(system).metric == _metric_oracle(system)
+        assert normalize(system) == _metric_oracle(system)
 
 
 class TestCatalogEnumeration:

@@ -117,6 +117,12 @@ class TestCli:
         assert r.returncode == 0
         assert json.loads(r.stdout)["certificate"]["n"] == 3
 
+    def test_wolf_a1_exits_one(self):
+        # the Wolf subsystem of A1 is all of A1, so W is empty
+        r = run("wolf", "A1")
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr.splitlines()[-1] == "error: the weight set is empty (g = h)"
+
     def test_classify_pair(self):
         r = run("classify", "G2", "torus", "--format", "json")
         assert r.returncode == 0

@@ -47,6 +47,13 @@ GOLDEN = {
         "97461ee035242d28a4c689b7794a5f39c51d9b9cfa77c62a50b16fdcb8ce264d",
     ("classify", "--max-rank", "4"):
         "ab824a082ac67e4e678407c0d2e92d5ac5a0e9ca610afc95ba76f27e706e81d6",
+    # the Wolf subsystem and certificate as the wolf subcommand prints them
+    ("wolf", "B3"):
+        "d22442ee6eecd3f28bf70e6edb68f4fc146f6320e5d1e9d0d87fd8766b85c445",
+    ("wolf", "C8"):
+        "34bb1e1b3e7747c16dff399bfea61a3ffd9bce1092e5af89c7fbe8c03d037b4a",
+    ("wolf", "E8"):
+        "1464c264ac252e28a822556f9fdaa5710e8ce724b902991fa6fb15930bcc549f",
 }
 
 

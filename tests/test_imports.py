@@ -1,5 +1,7 @@
-"""Every name a rootsplit module imports is used in that module."""
+"""Every name a rootsplit module imports is used in that module, and every
+function the bench traces exists."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -24,3 +26,18 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_bench_trace_names_resolve():
+    # Read TRACED from the source: bench/ is a script directory, not a package.
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(), str(tracing))
+    traced = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"
+    )
+    missing = [
+        f"{m}.{f}" for m, f in traced
+        if not callable(getattr(importlib.import_module(f"rootsplit.{m}"), f, None))
+    ]
+    assert traced and not missing, f"traced names missing: {missing}"

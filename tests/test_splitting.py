@@ -133,13 +133,13 @@ class TestCheckConstraints:
     def test_g2_rejected(self):
         g2 = build(label("G", 2))
         with pytest.raises(G2Input):
-            check_constraints(parent_context(g2), wolf_certificate(g2))
+            check_constraints(parent_context(g2), wolf_certificate(parent_context(g2)))
 
     def test_wolf_certificate_norm_outside_admissible_set(self):
         # Symmetric pairs are not subject to the norm constraint; the
         # checker still reports the raw values faithfully.
         b2 = build(label("B", 2))
-        rep = check_constraints(parent_context(b2), wolf_certificate(b2))
+        rep = check_constraints(parent_context(b2), wolf_certificate(parent_context(b2)))
         assert rep.pairings_ok
         assert rep.beta_norm2 == Fraction(1, 2)
         assert not rep.beta_norm_ok
@@ -182,29 +182,33 @@ class TestCaseAnalysis:
 class TestWolfCertificate:
     def test_b2(self):
         b2 = build(label("B", 2))
-        cert = wolf_certificate(b2)
+        cert = wolf_certificate(parent_context(b2))
         assert cert.beta == vec(HALF, HALF)
         w = isotropy_weights(b2, wolf_subsystem(b2))
         assert verify_certificate(w, cert)
 
     def test_b3(self):
         b3 = build(label("B", 3))
-        cert = wolf_certificate(b3)
+        cert = wolf_certificate(parent_context(b3))
         assert cert.beta == vec(HALF, HALF, 0)
         assert cert.n == 3
 
     def test_g2(self):
         g2 = build(label("G", 2))
-        cert = wolf_certificate(g2)
+        cert = wolf_certificate(parent_context(g2))
         w = isotropy_weights(g2, wolf_subsystem(g2))
         assert verify_certificate(w, cert)
         assert cert.n == 2
+
+    def test_a1_has_no_weights(self):
+        with pytest.raises(EmptyWeights):
+            wolf_certificate(parent_context(build(label("A", 1))))
 
     def test_rediscovered_by_search(self):
         for lab in [("A", 2), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]:
             parent = build(label(*lab))
             w = isotropy_weights(parent, wolf_subsystem(parent))
-            assert wolf_certificate(parent) in find_splittings(w), str(lab)
+            assert wolf_certificate(parent_context(parent)) in find_splittings(w), str(lab)
 
 
 class TestWeylEquivariance:

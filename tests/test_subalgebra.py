@@ -178,6 +178,18 @@ class TestWolf:
         h = wolf_subsystem(a2)
         assert len(h.roots) == 2 and h.torus_corank == 1
 
+    @pytest.mark.parametrize("lab", simple_labels_up_to(8), ids=str)
+    def test_context_wolf_matches_validating_constructor(self, lab):
+        # Oracle: closed_subsystem, which the context built it with before
+        # it was built from the integer copy.
+        parent = build(lab)
+        wolf = parent_context(parent).wolf
+        assert wolf == closed_subsystem(parent, wolf.roots)
+
+    def test_reducible_parent_rejected(self):
+        with pytest.raises(ValueError, match="requires an irreducible system"):
+            wolf_subsystem(build_sum(parse_label_sum("A1+A1")))
+
     def test_recognition(self):
         b3 = build(label("B", 3))
         ctx = parent_context(b3)
