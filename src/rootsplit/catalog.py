@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .linalg import (
     IntVector,
@@ -33,6 +33,9 @@ from .rootcore import (
     make_root_system,
     reflect,
 )
+
+if TYPE_CHECKING:
+    from .subalgebra import ClosedSubsystem
 
 #: rank cap for full Weyl group enumeration (largest needed: F4, order 1152)
 WEYL_RANK_CAP = 4
@@ -329,9 +332,9 @@ def weyl_group(system: RootSystem) -> WeylGroup:
     return WeylGroup(roots, gens, elems, tuple(seen[e] for e in elems))
 
 
-def identify_type(system: RootSystem) -> list[CartanLabel]:
-    """Cartan labels of the irreducible components, using canonical aliases
-    (B1 -> A1, C2 -> B2, D2 -> A1+A1, D3 -> A3)."""
+def identify_type(system: RootSystem | ClosedSubsystem) -> list[CartanLabel]:
+    """Cartan labels of the irreducible components of system's roots, using
+    canonical aliases (B1 -> A1, C2 -> B2, D2 -> A1+A1, D3 -> A3)."""
     return sorted(int_component_type(c) for c in int_components(int_scaled(system.roots)))
 
 

@@ -111,8 +111,9 @@ def _cmd_subsystems(args) -> int:
 
 def _cmd_weights(args) -> int:
     label, system = parse_g_spec(args.g)
-    h = parse_h_spec(parent_context(system), args.h)
-    w = isotropy_weights(system, h)
+    ctx = parent_context(system)
+    h = parse_h_spec(ctx, args.h)
+    w = isotropy_weights(ctx, h)
     return _emit_json(
         {
             "g": label,
@@ -127,8 +128,9 @@ def _cmd_weights(args) -> int:
 
 def _cmd_split(args) -> int:
     label, system = parse_g_spec(args.g)
-    h = parse_h_spec(parent_context(system), args.h)
-    w = isotropy_weights(system, h)
+    ctx = parent_context(system)
+    h = parse_h_spec(ctx, args.h)
+    w = isotropy_weights(ctx, h)
     certs = find_splittings(w)
     return _emit_json(
         {

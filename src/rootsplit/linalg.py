@@ -5,7 +5,12 @@ parsed, emitted and measured in the normalized metric, and in every
 public value. Hot loops work on integer copies scaled by a common
 denominator (`int_scaled`, `scale_to_int`), which is exact because the
 questions they answer (membership, sums, signs of dots, ratios) are
-invariant under a positive rescale. Nothing here ever touches a float.
+invariant under a positive rescale. The integer copy of a pair's weight
+set W is made once per parent, by `subalgebra.parent_context`, at twice
+the roots' common denominator so that half of any difference of weights
+is integral; `IsotropyWeights` carries it to every step of the pair, and
+`subalgebra.weights_from_set` makes it for a weight set given from
+outside. Nothing here ever touches a float.
 """
 
 from __future__ import annotations
@@ -82,8 +87,12 @@ def common_scale(vectors: Iterable[Vector]) -> int:
 
 
 def scale_to_int(v: Vector, scale: int) -> IntVector:
-    """scale * v as integers; scale must be a multiple of every denominator."""
-    return tuple(int(a * scale) for a in v)
+    """scale * v as integers; raises ValueError unless scale is a multiple
+    of every denominator, so that nothing is truncated."""
+    if any(scale % a.denominator for a in v):
+        coords = ", ".join(map(str, v))
+        raise ValueError(f"scale {scale} does not clear the denominators of ({coords})")
+    return tuple(a.numerator * (scale // a.denominator) for a in v)
 
 
 def int_scaled(vectors: Sequence[Vector]) -> list[IntVector]:

@@ -141,23 +141,22 @@ def parse_h_spec(ctx: ParentContext, h_spec: str) -> ClosedSubsystem:
     component type, e.g. 'A2#0'), or a JSON list of root vectors with
     rationals as 'p/q' strings.
     """
-    parent = ctx.system
     h_spec = h_spec.strip()
     if h_spec in ("torus", ""):
-        return closed_subsystem(parent, ())
+        return closed_subsystem(ctx, ())
     if h_spec == "wolf":
         if ctx.wolf is None:
             raise ValueError("highest_root requires an irreducible system")
         return ctx.wolf
     if h_spec.startswith("["):
-        return closed_subsystem(parent, parse_root_list(h_spec))
+        return closed_subsystem(ctx, parse_root_list(h_spec))
     if "#" in h_spec:
         type_part, _, idx_part = h_spec.rpartition("#")
         if not idx_part.isdigit():
             raise ParseError(f"bad subsystem index in {h_spec!r}")
         wanted = _type_key(type_part)
         matches = [
-            h for h in enumerate_closed_subsystems(parent, dedup=True)
+            h for h in enumerate_closed_subsystems(ctx.system, dedup=True)
             if h.roots and _type_key_of(h) == wanted
         ]
         k = int(idx_part)
@@ -177,10 +176,7 @@ def _type_key(text: str) -> tuple[str, ...]:
 
 
 def _type_key_of(h: ClosedSubsystem) -> tuple[str, ...]:
-    from .rootcore import make_root_system
-
-    sub = make_root_system(h.roots, validate=False)
-    return tuple(sorted(str(l) for l in identify_type(sub)))
+    return tuple(sorted(str(l) for l in identify_type(h)))
 
 
 def describe_subsystem(h: ClosedSubsystem) -> str:
@@ -196,7 +192,7 @@ def describe_subsystem(h: ClosedSubsystem) -> str:
 
 def classify_subsystem(g_label: str, ctx: ParentContext, h: ClosedSubsystem) -> PairReport:
     """Full pipeline for one equal-rank pair (g, h), g given by its context."""
-    w = isotropy_weights(ctx.system, h)
+    w = isotropy_weights(ctx, h)
     if w.dim_M == 0:
         raise EmptyWeights("h = g: the quotient is a point")
 

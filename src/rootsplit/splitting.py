@@ -18,7 +18,6 @@ from .catalog import CartanLabel
 from .linalg import (
     IntVector,
     Vector,
-    common_scale,
     dot,
     idot,
     lex_positive,
@@ -66,14 +65,6 @@ class SplittingCertificate:
     def n(self) -> int:
         return len(self.alphas)
 
-    def generated_weights(self) -> frozenset:
-        out = set()
-        for a in self.alphas:
-            for sa in (a, vneg(a)):
-                out.add(vadd(sa, self.beta))
-                out.add(vsub(sa, self.beta))
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
 class CaseTag:
@@ -108,11 +99,30 @@ def _check_certificate_shape(cert: SplittingCertificate) -> None:
             raise ValueError("certificate violates the sign convention <beta,alpha> >= 0")
 
 
+def _generation_table(w: IsotropyWeights, cert: SplittingCertificate) -> tuple | None:
+    """(beta, alphas, table) on W's integer copy, the table mapping each
+    generated weight eps_i alpha_i + eps beta to (i, eps_i, eps); None
+    unless the 4n generated weights are exactly W. A certificate off W's
+    lattice fails here rather than being truncated onto it."""
+    _check_certificate_shape(cert)
+    try:
+        beta = scale_to_int(cert.beta, w.scale)
+        alphas = [scale_to_int(a, w.scale) for a in cert.alphas]
+    except ValueError:
+        return None
+    table = {}
+    for i, a in enumerate(alphas):
+        for ei in (1, -1):
+            for e in (1, -1):
+                table[tuple(ei * x + e * y for x, y in zip(a, beta))] = (i, ei, e)
+    if len(table) == 4 * cert.n == w.dim_M and all(x in table for x in w.ints):
+        return beta, alphas, table
+    return None
+
+
 def verify_certificate(w: IsotropyWeights, cert: SplittingCertificate) -> bool:
     """True iff the 4n generated vectors reproduce W exactly."""
-    _check_certificate_shape(cert)
-    gen = cert.generated_weights()
-    return len(gen) == 4 * cert.n and gen == frozenset(w.weights)
+    return _generation_table(w, cert) is not None
 
 
 def _canonical_certificate(beta: Vector, plus_half: Iterable[Vector]) -> SplittingCertificate:
@@ -211,19 +221,18 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
     splitting puts w0 in W+ or W-, so 2*beta = +-(w0 - w) for some w in W,
     which gives |W| - 1 candidates. Each candidate is checked by
     exhaustive propagation over sign orbits. The search runs on the
-    doubled lattice 2L*W (L clears W's denominators), where beta = v/2
-    is integral; certificates are turned back into rationals at the end.
+    integer copy that W carries, where beta = v/2 is integral;
+    certificates are turned back into rationals at the end.
     """
     if w.dim_M == 0:
         raise EmptyWeights("the weight set is empty (g = h)")
     if w.dim_M % 4 != 0:
         raise ValueError("|W| must be divisible by 4")
-    scale = 2 * common_scale(w.weights)
-    wset = frozenset(scale_to_int(x, scale) for x in w.weights)
+    wset = frozenset(w.ints)
     if any(vneg(x) not in wset for x in wset):
         raise ValueError("W must be closed under negation")
 
-    order = sorted(wset)
+    order = w.ints  # sorted, as W is: a positive scale keeps the order
     w0 = order[0]
     candidates = {lex_rep(vsub(w0, x)) for x in order[1:]}
 
@@ -239,7 +248,7 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
 
     certs = [
         SplittingCertificate(
-            unscale(beta, scale), tuple(unscale(a, scale) for a in alphas)
+            unscale(beta, w.scale), tuple(unscale(a, w.scale) for a in alphas)
         )
         for beta, alphas in sorted(found)  # a positive scale keeps the order
     ]
@@ -316,25 +325,16 @@ def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
       |s| = 3, coefficient {1}                           -> case b
     Sub-cases of d are told apart scale-invariantly: two vanishing
     <beta,alpha> give d1; otherwise |beta|^2 / <beta,alpha> = 1 is d2 and
-    = 3 is d3. The search runs on integers that clear the denominators of
-    W and of the certificate, where the certificate is also verified.
+    = 3 is d3. The search runs on W's integer copy, where the certificate
+    is also verified.
     """
-    _check_certificate_shape(cert)
-    scale = common_scale([cert.beta, *cert.alphas, *w.weights])
-    beta = scale_to_int(cert.beta, scale)
-    alphas = [scale_to_int(a, scale) for a in cert.alphas]
-    table = {}  # generated weight -> (alpha index, eps_i, eps)
-    for i, a in enumerate(alphas):
-        for ei in (1, -1):
-            for e in (1, -1):
-                table[tuple(ei * x + e * y for x, y in zip(a, beta))] = (i, ei, e)
-    ws = [scale_to_int(x, scale) for x in w.weights]
-    back = dict(zip(ws, w.weights))
-    if len(table) != 4 * cert.n or table.keys() != back.keys():
+    generated = _generation_table(w, cert)
+    if generated is None:
         raise ValueError("certificate does not verify against the weights")
-    ws.sort()
+    beta, alphas, table = generated
+    back = dict(zip(w.ints, w.weights))
     triple = None
-    for w1, w2 in itertools.combinations_with_replacement(ws, 2):
+    for w1, w2 in itertools.combinations_with_replacement(w.ints, 2):
         w3 = vadd(w1, w2)
         if w3 in back:
             triple = (w1, w2, w3)
@@ -392,7 +392,7 @@ def wolf_certificate(ctx: ParentContext) -> SplittingCertificate:
     A = {alpha - theta/2 : 2<alpha,theta>/<theta,theta> = 1}."""
     if ctx.wolf is None:
         raise ValueError("highest_root requires an irreducible system")
-    weights = isotropy_weights(ctx.system, ctx.wolf)
+    weights = isotropy_weights(ctx, ctx.wolf)
     if not weights.weights:
         raise EmptyWeights("the weight set is empty (g = h)")
     theta = ctx.int_roots[ctx.theta]

@@ -9,7 +9,7 @@ torus_corank). The isotropy weights of the pair are R \\ S.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Container, Iterable
 
@@ -53,11 +53,17 @@ class ClosedSubsystem:
 
 @dataclass(frozen=True)
 class IsotropyWeights:
-    """W = R(g) \\ R(h); weights of the complexified isotropy representation."""
+    """W = R(g) \\ R(h); weights of the complexified isotropy representation.
+
+    ints, the weights times scale in the same order, is the integer copy
+    every step of the pair reads; scale is twice a common denominator of W.
+    """
 
     weights: tuple[Vector, ...]  # sorted
     dim_M: int
     quaternionic_n: Fraction
+    scale: int = field(compare=False)
+    ints: tuple[IntVector, ...] = field(compare=False)
 
 
 def _int_closed(isub: set[IntVector], iparent: Container[IntVector]) -> bool:
@@ -84,13 +90,16 @@ def is_closed(subset: Iterable[Vector], parent: RootSystem) -> bool:
     )
 
 
-def closed_subsystem(parent: RootSystem, roots: Iterable[Vector]) -> ClosedSubsystem:
-    """Validated constructor; raises NotClosed."""
+def closed_subsystem(ctx: ParentContext, roots: Iterable[Vector]) -> ClosedSubsystem:
+    """Validated constructor on the parent of ctx, checked on its integer
+    copy; raises NotClosed."""
     rs = tuple(sorted(set(roots)))
-    if not is_closed(rs, parent):
+    if any(r not in ctx.int_roots for r in rs):
+        raise ValueError("subset is not contained in the parent root system")
+    isub = [ctx.int_roots[r] for r in rs]
+    if not _int_closed(set(isub), set(ctx.int_roots.values())):
         raise NotClosed("subset is not a closed subsystem of the parent")
-    corank = parent.rank - (rank_of(rs) if rs else 0)
-    return ClosedSubsystem(parent, rs, corank)
+    return ClosedSubsystem(ctx.system, rs, ctx.rank - rank_of(isub))
 
 
 def enumerate_closed_subsystems(
@@ -204,25 +213,32 @@ def brute_force_closed_subsystems(parent: RootSystem) -> list[tuple[Vector, ...]
     return out
 
 
-def isotropy_weights(parent: RootSystem, h: ClosedSubsystem) -> IsotropyWeights:
-    """The weight set W = R(g) \\ R(h) with derived dimensions."""
-    if h.parent is not parent and h.parent != parent:
+def isotropy_weights(ctx: ParentContext, h: ClosedSubsystem) -> IsotropyWeights:
+    """The weight set W = R(g) \\ R(h) with derived dimensions, on the
+    integer copy of the parent of ctx."""
+    if h.parent is not ctx.system and h.parent != ctx.system:
         raise ValueError("subsystem does not belong to this parent")
-    weights = tuple(sorted(parent.root_set - set(h.roots)))
-    return IsotropyWeights(weights, len(weights), Fraction(len(weights), 4))
+    inside = set(h.roots)
+    # the parent's roots are sorted, so W comes out sorted
+    weights = tuple(r for r in ctx.system.roots if r not in inside)
+    n = len(weights)
+    ints = tuple(ctx.int_roots[r] for r in weights)
+    return IsotropyWeights(weights, n, Fraction(n, 4), ctx.scale, ints)
 
 
 def weights_from_set(weights: Iterable[Vector]) -> IsotropyWeights:
     """IsotropyWeights from a raw negation-closed weight set (for transformed
-    or externally supplied inputs)."""
+    or externally supplied inputs), on its own integer copy."""
     ws = tuple(sorted(set(weights)))
-    return IsotropyWeights(ws, len(ws), Fraction(len(ws), 4))
+    scale = 2 * common_scale(ws)
+    ints = tuple(scale_to_int(x, scale) for x in ws)
+    return IsotropyWeights(ws, len(ws), Fraction(len(ws), 4), scale, ints)
 
 
 def is_symmetric_pair(w: IsotropyWeights) -> bool:
     """Weight-level symmetry criterion: no two weights sum to a weight."""
-    ws = set(int_scaled(w.weights))
-    return not any(vadd(a, b) in ws for a, b in itertools.combinations(ws, 2))
+    ws = set(w.ints)
+    return not any(vadd(a, b) in ws for a, b in itertools.combinations(w.ints, 2))
 
 
 def wolf_subsystem(parent: RootSystem) -> ClosedSubsystem:
@@ -247,7 +263,8 @@ class ParentContext:
     """
 
     system: RootSystem
-    int_roots: dict[Vector, tuple[int, ...]]  # root -> integer-scaled copy
+    scale: int  # twice the roots' common denominator
+    int_roots: dict[Vector, tuple[int, ...]]  # root -> root times scale
     types: tuple[CartanLabel, ...]
     long_norm: int  # squared length of a long root, integer-scaled
     theta: Vector | None
@@ -258,10 +275,16 @@ class ParentContext:
     def irreducible(self) -> bool:
         return len(self.types) == 1
 
+    @property
+    def rank(self) -> int:
+        return sum(t.rank for t in self.types)
+
 
 def parent_context(system: RootSystem) -> ParentContext:
-    """Compute the per-parent facts of system from one integer copy."""
-    scale = common_scale(system.roots)
+    """Compute the per-parent facts of system from one integer copy, at
+    twice the common denominator so that half a difference of two roots
+    is integral (the tests on it compare ratios, which doubling keeps)."""
+    scale = 2 * common_scale(system.roots)
     iroots = [scale_to_int(r, scale) for r in system.roots]
     int_roots = dict(zip(system.roots, iroots))
     comps = int_components(iroots)
@@ -281,9 +304,8 @@ def parent_context(system: RootSystem) -> ParentContext:
         wolf = ClosedSubsystem(system, roots, len(base) - rank_of(iwolf))
         if types != (CartanLabel("G", 2),):
             metric = int_normalize(comps, scale)
-    return ParentContext(
-        system, int_roots, types, max(idot(v, v) for v in iroots), theta, wolf, metric
-    )
+    long_norm = max(idot(v, v) for v in iroots)
+    return ParentContext(system, scale, int_roots, types, long_norm, theta, wolf, metric)
 
 
 def is_wolf_pair(ctx: ParentContext, h: ClosedSubsystem) -> bool:

@@ -30,7 +30,6 @@ from rootsplit.subalgebra import (
     isotropy_weights,
     parent_context,
     weights_from_set,
-    wolf_subsystem,
 )
 
 
@@ -62,11 +61,11 @@ def test_criterion_3_so7_u3_certificate():
     assert len(report.certificates) >= 1
     assert [c.tag for c in report.cases] == ["case_d3"]
 
-    b3 = build(label("B", 3))
-    h = closed_subsystem(b3, [r for r in b3.roots if sum(r) == 0])
-    weights = isotropy_weights(b3, h)
+    ctx = parent_context(build(label("B", 3)))
+    h = closed_subsystem(ctx, [r for r in ctx.system.roots if sum(r) == 0])
+    weights = isotropy_weights(ctx, h)
     cert = find_splittings(weights)[0]
-    constraints = check_constraints(parent_context(b3), cert)
+    constraints = check_constraints(ctx, cert)
     assert constraints.beta_norm2 == Fraction(3, 4)
     assert set(constraints.pairings) == {Fraction(1, 4)}
 
@@ -81,11 +80,11 @@ WOLF_CERTIFICATE_COUNTS = {
 def test_criterion_4_wolf_witnesses_rediscovered_through_rank_8():
     counts = {}
     for lab in simple_labels_up_to(8):
-        parent = build(lab)
-        weights = isotropy_weights(parent, wolf_subsystem(parent))
+        ctx = parent_context(build(lab))
+        weights = isotropy_weights(ctx, ctx.wolf)
         if not weights.weights:
             continue  # rank 1: h = g, the quotient is a point
-        cert = wolf_certificate(parent_context(parent))
+        cert = wolf_certificate(ctx)
         assert verify_certificate(weights, cert), str(lab)
         found = find_splittings(weights)
         assert cert in found, str(lab)
@@ -131,8 +130,9 @@ def test_criterion_6_oracle_equivalence_rank_3():
     checked = 0
     for lab in simple_labels_up_to(3) + [parse_label_sum("A1+A1")]:
         parent = build_sum(lab) if isinstance(lab, list) else build(lab)
+        ctx = parent_context(parent)
         for h in enumerate_closed_subsystems(parent):
-            weights = isotropy_weights(parent, h)
+            weights = isotropy_weights(ctx, h)
             if (not weights.weights or weights.dim_M % 4 != 0
                     or len(weights.weights) > 12):
                 continue
@@ -153,8 +153,9 @@ def test_criterion_6_oracle_equivalence_rank_4():
     ]
     checked = 0
     for parent in parents:
+        ctx = parent_context(parent)
         for h in enumerate_closed_subsystems(parent):
-            weights = isotropy_weights(parent, h)
+            weights = isotropy_weights(ctx, h)
             if (not weights.weights or weights.dim_M % 4 != 0
                     or len(weights.weights) > 20):
                 continue
@@ -178,15 +179,15 @@ def test_criterion_7_weyl_equivariance_100_random_cases():
             and (len(parent.roots) - len(h.roots)) % 4 == 0
         ]
         if subs:
-            cases.append((parent, wg, subs))
+            cases.append((parent_context(parent), wg, subs))
     from rootsplit.splitting import _canonical_certificate
 
     for _ in range(100):
-        parent, wg, subs = rng.choice(cases)
+        ctx, wg, subs = rng.choice(cases)
         h = rng.choice(subs)
         k = rng.randrange(len(wg.elements))
         word = wg.words[k]
-        weights = isotropy_weights(parent, h)
+        weights = isotropy_weights(ctx, h)
         moved = weights_from_set(
             [wg.apply_word(word, w) for w in weights.weights]
         )

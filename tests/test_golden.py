@@ -54,6 +54,14 @@ GOLDEN = {
         "34bb1e1b3e7747c16dff399bfea61a3ffd9bce1092e5af89c7fbe8c03d037b4a",
     ("wolf", "E8"):
         "1464c264ac252e28a822556f9fdaa5710e8ce724b902991fa6fb15930bcc549f",
+    # h = torus and a JSON root list, resolved by closed_subsystem, and a
+    # split on the G2 Wolf weights
+    ("weights", "E8", "torus"):
+        "9846164448f8b9fd8e22d3701ebbadaff7e9b312e549f187a0f5420759f87074",
+    ("weights", "B2", "[[1,0],[-1,0]]"):
+        "6cdcb67fcccd839ed4a8b925102f01c31c9befe0484920dac825f7bbc4fb12f1",
+    ("split", "G2", "wolf"):
+        "3ff49c2529bc60f121bdbc7babf5854fe82f8d2ec13867b353357331ac02eb2e",
 }
 
 

@@ -1,5 +1,6 @@
-"""Every name a rootsplit module imports is used in that module, and every
-function the bench traces exists."""
+"""Every name a rootsplit module imports is used in that module, only
+subalgebra and catalog choose an integer scale, and every function the
+bench traces exists."""
 import ast
 import importlib
 from pathlib import Path
@@ -26,6 +27,19 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("module", ["splitting", "pipeline"])
+def test_scale_chosen_only_in_subalgebra_and_catalog(module):
+    # A pair's steps read the integer copy its weights carry; they never
+    # pick a scale of their own.
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = {
+        a.asname or a.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    assert not imported & {"common_scale", "int_scaled"}
 
 
 def test_bench_trace_names_resolve():

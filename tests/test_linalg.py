@@ -1,9 +1,11 @@
-"""The integer rank_of against a rational Gaussian elimination."""
+"""The integer rank_of against a rational Gaussian elimination, and the
+integer copies it runs on."""
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
-from rootsplit.linalg import rank_of, vec
+from rootsplit.linalg import rank_of, scale_to_int, vec
 
 
 def fraction_rank(vectors):
@@ -64,3 +66,12 @@ def test_zero_vectors():
 
 def test_mixed_denominators():
     assert rank_of([vec("1/2", "1/3"), vec("3/4", "1/2"), vec(0, "1/7")]) == 2
+
+
+def test_scale_to_int_clears_denominators():
+    assert scale_to_int(vec("1/2", "-3/4", 2), 8) == (4, -6, 16)
+
+
+def test_scale_to_int_refuses_to_truncate():
+    with pytest.raises(ValueError, match="does not clear the denominators"):
+        scale_to_int(vec(1, "1/1000"), 4)

@@ -1,16 +1,25 @@
 """Splitting certificates: search, verification, constraints, case tags."""
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from rootsplit.linalg import vec
-from rootsplit.catalog import build, label, weyl_group
+from rootsplit.linalg import scale_to_int, vec
+from rootsplit.catalog import (
+    build,
+    build_sum,
+    label,
+    parse_label_sum,
+    simple_labels_up_to,
+    weyl_group,
+)
+from rootsplit.pipeline import _product_labels
 from rootsplit.subalgebra import (
     closed_subsystem,
+    enumerate_closed_subsystems,
     isotropy_weights,
     parent_context,
     weights_from_set,
-    wolf_subsystem,
 )
 from rootsplit.splitting import (
     EmptyWeights,
@@ -27,11 +36,22 @@ from rootsplit.splitting import (
 
 HALF = Fraction(1, 2)
 
+#: the parents of `classify --max-rank 3 --include-products`
+CATALOG_R3_PARENTS = [str(l) for l in simple_labels_up_to(3)] + [
+    "+".join(str(l) for l in combo) for combo in _product_labels(3, None)
+]
+
 
 def b3_u3_weights():
     b3 = build(label("B", 3))
-    h = closed_subsystem(b3, [r for r in b3.roots if sum(r) == 0])
-    return b3, isotropy_weights(b3, h)
+    ctx = parent_context(b3)
+    h = closed_subsystem(ctx, [r for r in b3.roots if sum(r) == 0])
+    return b3, isotropy_weights(ctx, h)
+
+
+def wolf_weights(parent):
+    ctx = parent_context(parent)
+    return isotropy_weights(ctx, ctx.wolf)
 
 
 class TestVerifyCertificate:
@@ -83,13 +103,15 @@ class TestFindSplittings:
         }
 
     def test_s8_has_none(self):
-        b4 = build(label("B", 4))
-        d4 = closed_subsystem(b4, [r for r in b4.roots if sum(1 for x in r if x) == 2])
-        assert find_splittings(isotropy_weights(b4, d4)) == []
+        ctx = parent_context(build(label("B", 4)))
+        d4 = closed_subsystem(
+            ctx, [r for r in ctx.system.roots if sum(1 for x in r if x) == 2]
+        )
+        assert find_splittings(isotropy_weights(ctx, d4)) == []
 
     def test_g2_torus_has_none(self):
-        g2 = build(label("G", 2))
-        w = isotropy_weights(g2, closed_subsystem(g2, []))
+        ctx = parent_context(build(label("G", 2)))
+        w = isotropy_weights(ctx, closed_subsystem(ctx, []))
         assert find_splittings(w) == []
 
     def test_empty_weights_rejected(self):
@@ -99,7 +121,7 @@ class TestFindSplittings:
     def test_all_results_verify(self):
         for lab in [("A", 2), ("B", 2), ("B", 3), ("C", 3)]:
             parent = build(label(*lab))
-            w = isotropy_weights(parent, wolf_subsystem(parent))
+            w = wolf_weights(parent)
             for cert in find_splittings(w):
                 assert verify_certificate(w, cert)
 
@@ -107,8 +129,7 @@ class TestFindSplittings:
 class TestOracle:
     @pytest.mark.parametrize("lab", [("A", 2), ("B", 2), ("G", 2)])
     def test_wolf_weights_match(self, lab):
-        parent = build(label(*lab))
-        w = isotropy_weights(parent, wolf_subsystem(parent))
+        w = wolf_weights(build(label(*lab)))
         assert set(find_splittings(w)) == set(splittings_oracle(w))
 
     def test_so7_u3_matches(self):
@@ -116,8 +137,8 @@ class TestOracle:
         assert set(find_splittings(w)) == set(splittings_oracle(w))
 
     def test_negative_case_matches(self):
-        b2 = build(label("B", 2))
-        w = isotropy_weights(b2, closed_subsystem(b2, []))
+        ctx = parent_context(build(label("B", 2)))
+        w = isotropy_weights(ctx, closed_subsystem(ctx, []))
         assert find_splittings(w) == splittings_oracle(w) == []
 
 
@@ -184,7 +205,7 @@ class TestWolfCertificate:
         b2 = build(label("B", 2))
         cert = wolf_certificate(parent_context(b2))
         assert cert.beta == vec(HALF, HALF)
-        w = isotropy_weights(b2, wolf_subsystem(b2))
+        w = wolf_weights(b2)
         assert verify_certificate(w, cert)
 
     def test_b3(self):
@@ -196,7 +217,7 @@ class TestWolfCertificate:
     def test_g2(self):
         g2 = build(label("G", 2))
         cert = wolf_certificate(parent_context(g2))
-        w = isotropy_weights(g2, wolf_subsystem(g2))
+        w = wolf_weights(g2)
         assert verify_certificate(w, cert)
         assert cert.n == 2
 
@@ -207,7 +228,7 @@ class TestWolfCertificate:
     def test_rediscovered_by_search(self):
         for lab in [("A", 2), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]:
             parent = build(label(*lab))
-            w = isotropy_weights(parent, wolf_subsystem(parent))
+            w = wolf_weights(parent)
             assert wolf_certificate(parent_context(parent)) in find_splittings(w), str(lab)
 
 
@@ -225,3 +246,37 @@ class TestWeylEquivariance:
         for perm in list(wg.elements)[:8]:
             moved = weights_from_set([apply(perm, x) for x in w.weights])
             assert len(set(find_splittings(moved))) == len(base)
+
+
+class TestScaleIndependence:
+    """A pair's certificates and case tags do not depend on the scale of
+    the integer copy that its weights carry."""
+
+    @pytest.mark.parametrize("g", CATALOG_R3_PARENTS)
+    def test_parent_copy_matches_other_scales(self, g):
+        ctx = parent_context(build_sum(parse_label_sum(g)))
+        for h in enumerate_closed_subsystems(ctx.system):
+            w = isotropy_weights(ctx, h)
+            assert w.scale == ctx.scale
+            assert list(w.ints) == [scale_to_int(x, w.scale) for x in w.weights]
+            if not w.weights or w.dim_M % 4:
+                continue
+            certs = find_splittings(w)
+            tags = [case_analysis(w, c) for c in certs]
+            own = weights_from_set(w.weights)
+            tripled = replace(
+                w, scale=3 * w.scale, ints=tuple(tuple(3 * a for a in x) for x in w.ints)
+            )
+            for other in (own, tripled):
+                assert other == w  # equality ignores the integer copy
+                assert find_splittings(other) == certs
+                assert [case_analysis(other, c) for c in certs] == tags
+
+    def test_half_integer_parent(self):
+        # E7's roots have halves, so its copy is at scale 4, and the Wolf
+        # weights given from outside pick the same scale from W alone.
+        ctx = parent_context(build(label("E", 7)))
+        w = isotropy_weights(ctx, ctx.wolf)
+        own = weights_from_set(w.weights)
+        assert w.scale == own.scale == 4
+        assert own.ints == w.ints

@@ -1,7 +1,7 @@
 """Closed subsystems, isotropy weights, symmetric and Wolf pairs."""
 import pytest
 
-from rootsplit.linalg import vec
+from rootsplit.linalg import rank_of, vec
 from rootsplit.catalog import (
     build,
     build_sum,
@@ -41,9 +41,9 @@ def weyl_canonical(wg, roots):
     return min(tuple(sorted(perm[i] for i in members)) for perm in wg.elements)
 
 
-def u3_embedding(b3):
+def u3_embedding(ctx):
     """The sum-zero roots of B3: a closed A2 subsystem."""
-    return closed_subsystem(b3, [r for r in b3.roots if sum(r) == 0])
+    return closed_subsystem(ctx, [r for r in ctx.system.roots if sum(r) == 0])
 
 
 class TestIsClosed:
@@ -59,14 +59,31 @@ class TestIsClosed:
         assert is_closed([vec(1, -1, 0), vec(-1, 1, 0)], a2)
 
     def test_factory_rejects_open_set(self):
-        b2 = build(label("B", 2))
+        b2 = parent_context(build(label("B", 2)))
         with pytest.raises(NotClosed):
             closed_subsystem(b2, [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)])
 
     def test_factory_rejects_non_negation_closed(self):
-        a2 = build(label("A", 2))
+        a2 = parent_context(build(label("A", 2)))
         with pytest.raises(NotClosed):
             closed_subsystem(a2, [vec(1, -1, 0)])
+
+    def test_factory_rejects_foreign_root(self):
+        g2 = parent_context(build(label("G", 2)))
+        with pytest.raises(ValueError, match="not contained in the parent"):
+            closed_subsystem(g2, [vec(1, 2)])
+
+    @pytest.mark.parametrize("g", RANK_4_PARENTS)
+    def test_factory_matches_rational_oracle(self, g):
+        # Oracle: is_closed and rank_of on the rational roots, apart from
+        # the context's integer copy.
+        parent = build_sum(parse_label_sum(g))
+        ctx = parent_context(parent)
+        for h in enumerate_closed_subsystems(parent, dedup=False):
+            built = closed_subsystem(ctx, h.roots)
+            assert is_closed(built.roots, parent)
+            assert built.torus_corank == parent.rank - rank_of(h.roots)
+            assert built == h
 
 
 class TestEnumeration:
@@ -130,24 +147,25 @@ class TestEnumeration:
 
 class TestIsotropyWeights:
     def test_g2_over_torus(self):
-        g2 = build(label("G", 2))
-        w = isotropy_weights(g2, closed_subsystem(g2, []))
+        ctx = parent_context(build(label("G", 2)))
+        w = isotropy_weights(ctx, closed_subsystem(ctx, []))
         assert len(w.weights) == 12
         assert w.dim_M == 12 and w.quaternionic_n == 3
 
     def test_so7_u3(self):
         b3 = build(label("B", 3))
-        w = isotropy_weights(b3, u3_embedding(b3))
+        ctx = parent_context(b3)
+        w = isotropy_weights(ctx, u3_embedding(ctx))
         expected = {r for r in b3.roots if sum(r) != 0}
         assert set(w.weights) == expected
         assert w.quaternionic_n == 3
 
     def test_s4(self):
-        b2 = build(label("B", 2))
+        ctx = parent_context(build(label("B", 2)))
         d2 = closed_subsystem(
-            b2, [vec(1, 1), vec(-1, -1), vec(1, -1), vec(-1, 1)]
+            ctx, [vec(1, 1), vec(-1, -1), vec(1, -1), vec(-1, 1)]
         )
-        w = isotropy_weights(b2, d2)
+        w = isotropy_weights(ctx, d2)
         assert set(w.weights) == {vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)}
         assert w.dim_M == 4 and w.quaternionic_n == 1
 
@@ -158,8 +176,8 @@ class TestSymmetricPair:
         assert is_symmetric_pair(w)
 
     def test_so7_u3_is_not(self):
-        b3 = build(label("B", 3))
-        assert not is_symmetric_pair(isotropy_weights(b3, u3_embedding(b3)))
+        ctx = parent_context(build(label("B", 3)))
+        assert not is_symmetric_pair(isotropy_weights(ctx, u3_embedding(ctx)))
 
     def test_rank_one(self):
         assert is_symmetric_pair(weights_from_set([vec(1, -1), vec(-1, 1)]))
@@ -180,11 +198,14 @@ class TestWolf:
 
     @pytest.mark.parametrize("lab", simple_labels_up_to(8), ids=str)
     def test_context_wolf_matches_validating_constructor(self, lab):
-        # Oracle: closed_subsystem, which the context built it with before
-        # it was built from the integer copy.
+        # Oracle: is_closed and rank_of on the rational roots, apart from
+        # the context's integer copy.
         parent = build(lab)
-        wolf = parent_context(parent).wolf
-        assert wolf == closed_subsystem(parent, wolf.roots)
+        ctx = parent_context(parent)
+        wolf = ctx.wolf
+        assert wolf == closed_subsystem(ctx, wolf.roots)
+        assert is_closed(wolf.roots, parent)
+        assert wolf.torus_corank == parent.rank - rank_of(wolf.roots)
 
     def test_reducible_parent_rejected(self):
         with pytest.raises(ValueError, match="requires an irreducible system"):
@@ -194,13 +215,13 @@ class TestWolf:
         b3 = build(label("B", 3))
         ctx = parent_context(b3)
         assert is_wolf_pair(ctx, wolf_subsystem(b3))
-        assert not is_wolf_pair(ctx, u3_embedding(b3))
+        assert not is_wolf_pair(ctx, u3_embedding(ctx))
 
     def test_g2_long_a2_is_not_wolf(self):
         from rootsplit.linalg import dot
-        g2 = build(label("G", 2))
-        long_roots = [r for r in g2.roots if dot(r, r) == 6]
-        assert not is_wolf_pair(parent_context(g2), closed_subsystem(g2, long_roots))
+        ctx = parent_context(build(label("G", 2)))
+        long_roots = [r for r in ctx.system.roots if dot(r, r) == 6]
+        assert not is_wolf_pair(ctx, closed_subsystem(ctx, long_roots))
 
     def test_recognition_up_to_weyl(self):
         b2 = build(label("B", 2))
@@ -210,7 +231,7 @@ class TestWolf:
         ctx = parent_context(b2)
         for perm in wg.elements:
             image = [wg.roots[perm[index[r]]] for r in h.roots]
-            assert is_wolf_pair(ctx, closed_subsystem(b2, image))
+            assert is_wolf_pair(ctx, closed_subsystem(ctx, image))
 
     @pytest.mark.parametrize("lab", [
         ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3),
@@ -230,6 +251,6 @@ class TestWolf:
 
     def test_wolf_pair_is_symmetric(self):
         for lab in [("A", 2), ("B", 3), ("C", 3), ("G", 2), ("F", 4)]:
-            parent = build(label(*lab))
-            w = isotropy_weights(parent, wolf_subsystem(parent))
+            ctx = parent_context(build(label(*lab)))
+            w = isotropy_weights(ctx, ctx.wolf)
             assert is_symmetric_pair(w), str(lab)
