@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .linalg import (
@@ -21,9 +22,9 @@ from .linalg import (
     dot,
     identity_matrix,
     idot,
+    int_rank,
     int_scaled,
     lex_positive,
-    rank_of,
     scale_to_int,
     vadd,
 )
@@ -35,7 +36,7 @@ from .rootcore import (
 )
 
 if TYPE_CHECKING:
-    from .subalgebra import ClosedSubsystem
+    from .subalgebra import ClosedSubsystem, ParentContext
 
 #: rank cap for full Weyl group enumeration (largest needed: F4, order 1152)
 WEYL_RANK_CAP = 4
@@ -212,24 +213,23 @@ def components(system: RootSystem) -> list[tuple[Vector, ...]]:
 
 
 def int_components(iroots: Sequence[IntVector]) -> list[tuple[IntVector, ...]]:
-    """components on integer vectors, each sorted, in sorted order."""
-    parent = list(range(len(iroots)))
+    """components on integer vectors, each sorted, in sorted order.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, a in enumerate(iroots):
-        for j in range(i + 1, len(iroots)):
-            if idot(a, iroots[j]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    The simple roots are joined by non-orthogonality (the Dynkin diagram),
+    and each root goes with the first simple root it is not orthogonal
+    to: a root lies in the span of its component's simple roots, so it
+    is orthogonal to every other component's and not to all of its own.
+    """
+    base = int_simple_base(iroots)
+    tag = list(range(len(base)))  # the component of each simple root
+    for i, j in itertools.combinations(range(len(base)), 2):
+        if tag[i] != tag[j] and idot(base[i], base[j]):
+            old = tag[j]
+            tag = [tag[i] if t == old else t for t in tag]
     groups: dict[int, list[IntVector]] = {}
-    for i, r in enumerate(iroots):
-        groups.setdefault(find(i), []).append(r)
+    for r in iroots:
+        k = next(k for k, a in enumerate(base) if idot(r, a))
+        groups.setdefault(tag[k], []).append(r)
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
@@ -243,13 +243,21 @@ def simple_base(roots: Iterable[Vector]) -> list[Vector]:
 
 
 def int_simple_base(iroots: Iterable[IntVector]) -> list[IntVector]:
-    """simple_base on integer vectors."""
+    """simple_base on integer vectors.
+
+    Each positive root is tested only against the simple roots found
+    before it: every positive root that is not simple is a positive root
+    plus a simple root (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 10.2 Corollary), both of them lexicographically
+    smaller, since lex order is translation-invariant.
+    """
     pos = sorted(r for r in iroots if lex_positive(r))
     pos_set = set(pos)
-    return [
-        a for a in pos
-        if not any(tuple(x - y for x, y in zip(a, b)) in pos_set for b in pos)
-    ]
+    base: list[IntVector] = []
+    for a in pos:
+        if not any(tuple(map(sub, a, b)) in pos_set for b in base):
+            base.append(a)
+    return base
 
 
 def highest_root(system: RootSystem) -> Vector:
@@ -269,7 +277,7 @@ def int_highest_root(iroots: Iterable[IntVector], base: Sequence[IntVector]) -> 
     while changed:
         changed = False
         for a in base:
-            cand = vadd(theta, a)
+            cand = tuple(map(add, theta, a))
             if cand in root_set:
                 theta = cand
                 changed = True
@@ -299,15 +307,14 @@ class WeylGroup:
         return v
 
 
-def weyl_group(system: RootSystem) -> WeylGroup:
-    """Full Weyl group by closure of the simple reflections (rank <= 4),
-    which are reflected on an integer copy of the roots."""
-    roots = system.roots
-    iroots = int_scaled(roots)
+def weyl_group(ctx: ParentContext) -> WeylGroup:
+    """Full Weyl group of the parent of ctx by closure of the simple
+    reflections (rank <= 4), which are reflected on the context's integer
+    copy of the roots."""
+    roots, iroots, index = ctx.system.roots, ctx.int_roots, ctx.index
     base = int_simple_base(iroots)
     if len(base) > WEYL_RANK_CAP:
         raise ValueError(f"weyl_group is capped at rank {WEYL_RANK_CAP}")
-    index = {r: i for i, r in enumerate(iroots)}
     gens = tuple(roots[index[a]] for a in base)
     gen_perms = [
         tuple(
@@ -390,7 +397,7 @@ def int_normalize(comps: Sequence[Sequence[IntVector]], scale: int) -> Matrix:
             raise ValueError("length ratio is neither 1, sqrt(2) nor sqrt(3)")
         s = Fraction(2 * scale * scale, lengths[-1])
         if s != 1:
-            c = (s - 1) * rank_of(comp) / sum(norms)
+            c = (s - 1) * int_rank(comp) / sum(norms)
             for r in comp:
                 support = [(i, a) for i, a in enumerate(r) if a]
                 for i, a in support:

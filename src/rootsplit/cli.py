@@ -90,7 +90,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_subsystems(args) -> int:
     label, system = parse_g_spec(args.g)
-    subs = enumerate_closed_subsystems(system, dedup=not args.no_dedup)
+    subs = enumerate_closed_subsystems(parent_context(system), dedup=not args.no_dedup)
     return _emit_json(
         {
             "g": label,

@@ -4,13 +4,17 @@ Boundary rule: vectors are `fractions.Fraction` tuples where they are
 parsed, emitted and measured in the normalized metric, and in every
 public value. Hot loops work on integer copies scaled by a common
 denominator (`int_scaled`, `scale_to_int`), which is exact because the
-questions they answer (membership, sums, signs of dots, ratios) are
-invariant under a positive rescale. The integer copy of a pair's weight
-set W is made once per parent, by `subalgebra.parent_context`, at twice
-the roots' common denominator so that half of any difference of weights
-is integral; `IsotropyWeights` carries it to every step of the pair, and
-`subalgebra.weights_from_set` makes it for a weight set given from
-outside. Nothing here ever touches a float.
+questions they answer (membership, sums, signs of dots, ratios, ranks)
+are invariant under a positive rescale. Each parent's roots are scaled
+once, by `subalgebra.parent_context`, at twice their common denominator
+so that half of any difference of weights is integral. The parent facts,
+the Weyl group, the subsystem enumerator and the symmetric, Wolf and
+splitting tests of a pair read that copy, and name a root or a weight
+by its position in it; a rational root given from outside is looked up
+once, in `subalgebra.closed_subsystem`. `IsotropyWeights` carries the
+copy of W; `subalgebra.weights_from_set` makes it for a weight set given
+from outside. Integer callers take ranks with `int_rank`; `rank_of` is
+for `Fraction` input. Nothing here ever touches a float.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
@@ -122,12 +126,11 @@ def primitive_direction(v: IntVector) -> IntVector:
     raise ValueError("zero vector has no direction")
 
 
-def span_basis(vectors: Sequence[Vector]) -> list[Vector]:
-    """The vectors that are independent of those before them: a basis of
-    the span, by fraction-free elimination on int_scaled copies."""
-    basis = []
+def _independent(rows: Iterable[IntVector]) -> Iterator[int]:
+    """Positions of the integer rows that are independent of the rows
+    before them, by fraction-free elimination."""
     echelon: list[tuple[int, IntVector]] = []  # (leading column, row), by column
-    for v, row in zip(vectors, int_scaled(vectors)):
+    for k, row in enumerate(rows):
         for col, piv in echelon:
             a = row[col]
             if a:
@@ -135,18 +138,28 @@ def span_basis(vectors: Sequence[Vector]) -> list[Vector]:
                 row = tuple(p * x - a * y for x, y in zip(row, piv))
         lead = next((i for i, x in enumerate(row) if x), None)
         if lead is not None:
-            basis.append(v)
+            yield k
             g = gcd(*row)
             echelon.append((lead, tuple(x // g for x in row)))
             echelon.sort()
             if len(echelon) == len(row):
-                break
-    return basis
+                return
+
+
+def span_basis(vectors: Sequence[Vector]) -> list[Vector]:
+    """The vectors that are independent of those before them: a basis of
+    the span, eliminated on an int_scaled copy."""
+    return [vectors[k] for k in _independent(int_scaled(vectors))]
 
 
 def rank_of(vectors: Iterable[Vector]) -> int:
-    """Rank of the span."""
-    return len(span_basis(list(vectors)))
+    """Rank of the span of rational vectors."""
+    return int_rank(int_scaled(list(vectors)))
+
+
+def int_rank(rows: Iterable[IntVector]) -> int:
+    """Rank of the span of integer vectors, with no rescaling."""
+    return sum(1 for _ in _independent(rows))
 
 
 def identity_matrix(n: int) -> Matrix:

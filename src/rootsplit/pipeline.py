@@ -156,7 +156,7 @@ def parse_h_spec(ctx: ParentContext, h_spec: str) -> ClosedSubsystem:
             raise ParseError(f"bad subsystem index in {h_spec!r}")
         wanted = _type_key(type_part)
         matches = [
-            h for h in enumerate_closed_subsystems(ctx.system, dedup=True)
+            h for h in enumerate_closed_subsystems(ctx, dedup=True)
             if h.roots and _type_key_of(h) == wanted
         ]
         k = int(idx_part)
@@ -297,9 +297,9 @@ def classify_all(
     pairs = []
     n_subsystems = 0
     for g_label, parent in groups:
-        subsystems = enumerate_closed_subsystems(parent)
-        n_subsystems += len(subsystems)
         ctx = parent_context(parent)
+        subsystems = enumerate_closed_subsystems(ctx)
+        n_subsystems += len(subsystems)
         for h in subsystems:
             w_size = len(parent.roots) - len(h.roots)
             if w_size == 0 or w_size % 4:  # h = g, or not eligible

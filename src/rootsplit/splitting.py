@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .catalog import CartanLabel
 from .linalg import (
@@ -153,64 +153,37 @@ def _canonical(beta, plus_half):
     return beta, tuple(sorted(alphas))
 
 
-def _partitions_for_translation(wset: frozenset, order: Sequence[IntVector], v: IntVector):
+def _halves(neg: Sequence[int], refl: Sequence[int]) -> Iterator[list[int]]:
     """All partitions W = W+ | W- with W+ = v + W- and W+ symmetric about
-    v/2, via orbit propagation over the maps w -> -w, w -> v-w, w -> w-v.
+    v/2, on positions: neg[u] is the position of -w_u and refl[u] that of
+    v - w_u (-1 if it is not in W). Yields the W+ halves.
 
-    W is given on integers. order is W sorted, so orbits are visited
-    deterministically. Yields the W+ halves. Constraint rules (side +1
-    is W+):
-      w in W+  =>  -w in W-,  v-w in W+,  w-v in W-
-      w in W-  =>  -w in W+,  w+v in W+,  -v-w in W-
+    Putting u into W+ forces refl[u] into W+ and neg[u] into W-; putting
+    u into W- puts neg[u] into W+. The orbits of the positions in order
+    are solved alone, each as u or neg[u] into W+, and every combination
+    of their solutions is one candidate half (a later orbit overrides
+    what an earlier one set).
     """
-    side: dict[IntVector, int] = {}
-
-    def force(w: IntVector, s: int) -> bool:
-        stack = [(w, s)]
-        while stack:
-            u, su = stack.pop()
-            if u not in wset:
-                return False
-            prev = side.get(u)
-            if prev is not None:
-                if prev != su:
-                    return False
-                continue
-            side[u] = su
-            if su > 0:
-                stack.append((vneg(u), -1))
-                stack.append((vsub(v, u), 1))
-                stack.append((vsub(u, v), -1))
-            else:
-                stack.append((vneg(u), 1))
-                stack.append((vadd(u, v), 1))
-                stack.append((vneg(vadd(u, v)), -1))  # -v-u
-        return True
-
-    orbit_choices: list[list[dict[IntVector, int]]] = []
-    assigned: set[IntVector] = set()
-    for w0 in order:
-        if w0 in assigned:
+    n = len(neg)
+    assigned = [False] * n
+    orbit_choices: list[list[tuple[int, int]]] = []
+    for u in range(n):
+        if assigned[u]:
             continue
-        choices = []
-        for s0 in (1, -1):
-            side.clear()
-            # freeze previously assigned orbits as constraints? orbits are
-            # disjoint under the three maps, so each can be solved alone
-            if force(w0, s0):
-                choices.append(dict(side))
+        choices = [(p, refl[p]) for p in (u, neg[u]) if refl[p] >= 0]
         if not choices:
             return
-        assigned |= set(choices[0])
+        for x in choices[0]:
+            assigned[x] = assigned[neg[x]] = True
         orbit_choices.append(choices)
-        side.clear()
 
     for combo in itertools.product(*orbit_choices):
-        merged: dict[IntVector, int] = {}
-        for part in combo:
-            merged.update(part)
-        plus = frozenset(u for u, s in merged.items() if s > 0)
-        if len(plus) * 2 == len(wset):
+        side = [0] * n
+        for orbit in combo:
+            for x in orbit:
+                side[x], side[neg[x]] = 1, -1
+        plus = [u for u in range(n) if side[u] > 0]
+        if len(plus) * 2 == n:
             yield plus
 
 
@@ -219,31 +192,39 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
 
     Candidate translations come from one anchor w0 = min(W): every
     splitting puts w0 in W+ or W-, so 2*beta = +-(w0 - w) for some w in W,
-    which gives |W| - 1 candidates. Each candidate is checked by
-    exhaustive propagation over sign orbits. The search runs on the
-    integer copy that W carries, where beta = v/2 is integral;
-    certificates are turned back into rationals at the end.
+    which gives |W| - 1 candidates. The search runs on the positions of
+    W's integer copy, where beta = v/2 is integral: a candidate v pairs
+    each w with v - w through the pair sums of W (a v that no two weights
+    sum to has no splitting, since every w in W+ needs v - w in W+), and
+    is checked by exhaustive propagation over sign orbits. Certificates
+    are turned back into rationals at the end, and each one is verified.
     """
     if w.dim_M == 0:
         raise EmptyWeights("the weight set is empty (g = h)")
     if w.dim_M % 4 != 0:
         raise ValueError("|W| must be divisible by 4")
-    wset = frozenset(w.ints)
-    if any(vneg(x) not in wset for x in wset):
+    ints, index = w.ints, w.index
+    neg = [index.get(vneg(x), -1) for x in ints]
+    if -1 in neg:
         raise ValueError("W must be closed under negation")
 
-    order = w.ints  # sorted, as W is: a positive scale keeps the order
-    w0 = order[0]
-    candidates = {lex_rep(vsub(w0, x)) for x in order[1:]}
+    w0 = ints[0]  # the least weight: ints is sorted, as W is
+    candidates = {lex_rep(vsub(w0, x)) for x in ints[1:]}
 
     found = set()
     for v in sorted(candidates):
+        pairs = w.sums.get(v)
+        if pairs is None:
+            continue
+        refl = [-1] * len(ints)
+        for i, j in pairs:
+            refl[i], refl[j] = j, i
         beta = tuple(a // 2 for a in v)
-        for plus in _partitions_for_translation(wset, order, v):
-            if beta in plus:
-                continue  # alpha_i = 0
-            cert = _canonical(beta, plus)
-            if len(cert[1]) * 4 == len(wset):
+        for plus in _halves(neg, refl):
+            if any(refl[u] == u for u in plus):
+                continue  # beta is in W+, so some alpha_i = 0
+            cert = _canonical(beta, [ints[u] for u in plus])
+            if len(cert[1]) * 4 == len(ints):
                 found.add(cert)
 
     certs = [
@@ -253,7 +234,8 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
         for beta, alphas in sorted(found)  # a positive scale keeps the order
     ]
     for c in certs:
-        assert verify_certificate(w, c)
+        if not verify_certificate(w, c):
+            raise RootsplitError(f"splitting certificate {c} failed verification")
     return certs
 
 
@@ -314,8 +296,9 @@ def check_constraints(ctx: ParentContext, cert: SplittingCertificate) -> Constra
 
 
 def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
-    """Resolve the first weight triple w1 + w2 = w3 into the exhaustive case
-    list; with no triple the pair is symmetric at the weight level.
+    """Resolve the first weight triple w1 + w2 = w3 (W.triple, the one the
+    symmetric test found) into the exhaustive case list; with no triple
+    the pair is symmetric at the weight level.
 
     Writing the triple relation as s*beta = sum of signed alphas with
     s = eps1 + eps2 - eps3 in {+-1, +-3}, the coefficient pattern selects:
@@ -332,20 +315,11 @@ def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
     if generated is None:
         raise ValueError("certificate does not verify against the weights")
     beta, alphas, table = generated
-    back = dict(zip(w.ints, w.weights))
-    triple = None
-    for w1, w2 in itertools.combinations_with_replacement(w.ints, 2):
-        w3 = vadd(w1, w2)
-        if w3 in back:
-            triple = (w1, w2, w3)
-            break
-    if triple is None:
+    if w.triple is None:
         return CaseTag(SYMMETRIC_NO_TRIPLE, None)
 
-    (i1, e1, d1) = table[triple[0]]
-    (i2, e2, d2) = table[triple[1]]
-    (i3, e3, d3) = table[triple[2]]
-    triple = tuple(back[x] for x in triple)
+    (i1, e1, d1), (i2, e2, d2), (i3, e3, d3) = (table[w.ints[k]] for k in w.triple)
+    triple = tuple(w.weights[k] for k in w.triple)
     s = d1 + d2 - d3
     coeffs: dict[int, int] = {}
     coeffs[i3] = coeffs.get(i3, 0) + e3
@@ -395,10 +369,12 @@ def wolf_certificate(ctx: ParentContext) -> SplittingCertificate:
     weights = isotropy_weights(ctx, ctx.wolf)
     if not weights.weights:
         raise EmptyWeights("the weight set is empty (g = h)")
-    theta = ctx.int_roots[ctx.theta]
+    theta = scale_to_int(ctx.theta, ctx.scale)
     tt = idot(theta, theta)
     # the roots pairing to 1 with theta-check are exactly the W+ half {alpha + beta}
-    plus = [r for r, ir in ctx.int_roots.items() if 2 * idot(theta, ir) == tt]
+    plus = [
+        r for r, ir in zip(ctx.system.roots, ctx.int_roots) if 2 * idot(theta, ir) == tt
+    ]
     cert = _canonical_certificate(vscale(Fraction(1, 2), ctx.theta), plus)
     if not verify_certificate(weights, cert):
         raise RootsplitError("wolf certificate failed verification")

@@ -9,8 +9,11 @@ torus_corank). The isotropy weights of the pair are R \\ S.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import add, sub
 from typing import Container, Iterable
 
 from .catalog import (
@@ -29,13 +32,10 @@ from .linalg import (
     Vector,
     common_scale,
     idot,
-    int_scaled,
+    int_rank,
     lex_positive,
-    rank_of,
     scale_to_int,
-    vadd,
     vneg,
-    vsub,
 )
 from .rootcore import RootsplitError, RootSystem, positive_roots
 
@@ -49,6 +49,8 @@ class ClosedSubsystem:
     parent: RootSystem
     roots: tuple[Vector, ...]  # sorted
     torus_corank: int
+    #: the positions of roots in parent.roots, sorted as roots are
+    positions: tuple[int, ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,9 @@ class IsotropyWeights:
 
     ints, the weights times scale in the same order, is the integer copy
     every step of the pair reads; scale is twice a common denominator of W.
+    A weight is named by its position i in that order. index and sums are
+    made the first time they are read, so each W scans its pair sums at
+    most once, and listing W alone never does.
     """
 
     weights: tuple[Vector, ...]  # sorted
@@ -65,6 +70,32 @@ class IsotropyWeights:
     scale: int = field(compare=False)
     ints: tuple[IntVector, ...] = field(compare=False)
 
+    @cached_property
+    def index(self) -> dict[IntVector, int]:
+        """Each integer weight mapped to its position."""
+        return {x: i for i, x in enumerate(self.ints)}
+
+    @cached_property
+    def sums(self) -> dict[IntVector, list[tuple[int, int]]]:
+        """Each sum w_i + w_j with i <= j mapped to its pairs (i, j), in
+        order; the keys are in the order of their first pairs."""
+        ints = self.ints
+        sums: dict[IntVector, list[tuple[int, int]]] = {}
+        for i, a in enumerate(ints):
+            for j in range(i, len(ints)):
+                sums.setdefault(tuple(map(add, a, ints[j])), []).append((i, j))
+        return sums
+
+    @cached_property
+    def triple(self) -> tuple[int, int, int] | None:
+        """(i, j, k) with w_i + w_j = w_k for the smallest (i, j), i <= j,
+        whose sum lies in W; None if there is none."""
+        for s, pairs in self.sums.items():
+            k = self.index.get(s)
+            if k is not None:
+                return (*pairs[0], k)
+        return None
+
 
 def _int_closed(isub: set[IntVector], iparent: Container[IntVector]) -> bool:
     """Negation- and addition-closure of isub within iparent, both scaled to
@@ -72,7 +103,7 @@ def _int_closed(isub: set[IntVector], iparent: Container[IntVector]) -> bool:
     if any(vneg(a) not in isub for a in isub):
         return False
     for a, b in itertools.combinations(isub, 2):
-        c = vadd(a, b)
+        c = tuple(map(add, a, b))
         if c in iparent and c not in isub:
             return False
     return True
@@ -92,37 +123,39 @@ def is_closed(subset: Iterable[Vector], parent: RootSystem) -> bool:
 
 def closed_subsystem(ctx: ParentContext, roots: Iterable[Vector]) -> ClosedSubsystem:
     """Validated constructor on the parent of ctx, checked on its integer
-    copy; raises NotClosed."""
+    copy; raises NotClosed. Each root is found in the sorted parent roots
+    by bisection."""
     rs = tuple(sorted(set(roots)))
-    if any(r not in ctx.int_roots for r in rs):
+    proots = ctx.system.roots
+    positions = tuple(bisect_left(proots, r) for r in rs)
+    if any(i == len(proots) or proots[i] != r for i, r in zip(positions, rs)):
         raise ValueError("subset is not contained in the parent root system")
-    isub = [ctx.int_roots[r] for r in rs]
-    if not _int_closed(set(isub), set(ctx.int_roots.values())):
+    isub = [ctx.int_roots[i] for i in positions]
+    if not _int_closed(set(isub), ctx.index):
         raise NotClosed("subset is not a closed subsystem of the parent")
-    return ClosedSubsystem(ctx.system, rs, ctx.rank - rank_of(isub))
+    return ClosedSubsystem(ctx.system, rs, ctx.rank - int_rank(isub), positions)
 
 
 def enumerate_closed_subsystems(
-    parent: RootSystem, dedup: bool = True
+    ctx: ParentContext, dedup: bool = True
 ) -> list[ClosedSubsystem]:
-    """All closed subsystems of parent (including the empty set and parent
-    itself), up to Weyl equivalence when dedup is set.
+    """All closed subsystems of the parent of ctx (including the empty set
+    and the parent itself), up to Weyl equivalence when dedup is set.
 
     Backtracking over positive-root in/out decisions with closure
     propagation; a sum of two admitted roots that is a root must be
-    admitted, which prunes the subset lattice hard. A root is its index in
-    parent.roots, the order that the Weyl group permutes, and a subset is
-    kept as its positive roots. Dedup keeps the first subset of each Weyl
-    class in search order and marks its whole orbit as seen. Every
-    subsystem returned is checked for closure.
+    admitted, which prunes the subset lattice hard. A root is its position
+    in the context's integer copy, the order that the Weyl group permutes,
+    and a subset is kept as its positive roots. Dedup keeps the first
+    subset of each Weyl class in search order and marks its whole orbit as
+    seen. Every subsystem returned is checked for closure.
     """
-    rank = parent.rank
+    parent, rank = ctx.system, ctx.rank
     if dedup and rank > WEYL_RANK_CAP:
         raise ValueError(
             f"Weyl dedup of subsystems is capped at rank {WEYL_RANK_CAP}"
         )
-    iroots = int_scaled(parent.roots)
-    index = {r: i for i, r in enumerate(iroots)}
+    iroots, index = ctx.int_roots, ctx.index
     neg = [index[vneg(r)] for r in iroots]
     up = [i if lex_positive(r) else neg[i] for i, r in enumerate(iroots)]
     pos = [i for i, u in enumerate(up) if u == i]
@@ -131,7 +164,9 @@ def enumerate_closed_subsystems(
     for i, j in itertools.combinations(pos, 2):
         a, b = iroots[i], iroots[j]
         forced[i][j] = forced[j][i] = tuple(
-            up[index[c]] for c in (vadd(a, b), vsub(a, b)) if c in index
+            up[index[c]]
+            for c in (tuple(map(add, a, b)), tuple(map(sub, a, b)))
+            if c in index
         )
 
     state = [0] * len(iroots)  # of a positive root: 0 undecided, 1 in, -1 out
@@ -172,7 +207,7 @@ def enumerate_closed_subsystems(
     dfs(0)
 
     if dedup:
-        perms = weyl_group(parent).elements
+        perms = weyl_group(ctx).elements
         seen: set[frozenset[int]] = set()
         classes = []
         for s in found:
@@ -188,8 +223,8 @@ def enumerate_closed_subsystems(
         if not _int_closed(set(isub), index):
             raise NotClosed("enumerated subset is not closed")
         roots = tuple(parent.roots[i] for i in members)
-        subs.append(ClosedSubsystem(parent, roots, rank - rank_of(isub)))
-    subs.sort(key=lambda s: (len(s.roots), s.roots))
+        subs.append(ClosedSubsystem(parent, roots, rank - int_rank(isub), tuple(members)))
+    subs.sort(key=lambda s: (len(s.positions), s.positions))  # as by roots: those are sorted
     return subs
 
 
@@ -215,14 +250,16 @@ def brute_force_closed_subsystems(parent: RootSystem) -> list[tuple[Vector, ...]
 
 def isotropy_weights(ctx: ParentContext, h: ClosedSubsystem) -> IsotropyWeights:
     """The weight set W = R(g) \\ R(h) with derived dimensions, on the
-    integer copy of the parent of ctx."""
+    integer copy of the parent of ctx: the positions outside h."""
     if h.parent is not ctx.system and h.parent != ctx.system:
         raise ValueError("subsystem does not belong to this parent")
-    inside = set(h.roots)
+    outside = [True] * len(ctx.int_roots)
+    for i in h.positions:
+        outside[i] = False
     # the parent's roots are sorted, so W comes out sorted
-    weights = tuple(r for r in ctx.system.roots if r not in inside)
+    weights = tuple(itertools.compress(ctx.system.roots, outside))
+    ints = tuple(itertools.compress(ctx.int_roots, outside))
     n = len(weights)
-    ints = tuple(ctx.int_roots[r] for r in weights)
     return IsotropyWeights(weights, n, Fraction(n, 4), ctx.scale, ints)
 
 
@@ -236,9 +273,12 @@ def weights_from_set(weights: Iterable[Vector]) -> IsotropyWeights:
 
 
 def is_symmetric_pair(w: IsotropyWeights) -> bool:
-    """Weight-level symmetry criterion: no two weights sum to a weight."""
-    ws = set(w.ints)
-    return not any(vadd(a, b) in ws for a, b in itertools.combinations(w.ints, 2))
+    """Weight-level symmetry criterion: no two weights sum to a weight.
+
+    w.triple also counts w + w; that changes no answer, since if 2w is in
+    the negation-closed W, so is (-w) + 2w = w.
+    """
+    return w.triple is None
 
 
 def wolf_subsystem(parent: RootSystem) -> ClosedSubsystem:
@@ -257,14 +297,17 @@ class ParentContext:
 
     Build it once per command and pass it down; it is deliberately not
     cached beyond that, so a fresh process and an in-process repeat do
-    the same work. theta and wolf are None for a reducible parent;
-    metric, the normalized metric matrix, is None for a reducible parent
-    and for G2.
+    the same work. A root is named by its position in system.roots,
+    which int_roots follows; the Weyl group and the subsystem enumerator
+    read this one integer copy too. theta and wolf are None for a
+    reducible parent; metric, the normalized metric matrix, is None for
+    a reducible parent and for G2.
     """
 
     system: RootSystem
     scale: int  # twice the roots' common denominator
-    int_roots: dict[Vector, tuple[int, ...]]  # root -> root times scale
+    int_roots: tuple[IntVector, ...]  # system.roots times scale, in order
+    index: dict[IntVector, int]  # integer root -> its position
     types: tuple[CartanLabel, ...]
     long_norm: int  # squared length of a long root, integer-scaled
     theta: Vector | None
@@ -285,27 +328,30 @@ def parent_context(system: RootSystem) -> ParentContext:
     twice the common denominator so that half a difference of two roots
     is integral (the tests on it compare ratios, which doubling keeps)."""
     scale = 2 * common_scale(system.roots)
-    iroots = [scale_to_int(r, scale) for r in system.roots]
-    int_roots = dict(zip(system.roots, iroots))
+    iroots = tuple(scale_to_int(r, scale) for r in system.roots)
+    index = {r: i for i, r in enumerate(iroots)}
     comps = int_components(iroots)
     types = tuple(sorted(int_component_type(c) for c in comps))
     theta = wolf = metric = None
     if len(types) == 1:
         base = int_simple_base(iroots)
         itheta = int_highest_root(iroots, base)
-        theta = system.roots[iroots.index(itheta)]
+        theta = system.roots[index[itheta]]
         ends = (itheta, vneg(itheta))
-        roots = tuple(
-            r for r, ir in int_roots.items() if ir in ends or not idot(ir, itheta)
+        positions = tuple(
+            i for i, r in enumerate(iroots) if r in ends or not idot(r, itheta)
         )
-        iwolf = [int_roots[r] for r in roots]
-        if not _int_closed(set(iwolf), set(iroots)):
+        iwolf = [iroots[i] for i in positions]
+        if not _int_closed(set(iwolf), index):
             raise NotClosed("the Wolf subsystem is not closed")
-        wolf = ClosedSubsystem(system, roots, len(base) - rank_of(iwolf))
+        roots = tuple(system.roots[i] for i in positions)
+        wolf = ClosedSubsystem(system, roots, len(base) - int_rank(iwolf), positions)
         if types != (CartanLabel("G", 2),):
             metric = int_normalize(comps, scale)
     long_norm = max(idot(v, v) for v in iroots)
-    return ParentContext(system, scale, int_roots, types, long_norm, theta, wolf, metric)
+    return ParentContext(
+        system, scale, iroots, index, types, long_norm, theta, wolf, metric
+    )
 
 
 def is_wolf_pair(ctx: ParentContext, h: ClosedSubsystem) -> bool:
@@ -318,17 +364,17 @@ def is_wolf_pair(ctx: ParentContext, h: ClosedSubsystem) -> bool:
     """
     if ctx.wolf is None:
         raise ValueError("is_wolf_pair requires an irreducible parent")
-    if len(h.roots) != len(ctx.wolf.roots):
+    if len(h.positions) != len(ctx.wolf.positions):
         return False
-    if h.roots == ctx.wolf.roots:
+    if h.positions == ctx.wolf.positions:
         return True
-    ih = [ctx.int_roots[r] for r in h.roots]
-    for r, g in zip(h.roots, ih):
-        if not lex_positive(r) or idot(g, g) != ctx.long_norm:
+    ih = [ctx.int_roots[i] for i in h.positions]
+    for g in ih:
+        if not lex_positive(g) or idot(g, g) != ctx.long_norm:
             continue
         if sum(1 for x in ih if idot(g, x)) != 2:  # gamma is orthogonal to the rest of h
             continue
-        perp = sum(1 for x in ctx.int_roots.values() if not idot(g, x))
+        perp = sum(1 for x in ctx.int_roots if not idot(g, x))
         if perp == len(ih) - 2:  # so h \ {+-gamma} is all of gamma-perp
             return True
     return False

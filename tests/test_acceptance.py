@@ -131,7 +131,7 @@ def test_criterion_6_oracle_equivalence_rank_3():
     for lab in simple_labels_up_to(3) + [parse_label_sum("A1+A1")]:
         parent = build_sum(lab) if isinstance(lab, list) else build(lab)
         ctx = parent_context(parent)
-        for h in enumerate_closed_subsystems(parent):
+        for h in enumerate_closed_subsystems(ctx):
             weights = isotropy_weights(ctx, h)
             if (not weights.weights or weights.dim_M % 4 != 0
                     or len(weights.weights) > 12):
@@ -154,7 +154,7 @@ def test_criterion_6_oracle_equivalence_rank_4():
     checked = 0
     for parent in parents:
         ctx = parent_context(parent)
-        for h in enumerate_closed_subsystems(parent):
+        for h in enumerate_closed_subsystems(ctx):
             weights = isotropy_weights(ctx, h)
             if (not weights.weights or weights.dim_M % 4 != 0
                     or len(weights.weights) > 20):
@@ -172,14 +172,15 @@ def test_criterion_7_weyl_equivariance_100_random_cases():
     cases = []
     for lab in labels3:
         parent = build(lab)
-        wg = weyl_group(parent)
+        ctx = parent_context(parent)
+        wg = weyl_group(ctx)
         subs = [
-            h for h in enumerate_closed_subsystems(parent)
+            h for h in enumerate_closed_subsystems(ctx)
             if len(h.roots) < len(parent.roots)
             and (len(parent.roots) - len(h.roots)) % 4 == 0
         ]
         if subs:
-            cases.append((parent_context(parent), wg, subs))
+            cases.append((ctx, wg, subs))
     from rootsplit.splitting import _canonical_certificate
 
     for _ in range(100):

@@ -9,6 +9,7 @@ from rootsplit.linalg import (
     identity_matrix,
     idot,
     int_scaled,
+    lex_positive,
     mat_vec,
     span_basis,
     vec,
@@ -34,7 +35,7 @@ from rootsplit.catalog import (
 )
 from rootsplit.pipeline import _product_labels
 from rootsplit.rootcore import make_root_system, reflect, validate_root_system
-from rootsplit.subalgebra import enumerate_closed_subsystems, wolf_subsystem
+from rootsplit.subalgebra import enumerate_closed_subsystems, parent_context, wolf_subsystem
 
 EXPECTED_COUNTS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 12,
@@ -117,10 +118,10 @@ class TestWeylGroup:
          (("F", 4), 1152)],
     )
     def test_orders(self, lab, order):
-        assert len(weyl_group(build(label(*lab))).elements) == order
+        assert len(weyl_group(parent_context(build(label(*lab)))).elements) == order
 
     def test_identity_word_present(self):
-        g = weyl_group(build(label("B", 2)))
+        g = weyl_group(parent_context(build(label("B", 2))))
         assert tuple(range(len(g.roots))) in g.elements
 
     @pytest.mark.parametrize("spec", [str(l) for l in simple_labels_up_to(4)] + [
@@ -129,7 +130,7 @@ class TestWeylGroup:
     def test_generators_match_rational_reflection(self, spec):
         # Oracle: the Fraction reflection the generator permutations were
         # built with before they were reflected on integers.
-        g = weyl_group(build_sum(parse_label_sum(spec)))
+        g = weyl_group(parent_context(build_sum(parse_label_sum(spec))))
         for k, gen in enumerate(g.generators):
             perm = g.elements[g.words.index((k,))]
             assert [g.roots[j] for j in perm] == [reflect(r, gen) for r in g.roots]
@@ -173,7 +174,7 @@ def _oracle_systems():
     catalog through rank 4, and every simple system through rank 8 with
     its Wolf subsystem."""
     for lab in simple_labels_up_to(4):
-        for h in enumerate_closed_subsystems(build(lab), dedup=False):
+        for h in enumerate_closed_subsystems(parent_context(build(lab)), dedup=False):
             if h.roots:
                 yield make_root_system(h.roots, validate=False)
     for lab in simple_labels_up_to(8):
@@ -225,6 +226,63 @@ class TestSimpleBase:
         from rootsplit.rootcore import reflection_closure
         b3 = build(label("B", 3))
         assert reflection_closure(simple_base(b3.roots)) == b3.root_set
+
+
+def _simple_base_oracle(iroots):
+    """The indecomposable lexicographically positive roots, each tested
+    against every positive root: O(|R+|^2)."""
+    pos = sorted(r for r in iroots if lex_positive(r))
+    pos_set = set(pos)
+    return [
+        a for a in pos
+        if not any(tuple(x - y for x, y in zip(a, b)) in pos_set for b in pos)
+    ]
+
+
+def _components_oracle(iroots):
+    """Connected classes of all roots under non-orthogonality, by
+    union-find over every pair of roots: O(|R|^2)."""
+    parent = list(range(len(iroots)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, a in enumerate(iroots):
+        for j in range(i + 1, len(iroots)):
+            if idot(a, iroots[j]):
+                parent[find(i)] = find(j)
+    groups = {}
+    for i, r in enumerate(iroots):
+        groups.setdefault(find(i), []).append(r)
+    return sorted(tuple(sorted(g)) for g in groups.values())
+
+
+#: every simple g through rank 8 and every product g of rank <= 4
+PARENT_SPECS = [str(l) for l in simple_labels_up_to(8)] + [
+    "+".join(map(str, combo)) for combo in _product_labels(4, None)
+]
+
+
+class TestParentFactOracles:
+    """simple base and components in O(|R| rank) against the all-pairs
+    versions, on the parents and on every closed subsystem of those of
+    rank <= 4."""
+
+    @pytest.mark.parametrize("spec", PARENT_SPECS)
+    def test_matches_all_pairs_oracles(self, spec):
+        ctx = parent_context(build_sum(parse_label_sum(spec)))
+        systems = [ctx.int_roots]
+        if ctx.rank <= 4:
+            systems += [
+                [ctx.int_roots[i] for i in h.positions]
+                for h in enumerate_closed_subsystems(ctx, dedup=False)
+            ]
+        for iroots in systems:
+            assert int_simple_base(iroots) == _simple_base_oracle(iroots)
+            assert int_components(iroots) == _components_oracle(iroots)
 
 
 def _projection_oracle(basis, dim):

@@ -1,11 +1,11 @@
-"""The integer rank_of against a rational Gaussian elimination, and the
-integer copies it runs on."""
+"""The integer rank_of and int_rank against a rational Gaussian
+elimination, and the integer copies they run on."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rootsplit.linalg import rank_of, scale_to_int, vec
+from rootsplit.linalg import int_rank, int_scaled, rank_of, scale_to_int, vec
 
 
 def fraction_rank(vectors):
@@ -54,6 +54,12 @@ def vector_lists(draw):
 @given(vector_lists())
 def test_rank_matches_fraction_elimination(vectors):
     assert rank_of(vectors) == fraction_rank(vectors)
+
+
+@given(vector_lists(), st.integers(1, 5))
+def test_int_rank_matches_fraction_elimination(vectors, k):
+    rows = [tuple(k * a for a in row) for row in int_scaled(vectors)]
+    assert int_rank(rows) == fraction_rank(vectors)
 
 
 def test_empty_input():

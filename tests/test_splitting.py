@@ -1,4 +1,5 @@
 """Splitting certificates: search, verification, constraints, case tags."""
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,9 +15,11 @@ from rootsplit.catalog import (
     weyl_group,
 )
 from rootsplit.pipeline import _product_labels
+from rootsplit.rootcore import RootsplitError
 from rootsplit.subalgebra import (
     closed_subsystem,
     enumerate_closed_subsystems,
+    is_symmetric_pair,
     isotropy_weights,
     parent_context,
     weights_from_set,
@@ -39,6 +42,11 @@ HALF = Fraction(1, 2)
 #: the parents of `classify --max-rank 3 --include-products`
 CATALOG_R3_PARENTS = [str(l) for l in simple_labels_up_to(3)] + [
     "+".join(str(l) for l in combo) for combo in _product_labels(3, None)
+]
+
+#: every simple and product g of rank <= 4
+RANK_4_PARENTS = [str(l) for l in simple_labels_up_to(4)] + [
+    "+".join(str(l) for l in combo) for combo in _product_labels(4, None)
 ]
 
 
@@ -125,6 +133,13 @@ class TestFindSplittings:
             for cert in find_splittings(w):
                 assert verify_certificate(w, cert)
 
+    def test_failed_verification_raises(self, monkeypatch):
+        # The check must hold under python -O, which strips asserts.
+        _, w = b3_u3_weights()
+        monkeypatch.setattr("rootsplit.splitting.verify_certificate", lambda w, c: False)
+        with pytest.raises(RootsplitError, match="failed verification"):
+            find_splittings(w)
+
 
 class TestOracle:
     @pytest.mark.parametrize("lab", [("A", 2), ("B", 2), ("G", 2)])
@@ -140,6 +155,14 @@ class TestOracle:
         ctx = parent_context(build(label("B", 2)))
         w = isotropy_weights(ctx, closed_subsystem(ctx, []))
         assert find_splittings(w) == splittings_oracle(w) == []
+
+    @pytest.mark.parametrize("lab", [("A", 5), ("A", 6), ("C", 5), ("C", 6)])
+    def test_wolf_weights_above_rank_4_match(self, lab):
+        # the Wolf pairs of rank >= 5 whose |W| <= 20 keeps the oracle cheap
+        w = wolf_weights(build(label(*lab)))
+        assert w.dim_M <= 20
+        certs = find_splittings(w)
+        assert certs and set(certs) == set(splittings_oracle(w))
 
 
 class TestCheckConstraints:
@@ -200,6 +223,48 @@ class TestCaseAnalysis:
             case_analysis(w, cert)
 
 
+def first_triple_oracle(w):
+    """The first (w1, w2, w1 + w2) in W by a plain scan over the pairs
+    w1 <= w2, independent of the pair-sum table."""
+    ws = set(w.weights)
+    for a, b in itertools.combinations_with_replacement(w.weights, 2):
+        c = tuple(x + y for x, y in zip(a, b))
+        if c in ws:
+            return a, b, c
+    return None
+
+
+class TestPairSums:
+    @pytest.mark.parametrize("g", RANK_4_PARENTS)
+    def test_triple_matches_pairwise_scan(self, g):
+        ctx = parent_context(build_sum(parse_label_sum(g)))
+        for h in enumerate_closed_subsystems(ctx):
+            w = isotropy_weights(ctx, h)
+            if not w.weights:
+                continue
+            expected = first_triple_oracle(w)
+            ws = set(w.weights)
+            symmetric = not any(
+                tuple(x + y for x, y in zip(a, b)) in ws
+                for a, b in itertools.combinations(w.weights, 2)
+            )
+            assert is_symmetric_pair(w) == symmetric
+            got = w.triple and tuple(w.weights[k] for k in w.triple)
+            assert got == expected
+            if w.dim_M % 4 == 0:
+                for c in find_splittings(w):
+                    assert case_analysis(w, c).witness == expected
+
+    def test_one_table_per_weight_set(self):
+        _, w = b3_u3_weights()
+        assert "sums" not in vars(w)  # listing W never builds the table
+        assert not is_symmetric_pair(w)
+        table = w.sums
+        for c in find_splittings(w):
+            case_analysis(w, c)
+        assert w.sums is table
+
+
 class TestWolfCertificate:
     def test_b2(self):
         b2 = build(label("B", 2))
@@ -235,7 +300,7 @@ class TestWolfCertificate:
 class TestWeylEquivariance:
     def test_so7_u3_transforms(self):
         b3, w = b3_u3_weights()
-        wg = weyl_group(b3)
+        wg = weyl_group(parent_context(b3))
         index = {r: i for i, r in enumerate(wg.roots)}
 
         def apply(perm, v):
@@ -255,7 +320,7 @@ class TestScaleIndependence:
     @pytest.mark.parametrize("g", CATALOG_R3_PARENTS)
     def test_parent_copy_matches_other_scales(self, g):
         ctx = parent_context(build_sum(parse_label_sum(g)))
-        for h in enumerate_closed_subsystems(ctx.system):
+        for h in enumerate_closed_subsystems(ctx):
             w = isotropy_weights(ctx, h)
             assert w.scale == ctx.scale
             assert list(w.ints) == [scale_to_int(x, w.scale) for x in w.weights]

@@ -73,28 +73,36 @@ class TestIsClosed:
         with pytest.raises(ValueError, match="not contained in the parent"):
             closed_subsystem(g2, [vec(1, 2)])
 
+    def test_factory_rejects_root_past_the_last(self):
+        # beyond the largest parent root, bisection lands past the end
+        a2 = parent_context(build(label("A", 2)))
+        with pytest.raises(ValueError, match="not contained in the parent"):
+            closed_subsystem(a2, [vec(9, 9, 9), vec(-9, -9, -9)])
+
     @pytest.mark.parametrize("g", RANK_4_PARENTS)
     def test_factory_matches_rational_oracle(self, g):
         # Oracle: is_closed and rank_of on the rational roots, apart from
         # the context's integer copy.
         parent = build_sum(parse_label_sum(g))
         ctx = parent_context(parent)
-        for h in enumerate_closed_subsystems(parent, dedup=False):
+        for h in enumerate_closed_subsystems(ctx, dedup=False):
             built = closed_subsystem(ctx, h.roots)
             assert is_closed(built.roots, parent)
             assert built.torus_corank == parent.rank - rank_of(h.roots)
             assert built == h
+            assert built.positions == h.positions
+            assert tuple(parent.roots[i] for i in h.positions) == h.roots
 
 
 class TestEnumeration:
     def test_a1_classes(self):
         a1 = build(label("A", 1))
-        classes = enumerate_closed_subsystems(a1)
+        classes = enumerate_closed_subsystems(parent_context(a1))
         assert sorted(len(c.roots) for c in classes) == [0, 2]
 
     def test_g2_classes(self):
         g2 = build(label("G", 2))
-        classes = enumerate_closed_subsystems(g2)
+        classes = enumerate_closed_subsystems(parent_context(g2))
         types = sorted(
             "+".join(str(l) for l in identify_type(make_root_system(c.roots)))
             if c.roots else "0"
@@ -104,7 +112,7 @@ class TestEnumeration:
 
     def test_b2_contains_long_subsystem_not_short(self):
         b2 = build(label("B", 2))
-        classes = enumerate_closed_subsystems(b2)
+        classes = enumerate_closed_subsystems(parent_context(b2))
         long_roots = frozenset(
             [vec(1, 1), vec(1, -1), vec(-1, 1), vec(-1, -1)]
         )
@@ -115,7 +123,7 @@ class TestEnumeration:
     @staticmethod
     def assert_matches_brute_force(parent):
         fast = {frozenset(c.roots)
-                for c in enumerate_closed_subsystems(parent, dedup=False)}
+                for c in enumerate_closed_subsystems(parent_context(parent), dedup=False)}
         slow = {frozenset(s) for s in brute_force_closed_subsystems(parent)}
         assert fast == slow
 
@@ -129,10 +137,11 @@ class TestEnumeration:
 
     @staticmethod
     def assert_one_representative_per_orbit(parent):
-        wg = weyl_group(parent)
-        reps = [weyl_canonical(wg, h.roots) for h in enumerate_closed_subsystems(parent)]
+        ctx = parent_context(parent)
+        wg = weyl_group(ctx)
+        reps = [weyl_canonical(wg, h.roots) for h in enumerate_closed_subsystems(ctx)]
         assert len(set(reps)) == len(reps)  # no two representatives are conjugate
-        full = enumerate_closed_subsystems(parent, dedup=False)
+        full = enumerate_closed_subsystems(ctx, dedup=False)
         assert set(reps) == {weyl_canonical(wg, h.roots) for h in full}
         return reps, full
 
@@ -204,6 +213,8 @@ class TestWolf:
         ctx = parent_context(parent)
         wolf = ctx.wolf
         assert wolf == closed_subsystem(ctx, wolf.roots)
+        assert wolf.positions == closed_subsystem(ctx, wolf.roots).positions
+        assert tuple(parent.roots[i] for i in wolf.positions) == wolf.roots
         assert is_closed(wolf.roots, parent)
         assert wolf.torus_corank == parent.rank - rank_of(wolf.roots)
 
@@ -225,10 +236,10 @@ class TestWolf:
 
     def test_recognition_up_to_weyl(self):
         b2 = build(label("B", 2))
-        wg = weyl_group(b2)
+        ctx = parent_context(b2)
+        wg = weyl_group(ctx)
         index = {r: i for i, r in enumerate(wg.roots)}
         h = wolf_subsystem(b2)
-        ctx = parent_context(b2)
         for perm in wg.elements:
             image = [wg.roots[perm[index[r]]] for r in h.roots]
             assert is_wolf_pair(ctx, closed_subsystem(ctx, image))
@@ -241,11 +252,11 @@ class TestWolf:
         # Oracle: the Weyl orbit of the Wolf subsystem, as index sets.
         parent = build(label(*lab))
         ctx = parent_context(parent)
-        wg = weyl_group(parent)
+        wg = weyl_group(ctx)
         index = {r: i for i, r in enumerate(wg.roots)}
         target = [index[r] for r in wolf_subsystem(parent).roots]
         orbit = {frozenset(perm[i] for i in target) for perm in wg.elements}
-        for h in enumerate_closed_subsystems(parent, dedup=False):
+        for h in enumerate_closed_subsystems(ctx, dedup=False):
             expected = frozenset(index[r] for r in h.roots) in orbit
             assert is_wolf_pair(ctx, h) == expected, h.roots
 
