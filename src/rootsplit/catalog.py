@@ -11,16 +11,17 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import add, sub
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .linalg import (
+    IntMatrix,
     IntVector,
     Matrix,
     Vector,
     common_scale,
     dot,
-    identity_matrix,
     idot,
     int_rank,
     int_scaled,
@@ -209,18 +210,20 @@ def components(system: RootSystem) -> list[tuple[Vector, ...]]:
     """Irreducible components: connected classes under non-orthogonality."""
     iroots = int_scaled(system.roots)  # orthogonality is scale-invariant
     back = dict(zip(iroots, system.roots))
-    return [tuple(back[r] for r in c) for c in int_components(iroots)]
+    return [tuple(back[r] for r in c) for c in int_components(iroots, int_simple_base(iroots))]
 
 
-def int_components(iroots: Sequence[IntVector]) -> list[tuple[IntVector, ...]]:
-    """components on integer vectors, each sorted, in sorted order.
+def int_components(
+    iroots: Sequence[IntVector], base: Sequence[IntVector]
+) -> list[tuple[IntVector, ...]]:
+    """components on integer vectors with their simple base, each sorted,
+    in sorted order.
 
     The simple roots are joined by non-orthogonality (the Dynkin diagram),
     and each root goes with the first simple root it is not orthogonal
     to: a root lies in the span of its component's simple roots, so it
     is orthogonal to every other component's and not to all of its own.
     """
-    base = int_simple_base(iroots)
     tag = list(range(len(base)))  # the component of each simple root
     for i, j in itertools.combinations(range(len(base)), 2):
         if tag[i] != tag[j] and idot(base[i], base[j]):
@@ -263,9 +266,10 @@ def int_simple_base(iroots: Iterable[IntVector]) -> list[IntVector]:
 def highest_root(system: RootSystem) -> Vector:
     """The unique maximal root of an irreducible system (always long)."""
     iroots = int_scaled(system.roots)
-    if len(int_components(iroots)) != 1:
+    base = int_simple_base(iroots)
+    if len(int_components(iroots, base)) != 1:
         raise ValueError("highest_root requires an irreducible system")
-    theta = int_highest_root(iroots, int_simple_base(iroots))
+    theta = int_highest_root(iroots, base)
     return system.roots[iroots.index(theta)]
 
 
@@ -311,8 +315,7 @@ def weyl_group(ctx: ParentContext) -> WeylGroup:
     """Full Weyl group of the parent of ctx by closure of the simple
     reflections (rank <= 4), which are reflected on the context's integer
     copy of the roots."""
-    roots, iroots, index = ctx.system.roots, ctx.int_roots, ctx.index
-    base = int_simple_base(iroots)
+    roots, iroots, index, base = ctx.system.roots, ctx.int_roots, ctx.index, ctx.base
     if len(base) > WEYL_RANK_CAP:
         raise ValueError(f"weyl_group is capped at rank {WEYL_RANK_CAP}")
     gens = tuple(roots[index[a]] for a in base)
@@ -342,17 +345,24 @@ def weyl_group(ctx: ParentContext) -> WeylGroup:
 def identify_type(system: RootSystem | ClosedSubsystem) -> list[CartanLabel]:
     """Cartan labels of the irreducible components of system's roots, using
     canonical aliases (B1 -> A1, C2 -> B2, D2 -> A1+A1, D3 -> A3)."""
-    return sorted(int_component_type(c) for c in int_components(int_scaled(system.roots)))
+    return int_types(int_scaled(system.roots))
 
 
-def int_component_type(comp: Sequence[IntVector]) -> CartanLabel:
-    """Cartan label of one irreducible component given on integers.
+def int_types(iroots: Sequence[IntVector]) -> list[CartanLabel]:
+    """identify_type on integer vectors."""
+    base = int_simple_base(iroots)
+    return sorted(int_component_type(c, base) for c in int_components(iroots, base))
+
+
+def int_component_type(comp: Sequence[IntVector], base: Sequence[IntVector]) -> CartanLabel:
+    """Cartan label of one irreducible component, given on integers with
+    the simple base of its whole root set (the simple roots in comp).
 
     An irreducible root system of rank <= 8 is determined up to isomorphism
     by its rank, its number of roots and its number of long roots, so the
     label is a lookup in _TYPES.
     """
-    rank = len(int_simple_base(comp))
+    rank = len(set(base).intersection(comp))
     norms = [idot(r, r) for r in comp]
     key = (rank, len(comp), norms.count(max(norms)))
     if key not in _TYPES:
@@ -378,12 +388,16 @@ def normalize(system: RootSystem) -> Matrix:
     """
     scale = common_scale(system.roots)
     iroots = [scale_to_int(r, scale) for r in system.roots]
-    return int_normalize(int_components(iroots), scale)
+    rows, den = int_normalize(int_components(iroots, int_simple_base(iroots)), scale)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
-def int_normalize(comps: Sequence[Sequence[IntVector]], scale: int) -> Matrix:
-    """normalize from the integer components of a system scaled by scale."""
-    metric = [list(row) for row in identity_matrix(len(comps[0][0]))]
+def int_normalize(
+    comps: Sequence[Sequence[IntVector]], scale: int
+) -> tuple[IntMatrix, int]:
+    """normalize from the integer components of a system scaled by scale,
+    as (rows, den): the metric is rows / den."""
+    terms = []  # (c, comp): the metric is I + sum of c r r^T over comp
     for comp in comps:
         norms = [idot(r, r) for r in comp]
         lengths = sorted(set(norms))
@@ -397,13 +411,18 @@ def int_normalize(comps: Sequence[Sequence[IntVector]], scale: int) -> Matrix:
             raise ValueError("length ratio is neither 1, sqrt(2) nor sqrt(3)")
         s = Fraction(2 * scale * scale, lengths[-1])
         if s != 1:
-            c = (s - 1) * int_rank(comp) / sum(norms)
-            for r in comp:
-                support = [(i, a) for i, a in enumerate(r) if a]
-                for i, a in support:
-                    for j, b in support:
-                        metric[i][j] += c * a * b
-    return tuple(map(tuple, metric))
+            terms.append(((s - 1) * int_rank(comp) / sum(norms), comp))
+    den = lcm(*(c.denominator for c, _ in terms))
+    dim = len(comps[0][0])
+    metric = [[den * (i == j) for j in range(dim)] for i in range(dim)]
+    for c, comp in terms:
+        k = c.numerator * (den // c.denominator)
+        for r in comp:
+            support = [(i, a) for i, a in enumerate(r) if a]
+            for i, a in support:
+                for j, b in support:
+                    metric[i][j] += k * a * b
+    return tuple(map(tuple, metric)), den
 
 
 def simple_labels_up_to(max_rank: int, series: Iterable[str] | None = None):

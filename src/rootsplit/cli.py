@@ -90,7 +90,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_subsystems(args) -> int:
     label, system = parse_g_spec(args.g)
-    subs = enumerate_closed_subsystems(parent_context(system), dedup=not args.no_dedup)
+    ctx = parent_context(system)
+    subs = enumerate_closed_subsystems(ctx, dedup=not args.no_dedup)
     return _emit_json(
         {
             "g": label,
@@ -98,7 +99,7 @@ def _cmd_subsystems(args) -> int:
             "count": len(subs),
             "subsystems": [
                 {
-                    "description": describe_subsystem(h),
+                    "description": describe_subsystem(ctx, h),
                     "torus_corank": h.torus_corank,
                     "roots": [_vec_json(r) for r in h.roots],
                 }
@@ -117,7 +118,7 @@ def _cmd_weights(args) -> int:
     return _emit_json(
         {
             "g": label,
-            "h": describe_subsystem(h),
+            "h": describe_subsystem(ctx, h),
             "dim_M": w.dim_M,
             "quaternionic_n": format_rational(w.quaternionic_n),
             "weights": [_vec_json(x) for x in w.weights],
@@ -135,7 +136,7 @@ def _cmd_split(args) -> int:
     return _emit_json(
         {
             "g": label,
-            "h": describe_subsystem(h),
+            "h": describe_subsystem(ctx, h),
             "certificates": [
                 certificate_dict(c, case_analysis(w, c).tag) for c in certs
             ],
@@ -152,7 +153,7 @@ def _cmd_wolf(args) -> int:
     return _emit_json(
         {
             "g": label,
-            "h": describe_subsystem(h),
+            "h": describe_subsystem(ctx, h),
             "h_roots": [_vec_json(r) for r in h.roots],
             "certificate": certificate_dict(cert),
         },

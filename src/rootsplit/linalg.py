@@ -1,20 +1,19 @@
 """Exact rational vectors and small-matrix linear algebra.
 
 Boundary rule: vectors are `fractions.Fraction` tuples where they are
-parsed, emitted and measured in the normalized metric, and in every
-public value. Hot loops work on integer copies scaled by a common
-denominator (`int_scaled`, `scale_to_int`), which is exact because the
-questions they answer (membership, sums, signs of dots, ratios, ranks)
-are invariant under a positive rescale. Each parent's roots are scaled
-once, by `subalgebra.parent_context`, at twice their common denominator
-so that half of any difference of weights is integral. The parent facts,
-the Weyl group, the subsystem enumerator and the symmetric, Wolf and
-splitting tests of a pair read that copy, and name a root or a weight
-by its position in it; a rational root given from outside is looked up
-once, in `subalgebra.closed_subsystem`. `IsotropyWeights` carries the
-copy of W; `subalgebra.weights_from_set` makes it for a weight set given
-from outside. Integer callers take ranks with `int_rank`; `rank_of` is
-for `Fraction` input. Nothing here ever touches a float.
+parsed and emitted, and in every public value. Hot loops work on integer
+copies scaled by a common denominator (`int_scaled`, `scale_to_int`),
+which is exact because the questions they answer (membership, sums,
+signs of dots, ratios, ranks) are invariant under a positive rescale.
+Each parent's roots are scaled once, by `subalgebra.parent_context`, at
+twice their common denominator so that half of any difference of weights
+is integral. Every step of a pair (types, symmetric, Wolf and splitting
+tests, certificate checks, and constraints in the normalized metric, an
+`IntMatrix` over one denominator) reads that copy and names a root or a
+weight by its position in it; a rational root given from outside is
+looked up once, in `subalgebra.closed_subsystem`, and a certificate is
+scaled onto the copy. `IsotropyWeights` carries the copy of W. Nothing
+here ever touches a float.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from typing import Iterable, Iterator, Sequence
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
+IntMatrix = tuple[IntVector, ...]
 
 
 def vec(*coords) -> Vector:
@@ -160,16 +160,6 @@ def rank_of(vectors: Iterable[Vector]) -> int:
 def int_rank(rows: Iterable[IntVector]) -> int:
     """Rank of the span of integer vectors, with no rescaling."""
     return sum(1 for _ in _independent(rows))
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(dot(row, v) for row in m)
 
 
 def parse_rational(s: str) -> Fraction:

@@ -24,7 +24,7 @@ from . import catalog
 from .catalog import (
     CartanLabel,
     build_sum,
-    identify_type,
+    int_types,
     parse_label_sum,
 )
 from .linalg import Vector, parse_rational
@@ -145,8 +145,6 @@ def parse_h_spec(ctx: ParentContext, h_spec: str) -> ClosedSubsystem:
     if h_spec in ("torus", ""):
         return closed_subsystem(ctx, ())
     if h_spec == "wolf":
-        if ctx.wolf is None:
-            raise ValueError("highest_root requires an irreducible system")
         return ctx.wolf
     if h_spec.startswith("["):
         return closed_subsystem(ctx, parse_root_list(h_spec))
@@ -157,7 +155,7 @@ def parse_h_spec(ctx: ParentContext, h_spec: str) -> ClosedSubsystem:
         wanted = _type_key(type_part)
         matches = [
             h for h in enumerate_closed_subsystems(ctx, dedup=True)
-            if h.roots and _type_key_of(h) == wanted
+            if h.roots and _type_key_of(ctx, h) == wanted
         ]
         k = int(idx_part)
         if k >= len(matches):
@@ -175,16 +173,16 @@ def _type_key(text: str) -> tuple[str, ...]:
         raise ParseError(str(exc)) from exc
 
 
-def _type_key_of(h: ClosedSubsystem) -> tuple[str, ...]:
-    return tuple(sorted(str(l) for l in identify_type(h)))
+def _type_key_of(ctx: ParentContext, h: ClosedSubsystem) -> tuple[str, ...]:
+    return tuple(sorted(str(l) for l in int_types([ctx.int_roots[i] for i in h.positions])))
 
 
-def describe_subsystem(h: ClosedSubsystem) -> str:
+def describe_subsystem(ctx: ParentContext, h: ClosedSubsystem) -> str:
     """Deterministic human-readable description: component types plus the
     central torus rank, e.g. 'A1+A1+T1' or 'torus(T3)'."""
     if not h.roots:
         return f"torus(T{h.torus_corank})"
-    parts = list(_type_key_of(h))
+    parts = list(_type_key_of(ctx, h))
     if h.torus_corank:
         parts.append(f"T{h.torus_corank}")
     return "+".join(parts)
@@ -214,7 +212,7 @@ def classify_subsystem(g_label: str, ctx: ParentContext, h: ClosedSubsystem) -> 
     )
     report = PairReport(
         g_label,
-        describe_subsystem(h),
+        describe_subsystem(ctx, h),
         w.dim_M,
         w.quaternionic_n,
         eligible,

@@ -18,11 +18,9 @@ from .catalog import CartanLabel
 from .linalg import (
     IntVector,
     Vector,
-    dot,
     idot,
     lex_positive,
     lex_rep,
-    mat_vec,
     scale_to_int,
     unscale,
     vadd,
@@ -84,32 +82,45 @@ class ConstraintReport:
         return self.pairings_ok and self.beta_norm_ok
 
 
-def _check_certificate_shape(cert: SplittingCertificate) -> None:
-    if all(c == 0 for c in cert.beta):
+def _check_shape(beta, alphas) -> None:
+    """On rational or integer vectors alike: a positive scale keeps every
+    answer."""
+    if all(c == 0 for c in beta):
         raise ValueError("certificate beta must be nonzero")
     seen = set()
-    for a in cert.alphas:
+    for a in alphas:
         if all(c == 0 for c in a):
             raise ValueError("certificate alphas must be nonzero")
         if a in seen or vneg(a) in seen:
             raise ValueError("certificate alphas must be distinct up to sign")
         seen.add(a)
-    for a in cert.alphas:
-        if dot(cert.beta, a) < 0:
+    for a in alphas:
+        if len(beta) != len(a):
+            raise ValueError(f"dimension mismatch: {len(beta)} vs {len(a)}")
+        if idot(beta, a) < 0:
             raise ValueError("certificate violates the sign convention <beta,alpha> >= 0")
+
+
+def _scaled(cert: SplittingCertificate, scale: int) -> tuple[IntVector, list[IntVector]]:
+    return scale_to_int(cert.beta, scale), [scale_to_int(a, scale) for a in cert.alphas]
+
+
+def _unscaled(beta: IntVector, alphas: Iterable[IntVector], scale: int) -> SplittingCertificate:
+    return SplittingCertificate(unscale(beta, scale), tuple(unscale(a, scale) for a in alphas))
 
 
 def _generation_table(w: IsotropyWeights, cert: SplittingCertificate) -> tuple | None:
     """(beta, alphas, table) on W's integer copy, the table mapping each
     generated weight eps_i alpha_i + eps beta to (i, eps_i, eps); None
     unless the 4n generated weights are exactly W. A certificate off W's
-    lattice fails here rather than being truncated onto it."""
-    _check_certificate_shape(cert)
+    lattice fails here, its shape checked on the rationals, rather than
+    being truncated onto it."""
     try:
-        beta = scale_to_int(cert.beta, w.scale)
-        alphas = [scale_to_int(a, w.scale) for a in cert.alphas]
+        beta, alphas = _scaled(cert, w.scale)
     except ValueError:
+        _check_shape(cert.beta, cert.alphas)
         return None
+    _check_shape(beta, alphas)
     table = {}
     for i, a in enumerate(alphas):
         for ei in (1, -1):
@@ -227,12 +238,8 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
             if len(cert[1]) * 4 == len(ints):
                 found.add(cert)
 
-    certs = [
-        SplittingCertificate(
-            unscale(beta, w.scale), tuple(unscale(a, w.scale) for a in alphas)
-        )
-        for beta, alphas in sorted(found)  # a positive scale keeps the order
-    ]
+    # a positive scale keeps the order
+    certs = [_unscaled(beta, alphas, w.scale) for beta, alphas in sorted(found)]
     for c in certs:
         if not verify_certificate(w, c):
             raise RootsplitError(f"splitting certificate {c} failed verification")
@@ -278,15 +285,22 @@ def splittings_oracle(w: IsotropyWeights) -> list[SplittingCertificate]:
 
 def check_constraints(ctx: ParentContext, cert: SplittingCertificate) -> ConstraintReport:
     """Evaluate <beta,alpha_i> and |beta|^2 in the normalized metric of the
-    parent against the admissible sets {0, 1/4} and {1/4, 3/4, 5/4}."""
+    parent against the admissible sets {0, 1/4} and {1/4, 3/4, 5/4}, on
+    the parent's integer copy; a certificate off it splits no W of the
+    parent and raises ValueError."""
     if not ctx.irreducible:
         raise ValueError("check_constraints requires an irreducible parent")
     if ctx.types == (CartanLabel("G", 2),):
         raise G2Input("constraints do not apply to G2")
+    rows, den = ctx.metric
+    beta, alphas = _scaled(cert, ctx.scale)
+    if any(len(v) != len(rows) for v in (beta, *alphas)):
+        raise ValueError("certificate and parent differ in dimension")
     # <beta, alpha> = alpha . (m beta), the metric being symmetric
-    mb = mat_vec(ctx.metric, cert.beta)
-    pairings = tuple(dot(a, mb) for a in cert.alphas)
-    b2 = dot(cert.beta, mb)
+    mb = [idot(row, beta) for row in rows]
+    q = den * ctx.scale * ctx.scale
+    pairings = tuple(Fraction(idot(a, mb), q) for a in alphas)
+    b2 = Fraction(idot(beta, mb), q)
     return ConstraintReport(
         pairings,
         b2,
@@ -364,18 +378,14 @@ def _d_subcase(beta: IntVector, alphas: Sequence[IntVector], triple) -> CaseTag:
 def wolf_certificate(ctx: ParentContext) -> SplittingCertificate:
     """The splitting witness for the Wolf pair: beta = theta/2 and
     A = {alpha - theta/2 : 2<alpha,theta>/<theta,theta> = 1}."""
-    if ctx.wolf is None:
-        raise ValueError("highest_root requires an irreducible system")
     weights = isotropy_weights(ctx, ctx.wolf)
     if not weights.weights:
         raise EmptyWeights("the weight set is empty (g = h)")
-    theta = scale_to_int(ctx.theta, ctx.scale)
+    theta = ctx.theta
     tt = idot(theta, theta)
     # the roots pairing to 1 with theta-check are exactly the W+ half {alpha + beta}
-    plus = [
-        r for r, ir in zip(ctx.system.roots, ctx.int_roots) if 2 * idot(theta, ir) == tt
-    ]
-    cert = _canonical_certificate(vscale(Fraction(1, 2), ctx.theta), plus)
+    plus = [r for r in ctx.int_roots if 2 * idot(theta, r) == tt]
+    cert = _unscaled(*_canonical(tuple(x // 2 for x in theta), plus), ctx.scale)
     if not verify_certificate(weights, cert):
         raise RootsplitError("wolf certificate failed verification")
     return cert

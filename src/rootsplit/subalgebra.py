@@ -27,8 +27,8 @@ from .catalog import (
     weyl_group,
 )
 from .linalg import (
+    IntMatrix,
     IntVector,
-    Matrix,
     Vector,
     common_scale,
     idot,
@@ -284,10 +284,7 @@ def is_symmetric_pair(w: IsotropyWeights) -> bool:
 def wolf_subsystem(parent: RootSystem) -> ClosedSubsystem:
     """The subsystem {+-theta} plus everything orthogonal to the highest
     root theta; the root datum of the Wolf pair G/N."""
-    wolf = parent_context(parent).wolf
-    if wolf is None:
-        raise ValueError("highest_root requires an irreducible system")
-    return wolf
+    return parent_context(parent).wolf
 
 
 @dataclass(frozen=True)
@@ -299,20 +296,20 @@ class ParentContext:
     cached beyond that, so a fresh process and an in-process repeat do
     the same work. A root is named by its position in system.roots,
     which int_roots follows; the Weyl group and the subsystem enumerator
-    read this one integer copy too. theta and wolf are None for a
-    reducible parent; metric, the normalized metric matrix, is None for
-    a reducible parent and for G2.
+    read this one integer copy too. theta, wolf and metric, which only
+    the Wolf pair and the constraints read, are built on first read;
+    theta and wolf raise ValueError for a reducible parent, and metric is
+    None for a reducible parent and for G2.
     """
 
     system: RootSystem
     scale: int  # twice the roots' common denominator
     int_roots: tuple[IntVector, ...]  # system.roots times scale, in order
     index: dict[IntVector, int]  # integer root -> its position
+    base: tuple[IntVector, ...]  # simple roots
+    components: tuple[tuple[IntVector, ...], ...]
     types: tuple[CartanLabel, ...]
     long_norm: int  # squared length of a long root, integer-scaled
-    theta: Vector | None
-    wolf: ClosedSubsystem | None
-    metric: Matrix | None
 
     @property
     def irreducible(self) -> bool:
@@ -320,7 +317,33 @@ class ParentContext:
 
     @property
     def rank(self) -> int:
-        return sum(t.rank for t in self.types)
+        return len(self.base)
+
+    @cached_property
+    def theta(self) -> IntVector:  # the highest root
+        if not self.irreducible:
+            raise ValueError("highest_root requires an irreducible system")
+        return int_highest_root(self.int_roots, self.base)
+
+    @cached_property
+    def wolf(self) -> ClosedSubsystem:  # {+-theta} and the roots orthogonal to theta
+        theta = self.theta
+        iroots = self.int_roots
+        ends = (theta, vneg(theta))
+        positions = tuple(
+            i for i, r in enumerate(iroots) if r in ends or not idot(r, theta)
+        )
+        iwolf = [iroots[i] for i in positions]
+        if not _int_closed(set(iwolf), self.index):
+            raise NotClosed("the Wolf subsystem is not closed")
+        roots = tuple(self.system.roots[i] for i in positions)
+        return ClosedSubsystem(self.system, roots, self.rank - int_rank(iwolf), positions)
+
+    @cached_property
+    def metric(self) -> tuple[IntMatrix, int] | None:  # (rows, den), int_normalize
+        if not self.irreducible or self.types == (CartanLabel("G", 2),):
+            return None
+        return int_normalize(self.components, self.scale)
 
 
 def parent_context(system: RootSystem) -> ParentContext:
@@ -330,28 +353,11 @@ def parent_context(system: RootSystem) -> ParentContext:
     scale = 2 * common_scale(system.roots)
     iroots = tuple(scale_to_int(r, scale) for r in system.roots)
     index = {r: i for i, r in enumerate(iroots)}
-    comps = int_components(iroots)
-    types = tuple(sorted(int_component_type(c) for c in comps))
-    theta = wolf = metric = None
-    if len(types) == 1:
-        base = int_simple_base(iroots)
-        itheta = int_highest_root(iroots, base)
-        theta = system.roots[index[itheta]]
-        ends = (itheta, vneg(itheta))
-        positions = tuple(
-            i for i, r in enumerate(iroots) if r in ends or not idot(r, itheta)
-        )
-        iwolf = [iroots[i] for i in positions]
-        if not _int_closed(set(iwolf), index):
-            raise NotClosed("the Wolf subsystem is not closed")
-        roots = tuple(system.roots[i] for i in positions)
-        wolf = ClosedSubsystem(system, roots, len(base) - int_rank(iwolf), positions)
-        if types != (CartanLabel("G", 2),):
-            metric = int_normalize(comps, scale)
+    base = tuple(int_simple_base(iroots))
+    comps = tuple(int_components(iroots, base))
+    types = tuple(sorted(int_component_type(c, base) for c in comps))
     long_norm = max(idot(v, v) for v in iroots)
-    return ParentContext(
-        system, scale, iroots, index, types, long_norm, theta, wolf, metric
-    )
+    return ParentContext(system, scale, iroots, index, base, comps, types, long_norm)
 
 
 def is_wolf_pair(ctx: ParentContext, h: ClosedSubsystem) -> bool:
@@ -360,10 +366,8 @@ def is_wolf_pair(ctx: ParentContext, h: ClosedSubsystem) -> bool:
     Long roots form one Weyl orbit, so h is Wolf exactly when R(h) is
     {+-gamma} plus every root orthogonal to gamma, for some long root
     gamma; such a gamma spans an A1 component of h. No Weyl group is
-    needed.
+    needed. A reducible parent raises ValueError.
     """
-    if ctx.wolf is None:
-        raise ValueError("is_wolf_pair requires an irreducible parent")
     if len(h.positions) != len(ctx.wolf.positions):
         return False
     if h.positions == ctx.wolf.positions:

@@ -1,6 +1,7 @@
 """Every name a rootsplit module imports is used in that module, only
-subalgebra and catalog choose an integer scale, and every function the
-bench traces exists."""
+subalgebra and catalog choose an integer scale, the pair checks import no
+rational metric product or typing, and every function the bench traces
+exists."""
 import ast
 import importlib
 from pathlib import Path
@@ -40,6 +41,20 @@ def test_scale_chosen_only_in_subalgebra_and_catalog(module):
         for a in node.names
     }
     assert not imported & {"common_scale", "int_scaled"}
+
+
+@pytest.mark.parametrize("module", ["splitting", "pipeline"])
+def test_pair_checks_stay_on_the_integer_copy(module):
+    # Certificates, constraints and subsystem types are checked on the
+    # parent's integer copy, not by rational matrix products or by typing
+    # rational roots again.
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = {
+        a.asname or a.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    assert not imported & {"mat_vec", "identify_type"}
 
 
 def test_bench_trace_names_resolve():

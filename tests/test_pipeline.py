@@ -3,17 +3,36 @@ import json
 
 import pytest
 
-from rootsplit.catalog import build, label, simple_base
+from rootsplit.catalog import (
+    build,
+    build_sum,
+    identify_type,
+    label,
+    parse_label_sum,
+    simple_base,
+    simple_labels_up_to,
+)
 from rootsplit.pipeline import (
     ParseError,
+    _product_labels,
     check_report_invariants,
     classify_all,
     classify_pair,
+    describe_subsystem,
     parse_g_spec,
     parse_h_spec,
 )
-from rootsplit.rootcore import reflect
-from rootsplit.subalgebra import parent_context, wolf_subsystem
+from rootsplit.rootcore import make_root_system, reflect
+from rootsplit.subalgebra import (
+    enumerate_closed_subsystems,
+    parent_context,
+    wolf_subsystem,
+)
+
+#: every simple and product g of rank <= 4
+RANK_4_PARENTS = [str(l) for l in simple_labels_up_to(4)] + [
+    "+".join(str(l) for l in combo) for combo in _product_labels(4, None)
+]
 
 
 class TestParsing:
@@ -145,3 +164,27 @@ class TestClassifyAll:
                  if p.g_label == "A1+A1" and p.verdict == "s2xs2_type"]
         assert len(match) == 1 and match[0].quaternionic_n == 1
 
+
+
+def description_oracle(h):
+    """h's description typed from its own rational roots, as
+    describe_subsystem did before it read the parent's integer copy."""
+    if not h.roots:
+        return f"torus(T{h.torus_corank})"
+    parts = sorted(str(l) for l in identify_type(make_root_system(h.roots, validate=False)))
+    if h.torus_corank:
+        parts.append(f"T{h.torus_corank}")
+    return "+".join(parts)
+
+
+class TestDescribeSubsystem:
+    @pytest.mark.parametrize("g", RANK_4_PARENTS)
+    def test_every_closed_subsystem_matches_rational_typing(self, g):
+        ctx = parent_context(build_sum(parse_label_sum(g)))
+        for h in enumerate_closed_subsystems(ctx, dedup=False):
+            assert describe_subsystem(ctx, h) == description_oracle(h), h.roots
+
+    def test_wolf_subsystems_through_rank_8_match_rational_typing(self):
+        for lab in simple_labels_up_to(8):
+            ctx = parent_context(build(lab))
+            assert describe_subsystem(ctx, ctx.wolf) == description_oracle(ctx.wolf), str(lab)

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from rootsplit.linalg import scale_to_int, vec
+from rootsplit.linalg import dot, scale_to_int, vec, vneg
 from rootsplit.catalog import (
     build,
     build_sum,
     label,
+    normalize,
     parse_label_sum,
     simple_labels_up_to,
     weyl_group,
@@ -187,6 +188,129 @@ class TestCheckConstraints:
         assert rep.pairings_ok
         assert rep.beta_norm2 == Fraction(1, 2)
         assert not rep.beta_norm_ok
+
+
+def constraints_oracle(ctx, cert):
+    """(pairings, |beta|^2) from the rational metric matrix times beta, as
+    check_constraints computed them before the metric moved onto the
+    parent's integer copy."""
+    mb = [dot(row, cert.beta) for row in normalize(ctx.system)]
+    return tuple(dot(a, mb) for a in cert.alphas), dot(cert.beta, mb)
+
+
+#: the non-G2 simple g of rank 2 to 4 (A1 has no class with |W| = 4n)
+CONSTRAINT_PARENTS = [
+    str(l) for l in simple_labels_up_to(4) if l.series != "G" and l.rank > 1
+]
+
+
+class TestConstraintsOracle:
+    """check_constraints on the integer metric against the rational one;
+    B, C and F4 have non-identity metrics."""
+
+    @staticmethod
+    def assert_matches(ctx, cert):
+        rep = check_constraints(ctx, cert)
+        pairings, b2 = constraints_oracle(ctx, cert)
+        assert (rep.pairings, rep.beta_norm2) == (pairings, b2), cert
+        assert rep.pairings_ok == all(p in (0, Fraction(1, 4)) for p in pairings)
+        assert rep.beta_norm_ok == (b2 in (Fraction(1, 4), Fraction(3, 4), Fraction(5, 4)))
+
+    @pytest.mark.parametrize("g", CONSTRAINT_PARENTS)
+    def test_every_certificate_of_every_class(self, g):
+        ctx = parent_context(build_sum(parse_label_sum(g)))
+        checked = 0
+        for h in enumerate_closed_subsystems(ctx):
+            w = isotropy_weights(ctx, h)
+            if not w.weights or w.dim_M % 4:
+                continue
+            for cert in find_splittings(w):
+                self.assert_matches(ctx, cert)
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize(
+        "g", [str(l) for l in simple_labels_up_to(8) if l.series != "G" and l.rank > 1]
+    )
+    def test_wolf_pairs_through_rank_8(self, g):
+        ctx = parent_context(build_sum(parse_label_sum(g)))
+        certs = find_splittings(isotropy_weights(ctx, ctx.wolf))
+        assert wolf_certificate(ctx) in certs
+        for cert in certs:
+            self.assert_matches(ctx, cert)
+
+    def test_off_lattice_certificate_rejected(self):
+        # B3's copy is at scale 2, so a third is off its lattice
+        ctx = parent_context(build(label("B", 3)))
+        third = Fraction(1, 3)
+        cert = SplittingCertificate(vec(third, third, 0), (vec(0, 0, 1),))
+        with pytest.raises(ValueError):
+            check_constraints(ctx, cert)
+
+    def test_wrong_dimension_rejected(self):
+        ctx = parent_context(build(label("B", 3)))
+        cert = SplittingCertificate(vec(HALF, HALF), (vec(0, 1),))
+        with pytest.raises(ValueError):
+            check_constraints(ctx, cert)
+
+
+def shape_oracle(cert):
+    """The rational shape check that every certificate went through before
+    the check moved onto W's integer copy."""
+    if all(c == 0 for c in cert.beta):
+        raise ValueError("certificate beta must be nonzero")
+    seen = set()
+    for a in cert.alphas:
+        if all(c == 0 for c in a):
+            raise ValueError("certificate alphas must be nonzero")
+        if a in seen or vneg(a) in seen:
+            raise ValueError("certificate alphas must be distinct up to sign")
+        seen.add(a)
+    for a in cert.alphas:
+        if dot(cert.beta, a) < 0:
+            raise ValueError("certificate violates the sign convention <beta,alpha> >= 0")
+
+
+THIRD = Fraction(1, 3)  # off the lattice of HP1_WEIGHTS, whose copy is at scale 2
+HP1_WEIGHTS = [vec(1, 1), vec(1, -1), vec(-1, 1), vec(-1, -1)]
+
+#: malformed certificates for HP1_WEIGHTS, on and off its lattice
+MALFORMED = {
+    "zero_beta": SplittingCertificate(vec(0, 0), (vec(0, 1),)),
+    "zero_beta_off": SplittingCertificate(vec(0, 0), (vec(0, THIRD),)),
+    "zero_alpha": SplittingCertificate(vec(1, 0), (vec(0, 0),)),
+    "zero_alpha_off": SplittingCertificate(vec(1, THIRD), (vec(0, 0),)),
+    "repeated_alpha": SplittingCertificate(vec(1, 0), (vec(0, -1), vec(0, 1))),
+    "repeated_alpha_off": SplittingCertificate(vec(1, THIRD), (vec(0, -1), vec(0, 1))),
+    "wrong_dimension": SplittingCertificate(vec(1, 0), (vec(0, 1, 0),)),
+    "wrong_dimension_off": SplittingCertificate(vec(1, THIRD), (vec(0, 1, 0),)),
+    "negative_pairing": SplittingCertificate(vec(1, 0), (vec(-1, 1),)),
+    "negative_pairing_off": SplittingCertificate(vec(1, THIRD), (vec(-1, 1),)),
+}
+
+
+class TestShapeOracle:
+    """The integer shape check raises the rational check's message."""
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_same_message_as_rational_check(self, name):
+        cert = MALFORMED[name]
+        with pytest.raises(ValueError) as expected:
+            shape_oracle(cert)
+        w = weights_from_set(HP1_WEIGHTS)
+        for check in (verify_certificate, case_analysis):
+            with pytest.raises(ValueError) as got:
+                check(w, cert)
+            assert str(got.value) == str(expected.value), check.__name__
+
+    @pytest.mark.parametrize("cert", [
+        SplittingCertificate(vec(1, 0), (vec(0, 1),)),
+        SplittingCertificate(vec(1, THIRD), (vec(0, 1),)),
+    ], ids=["splits", "off_lattice"])
+    def test_well_formed_certificates_do_not_raise(self, cert):
+        shape_oracle(cert)
+        w = weights_from_set(HP1_WEIGHTS)
+        assert verify_certificate(w, cert) == (cert.beta == vec(1, 0))
 
 
 class TestCaseAnalysis:

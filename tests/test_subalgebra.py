@@ -260,6 +260,18 @@ class TestWolf:
             expected = frozenset(index[r] for r in h.roots) in orbit
             assert is_wolf_pair(ctx, h) == expected, h.roots
 
+    def test_wolf_facts_built_on_first_read(self, monkeypatch):
+        # Only the Wolf pair and the constraints read theta, wolf and the
+        # metric, so a context does not build them up front; reading wolf
+        # still runs the closure check.
+        ctx = parent_context(build(label("B", 3)))
+        assert not {"theta", "wolf", "metric"} & set(vars(ctx))
+        isotropy_weights(ctx, closed_subsystem(ctx, ()))
+        assert not {"theta", "wolf", "metric"} & set(vars(ctx))
+        monkeypatch.setattr("rootsplit.subalgebra._int_closed", lambda s, p: False)
+        with pytest.raises(NotClosed, match="Wolf subsystem"):
+            ctx.wolf
+
     def test_wolf_pair_is_symmetric(self):
         for lab in [("A", 2), ("B", 3), ("C", 3), ("G", 2), ("F", 4)]:
             ctx = parent_context(build(label(*lab)))
