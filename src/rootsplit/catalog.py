@@ -26,6 +26,7 @@ from .linalg import (
     int_rank,
     int_scaled,
     lex_positive,
+    pack,
     scale_to_int,
     vadd,
 )
@@ -42,7 +43,8 @@ if TYPE_CHECKING:
 #: rank cap for full Weyl group enumeration (largest needed: F4, order 1152)
 WEYL_RANK_CAP = 4
 
-_ORDERS = {"A": 1, "B": 2, "C": 3, "D": 4, "E": 5, "F": 6, "G": 7}
+#: the series letters of the catalog
+SERIES = "ABCDEFG"
 
 
 class G2Component(RootsplitError):
@@ -77,7 +79,7 @@ def label(series: str, rank: int) -> CartanLabel:
 def parse_label(text: str) -> CartanLabel:
     """Parse a single label like 'B3' or 'G2'."""
     text = text.strip()
-    if len(text) < 2 or text[0].upper() not in _ORDERS or not text[1:].isdigit():
+    if len(text) < 2 or text[0].upper() not in SERIES or not text[1:].isdigit():
         raise ValueError(f"cannot parse Cartan label {text!r}")
     return label(text[0].upper(), int(text[1:]))
 
@@ -314,17 +316,18 @@ class WeylGroup:
 def weyl_group(ctx: ParentContext) -> WeylGroup:
     """Full Weyl group of the parent of ctx by closure of the simple
     reflections (rank <= 4), which are reflected on the context's integer
-    copy of the roots."""
-    roots, iroots, index, base = ctx.system.roots, ctx.int_roots, ctx.index, ctx.base
+    copy of the roots: the reflection of r in a is the root whose lattice
+    key is key(r) - <r, a check> key(a)."""
+    roots, iroots, keys, at, base = (
+        ctx.system.roots, ctx.int_roots, ctx.keys, ctx.at, ctx.base
+    )
     if len(base) > WEYL_RANK_CAP:
         raise ValueError(f"weyl_group is capped at rank {WEYL_RANK_CAP}")
-    gens = tuple(roots[index[a]] for a in base)
+    base_keys = [pack(a, ctx.radix) for a in base]
+    gens = tuple(roots[at[ka]] for ka in base_keys)
     gen_perms = [
-        tuple(
-            index[tuple(x - 2 * idot(a, r) // idot(a, a) * y for x, y in zip(r, a))]
-            for r in iroots
-        )
-        for a in base
+        tuple(at[k - 2 * idot(a, r) // idot(a, a) * ka] for r, k in zip(iroots, keys))
+        for a, ka in zip(base, base_keys)
     ]
     identity = tuple(range(len(roots)))
     seen = {identity: ()}
@@ -429,7 +432,7 @@ def simple_labels_up_to(max_rank: int, series: Iterable[str] | None = None):
     """All admissible simple labels of rank <= max_rank, sorted."""
     out = []
     for r in range(1, max_rank + 1):
-        for s in "ABCDEFG":
+        for s in SERIES:
             try:
                 out.append(label(s, r))
             except ValueError:

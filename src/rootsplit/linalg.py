@@ -10,10 +10,18 @@ twice their common denominator so that half of any difference of weights
 is integral. Every step of a pair (types, symmetric, Wolf and splitting
 tests, certificate checks, and constraints in the normalized metric, an
 `IntMatrix` over one denominator) reads that copy and names a root or a
-weight by its position in it; a rational root given from outside is
-looked up once, in `subalgebra.closed_subsystem`, and a certificate is
-scaled onto the copy. `IsotropyWeights` carries the copy of W. Nothing
-here ever touches a float.
+weight by its position in it. Lookups (is a sum or a difference of roots
+a root, a weight, a pair sum?) run on lattice keys: `pack` turns each
+integer root into one int, additive and in lex order, so a sum is an int
+addition and a set lookup hashes an int. Tuples stay wherever coordinates
+are read: dots, theta, canonical certificates, the constraints and every
+emitted value. Keys are made only for the vectors their radix was chosen
+from (a parent's roots, or a weight set given from outside), and only
+their sums and differences are looked up; a rational root given from
+outside is looked up once, by bisection in `subalgebra.closed_subsystem`,
+and a certificate is scaled onto the copy and checked on tuples.
+`IsotropyWeights` carries the copy of W and its keys. Nothing here ever
+touches a float.
 """
 
 from __future__ import annotations
@@ -76,11 +84,6 @@ def lex_positive(v: Vector) -> bool:
     return False
 
 
-def lex_rep(v: Vector) -> Vector:
-    """The lexicographically positive one of {v, -v}."""
-    return v if lex_positive(v) else vneg(v)
-
-
 def common_scale(vectors: Iterable[Vector]) -> int:
     """Smallest positive integer L such that L*v is integral for all v."""
     L = 1
@@ -97,6 +100,32 @@ def scale_to_int(v: Vector, scale: int) -> IntVector:
         coords = ", ".join(map(str, v))
         raise ValueError(f"scale {scale} does not clear the denominators of ({coords})")
     return tuple(a.numerator * (scale // a.denominator) for a in v)
+
+
+def lattice_radix(vectors: Iterable[IntVector]) -> int:
+    """The least power of two above 8 * the largest |coordinate| of the
+    integer vectors: with it, every sum or difference of two of them, and
+    every difference of two such sums, packs with digits below radix / 2."""
+    return 1 << (8 * max((abs(a) for v in vectors for a in v), default=0)).bit_length()
+
+
+def pack(v: IntVector, radix: int) -> int:
+    """The lattice key sum of v_k * radix^(d-1-k) of an integer vector.
+
+    On vectors whose coordinates lie strictly within +-radix/2, the key
+    is injective, additive (pack(a +- b) = pack(a) +- pack(b)) and in lex
+    order (pack(v) > 0 iff v is lex positive, and sorting keys sorts the
+    vectors). A coordinate outside raises ValueError rather than let the
+    key alias another vector's, as scale_to_int raises rather than
+    truncate.
+    """
+    half = radix >> 1
+    key = 0
+    for a in v:
+        if not -half < a < half:
+            raise ValueError(f"coordinate {a} is outside the lattice key bound {half}")
+        key = key * radix + a
+    return key
 
 
 def int_scaled(vectors: Sequence[Vector]) -> list[IntVector]:

@@ -284,6 +284,13 @@ def classify_all(
     """
     if max_rank > catalog.WEYL_RANK_CAP:
         raise ValueError(f"classify_all is capped at rank {catalog.WEYL_RANK_CAP}")
+    if max_rank < 1:
+        raise ValueError(f"max rank {max_rank} is below 1")
+    unknown = sorted(
+        {s for s in series or () if len(s) != 1 or s.upper() not in catalog.SERIES}
+    )
+    if unknown:
+        raise ValueError(f"unknown series {', '.join(unknown)}: the series are {catalog.SERIES}")
     started = time.monotonic()
     groups: list[tuple[str, RootSystem]] = []
     for lab in catalog.simple_labels_up_to(max_rank, series):

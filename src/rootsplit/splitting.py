@@ -20,7 +20,6 @@ from .linalg import (
     Vector,
     idot,
     lex_positive,
-    lex_rep,
     scale_to_int,
     unscale,
     vadd,
@@ -110,24 +109,30 @@ def _unscaled(beta: IntVector, alphas: Iterable[IntVector], scale: int) -> Split
 
 
 def _generation_table(w: IsotropyWeights, cert: SplittingCertificate) -> tuple | None:
-    """(beta, alphas, table) on W's integer copy, the table mapping each
-    generated weight eps_i alpha_i + eps beta to (i, eps_i, eps); None
-    unless the 4n generated weights are exactly W. A certificate off W's
-    lattice fails here, its shape checked on the rationals, rather than
-    being truncated onto it."""
+    """(beta, alphas, table) on W's integer copy, as _int_table; a
+    certificate off W's lattice fails here, its shape checked on the
+    rationals, rather than being truncated onto it."""
     try:
         beta, alphas = _scaled(cert, w.scale)
     except ValueError:
         _check_shape(cert.beta, cert.alphas)
         return None
+    table = _int_table(w, beta, alphas)
+    return None if table is None else (beta, alphas, table)
+
+
+def _int_table(w: IsotropyWeights, beta: IntVector, alphas: Sequence[IntVector]) -> dict | None:
+    """The table mapping each generated weight eps_i alpha_i + eps beta
+    to (i, eps_i, eps), for a certificate on W's integer copy; None unless
+    the 4n generated weights are exactly W."""
     _check_shape(beta, alphas)
     table = {}
     for i, a in enumerate(alphas):
         for ei in (1, -1):
             for e in (1, -1):
                 table[tuple(ei * x + e * y for x, y in zip(a, beta))] = (i, ei, e)
-    if len(table) == 4 * cert.n == w.dim_M and all(x in table for x in w.ints):
-        return beta, alphas, table
+    if len(table) == 4 * len(alphas) == w.dim_M and all(x in table for x in w.ints):
+        return table
     return None
 
 
@@ -204,23 +209,25 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
     Candidate translations come from one anchor w0 = min(W): every
     splitting puts w0 in W+ or W-, so 2*beta = +-(w0 - w) for some w in W,
     which gives |W| - 1 candidates. The search runs on the positions of
-    W's integer copy, where beta = v/2 is integral: a candidate v pairs
-    each w with v - w through the pair sums of W (a v that no two weights
-    sum to has no splitting, since every w in W+ needs v - w in W+), and
-    is checked by exhaustive propagation over sign orbits. Certificates
-    are turned back into rationals at the end, and each one is verified.
+    W's integer copy, where beta = v/2 is integral, and looks v up by its
+    lattice key (lex order is key order, and the lex-positive one of
+    +-v has the positive key): a candidate v pairs each w with v - w
+    through the pair sums of W (a v that no two weights sum to has no
+    splitting, since every w in W+ needs v - w in W+), and is checked by
+    exhaustive propagation over sign orbits. Each certificate is checked
+    on the integer copy and turned back into rationals once, at the end.
     """
     if w.dim_M == 0:
         raise EmptyWeights("the weight set is empty (g = h)")
     if w.dim_M % 4 != 0:
         raise ValueError("|W| must be divisible by 4")
-    ints, index = w.ints, w.index
-    neg = [index.get(vneg(x), -1) for x in ints]
+    ints, keys, index = w.ints, w.keys, w.index
+    neg = [index.get(-k, -1) for k in keys]
     if -1 in neg:
         raise ValueError("W must be closed under negation")
 
-    w0 = ints[0]  # the least weight: ints is sorted, as W is
-    candidates = {lex_rep(vsub(w0, x)) for x in ints[1:]}
+    k0 = keys[0]  # the least weight: keys are sorted, as W is
+    candidates = {abs(k0 - k) for k in keys[1:]}
 
     found = set()
     for v in sorted(candidates):
@@ -230,7 +237,8 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
         refl = [-1] * len(ints)
         for i, j in pairs:
             refl[i], refl[j] = j, i
-        beta = tuple(a // 2 for a in v)
+        i, j = pairs[0]
+        beta = tuple((a + b) // 2 for a, b in zip(ints[i], ints[j]))
         for plus in _halves(neg, refl):
             if any(refl[u] == u for u in plus):
                 continue  # beta is in W+, so some alpha_i = 0
@@ -238,11 +246,12 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
             if len(cert[1]) * 4 == len(ints):
                 found.add(cert)
 
-    # a positive scale keeps the order
-    certs = [_unscaled(beta, alphas, w.scale) for beta, alphas in sorted(found)]
-    for c in certs:
-        if not verify_certificate(w, c):
-            raise RootsplitError(f"splitting certificate {c} failed verification")
+    certs = []
+    for beta, alphas in sorted(found):  # a positive scale keeps the order
+        cert = _unscaled(beta, alphas, w.scale)
+        if _int_table(w, beta, alphas) is None:
+            raise RootsplitError(f"splitting certificate {cert} failed verification")
+        certs.append(cert)
     return certs
 
 

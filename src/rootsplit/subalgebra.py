@@ -13,7 +13,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import add, sub
 from typing import Container, Iterable
 
 from .catalog import (
@@ -33,7 +32,9 @@ from .linalg import (
     common_scale,
     idot,
     int_rank,
+    lattice_radix,
     lex_positive,
+    pack,
     scale_to_int,
     vneg,
 )
@@ -59,9 +60,10 @@ class IsotropyWeights:
 
     ints, the weights times scale in the same order, is the integer copy
     every step of the pair reads; scale is twice a common denominator of W.
-    A weight is named by its position i in that order. index and sums are
-    made the first time they are read, so each W scans its pair sums at
-    most once, and listing W alone never does.
+    keys are the lattice keys (linalg.pack) of ints, in the same order,
+    which every lookup reads. A weight is named by its position i in that
+    order. index and sums are made the first time they are read, so each
+    W scans its pair sums at most once, and listing W alone never does.
     """
 
     weights: tuple[Vector, ...]  # sorted
@@ -69,21 +71,22 @@ class IsotropyWeights:
     quaternionic_n: Fraction
     scale: int = field(compare=False)
     ints: tuple[IntVector, ...] = field(compare=False)
+    keys: tuple[int, ...] = field(compare=False)
 
     @cached_property
-    def index(self) -> dict[IntVector, int]:
-        """Each integer weight mapped to its position."""
-        return {x: i for i, x in enumerate(self.ints)}
+    def index(self) -> dict[int, int]:
+        """Each weight's key mapped to its position."""
+        return {k: i for i, k in enumerate(self.keys)}
 
     @cached_property
-    def sums(self) -> dict[IntVector, list[tuple[int, int]]]:
-        """Each sum w_i + w_j with i <= j mapped to its pairs (i, j), in
-        order; the keys are in the order of their first pairs."""
-        ints = self.ints
-        sums: dict[IntVector, list[tuple[int, int]]] = {}
-        for i, a in enumerate(ints):
-            for j in range(i, len(ints)):
-                sums.setdefault(tuple(map(add, a, ints[j])), []).append((i, j))
+    def sums(self) -> dict[int, list[tuple[int, int]]]:
+        """The key of each sum w_i + w_j with i <= j mapped to its pairs
+        (i, j), in order; the keys are in the order of their first pairs."""
+        keys = self.keys
+        sums: dict[int, list[tuple[int, int]]] = {}
+        for i, a in enumerate(keys):
+            for j in range(i, len(keys)):
+                sums.setdefault(a + keys[j], []).append((i, j))
         return sums
 
     @cached_property
@@ -97,14 +100,15 @@ class IsotropyWeights:
         return None
 
 
-def _int_closed(isub: set[IntVector], iparent: Container[IntVector]) -> bool:
-    """Negation- and addition-closure of isub within iparent, both scaled to
-    integers by the same factor."""
-    if any(vneg(a) not in isub for a in isub):
+def _closed(sub: Iterable[int], parent: Container[int]) -> bool:
+    """Negation- and addition-closure of sub within parent, both given as
+    lattice keys of one packing."""
+    sub = set(sub)
+    if any(-a not in sub for a in sub):
         return False
-    for a, b in itertools.combinations(isub, 2):
-        c = tuple(map(add, a, b))
-        if c in iparent and c not in isub:
+    for a, b in itertools.combinations(sub, 2):
+        c = a + b
+        if c in parent and c not in sub:
             return False
     return True
 
@@ -115,9 +119,11 @@ def is_closed(subset: Iterable[Vector], parent: RootSystem) -> bool:
     if not s <= parent.root_set:
         raise ValueError("subset is not contained in the parent root system")
     scale = common_scale(parent.roots)
-    return _int_closed(
-        {scale_to_int(r, scale) for r in s},
-        {scale_to_int(r, scale) for r in parent.roots},
+    iroots = [scale_to_int(r, scale) for r in parent.roots]
+    radix = lattice_radix(iroots)
+    return _closed(
+        {pack(scale_to_int(r, scale), radix) for r in s},
+        {pack(r, radix) for r in iroots},
     )
 
 
@@ -130,9 +136,9 @@ def closed_subsystem(ctx: ParentContext, roots: Iterable[Vector]) -> ClosedSubsy
     positions = tuple(bisect_left(proots, r) for r in rs)
     if any(i == len(proots) or proots[i] != r for i, r in zip(positions, rs)):
         raise ValueError("subset is not contained in the parent root system")
-    isub = [ctx.int_roots[i] for i in positions]
-    if not _int_closed(set(isub), ctx.index):
+    if not _closed([ctx.keys[i] for i in positions], ctx.at):
         raise NotClosed("subset is not a closed subsystem of the parent")
+    isub = [ctx.int_roots[i] for i in positions]
     return ClosedSubsystem(ctx.system, rs, ctx.rank - int_rank(isub), positions)
 
 
@@ -146,30 +152,28 @@ def enumerate_closed_subsystems(
     propagation; a sum of two admitted roots that is a root must be
     admitted, which prunes the subset lattice hard. A root is its position
     in the context's integer copy, the order that the Weyl group permutes,
-    and a subset is kept as its positive roots. Dedup keeps the first
-    subset of each Weyl class in search order and marks its whole orbit as
-    seen. Every subsystem returned is checked for closure.
+    and a subset is kept as its positive roots; the sums and differences
+    that closure forces are found on the context's lattice keys, where a
+    root is positive iff its key is. Dedup keeps the first subset of each
+    Weyl class in search order and marks its whole orbit as seen. Every
+    subsystem returned is checked for closure.
     """
     parent, rank = ctx.system, ctx.rank
     if dedup and rank > WEYL_RANK_CAP:
         raise ValueError(
             f"Weyl dedup of subsystems is capped at rank {WEYL_RANK_CAP}"
         )
-    iroots, index = ctx.int_roots, ctx.index
-    neg = [index[vneg(r)] for r in iroots]
-    up = [i if lex_positive(r) else neg[i] for i, r in enumerate(iroots)]
+    iroots, keys, at = ctx.int_roots, ctx.keys, ctx.at
+    neg = [at[-k] for k in keys]
+    up = [i if k > 0 else neg[i] for i, k in enumerate(keys)]
     pos = [i for i, u in enumerate(up) if u == i]
     # forced[i][j]: the positive roots that closure admits with i and j
-    forced: list[list[tuple[int, ...]]] = [[()] * len(iroots) for _ in iroots]
+    forced: list[list[tuple[int, ...]]] = [[()] * len(keys) for _ in keys]
     for i, j in itertools.combinations(pos, 2):
-        a, b = iroots[i], iroots[j]
-        forced[i][j] = forced[j][i] = tuple(
-            up[index[c]]
-            for c in (tuple(map(add, a, b)), tuple(map(sub, a, b)))
-            if c in index
-        )
+        a, b = keys[i], keys[j]
+        forced[i][j] = forced[j][i] = tuple(up[at[c]] for c in (a + b, a - b) if c in at)
 
-    state = [0] * len(iroots)  # of a positive root: 0 undecided, 1 in, -1 out
+    state = [0] * len(keys)  # of a positive root: 0 undecided, 1 in, -1 out
     inside: list[int] = []  # the positive roots in, in order of admission
     found: list[frozenset[int]] = []  # the positive roots of each closed subset
 
@@ -219,10 +223,10 @@ def enumerate_closed_subsystems(
     subs = []
     for s in found:
         members = sorted(s.union(neg[i] for i in s))
-        isub = [iroots[i] for i in members]
-        if not _int_closed(set(isub), index):
+        if not _closed([keys[i] for i in members], at):
             raise NotClosed("enumerated subset is not closed")
         roots = tuple(parent.roots[i] for i in members)
+        isub = [iroots[i] for i in members]
         subs.append(ClosedSubsystem(parent, roots, rank - int_rank(isub), tuple(members)))
     subs.sort(key=lambda s: (len(s.positions), s.positions))  # as by roots: those are sorted
     return subs
@@ -259,17 +263,20 @@ def isotropy_weights(ctx: ParentContext, h: ClosedSubsystem) -> IsotropyWeights:
     # the parent's roots are sorted, so W comes out sorted
     weights = tuple(itertools.compress(ctx.system.roots, outside))
     ints = tuple(itertools.compress(ctx.int_roots, outside))
+    keys = tuple(itertools.compress(ctx.keys, outside))
     n = len(weights)
-    return IsotropyWeights(weights, n, Fraction(n, 4), ctx.scale, ints)
+    return IsotropyWeights(weights, n, Fraction(n, 4), ctx.scale, ints, keys)
 
 
 def weights_from_set(weights: Iterable[Vector]) -> IsotropyWeights:
     """IsotropyWeights from a raw negation-closed weight set (for transformed
-    or externally supplied inputs), on its own integer copy."""
+    or externally supplied inputs), on its own integer copy and keys."""
     ws = tuple(sorted(set(weights)))
     scale = 2 * common_scale(ws)
     ints = tuple(scale_to_int(x, scale) for x in ws)
-    return IsotropyWeights(ws, len(ws), Fraction(len(ws), 4), scale, ints)
+    radix = lattice_radix(ints)
+    keys = tuple(pack(x, radix) for x in ints)
+    return IsotropyWeights(ws, len(ws), Fraction(len(ws), 4), scale, ints, keys)
 
 
 def is_symmetric_pair(w: IsotropyWeights) -> bool:
@@ -295,17 +302,22 @@ class ParentContext:
     Build it once per command and pass it down; it is deliberately not
     cached beyond that, so a fresh process and an in-process repeat do
     the same work. A root is named by its position in system.roots,
-    which int_roots follows; the Weyl group and the subsystem enumerator
-    read this one integer copy too. theta, wolf and metric, which only
-    the Wolf pair and the constraints read, are built on first read;
-    theta and wolf raise ValueError for a reducible parent, and metric is
-    None for a reducible parent and for G2.
+    which int_roots and keys follow; the Weyl group and the subsystem
+    enumerator read this one integer copy too. keys packs the integer
+    roots at radix (linalg.pack), so key order is root order, and at maps
+    a key back to its position: whether a sum or a difference of roots is
+    a root is an int lookup in at. theta, wolf and metric, which only the
+    Wolf pair and the constraints read, are built on first read; theta
+    and wolf raise ValueError for a reducible parent, and metric is None
+    for a reducible parent and for G2.
     """
 
     system: RootSystem
     scale: int  # twice the roots' common denominator
     int_roots: tuple[IntVector, ...]  # system.roots times scale, in order
-    index: dict[IntVector, int]  # integer root -> its position
+    radix: int  # of the lattice keys
+    keys: tuple[int, ...]  # the lattice keys of int_roots, in order
+    at: dict[int, int]  # lattice key -> its position
     base: tuple[IntVector, ...]  # simple roots
     components: tuple[tuple[IntVector, ...], ...]
     types: tuple[CartanLabel, ...]
@@ -333,9 +345,9 @@ class ParentContext:
         positions = tuple(
             i for i, r in enumerate(iroots) if r in ends or not idot(r, theta)
         )
-        iwolf = [iroots[i] for i in positions]
-        if not _int_closed(set(iwolf), self.index):
+        if not _closed([self.keys[i] for i in positions], self.at):
             raise NotClosed("the Wolf subsystem is not closed")
+        iwolf = [iroots[i] for i in positions]
         roots = tuple(self.system.roots[i] for i in positions)
         return ClosedSubsystem(self.system, roots, self.rank - int_rank(iwolf), positions)
 
@@ -352,12 +364,16 @@ def parent_context(system: RootSystem) -> ParentContext:
     is integral (the tests on it compare ratios, which doubling keeps)."""
     scale = 2 * common_scale(system.roots)
     iroots = tuple(scale_to_int(r, scale) for r in system.roots)
-    index = {r: i for i, r in enumerate(iroots)}
+    radix = lattice_radix(iroots)
+    keys = tuple(pack(r, radix) for r in iroots)
+    at = {k: i for i, k in enumerate(keys)}
     base = tuple(int_simple_base(iroots))
     comps = tuple(int_components(iroots, base))
     types = tuple(sorted(int_component_type(c, base) for c in comps))
     long_norm = max(idot(v, v) for v in iroots)
-    return ParentContext(system, scale, iroots, index, base, comps, types, long_norm)
+    return ParentContext(
+        system, scale, iroots, radix, keys, at, base, comps, types, long_norm
+    )
 
 
 def is_wolf_pair(ctx: ParentContext, h: ClosedSubsystem) -> bool:

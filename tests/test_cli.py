@@ -160,5 +160,25 @@ class TestCli:
     def test_bad_subcommand_exits_one(self):
         assert run("frobnicate").returncode == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--max-rank", "3", "--series", "Z"],
+            ["--max-rank", "3", "--series", "B", "BC"],
+            ["--max-rank", "0"],
+            ["--max-rank", "-1"],
+        ],
+        ids=["series-Z", "series-BC", "rank-0", "rank-negative"],
+    )
+    def test_bad_classify_batch_input_exits_one(self, args):
+        # Each once printed '"pairs": []' and exited 0.
+        r = run("classify", *args)
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr.startswith("error: ")
+
+    def test_lowercase_series_accepted(self):
+        r = run("classify", "--max-rank", "2", "--series", "b", "--format", "csv")
+        assert r.returncode == 0 and "B2," in r.stdout
+
     def test_bad_h_spec_exits_one(self):
         assert run("classify", "B3", "A2#9").returncode == 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rootsplit.linalg import dot, scale_to_int, vec, vneg
+from rootsplit.linalg import dot, lattice_radix, pack, scale_to_int, vec, vneg
 from rootsplit.catalog import (
     build,
     build_sum,
@@ -135,9 +135,10 @@ class TestFindSplittings:
                 assert verify_certificate(w, cert)
 
     def test_failed_verification_raises(self, monkeypatch):
-        # The check must hold under python -O, which strips asserts.
+        # The check must hold under python -O, which strips asserts. The
+        # search checks each certificate on the integer copy it holds.
         _, w = b3_u3_weights()
-        monkeypatch.setattr("rootsplit.splitting.verify_certificate", lambda w, c: False)
+        monkeypatch.setattr("rootsplit.splitting._int_table", lambda w, b, a: None)
         with pytest.raises(RootsplitError, match="failed verification"):
             find_splittings(w)
 
@@ -453,8 +454,10 @@ class TestScaleIndependence:
             certs = find_splittings(w)
             tags = [case_analysis(w, c) for c in certs]
             own = weights_from_set(w.weights)
+            ints = tuple(tuple(3 * a for a in x) for x in w.ints)
+            radix = lattice_radix(ints)
             tripled = replace(
-                w, scale=3 * w.scale, ints=tuple(tuple(3 * a for a in x) for x in w.ints)
+                w, scale=3 * w.scale, ints=ints, keys=tuple(pack(x, radix) for x in ints)
             )
             for other in (own, tripled):
                 assert other == w  # equality ignores the integer copy

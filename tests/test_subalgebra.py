@@ -268,7 +268,7 @@ class TestWolf:
         assert not {"theta", "wolf", "metric"} & set(vars(ctx))
         isotropy_weights(ctx, closed_subsystem(ctx, ()))
         assert not {"theta", "wolf", "metric"} & set(vars(ctx))
-        monkeypatch.setattr("rootsplit.subalgebra._int_closed", lambda s, p: False)
+        monkeypatch.setattr("rootsplit.subalgebra._closed", lambda s, p: False)
         with pytest.raises(NotClosed, match="Wolf subsystem"):
             ctx.wolf
 
