@@ -40,7 +40,8 @@ from .rootcore import (
 if TYPE_CHECKING:
     from .subalgebra import ClosedSubsystem, ParentContext
 
-#: rank cap for full Weyl group enumeration (largest needed: F4, order 1152)
+#: rank cap of weyl_group (largest needed: F4, order 1152) and of the Weyl
+#: dedup of subsystems, whose search still lists every closed subset
 WEYL_RANK_CAP = 4
 
 #: the series letters of the catalog
@@ -313,22 +314,28 @@ class WeylGroup:
         return v
 
 
+def simple_reflections(ctx: ParentContext) -> list[tuple[int, ...]]:
+    """The simple reflections of the parent of ctx as permutations of its
+    root positions, reflected on the context's integer copy of the roots:
+    the reflection of r in a is the root whose lattice key is
+    key(r) - <r, a check> key(a)."""
+    iroots, keys, at = ctx.int_roots, ctx.keys, ctx.at
+    perms = []
+    for a in ctx.base:
+        ka, aa = pack(a, ctx.radix), idot(a, a)
+        perms.append(tuple(at[k - 2 * idot(a, r) // aa * ka] for r, k in zip(iroots, keys)))
+    return perms
+
+
 def weyl_group(ctx: ParentContext) -> WeylGroup:
-    """Full Weyl group of the parent of ctx by closure of the simple
-    reflections (rank <= 4), which are reflected on the context's integer
-    copy of the roots: the reflection of r in a is the root whose lattice
-    key is key(r) - <r, a check> key(a)."""
-    roots, iroots, keys, at, base = (
-        ctx.system.roots, ctx.int_roots, ctx.keys, ctx.at, ctx.base
-    )
+    """Full Weyl group of the parent of ctx by closure of its
+    simple_reflections (rank <= 4). No production path builds it; it is
+    the full-group oracle of the tests."""
+    roots, at, base = ctx.system.roots, ctx.at, ctx.base
     if len(base) > WEYL_RANK_CAP:
         raise ValueError(f"weyl_group is capped at rank {WEYL_RANK_CAP}")
-    base_keys = [pack(a, ctx.radix) for a in base]
-    gens = tuple(roots[at[ka]] for ka in base_keys)
-    gen_perms = [
-        tuple(at[k - 2 * idot(a, r) // idot(a, a) * ka] for r, k in zip(iroots, keys))
-        for a, ka in zip(base, base_keys)
-    ]
+    gens = tuple(roots[at[pack(a, ctx.radix)]] for a in base)
+    gen_perms = simple_reflections(ctx)
     identity = tuple(range(len(roots)))
     seen = {identity: ()}
     frontier = [identity]

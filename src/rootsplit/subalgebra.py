@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Container, Iterable
+from typing import Container, Iterable, Sequence
 
 from .catalog import (
     WEYL_RANK_CAP,
@@ -23,7 +23,7 @@ from .catalog import (
     int_highest_root,
     int_normalize,
     int_simple_base,
-    weyl_group,
+    simple_reflections,
 )
 from .linalg import (
     IntMatrix,
@@ -31,7 +31,6 @@ from .linalg import (
     Vector,
     common_scale,
     idot,
-    int_rank,
     lattice_radix,
     lex_positive,
     pack,
@@ -113,6 +112,22 @@ def _closed(sub: Iterable[int], parent: Container[int]) -> bool:
     return True
 
 
+def _subsystem(ctx: ParentContext, positions: Sequence[int], error: str) -> ClosedSubsystem:
+    """The subsystem at the sorted positions of the parent of ctx, checked
+    for closure on its keys (else NotClosed(error)). Its rank is its number
+    of simple roots, found by the rule of int_simple_base: a positive key
+    is simple unless it minus an earlier simple key is in the subsystem."""
+    keys = [ctx.keys[i] for i in positions]
+    if not _closed(keys, ctx.at):
+        raise NotClosed(error)
+    members, base = set(keys), []
+    for a in keys:
+        if a > 0 and not any(a - b in members for b in base):
+            base.append(a)
+    roots = tuple(ctx.system.roots[i] for i in positions)
+    return ClosedSubsystem(ctx.system, roots, ctx.rank - len(base), tuple(positions))
+
+
 def is_closed(subset: Iterable[Vector], parent: RootSystem) -> bool:
     """Negation- and addition-closure of subset within parent."""
     s = frozenset(subset)
@@ -136,10 +151,7 @@ def closed_subsystem(ctx: ParentContext, roots: Iterable[Vector]) -> ClosedSubsy
     positions = tuple(bisect_left(proots, r) for r in rs)
     if any(i == len(proots) or proots[i] != r for i, r in zip(positions, rs)):
         raise ValueError("subset is not contained in the parent root system")
-    if not _closed([ctx.keys[i] for i in positions], ctx.at):
-        raise NotClosed("subset is not a closed subsystem of the parent")
-    isub = [ctx.int_roots[i] for i in positions]
-    return ClosedSubsystem(ctx.system, rs, ctx.rank - int_rank(isub), positions)
+    return _subsystem(ctx, positions, "subset is not a closed subsystem of the parent")
 
 
 def enumerate_closed_subsystems(
@@ -151,19 +163,19 @@ def enumerate_closed_subsystems(
     Backtracking over positive-root in/out decisions with closure
     propagation; a sum of two admitted roots that is a root must be
     admitted, which prunes the subset lattice hard. A root is its position
-    in the context's integer copy, the order that the Weyl group permutes,
-    and a subset is kept as its positive roots; the sums and differences
-    that closure forces are found on the context's lattice keys, where a
-    root is positive iff its key is. Dedup keeps the first subset of each
-    Weyl class in search order and marks its whole orbit as seen. Every
-    subsystem returned is checked for closure.
+    in the context's integer copy and a subset is kept as its positive
+    roots; the sums and differences that closure forces are found on the
+    context's lattice keys, where a root is positive iff its key is. Dedup
+    keeps the first subset of each Weyl class in search order and marks
+    its orbit as seen by closing it under the simple reflections, with no
+    Weyl group built; the rank cap stays, since the search still lists
+    every closed subset. Every subsystem returned is checked for closure.
     """
-    parent, rank = ctx.system, ctx.rank
-    if dedup and rank > WEYL_RANK_CAP:
+    if dedup and ctx.rank > WEYL_RANK_CAP:
         raise ValueError(
             f"Weyl dedup of subsystems is capped at rank {WEYL_RANK_CAP}"
         )
-    iroots, keys, at = ctx.int_roots, ctx.keys, ctx.at
+    keys, at = ctx.keys, ctx.at
     neg = [at[-k] for k in keys]
     up = [i if k > 0 else neg[i] for i, k in enumerate(keys)]
     pos = [i for i, u in enumerate(up) if u == i]
@@ -210,24 +222,24 @@ def enumerate_closed_subsystems(
 
     dfs(0)
 
-    if dedup:
-        perms = weyl_group(ctx).elements
+    if dedup:  # up after a simple reflection: the positive roots of the image
+        gens = [[up[j] for j in p] for p in simple_reflections(ctx)]
         seen: set[frozenset[int]] = set()
         classes = []
         for s in found:
             if s not in seen:
                 classes.append(s)
-                seen.update(frozenset(up[p[i]] for i in s) for p in perms)
+                frontier = {s}
+                while frontier:
+                    seen |= frontier
+                    images = {frozenset(g[i] for i in t) for t in frontier for g in gens}
+                    frontier = images - seen
         found = classes
 
-    subs = []
-    for s in found:
-        members = sorted(s.union(neg[i] for i in s))
-        if not _closed([keys[i] for i in members], at):
-            raise NotClosed("enumerated subset is not closed")
-        roots = tuple(parent.roots[i] for i in members)
-        isub = [iroots[i] for i in members]
-        subs.append(ClosedSubsystem(parent, roots, rank - int_rank(isub), tuple(members)))
+    subs = [
+        _subsystem(ctx, sorted(s.union(neg[i] for i in s)), "enumerated subset is not closed")
+        for s in found
+    ]
     subs.sort(key=lambda s: (len(s.positions), s.positions))  # as by roots: those are sorted
     return subs
 
@@ -302,14 +314,14 @@ class ParentContext:
     Build it once per command and pass it down; it is deliberately not
     cached beyond that, so a fresh process and an in-process repeat do
     the same work. A root is named by its position in system.roots,
-    which int_roots and keys follow; the Weyl group and the subsystem
-    enumerator read this one integer copy too. keys packs the integer
-    roots at radix (linalg.pack), so key order is root order, and at maps
-    a key back to its position: whether a sum or a difference of roots is
-    a root is an int lookup in at. theta, wolf and metric, which only the
-    Wolf pair and the constraints read, are built on first read; theta
-    and wolf raise ValueError for a reducible parent, and metric is None
-    for a reducible parent and for G2.
+    which int_roots and keys follow; the simple reflections, under which
+    the enumerator's Weyl dedup closes classes, read this copy too. keys
+    packs the integer roots at radix (linalg.pack), so key order is root
+    order, and at maps a key back to its position: whether a sum or a
+    difference of roots is a root is an int lookup in at. theta, wolf and
+    metric, which only the Wolf pair and the constraints read, are built
+    on first read; theta and wolf raise ValueError for a reducible parent,
+    and metric is None for a reducible parent and for G2.
     """
 
     system: RootSystem
@@ -340,16 +352,11 @@ class ParentContext:
     @cached_property
     def wolf(self) -> ClosedSubsystem:  # {+-theta} and the roots orthogonal to theta
         theta = self.theta
-        iroots = self.int_roots
         ends = (theta, vneg(theta))
         positions = tuple(
-            i for i, r in enumerate(iroots) if r in ends or not idot(r, theta)
+            i for i, r in enumerate(self.int_roots) if r in ends or not idot(r, theta)
         )
-        if not _closed([self.keys[i] for i in positions], self.at):
-            raise NotClosed("the Wolf subsystem is not closed")
-        iwolf = [iroots[i] for i in positions]
-        roots = tuple(self.system.roots[i] for i in positions)
-        return ClosedSubsystem(self.system, roots, self.rank - int_rank(iwolf), positions)
+        return _subsystem(self, positions, "the Wolf subsystem is not closed")
 
     @cached_property
     def metric(self) -> tuple[IntMatrix, int] | None:  # (rows, den), int_normalize

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from parents import RANK_4_PARENTS
 from rootsplit.linalg import (
     dot,
     idot,
@@ -122,12 +123,11 @@ class TestWeylGroup:
         g = weyl_group(parent_context(build(label("B", 2))))
         assert tuple(range(len(g.roots))) in g.elements
 
-    @pytest.mark.parametrize("spec", [str(l) for l in simple_labels_up_to(4)] + [
-        "+".join(map(str, combo)) for combo in _product_labels(4, None)
-    ])
+    @pytest.mark.parametrize("spec", RANK_4_PARENTS)
     def test_generators_match_rational_reflection(self, spec):
-        # Oracle: the Fraction reflection the generator permutations were
-        # built with before they were reflected on integers.
+        # Oracle: the Fraction reflection the generator permutations
+        # (simple_reflections) were built with before they were reflected
+        # on integers.
         g = weyl_group(parent_context(build_sum(parse_label_sum(spec))))
         for k, gen in enumerate(g.generators):
             perm = g.elements[g.words.index((k,))]

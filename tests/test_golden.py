@@ -62,6 +62,16 @@ GOLDEN = {
         "6cdcb67fcccd839ed4a8b925102f01c31c9befe0484920dac825f7bbc4fb12f1",
     ("split", "G2", "wolf"):
         "3ff49c2529bc60f121bdbc7babf5854fe82f8d2ec13867b353357331ac02eb2e",
+    # the Weyl class representatives of every parent of rank <= 4, products
+    # included, of a product with a B3 factor, and the undeduplicated F4
+    # list; the first will change on purpose when product parents are
+    # classified by their effective quotient (ROADMAP items 2-3)
+    ("classify", "--max-rank", "4", "--include-products"):
+        "e12e23d1eb027119e24056524cedb60579416849633641e8c3a4ee54e8a30457",
+    ("subsystems", "A1+B3"):
+        "73812b16a49b331514bb4ce92acc7020b22aa7868e7a2d8da0d00bf6098b587a",
+    ("subsystems", "F4", "--no-dedup"):
+        "58c159ef9fa74fb687c20b906edb8ca40673a21d2c72c65e3d962f0b128b6eb8",
 }
 
 

@@ -5,9 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from parents import RANK_4_PARENTS
 from rootsplit.catalog import build, build_sum, parse_label_sum, simple_labels_up_to
 from rootsplit.linalg import lattice_radix, lex_positive, pack
-from rootsplit.pipeline import _product_labels
 from rootsplit.subalgebra import (
     _closed,
     enumerate_closed_subsystems,
@@ -16,9 +16,6 @@ from rootsplit.subalgebra import (
 )
 
 SIMPLE_LABELS = [str(l) for l in simple_labels_up_to(8)]
-RANK_4_PARENTS = [str(l) for l in simple_labels_up_to(4)] + [
-    "+".join(str(l) for l in combo) for combo in _product_labels(4, None)
-]
 
 
 def tuple_closed(isub, iparent):

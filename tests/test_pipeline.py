@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from parents import RANK_4_PARENTS
 from rootsplit.catalog import (
     build,
     build_sum,
@@ -14,7 +15,6 @@ from rootsplit.catalog import (
 )
 from rootsplit.pipeline import (
     ParseError,
-    _product_labels,
     check_report_invariants,
     classify_all,
     classify_pair,
@@ -28,11 +28,6 @@ from rootsplit.subalgebra import (
     parent_context,
     wolf_subsystem,
 )
-
-#: every simple and product g of rank <= 4
-RANK_4_PARENTS = [str(l) for l in simple_labels_up_to(4)] + [
-    "+".join(str(l) for l in combo) for combo in _product_labels(4, None)
-]
 
 
 class TestParsing:

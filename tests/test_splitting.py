@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from parents import RANK_4_PARENTS, parents_up_to
 from rootsplit.linalg import dot, lattice_radix, pack, scale_to_int, vec, vneg
 from rootsplit.catalog import (
     build,
@@ -15,7 +16,6 @@ from rootsplit.catalog import (
     simple_labels_up_to,
     weyl_group,
 )
-from rootsplit.pipeline import _product_labels
 from rootsplit.rootcore import RootsplitError
 from rootsplit.subalgebra import (
     closed_subsystem,
@@ -41,14 +41,7 @@ from rootsplit.splitting import (
 HALF = Fraction(1, 2)
 
 #: the parents of `classify --max-rank 3 --include-products`
-CATALOG_R3_PARENTS = [str(l) for l in simple_labels_up_to(3)] + [
-    "+".join(str(l) for l in combo) for combo in _product_labels(3, None)
-]
-
-#: every simple and product g of rank <= 4
-RANK_4_PARENTS = [str(l) for l in simple_labels_up_to(4)] + [
-    "+".join(str(l) for l in combo) for combo in _product_labels(4, None)
-]
+CATALOG_R3_PARENTS = parents_up_to(3)
 
 
 def b3_u3_weights():

@@ -1,7 +1,8 @@
 """Closed subsystems, isotropy weights, symmetric and Wolf pairs."""
 import pytest
 
-from rootsplit.linalg import rank_of, vec
+from parents import RANK_4_PARENTS
+from rootsplit.linalg import int_rank, rank_of, vec
 from rootsplit.catalog import (
     build,
     build_sum,
@@ -11,7 +12,7 @@ from rootsplit.catalog import (
     simple_labels_up_to,
     weyl_group,
 )
-from rootsplit.pipeline import _product_labels
+from rootsplit.pipeline import classify_all
 from rootsplit.rootcore import make_root_system
 from rootsplit.subalgebra import (
     NotClosed,
@@ -28,17 +29,39 @@ from rootsplit.subalgebra import (
 )
 
 
-RANK_4_PARENTS = [str(l) for l in simple_labels_up_to(4)] + [
-    "+".join(str(l) for l in combo) for combo in _product_labels(4, None)
-]
-
-
 def weyl_canonical(wg, roots):
     """Oracle: the least sorted image of roots under W, as root indices;
     two subsystems are Weyl-conjugate exactly when these agree."""
     index = {r: i for i, r in enumerate(wg.roots)}
     members = [index[r] for r in roots]
     return min(tuple(sorted(perm[i] for i in members)) for perm in wg.elements)
+
+
+def orbit_marking_classes(ctx):
+    """Oracle: Weyl dedup by full-group orbit marking. The enumerator
+    decides the positive roots in position order and leaves each out
+    before it takes it in, so its search order puts first the subsystem
+    whose positive-root indicator vector is least; in that order, keep
+    the first subsystem of each class and mark its image under every
+    element of the full Weyl group as seen."""
+    perms = weyl_group(ctx).elements
+    pos = [i for i, k in enumerate(ctx.keys) if k > 0]
+    found = sorted(
+        enumerate_closed_subsystems(ctx, dedup=False),
+        key=lambda h: [i in h.positions for i in pos],
+    )
+    seen = set()
+    classes = []
+    for h in found:
+        if frozenset(h.positions) not in seen:
+            classes.append(h)
+            seen.update(frozenset(p[i] for i in h.positions) for p in perms)
+    return sorted(classes, key=lambda h: (len(h.positions), h.positions))
+
+
+def int_rank_corank(ctx, h):
+    """Oracle: the torus corank of h by elimination on the integer copy."""
+    return ctx.rank - int_rank([ctx.int_roots[i] for i in h.positions])
 
 
 def u3_embedding(ctx):
@@ -82,13 +105,15 @@ class TestIsClosed:
     @pytest.mark.parametrize("g", RANK_4_PARENTS)
     def test_factory_matches_rational_oracle(self, g):
         # Oracle: is_closed and rank_of on the rational roots, apart from
-        # the context's integer copy.
+        # the context's integer copy, and int_rank on that copy, apart from
+        # the simple roots counted on its lattice keys.
         parent = build_sum(parse_label_sum(g))
         ctx = parent_context(parent)
         for h in enumerate_closed_subsystems(ctx, dedup=False):
             built = closed_subsystem(ctx, h.roots)
             assert is_closed(built.roots, parent)
             assert built.torus_corank == parent.rank - rank_of(h.roots)
+            assert h.torus_corank == int_rank_corank(ctx, h)
             assert built == h
             assert built.positions == h.positions
             assert tuple(parent.roots[i] for i in h.positions) == h.roots
@@ -153,6 +178,28 @@ class TestEnumeration:
     def test_dedup_one_representative_per_orbit(self, g):
         self.assert_one_representative_per_orbit(build_sum(parse_label_sum(g)))
 
+    @pytest.mark.parametrize("g", RANK_4_PARENTS)
+    def test_dedup_matches_full_group_orbit_marking(self, g):
+        # Closing each kept class under the simple reflections keeps the
+        # same representatives, in the same order, as marking its image
+        # under every element of the full Weyl group.
+        ctx = parent_context(build_sum(parse_label_sum(g)))
+        closure = enumerate_closed_subsystems(ctx)
+        marking = orbit_marking_classes(ctx)
+        assert closure == marking
+        assert [h.positions for h in closure] == [h.positions for h in marking]
+        assert [h.torus_corank for h in closure] == [h.torus_corank for h in marking]
+
+    def test_dedup_builds_no_weyl_group(self, monkeypatch):
+        def refuse(ctx):
+            raise AssertionError("weyl_group was built")
+
+        monkeypatch.setattr("rootsplit.catalog.weyl_group", refuse)
+        monkeypatch.setattr("rootsplit.weyl_group", refuse)
+        ctx = parent_context(build(label("F", 4)))
+        assert enumerate_closed_subsystems(ctx)
+        assert classify_all(4, include_products=True)
+
 
 class TestIsotropyWeights:
     def test_g2_over_torus(self):
@@ -208,7 +255,7 @@ class TestWolf:
     @pytest.mark.parametrize("lab", simple_labels_up_to(8), ids=str)
     def test_context_wolf_matches_validating_constructor(self, lab):
         # Oracle: is_closed and rank_of on the rational roots, apart from
-        # the context's integer copy.
+        # the context's integer copy, and int_rank on that copy.
         parent = build(lab)
         ctx = parent_context(parent)
         wolf = ctx.wolf
@@ -217,6 +264,7 @@ class TestWolf:
         assert tuple(parent.roots[i] for i in wolf.positions) == wolf.roots
         assert is_closed(wolf.roots, parent)
         assert wolf.torus_corank == parent.rank - rank_of(wolf.roots)
+        assert wolf.torus_corank == int_rank_corank(ctx, wolf)
 
     def test_reducible_parent_rejected(self):
         with pytest.raises(ValueError, match="requires an irreducible system"):
