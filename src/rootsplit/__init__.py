@@ -1,18 +1,13 @@
-"""Exact-arithmetic root system toolkit and quaternionic weight-splitting
-classifier for equal-rank homogeneous pairs."""
+"""Exact-arithmetic classifier of equal-rank homogeneous pairs by their
+quaternionic weight splittings, with the root systems, subsystems and
+weight sets it is built on."""
 
 from .linalg import Vector, dot, vec
 from .rootcore import (
-    PairClass,
     RootSystem,
     ValidationReport,
-    cartan_int,
-    is_root_subsystem,
     make_root_system,
-    pair_class,
     reflect,
-    reflection_closure,
-    root_chain,
     validate_root_system,
 )
 from .catalog import (
@@ -35,7 +30,6 @@ from .subalgebra import (
     ParentContext,
     closed_subsystem,
     enumerate_closed_subsystems,
-    is_closed,
     is_symmetric_pair,
     is_wolf_pair,
     isotropy_weights,
@@ -51,7 +45,6 @@ from .splitting import (
     case_analysis,
     check_constraints,
     find_splittings,
-    splittings_oracle,
     verify_certificate,
     wolf_certificate,
 )

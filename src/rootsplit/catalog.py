@@ -239,17 +239,9 @@ def int_components(
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
-def simple_base(roots: Iterable[Vector]) -> list[Vector]:
-    """Deterministic simple-root base: indecomposable elements of the
-    lexicographically positive half, sorted."""
-    roots = list(roots)
-    iroots = int_scaled(roots)
-    back = dict(zip(iroots, roots))
-    return [back[a] for a in int_simple_base(iroots)]
-
-
 def int_simple_base(iroots: Iterable[IntVector]) -> list[IntVector]:
-    """simple_base on integer vectors.
+    """Deterministic simple-root base of integer roots: the indecomposable
+    elements of the lexicographically positive half, sorted.
 
     Each positive root is tested only against the simple roots found
     before it: every positive root that is not simple is a positive root

@@ -68,7 +68,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if args.roots:
+    if args.roots is not None and args.g is not None:
+        raise ParseError("validate takes either G or --roots, not both")
+    if args.roots is not None:
         vectors = parse_root_list(args.roots)
     elif args.g is not None:
         vectors = list(parse_g_spec(args.g)[1].roots)
@@ -162,6 +164,11 @@ def _cmd_wolf(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    batch_flags = args.max_rank is not None or args.series is not None or args.include_products
+    if args.g is not None and batch_flags:
+        raise ParseError("classify takes either G and H, or --max-rank and its flags, not both")
+    if args.series == []:
+        raise ParseError("--series needs at least one letter")
     if args.g is not None and args.h is not None:
         report = classify_pair(args.g, args.h)
     elif args.max_rank is not None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
@@ -155,11 +155,16 @@ def primitive_direction(v: IntVector) -> IntVector:
     raise ValueError("zero vector has no direction")
 
 
-def _independent(rows: Iterable[IntVector]) -> Iterator[int]:
-    """Positions of the integer rows that are independent of the rows
-    before them, by fraction-free elimination."""
+def rank_of(vectors: Iterable[Vector]) -> int:
+    """Rank of the span of rational vectors."""
+    return int_rank(int_scaled(list(vectors)))
+
+
+def int_rank(rows: Iterable[IntVector]) -> int:
+    """Rank of the span of integer vectors, with no rescaling, by
+    fraction-free elimination."""
     echelon: list[tuple[int, IntVector]] = []  # (leading column, row), by column
-    for k, row in enumerate(rows):
+    for row in rows:
         for col, piv in echelon:
             a = row[col]
             if a:
@@ -167,28 +172,12 @@ def _independent(rows: Iterable[IntVector]) -> Iterator[int]:
                 row = tuple(p * x - a * y for x, y in zip(row, piv))
         lead = next((i for i, x in enumerate(row) if x), None)
         if lead is not None:
-            yield k
             g = gcd(*row)
             echelon.append((lead, tuple(x // g for x in row)))
             echelon.sort()
             if len(echelon) == len(row):
-                return
-
-
-def span_basis(vectors: Sequence[Vector]) -> list[Vector]:
-    """The vectors that are independent of those before them: a basis of
-    the span, eliminated on an int_scaled copy."""
-    return [vectors[k] for k in _independent(int_scaled(vectors))]
-
-
-def rank_of(vectors: Iterable[Vector]) -> int:
-    """Rank of the span of rational vectors."""
-    return int_rank(int_scaled(list(vectors)))
-
-
-def int_rank(rows: Iterable[IntVector]) -> int:
-    """Rank of the span of integer vectors, with no rescaling."""
-    return sum(1 for _ in _independent(rows))
+                break
+    return len(echelon)
 
 
 def parse_rational(s: str) -> Fraction:

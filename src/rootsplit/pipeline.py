@@ -122,10 +122,13 @@ def parse_g_spec(g_spec: str) -> tuple[str, RootSystem]:
 
 
 def parse_root_list(text: str) -> list[Vector]:
-    """A JSON list of root vectors of one length, rationals as numbers or
-    'p/q' strings."""
+    """A JSON list of root vectors of one length, each a JSON list of
+    rationals as numbers or 'p/q' strings."""
     try:
-        roots = [tuple(parse_rational(str(c)) for c in row) for row in json.loads(text)]
+        rows = json.loads(text)
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("expected a JSON list of lists")
+        roots = [tuple(parse_rational(str(c)) for c in row) for row in rows]
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"bad root list: {exc}") from exc
     if len({len(r) for r in roots}) > 1:

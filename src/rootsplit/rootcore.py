@@ -1,4 +1,4 @@
-"""Root system axioms, reflections, chains and subsystem predicates.
+"""Root system axioms, their validation, and reflections.
 
 A root system is a finite set of nonzero rational vectors satisfying:
 
@@ -13,7 +13,6 @@ Everything in this module is pure and operates on immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -22,37 +21,15 @@ from .linalg import (
     idot,
     int_scaled,
     is_zero,
-    lex_positive,
     primitive_direction,
     rank_of,
-    vneg,
     vscale,
     vsub,
 )
 
-#: reflection_closure aborts past this size; E8, the largest catalog
-#: system, has 240 roots, so anything bigger is not crystallographic.
-CLOSURE_CAP = 1000
-
 
 class RootsplitError(Exception):
     """Base class for all domain errors raised by this package."""
-
-
-class NormscalViolation(RootsplitError):
-    """A root pair fits none of the (ratio, Cartan) classes: not a root system."""
-
-
-class ChainBroken(RootsplitError):
-    """A predicted chain element is missing: the input is not a root system."""
-
-
-@dataclass(frozen=True)
-class PairClass:
-    """Length-ratio/Cartan class of a non-proportional root pair."""
-
-    kind: str  # "orthogonal" | "ratio1" | "ratio2" | "ratio3"
-    cartan_value: int
 
 
 @dataclass(frozen=True)
@@ -69,9 +46,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def axioms_violated(self) -> tuple[str, ...]:
-        return tuple(sorted({v.axiom for v in self.violations}))
 
 
 @dataclass(frozen=True)
@@ -113,17 +87,6 @@ def reflect(v: Vector, alpha: Vector) -> Vector:
         raise ValueError("cannot reflect through the zero vector")
     c = 2 * dot(alpha, v) / aa
     return vsub(v, vscale(c, alpha))
-
-
-def cartan_int(alpha: Vector, beta: Vector) -> Fraction:
-    """The Cartan number 2<alpha,beta>/<alpha,alpha>, exactly.
-
-    Integrality is not assumed here; the validator checks it (axiom R3).
-    """
-    aa = dot(alpha, alpha)
-    if aa == 0:
-        raise ValueError("alpha must be nonzero")
-    return 2 * dot(alpha, beta) / aa
 
 
 def validate_root_system(candidate: Sequence[Vector]) -> ValidationReport:
@@ -200,92 +163,3 @@ def validate_root_system(candidate: Sequence[Vector]) -> ValidationReport:
             r4_seen = True
 
     return ValidationReport(tuple(violations))
-
-
-def pair_class(alpha: Vector, beta: Vector) -> PairClass:
-    """Length-ratio/Cartan trichotomy for a pair of roots.
-
-    Either the roots are orthogonal, or (ratio^2, Cartan number on the
-    shorter root) is one of (1,+-1), (2,+-2), (3,+-3), with the Cartan
-    number taken against the longer root. Anything else proves the
-    ambient set was not a root system.
-    """
-    if beta == alpha or beta == vneg(alpha):
-        raise ValueError("pair_class requires beta != +-alpha")
-    p = dot(alpha, beta)
-    if p == 0:
-        return PairClass("orthogonal", 0)
-    la, lb = dot(alpha, alpha), dot(beta, beta)
-    ratio2 = max(la, lb) / min(la, lb)
-    c = 2 * p / min(la, lb)  # the Cartan number on the shorter root
-    if ratio2 in (1, 2, 3) and c.denominator == 1 and abs(c) == ratio2:
-        return PairClass(f"ratio{ratio2}", int(c))
-    raise NormscalViolation(
-        f"pair ratio^2={ratio2}, cartan={c} fits no root-system class"
-    )
-
-
-def root_chain(beta: Vector, alpha: Vector, system: RootSystem) -> list[Vector]:
-    """The chain beta - sgn(c) k alpha, k = 1..|c|, c = 2<a,b>/<a,a>.
-
-    Every element is asserted to lie in the system; a gap raises ChainBroken.
-    """
-    if alpha not in system or beta not in system:
-        raise ValueError("alpha and beta must belong to the system")
-    c = cartan_int(alpha, beta)
-    if c == 0:
-        raise ValueError("root_chain requires <alpha,beta> != 0")
-    if c.denominator != 1:
-        raise ChainBroken(f"non-integral Cartan number {c}")
-    sgn = 1 if c > 0 else -1
-    chain = []
-    for k in range(1, abs(int(c)) + 1):
-        elem = vsub(beta, vscale(sgn * k, alpha))
-        if elem not in system:
-            raise ChainBroken(f"chain element {elem} missing at step {k}")
-        chain.append(elem)
-    return chain
-
-
-def reflection_closure(seed: Iterable[Vector]) -> frozenset:
-    """Smallest superset of seed closed under reflections through its members.
-
-    Terminates for any input satisfying R3 on its hull; a growth cap
-    aborts on non-crystallographic seeds.
-    """
-    current = set(seed)
-    if any(is_zero(v) for v in current):
-        raise ValueError("reflection_closure requires nonzero vectors")
-    while True:
-        new = set()
-        for a in current:
-            for v in current:
-                r = reflect(v, a)
-                if r not in current:
-                    new.add(r)
-        if not new:
-            return frozenset(current)
-        current |= new
-        if len(current) > CLOSURE_CAP:
-            raise RootsplitError(
-                f"reflection closure exceeded {CLOSURE_CAP} vectors; "
-                "input is likely not crystallographic"
-            )
-
-
-def is_root_subsystem(candidate: Iterable[Vector]) -> bool:
-    """True iff candidate satisfies R1-R3 on its hull and its reflection
-    closure is a root system."""
-    vecs = sorted(set(candidate))
-    if set(validate_root_system(vecs).axioms_violated()) - {"R4"}:
-        return False
-    try:
-        closure = reflection_closure(vecs)
-    except RootsplitError:
-        return False
-    return validate_root_system(sorted(closure)).ok
-
-
-def positive_roots(system: RootSystem) -> list[Vector]:
-    """The lexicographically positive half of the root set."""
-    return [r for r in system.roots if lex_positive(r)]

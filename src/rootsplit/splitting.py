@@ -22,9 +22,7 @@ from .linalg import (
     lex_positive,
     scale_to_int,
     unscale,
-    vadd,
     vneg,
-    vscale,
     vsub,
 )
 from .rootcore import RootsplitError
@@ -141,15 +139,11 @@ def verify_certificate(w: IsotropyWeights, cert: SplittingCertificate) -> bool:
     return _generation_table(w, cert) is not None
 
 
-def _canonical_certificate(beta: Vector, plus_half: Iterable[Vector]) -> SplittingCertificate:
-    """Canonicalize: beta lexicographically positive, alpha signs by
-    <beta,alpha> >= 0 with a lexicographic tie-break when orthogonal."""
-    return SplittingCertificate(*_canonical(beta, plus_half))
-
-
 def _canonical(beta, plus_half):
-    """_canonical_certificate as a (beta, alphas) pair, on rational or
-    integer vectors alike."""
+    """The canonical (beta, alphas) of the half plus_half about beta, on
+    rational or integer vectors alike: beta lexicographically positive,
+    alpha signs by <beta,alpha> >= 0 with a lexicographic tie-break when
+    orthogonal, alphas sorted."""
     raw = []
     seen = set()
     for w in plus_half:
@@ -253,43 +247,6 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
             raise RootsplitError(f"splitting certificate {cert} failed verification")
         certs.append(cert)
     return certs
-
-
-def splittings_oracle(w: IsotropyWeights) -> list[SplittingCertificate]:
-    """Naive exhaustive oracle, independent of the translation search.
-
-    Enumerates every half H with W = H | (-H) (one sign choice per
-    negation pair); beta must then be the average of H, and the splitting
-    conditions are checked directly. Exponential in |W|/2: test use only.
-    """
-    if w.dim_M == 0:
-        raise EmptyWeights("the weight set is empty (g = h)")
-    if w.dim_M % 4 != 0:
-        raise ValueError("|W| must be divisible by 4")
-    wset = frozenset(w.weights)
-    pairs = sorted({tuple(sorted((x, vneg(x)))) for x in wset})
-    k = len(pairs)
-    found = set()
-    for mask in range(1 << k):
-        half = [p[1] if mask >> i & 1 else p[0] for i, p in enumerate(pairs)]
-        total = half[0]
-        for x in half[1:]:
-            total = vadd(total, x)
-        if all(c == 0 for c in total):
-            continue  # beta = 0
-        beta = vscale(Fraction(1, len(half)), total)
-        if beta in half:
-            continue  # some alpha_i = 0
-        hs = set(half)
-        two_beta = vadd(beta, beta)
-        # H must be symmetric about beta, and W \ H must be H - 2 beta
-        if not all(vsub(two_beta, x) in hs for x in half):
-            continue
-        minus = {vsub(x, two_beta) for x in half}
-        if minus != wset - hs:
-            continue
-        found.add(_canonical_certificate(beta, half))
-    return sorted(found, key=lambda c: (c.beta, c.alphas))
 
 
 def check_constraints(ctx: ParentContext, cert: SplittingCertificate) -> ConstraintReport:

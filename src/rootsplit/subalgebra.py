@@ -37,7 +37,7 @@ from .linalg import (
     scale_to_int,
     vneg,
 )
-from .rootcore import RootsplitError, RootSystem, positive_roots
+from .rootcore import RootsplitError, RootSystem
 
 
 class NotClosed(RootsplitError):
@@ -126,20 +126,6 @@ def _subsystem(ctx: ParentContext, positions: Sequence[int], error: str) -> Clos
             base.append(a)
     roots = tuple(ctx.system.roots[i] for i in positions)
     return ClosedSubsystem(ctx.system, roots, ctx.rank - len(base), tuple(positions))
-
-
-def is_closed(subset: Iterable[Vector], parent: RootSystem) -> bool:
-    """Negation- and addition-closure of subset within parent."""
-    s = frozenset(subset)
-    if not s <= parent.root_set:
-        raise ValueError("subset is not contained in the parent root system")
-    scale = common_scale(parent.roots)
-    iroots = [scale_to_int(r, scale) for r in parent.roots]
-    radix = lattice_radix(iroots)
-    return _closed(
-        {pack(scale_to_int(r, scale), radix) for r in s},
-        {pack(r, radix) for r in iroots},
-    )
 
 
 def closed_subsystem(ctx: ParentContext, roots: Iterable[Vector]) -> ClosedSubsystem:
@@ -242,26 +228,6 @@ def enumerate_closed_subsystems(
     ]
     subs.sort(key=lambda s: (len(s.positions), s.positions))  # as by roots: those are sorted
     return subs
-
-
-def brute_force_closed_subsystems(parent: RootSystem) -> list[tuple[Vector, ...]]:
-    """Exhaustive oracle: filter is_closed over all negation-closed subsets.
-
-    Only usable for small systems (2^#positive-roots candidates); retained
-    as an independent check on the backtracking enumerator.
-    """
-    pos = positive_roots(parent)
-    out = []
-    for mask in range(1 << len(pos)):
-        subset = []
-        for i, p in enumerate(pos):
-            if mask >> i & 1:
-                subset.append(p)
-                subset.append(vneg(p))
-        if is_closed(subset, parent):
-            out.append(tuple(sorted(subset)))
-    out.sort(key=lambda s: (len(s), s))
-    return out
 
 
 def isotropy_weights(ctx: ParentContext, h: ClosedSubsystem) -> IsotropyWeights:

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+from oracles import canonical_certificate, pair_class, splittings_oracle
 from rootsplit.catalog import (
     build,
     build_sum,
@@ -16,11 +17,10 @@ from rootsplit.catalog import (
     weyl_group,
 )
 from rootsplit.pipeline import _product_labels, classify_all, classify_pair
-from rootsplit.rootcore import pair_class, validate_root_system
+from rootsplit.rootcore import validate_root_system
 from rootsplit.splitting import (
     check_constraints,
     find_splittings,
-    splittings_oracle,
     verify_certificate,
     wolf_certificate,
 )
@@ -181,8 +181,6 @@ def test_criterion_7_weyl_equivariance_100_random_cases():
         ]
         if subs:
             cases.append((ctx, wg, subs))
-    from rootsplit.splitting import _canonical_certificate
-
     for _ in range(100):
         ctx, wg, subs = rng.choice(cases)
         h = rng.choice(subs)
@@ -204,7 +202,7 @@ def test_criterion_7_weyl_equivariance_100_random_cases():
                 )
                 for alpha in c.alphas for s in (1, -1)
             ]
-            expected.add(_canonical_certificate(beta, plus_half))
+            expected.add(canonical_certificate(beta, plus_half))
         assert expected == transformed
 
 

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import cartan_int, reflection_closure, simple_base, span_basis
 from parents import RANK_4_PARENTS
 from rootsplit.linalg import (
     dot,
     idot,
     int_scaled,
-    lex_positive,
-    span_basis,
     vec,
     vscale,
 )
@@ -28,7 +27,6 @@ from rootsplit.catalog import (
     normalize,
     parse_label,
     parse_label_sum,
-    simple_base,
     simple_labels_up_to,
     weyl_group,
 )
@@ -149,7 +147,7 @@ def _matrices_isomorphic(m1, m2) -> bool:
 
 
 _REFERENCE_MATRICES = {
-    lab: _cartan_matrix(int_simple_base(int_scaled(build(lab).roots)))
+    lab: _cartan_matrix(simple_base(int_scaled(build(lab).roots)))
     for lab in simple_labels_up_to(8)
 }
 
@@ -159,7 +157,7 @@ def _oracle_type(system) -> list:
     permutation of its simple roots, against every catalog type's."""
     out = []
     for comp in _components_oracle(int_scaled(system.roots)):
-        cm = _cartan_matrix(int_simple_base(comp))
+        cm = _cartan_matrix(simple_base(comp))
         matches = [lab for lab, ref in _REFERENCE_MATRICES.items()
                    if _matrices_isomorphic(cm, ref)]
         assert len(matches) == 1, matches
@@ -221,20 +219,8 @@ class TestSimpleBase:
             assert len(simple_base(sys.roots)) == sys.rank
 
     def test_base_generates_system(self):
-        from rootsplit.rootcore import reflection_closure
         b3 = build(label("B", 3))
         assert reflection_closure(simple_base(b3.roots)) == b3.root_set
-
-
-def _simple_base_oracle(iroots):
-    """The indecomposable lexicographically positive roots, each tested
-    against every positive root: O(|R+|^2)."""
-    pos = sorted(r for r in iroots if lex_positive(r))
-    pos_set = set(pos)
-    return [
-        a for a in pos
-        if not any(tuple(x - y for x, y in zip(a, b)) in pos_set for b in pos)
-    ]
 
 
 def _components_oracle(iroots):
@@ -279,7 +265,7 @@ class TestParentFactOracles:
                 for h in enumerate_closed_subsystems(ctx, dedup=False)
             ]
         for iroots in systems:
-            assert int_simple_base(iroots) == _simple_base_oracle(iroots)
+            assert int_simple_base(iroots) == simple_base(iroots)
             assert int_components(iroots, int_simple_base(iroots)) == _components_oracle(iroots)
 
 
@@ -356,7 +342,6 @@ class TestNormalize:
             normalize(build(label("G", 2)))
 
     def test_cartan_integers_preserved(self):
-        from rootsplit.rootcore import cartan_int
         c3 = build(label("C", 3))
         m = normalize(c3)
         for a in c3.roots[:6]:

@@ -89,7 +89,9 @@ class TestCli:
     @pytest.mark.parametrize("args", [
         ("--roots", "5"), ("--roots", "[1]"), ("--roots", '[["1/0"]]'),
         ("--roots", "[[1,0],[1]]"), (),
-    ], ids=["scalar", "flat_list", "zero_denominator", "ragged", "no_input"])
+        ("--roots", '"12"'), ("--roots", '["12","21"]'), ("--roots", '{"1": 1}'),
+    ], ids=["scalar", "flat_list", "zero_denominator", "ragged", "no_input",
+            "string", "string_rows", "object"])
     def test_validate_bad_input_exits_one(self, args):
         r = run("validate", *args)
         assert r.returncode == 1
@@ -167,12 +169,27 @@ class TestCli:
             ["--max-rank", "3", "--series", "B", "BC"],
             ["--max-rank", "0"],
             ["--max-rank", "-1"],
+            ["--max-rank", "2", "--series"],
         ],
-        ids=["series-Z", "series-BC", "rank-0", "rank-negative"],
+        ids=["series-Z", "series-BC", "rank-0", "rank-negative", "series-empty"],
     )
     def test_bad_classify_batch_input_exits_one(self, args):
         # Each once printed '"pairs": []' and exited 0.
         r = run("classify", *args)
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["classify", "B3", "torus", "--include-products", "--max-rank", "9"],
+            ["validate", "B3", "--roots", '[["1"],["-1"]]'],
+        ],
+        ids=["classify-pair-with-batch-flags", "validate-label-and-roots"],
+    )
+    def test_ignored_arguments_exit_one(self, args):
+        # Each once exited 0 and silently dropped part of its command line.
+        r = run(*args)
         assert r.returncode == 1 and r.stdout == ""
         assert r.stderr.startswith("error: ")
 

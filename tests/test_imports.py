@@ -1,7 +1,8 @@
 """Every name a rootsplit module imports is used in that module, only
 subalgebra and catalog choose an integer scale, the pair checks import no
-rational metric product or typing, and every function the bench traces
-exists."""
+rational metric product or typing, every function the bench traces
+exists, every top-level function and class of src/ is reached, and the
+test oracles use no private rootsplit code."""
 import ast
 import importlib
 from pathlib import Path
@@ -12,6 +13,22 @@ import rootsplit
 
 PACKAGE = Path(rootsplit.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+
+#: public input helpers that nothing in src/ calls: vec builds a rational
+#: vector, weights_from_set the weights of a set given from outside
+INPUT_HELPERS = {"linalg.vec", "subalgebra.weights_from_set"}
+
+
+def traced_names():
+    """TRACED of bench/tracing.py, read from the source: bench/ is a script
+    directory, not a package."""
+    tracing = TESTS.parent / "bench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(), str(tracing))
+    return next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"
+    )
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -58,15 +75,41 @@ def test_pair_checks_stay_on_the_integer_copy(module):
 
 
 def test_bench_trace_names_resolve():
-    # Read TRACED from the source: bench/ is a script directory, not a package.
-    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    tree = ast.parse(tracing.read_text(), str(tracing))
-    traced = next(
-        ast.literal_eval(node.value) for node in tree.body
-        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"
-    )
+    traced = traced_names()
     missing = [
         f"{m}.{f}" for m, f in traced
         if not callable(getattr(importlib.import_module(f"rootsplit.{m}"), f, None))
     ]
     assert traced and not missing, f"traced names missing: {missing}"
+
+
+def test_every_src_definition_is_reached():
+    # A top-level function or class that no other code of src/ names (the
+    # __init__ exports aside) is either traced by the bench or a public
+    # input helper; anything else only the tests use, and belongs in
+    # tests/oracles.py, or nothing uses it.
+    defined, named = {}, set()
+    for path in MODULES:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            own = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[own] = f"{path.stem}.{own}"
+            for n in ast.walk(node):
+                name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+                if name != own:
+                    named.add(name)
+    allowed = {f"{m}.{f}" for m, f in traced_names()} | INPUT_HELPERS
+    unreached = {q for name, q in defined.items() if name not in named}
+    assert unreached <= allowed, f"reached by nothing in src/: {sorted(unreached - allowed)}"
+
+
+def test_oracles_use_no_private_rootsplit_name():
+    # An oracle that shared a private helper with the code it checks would
+    # not check it.
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    private = [
+        f"{node.module}.{a.name}" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "rootsplit"
+        for a in node.names if a.name.startswith("_")
+    ]
+    assert not private, f"oracles import private names {private}"

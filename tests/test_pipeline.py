@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from oracles import simple_base
 from parents import RANK_4_PARENTS
 from rootsplit.catalog import (
     build,
@@ -10,7 +11,6 @@ from rootsplit.catalog import (
     identify_type,
     label,
     parse_label_sum,
-    simple_base,
     simple_labels_up_to,
 )
 from rootsplit.pipeline import (

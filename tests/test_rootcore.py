@@ -1,23 +1,14 @@
-"""Axioms, pair trichotomy, chains, and reflection closure."""
+"""Axioms, validation and reflections (rootcore), and the test oracles'
+Cartan numbers, pair trichotomy and reflection closure (oracles)."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import NormscalViolation, cartan_int, pair_class, reflection_closure
 from rootsplit.linalg import dot, vec
 from rootsplit.catalog import build, label
-from rootsplit.rootcore import (
-    ChainBroken,
-    NormscalViolation,
-    cartan_int,
-    is_root_subsystem,
-    make_root_system,
-    pair_class,
-    reflect,
-    reflection_closure,
-    root_chain,
-    validate_root_system,
-)
+from rootsplit.rootcore import reflect, validate_root_system
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 small_vecs = st.lists(rationals, min_size=2, max_size=4).map(lambda xs: vec(*xs))
@@ -121,27 +112,6 @@ class TestClassifyPair:
             pair_class(vec(1, 0), vec(1, 2))
 
 
-class TestRootChain:
-    def test_single_step(self):
-        b2 = build(label("B", 2))
-        assert root_chain(vec(1, 0), vec(1, -1), b2) == [vec(0, 1)]
-
-    def test_orthogonal_rejected(self):
-        b2 = build(label("B", 2))
-        with pytest.raises(ValueError):
-            root_chain(vec(1, 1), vec(1, -1), b2)
-
-    def test_broken_chain_detected(self):
-        # Remove the chain endpoint from the system.
-        b2 = build(label("B", 2))
-        pruned = make_root_system(
-            [r for r in b2.roots if r not in (vec(0, 1), vec(0, -1))],
-            validate=False,
-        )
-        with pytest.raises(ChainBroken):
-            root_chain(vec(1, 0), vec(1, -1), pruned)
-
-
 class TestReflectionClosure:
     def test_a2_from_simple_roots(self):
         closure = reflection_closure([vec(1, -1, 0), vec(0, 1, -1)])
@@ -155,16 +125,3 @@ class TestReflectionClosure:
         assert reflection_closure([vec(1), vec(-1)]) == frozenset(
             [vec(1), vec(-1)]
         )
-
-
-class TestIsRootSubsystem:
-    def test_b3_isotropy_weights_regenerate_b3(self):
-        b3 = build(label("B", 3))
-        w = [r for r in b3.roots if sum(r) != 0]
-        assert is_root_subsystem(w)
-
-    def test_forbidden_multiple(self):
-        assert not is_root_subsystem([vec(1), vec(-1), vec(2), vec(-2)])
-
-    def test_any_catalog_system(self):
-        assert is_root_subsystem(build(label("F", 4)).roots)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import splittings_oracle
 from parents import RANK_4_PARENTS, parents_up_to
 from rootsplit.linalg import dot, lattice_radix, pack, scale_to_int, vec, vneg
 from rootsplit.catalog import (
@@ -33,7 +34,6 @@ from rootsplit.splitting import (
     case_analysis,
     check_constraints,
     find_splittings,
-    splittings_oracle,
     verify_certificate,
     wolf_certificate,
 )

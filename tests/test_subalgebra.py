@@ -1,6 +1,7 @@
 """Closed subsystems, isotropy weights, symmetric and Wolf pairs."""
 import pytest
 
+from oracles import brute_force_closed_subsystems, is_closed
 from parents import RANK_4_PARENTS
 from rootsplit.linalg import int_rank, rank_of, vec
 from rootsplit.catalog import (
@@ -16,10 +17,8 @@ from rootsplit.pipeline import classify_all
 from rootsplit.rootcore import make_root_system
 from rootsplit.subalgebra import (
     NotClosed,
-    brute_force_closed_subsystems,
     closed_subsystem,
     enumerate_closed_subsystems,
-    is_closed,
     is_symmetric_pair,
     is_wolf_pair,
     isotropy_weights,
