@@ -20,14 +20,11 @@ from .linalg import (
     IntVector,
     Matrix,
     Vector,
-    common_scale,
     dot,
     idot,
     int_rank,
-    int_scaled,
     lex_positive,
     pack,
-    scale_to_int,
     vadd,
 )
 from .rootcore import (
@@ -211,7 +208,7 @@ def direct_sum(parts: Sequence[RootSystem]) -> RootSystem:
 
 def components(system: RootSystem) -> list[tuple[Vector, ...]]:
     """Irreducible components: connected classes under non-orthogonality."""
-    iroots = int_scaled(system.roots)  # orthogonality is scale-invariant
+    iroots = system.ints
     back = dict(zip(iroots, system.roots))
     return [tuple(back[r] for r in c) for c in int_components(iroots, int_simple_base(iroots))]
 
@@ -260,7 +257,7 @@ def int_simple_base(iroots: Iterable[IntVector]) -> list[IntVector]:
 
 def highest_root(system: RootSystem) -> Vector:
     """The unique maximal root of an irreducible system (always long)."""
-    iroots = int_scaled(system.roots)
+    iroots = system.ints
     base = int_simple_base(iroots)
     if len(int_components(iroots, base)) != 1:
         raise ValueError("highest_root requires an irreducible system")
@@ -346,8 +343,11 @@ def weyl_group(ctx: ParentContext) -> WeylGroup:
 
 def identify_type(system: RootSystem | ClosedSubsystem) -> list[CartanLabel]:
     """Cartan labels of the irreducible components of system's roots, using
-    canonical aliases (B1 -> A1, C2 -> B2, D2 -> A1+A1, D3 -> A3)."""
-    return int_types(int_scaled(system.roots))
+    canonical aliases (B1 -> A1, C2 -> B2, D2 -> A1+A1, D3 -> A3), read
+    from its integer copy (a subsystem's is its parent's at its positions)."""
+    if isinstance(system, RootSystem):
+        return int_types(system.ints)
+    return int_types([system.parent.ints[i] for i in system.positions])
 
 
 def int_types(iroots: Sequence[IntVector]) -> list[CartanLabel]:
@@ -388,9 +388,8 @@ def normalize(system: RootSystem) -> Matrix:
     roots is (sum of |r|^2 / rank) P. Cartan numbers and pair classes are
     unaffected. Components with length ratio sqrt(3) raise G2Component.
     """
-    scale = common_scale(system.roots)
-    iroots = [scale_to_int(r, scale) for r in system.roots]
-    rows, den = int_normalize(int_components(iroots, int_simple_base(iroots)), scale)
+    iroots = system.ints
+    rows, den = int_normalize(int_components(iroots, int_simple_base(iroots)), system.scale)
     return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 

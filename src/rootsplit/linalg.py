@@ -2,26 +2,27 @@
 
 Boundary rule: vectors are `fractions.Fraction` tuples where they are
 parsed and emitted, and in every public value. Hot loops work on integer
-copies scaled by a common denominator (`int_scaled`, `scale_to_int`),
-which is exact because the questions they answer (membership, sums,
-signs of dots, ratios, ranks) are invariant under a positive rescale.
-Each parent's roots are scaled once, by `subalgebra.parent_context`, at
-twice their common denominator so that half of any difference of weights
-is integral. Every step of a pair (types, symmetric, Wolf and splitting
-tests, certificate checks, and constraints in the normalized metric, an
-`IntMatrix` over one denominator) reads that copy and names a root or a
-weight by its position in it. Lookups (is a sum or a difference of roots
-a root, a weight, a pair sum?) run on lattice keys: `pack` turns each
-integer root into one int, additive and in lex order, so a sum is an int
-addition and a set lookup hashes an int. Tuples stay wherever coordinates
-are read: dots, theta, canonical certificates, the constraints and every
-emitted value. Keys are made only for the vectors their radix was chosen
-from (a parent's roots, or a weight set given from outside), and only
-their sums and differences are looked up; a rational root given from
-outside is looked up once, by bisection in `subalgebra.closed_subsystem`,
-and a certificate is scaled onto the copy and checked on tuples.
-`IsotropyWeights` carries the copy of W and its keys. Nothing here ever
-touches a float.
+copies, which is exact because the questions they answer (membership,
+sums, signs of dots, ratios, ranks) are invariant under a positive
+rescale. `int_copy` is the one function that picks the scale. A
+`rootcore.RootSystem` makes its copy with it once, when it is made, and
+every layer reads that copy; only vectors from outside get one of their
+own (`rootcore.validate_root_system`, `subalgebra.weights_from_set`).
+Every step of a pair (types, symmetric, Wolf and splitting tests,
+certificate checks, and constraints in the normalized metric, an
+`IntMatrix` over one denominator) reads the parent's copy and names a
+root or a weight by its position in it. Lookups (is a sum or a
+difference of roots a root, a weight, a pair sum?) run on lattice keys:
+`pack` turns each integer root into one int, additive and in lex order,
+so a sum is an int addition and a set lookup hashes an int. Tuples stay
+wherever coordinates are read: dots, theta, canonical certificates, the
+constraints and every emitted value. Keys are made only for the vectors
+their radix was chosen from (a parent's roots, or a weight set given
+from outside), and only their sums and differences are looked up; a
+rational root given from outside is looked up once, by bisection in
+`subalgebra.closed_subsystem`, and a certificate is scaled onto a copy's
+scale (`scale_to_int`) and checked on tuples. `IsotropyWeights` carries
+the copy of W and its keys. Nothing here ever touches a float.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def dot(u: Vector, v: Vector) -> Fraction:
 
 
 def idot(u: IntVector, v: IntVector) -> int:
-    """Inner product of integer vectors, e.g. from int_scaled (no dimension
+    """Inner product of integer vectors, e.g. from int_copy (no dimension
     check, and no Fraction start value)."""
     return sum(map(mul, u, v))
 
@@ -84,13 +85,15 @@ def lex_positive(v: Vector) -> bool:
     return False
 
 
-def common_scale(vectors: Iterable[Vector]) -> int:
-    """Smallest positive integer L such that L*v is integral for all v."""
-    L = 1
-    for v in vectors:
-        for a in v:
-            L = lcm(L, a.denominator)
-    return L
+def int_copy(vectors: Sequence[Vector]) -> tuple[int, tuple[IntVector, ...]]:
+    """(scale, ints): scale is twice the common denominator of the vectors,
+    so half a difference of two is integral, and ints are the vectors times
+    scale, in order. Raises ValueError on mixed dimensions, whose lattice
+    keys would alias."""
+    if len({len(v) for v in vectors}) > 1:
+        raise ValueError("vectors differ in dimension")
+    scale = 2 * lcm(*{a.denominator for v in vectors for a in v})
+    return scale, tuple(tuple(a.numerator * (scale // a.denominator) for a in v) for v in vectors)
 
 
 def scale_to_int(v: Vector, scale: int) -> IntVector:
@@ -128,16 +131,6 @@ def pack(v: IntVector, radix: int) -> int:
     return key
 
 
-def int_scaled(vectors: Sequence[Vector]) -> list[IntVector]:
-    """Clear denominators: the same vectors up to a global positive scale.
-
-    A positive scale keeps the lexicographic order, so sorted input gives
-    sorted output.
-    """
-    scale = common_scale(vectors)
-    return [scale_to_int(v, scale) for v in vectors]
-
-
 def unscale(v: IntVector, scale: int) -> Vector:
     """Inverse of scale_to_int: the rational vector v / scale."""
     return tuple(Fraction(a, scale) for a in v)
@@ -153,11 +146,6 @@ def primitive_direction(v: IntVector) -> IntVector:
         if a != 0:
             return w if a > 0 else tuple(-b for b in w)
     raise ValueError("zero vector has no direction")
-
-
-def rank_of(vectors: Iterable[Vector]) -> int:
-    """Rank of the span of rational vectors."""
-    return int_rank(int_scaled(list(vectors)))
 
 
 def int_rank(rows: Iterable[IntVector]) -> int:

@@ -145,7 +145,7 @@ def parse_h_spec(ctx: ParentContext, h_spec: str) -> ClosedSubsystem:
     rationals as 'p/q' strings.
     """
     h_spec = h_spec.strip()
-    if h_spec in ("torus", ""):
+    if h_spec == "torus":
         return closed_subsystem(ctx, ())
     if h_spec == "wolf":
         return ctx.wolf

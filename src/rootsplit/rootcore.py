@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .linalg import (
+    IntVector,
     Vector,
     dot,
     idot,
-    int_scaled,
+    int_copy,
+    int_rank,
     is_zero,
     primitive_direction,
-    rank_of,
     vscale,
     vsub,
 )
@@ -50,34 +51,41 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A validated root system."""
+    """A validated root system and its integer copy (linalg.int_copy), made
+    once here and read by every layer: ints are the roots times scale."""
 
     ambient_dim: int
     roots: tuple[Vector, ...]  # sorted lexicographically
     root_set: frozenset = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
+    ints: tuple[IntVector, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "root_set", frozenset(self.roots))
+        scale, ints = int_copy(self.roots)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "ints", ints)
 
     def __contains__(self, v: Vector) -> bool:
         return v in self.root_set
 
     @property
     def rank(self) -> int:
-        return rank_of(self.roots)
+        return int_rank(self.ints)
 
 
 def make_root_system(vectors: Iterable[Vector], validate: bool = True) -> RootSystem:
-    """Construct a RootSystem from a set of vectors, validating the axioms."""
+    """Construct a RootSystem from a set of vectors, validating the axioms on its copy."""
     roots = tuple(sorted(set(vectors)))
     if not roots:
         raise ValueError("a root system is nonempty")
-    dim = len(roots[0])
+    system = RootSystem(len(roots[0]), roots)
     if validate:
-        report = validate_root_system(roots)
-        if not report.ok:
-            raise ValueError(f"not a root system: {report.violations[:3]}")
-    return RootSystem(dim, roots)
+        zeros = [Violation("R1", "zero vector present", (v,)) for v in roots if is_zero(v)]
+        violations = zeros or _axiom_violations(roots, system.ints)
+        if violations:
+            raise ValueError(f"not a root system: {tuple(violations[:3])}")
+    return system
 
 
 def reflect(v: Vector, alpha: Vector) -> Vector:
@@ -110,12 +118,15 @@ def validate_root_system(candidate: Sequence[Vector]) -> ValidationReport:
         seen.add(v)
 
     roots = sorted(v for v in seen if not is_zero(v))
-    if not roots:
-        return ValidationReport(tuple(violations))
+    violations.extend(_axiom_violations(roots, int_copy(roots)[1]))
+    return ValidationReport(tuple(violations))
 
-    # Work on scaled integer copies: the axioms are scale-invariant and
-    # integer arithmetic is much faster than Fraction.
-    iroots = int_scaled(roots)
+
+def _axiom_violations(roots: Sequence[Vector], iroots: Sequence[IntVector]) -> list[Violation]:
+    """R2-R4 on sorted, distinct, nonzero roots, checked on their integer
+    copy iroots (the axioms are scale-invariant, and integer arithmetic is
+    much faster than Fraction)."""
+    violations: list[Violation] = []
     iset = set(iroots)
 
     # R2: group by primitive direction; each class must be exactly {v, -v}.
@@ -162,4 +173,4 @@ def validate_root_system(candidate: Sequence[Vector]) -> ValidationReport:
             violations.append(Violation("R4", "negative root missing", (roots[i],)))
             r4_seen = True
 
-    return ValidationReport(tuple(violations))
+    return violations

@@ -351,7 +351,7 @@ def wolf_certificate(ctx: ParentContext) -> SplittingCertificate:
     tt = idot(theta, theta)
     # the roots pairing to 1 with theta-check are exactly the W+ half {alpha + beta}
     plus = [r for r in ctx.int_roots if 2 * idot(theta, r) == tt]
-    cert = _unscaled(*_canonical(tuple(x // 2 for x in theta), plus), ctx.scale)
-    if not verify_certificate(weights, cert):
+    beta, alphas = _canonical(tuple(x // 2 for x in theta), plus)
+    if _int_table(weights, beta, alphas) is None:
         raise RootsplitError("wolf certificate failed verification")
-    return cert
+    return _unscaled(beta, alphas, ctx.scale)

@@ -29,12 +29,11 @@ from .linalg import (
     IntMatrix,
     IntVector,
     Vector,
-    common_scale,
     idot,
+    int_copy,
     lattice_radix,
     lex_positive,
     pack,
-    scale_to_int,
     vneg,
 )
 from .rootcore import RootsplitError, RootSystem
@@ -248,10 +247,10 @@ def isotropy_weights(ctx: ParentContext, h: ClosedSubsystem) -> IsotropyWeights:
 
 def weights_from_set(weights: Iterable[Vector]) -> IsotropyWeights:
     """IsotropyWeights from a raw negation-closed weight set (for transformed
-    or externally supplied inputs), on its own integer copy and keys."""
+    or externally supplied inputs), on its own integer copy and keys;
+    raises ValueError if the weights differ in dimension."""
     ws = tuple(sorted(set(weights)))
-    scale = 2 * common_scale(ws)
-    ints = tuple(scale_to_int(x, scale) for x in ws)
+    scale, ints = int_copy(ws)
     radix = lattice_radix(ints)
     keys = tuple(pack(x, radix) for x in ints)
     return IsotropyWeights(ws, len(ws), Fraction(len(ws), 4), scale, ints, keys)
@@ -291,8 +290,8 @@ class ParentContext:
     """
 
     system: RootSystem
-    scale: int  # twice the roots' common denominator
-    int_roots: tuple[IntVector, ...]  # system.roots times scale, in order
+    scale: int  # system.scale, twice the roots' common denominator
+    int_roots: tuple[IntVector, ...]  # system.ints: system.roots times scale, in order
     radix: int  # of the lattice keys
     keys: tuple[int, ...]  # the lattice keys of int_roots, in order
     at: dict[int, int]  # lattice key -> its position
@@ -332,11 +331,9 @@ class ParentContext:
 
 
 def parent_context(system: RootSystem) -> ParentContext:
-    """Compute the per-parent facts of system from one integer copy, at
-    twice the common denominator so that half a difference of two roots
-    is integral (the tests on it compare ratios, which doubling keeps)."""
-    scale = 2 * common_scale(system.roots)
-    iroots = tuple(scale_to_int(r, scale) for r in system.roots)
+    """Compute the per-parent facts of system from the integer copy it
+    carries (RootSystem.ints), with no copy of its own."""
+    iroots = system.ints
     radix = lattice_radix(iroots)
     keys = tuple(pack(r, radix) for r in iroots)
     at = {k: i for i, k in enumerate(keys)}
@@ -345,7 +342,7 @@ def parent_context(system: RootSystem) -> ParentContext:
     types = tuple(sorted(int_component_type(c, base) for c in comps))
     long_norm = max(idot(v, v) for v in iroots)
     return ParentContext(
-        system, scale, iroots, radix, keys, at, base, comps, types, long_norm
+        system, system.scale, iroots, radix, keys, at, base, comps, types, long_norm
     )
 
 

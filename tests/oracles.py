@@ -101,6 +101,23 @@ def span_basis(vectors) -> list:
     return basis
 
 
+def fraction_rank(vectors):
+    """Rank of rational vectors by plain row reduction over Fraction,
+    independent of the integer copies and int_rank."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def positive_roots(system) -> list:
     """The lexicographically positive half of the root set."""
     return [r for r in system.roots if lex_positive(r)]

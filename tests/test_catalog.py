@@ -9,7 +9,6 @@ from parents import RANK_4_PARENTS
 from rootsplit.linalg import (
     dot,
     idot,
-    int_scaled,
     vec,
     vscale,
 )
@@ -147,7 +146,7 @@ def _matrices_isomorphic(m1, m2) -> bool:
 
 
 _REFERENCE_MATRICES = {
-    lab: _cartan_matrix(simple_base(int_scaled(build(lab).roots)))
+    lab: _cartan_matrix(simple_base(build(lab).ints))
     for lab in simple_labels_up_to(8)
 }
 
@@ -156,7 +155,7 @@ def _oracle_type(system) -> list:
     """identify_type by Cartan matrices: each component's, up to a
     permutation of its simple roots, against every catalog type's."""
     out = []
-    for comp in _components_oracle(int_scaled(system.roots)):
+    for comp in _components_oracle(system.ints):
         cm = _cartan_matrix(simple_base(comp))
         matches = [lab for lab, ref in _REFERENCE_MATRICES.items()
                    if _matrices_isomorphic(cm, ref)]

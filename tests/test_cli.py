@@ -199,3 +199,9 @@ class TestCli:
 
     def test_bad_h_spec_exits_one(self):
         assert run("classify", "B3", "A2#9").returncode == 1
+
+    def test_empty_h_spec_exits_one(self):
+        # An empty h (say, an unset shell variable) once read as the torus.
+        r = run("classify", "B3", "")
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr.startswith("error: ")

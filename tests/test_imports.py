@@ -1,8 +1,8 @@
 """Every name a rootsplit module imports is used in that module, only
-subalgebra and catalog choose an integer scale, the pair checks import no
-rational metric product or typing, every function the bench traces
-exists, every top-level function and class of src/ is reached, and the
-test oracles use no private rootsplit code."""
+rootcore and weights_from_set choose an integer scale, the pair checks
+import no rational metric product or typing, every function the bench
+traces exists, every top-level function and class of src/ is reached,
+and the test oracles use no private rootsplit code."""
 import ast
 import importlib
 from pathlib import Path
@@ -47,17 +47,35 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
-@pytest.mark.parametrize("module", ["splitting", "pipeline"])
-def test_scale_chosen_only_in_subalgebra_and_catalog(module):
-    # A pair's steps read the integer copy its weights carry; they never
-    # pick a scale of their own.
+#: the helpers that turn Fraction vectors into integers
+SCALING_HELPERS = {"int_copy", "scale_to_int"}
+
+#: per module, the top-level definitions that may call one
+SCALING_CALLERS = {
+    "catalog": set(),
+    "pipeline": set(),
+    "subalgebra": {"weights_from_set"},  # a weight set given from outside
+    "splitting": {"_scaled"},  # a certificate, onto a copy's existing scale
+}
+
+
+@pytest.mark.parametrize("module", sorted(SCALING_CALLERS))
+def test_scale_chosen_only_in_rootcore_and_weights_from_set(module):
+    # A root system's integer copy is made once, in rootcore, and every
+    # layer reads it; none scales a system's roots again.
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     imported = {
         a.asname or a.name
         for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
         for a in node.names
     }
-    assert not imported & {"common_scale", "int_scaled"}
+    callers = {
+        getattr(node, "name", "<module>") for node in tree.body
+        if any(isinstance(n, ast.Name) and n.id in SCALING_HELPERS for n in ast.walk(node))
+    }
+    allowed = SCALING_CALLERS[module]
+    assert callers <= allowed, f"{module}: {sorted(callers - allowed)} scale vectors"
+    assert allowed or not imported & SCALING_HELPERS
 
 
 @pytest.mark.parametrize("module", ["splitting", "pipeline"])

@@ -7,12 +7,13 @@ from hypothesis import given, strategies as st
 
 from parents import RANK_4_PARENTS
 from rootsplit.catalog import build, build_sum, parse_label_sum, simple_labels_up_to
-from rootsplit.linalg import lattice_radix, lex_positive, pack
+from rootsplit.linalg import lattice_radix, lex_positive, pack, vec
 from rootsplit.subalgebra import (
     _closed,
     enumerate_closed_subsystems,
     isotropy_weights,
     parent_context,
+    weights_from_set,
 )
 
 SIMPLE_LABELS = [str(l) for l in simple_labels_up_to(8)]
@@ -96,6 +97,11 @@ class TestPack:
         assert sum(a * radix ** (len(u) - 1 - k) for k, a in enumerate(alias)) == pack(u, radix)
         with pytest.raises(ValueError, match="lattice key bound"):
             pack(alias, radix)
+
+    def test_mixed_dimension_weights_raise_rather_than_alias(self):
+        # Packed as they stand, (1, -1) and (0, 1, -1) share a key.
+        with pytest.raises(ValueError, match="differ in dimension"):
+            weights_from_set([vec(1, -1), vec(-1, 1), vec(0, 1, -1), vec(0, -1, 1)])
 
     def test_bound_is_strict(self):
         assert pack((15, -15), 32) == 15 * 32 - 15

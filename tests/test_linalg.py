@@ -1,27 +1,12 @@
-"""The integer rank_of and int_rank against a rational Gaussian
-elimination, and the integer copies they run on."""
+"""int_rank on integer copies against a rational Gaussian elimination,
+and the integer copies it runs on."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rootsplit.linalg import int_rank, int_scaled, rank_of, scale_to_int, vec
-
-
-def fraction_rank(vectors):
-    """Rank by plain row reduction over Fraction, independent of rank_of."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col] / rows[rank][col]
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+from oracles import fraction_rank
+from rootsplit.linalg import int_copy, int_rank, scale_to_int, vec
 
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -51,27 +36,36 @@ def vector_lists(draw):
     return out
 
 
+def copy_rank(vectors):
+    """int_rank on the integer copy of rational vectors."""
+    return int_rank(int_copy(vectors)[1])
+
+
 @given(vector_lists())
 def test_rank_matches_fraction_elimination(vectors):
-    assert rank_of(vectors) == fraction_rank(vectors)
+    assert copy_rank(vectors) == fraction_rank(vectors)
 
 
 @given(vector_lists(), st.integers(1, 5))
 def test_int_rank_matches_fraction_elimination(vectors, k):
-    rows = [tuple(k * a for a in row) for row in int_scaled(vectors)]
+    rows = [tuple(k * a for a in row) for row in int_copy(vectors)[1]]
     assert int_rank(rows) == fraction_rank(vectors)
 
 
 def test_empty_input():
-    assert rank_of([]) == 0
+    assert copy_rank([]) == 0
 
 
 def test_zero_vectors():
-    assert rank_of([vec(0, 0, 0), vec(0, 0, 0)]) == 0
+    assert copy_rank([vec(0, 0, 0), vec(0, 0, 0)]) == 0
 
 
 def test_mixed_denominators():
-    assert rank_of([vec("1/2", "1/3"), vec("3/4", "1/2"), vec(0, "1/7")]) == 2
+    assert copy_rank([vec("1/2", "1/3"), vec("3/4", "1/2"), vec(0, "1/7")]) == 2
+
+
+def test_int_copy_scale_is_twice_the_common_denominator():
+    assert int_copy([vec("1/2", "-3/4"), vec(2, "1/6")]) == (24, ((12, -18), (48, 4)))
 
 
 def test_scale_to_int_clears_denominators():

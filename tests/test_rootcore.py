@@ -1,14 +1,18 @@
-"""Axioms, validation and reflections (rootcore), and the test oracles'
-Cartan numbers, pair trichotomy and reflection closure (oracles)."""
+"""Axioms, validation, reflections and the integer copy of a root system
+(rootcore), and the test oracles' Cartan numbers, pair trichotomy and
+reflection closure (oracles)."""
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import NormscalViolation, cartan_int, pair_class, reflection_closure
+from parents import RANK_4_PARENTS
 from rootsplit.linalg import dot, vec
-from rootsplit.catalog import build, label
+from rootsplit.catalog import build, build_sum, label, parse_label_sum, simple_labels_up_to
 from rootsplit.rootcore import reflect, validate_root_system
+from rootsplit.subalgebra import parent_context
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 small_vecs = st.lists(rationals, min_size=2, max_size=4).map(lambda xs: vec(*xs))
@@ -125,3 +129,19 @@ class TestReflectionClosure:
         assert reflection_closure([vec(1), vec(-1)]) == frozenset(
             [vec(1), vec(-1)]
         )
+
+
+#: every catalog label through rank 8 and every g of rank <= 4
+COPY_SPECS = list(dict.fromkeys([str(l) for l in simple_labels_up_to(8)] + RANK_4_PARENTS))
+
+
+class TestIntegerCopy:
+    @pytest.mark.parametrize("g", COPY_SPECS)
+    def test_one_copy_at_twice_the_common_denominator(self, g):
+        # The expected copy is computed here from the rational roots.
+        system = build_sum(parse_label_sum(g))
+        scale = 2 * lcm(*(a.denominator for r in system.roots for a in r))
+        assert system.scale == scale
+        assert system.ints == tuple(tuple(a * scale for a in r) for r in system.roots)
+        assert all(type(a) is int for r in system.ints for a in r)
+        assert parent_context(system).int_roots == system.ints

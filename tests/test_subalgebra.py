@@ -1,9 +1,9 @@
 """Closed subsystems, isotropy weights, symmetric and Wolf pairs."""
 import pytest
 
-from oracles import brute_force_closed_subsystems, is_closed
+from oracles import brute_force_closed_subsystems, fraction_rank, is_closed
 from parents import RANK_4_PARENTS
-from rootsplit.linalg import int_rank, rank_of, vec
+from rootsplit.linalg import int_rank, vec
 from rootsplit.catalog import (
     build,
     build_sum,
@@ -103,15 +103,16 @@ class TestIsClosed:
 
     @pytest.mark.parametrize("g", RANK_4_PARENTS)
     def test_factory_matches_rational_oracle(self, g):
-        # Oracle: is_closed and rank_of on the rational roots, apart from
-        # the context's integer copy, and int_rank on that copy, apart from
+        # Oracle: is_closed and fraction_rank on the rational roots, apart
+        # from the integer copy, and int_rank on that copy, apart from
         # the simple roots counted on its lattice keys.
         parent = build_sum(parse_label_sum(g))
         ctx = parent_context(parent)
+        rank = fraction_rank(parent.roots)
         for h in enumerate_closed_subsystems(ctx, dedup=False):
             built = closed_subsystem(ctx, h.roots)
             assert is_closed(built.roots, parent)
-            assert built.torus_corank == parent.rank - rank_of(h.roots)
+            assert built.torus_corank == rank - fraction_rank(h.roots)
             assert h.torus_corank == int_rank_corank(ctx, h)
             assert built == h
             assert built.positions == h.positions
@@ -253,8 +254,8 @@ class TestWolf:
 
     @pytest.mark.parametrize("lab", simple_labels_up_to(8), ids=str)
     def test_context_wolf_matches_validating_constructor(self, lab):
-        # Oracle: is_closed and rank_of on the rational roots, apart from
-        # the context's integer copy, and int_rank on that copy.
+        # Oracle: is_closed and fraction_rank on the rational roots, apart
+        # from the integer copy, and int_rank on that copy.
         parent = build(lab)
         ctx = parent_context(parent)
         wolf = ctx.wolf
@@ -262,7 +263,7 @@ class TestWolf:
         assert wolf.positions == closed_subsystem(ctx, wolf.roots).positions
         assert tuple(parent.roots[i] for i in wolf.positions) == wolf.roots
         assert is_closed(wolf.roots, parent)
-        assert wolf.torus_corank == parent.rank - rank_of(wolf.roots)
+        assert wolf.torus_corank == fraction_rank(parent.roots) - fraction_rank(wolf.roots)
         assert wolf.torus_corank == int_rank_corank(ctx, wolf)
 
     def test_reducible_parent_rejected(self):
