@@ -20,17 +20,15 @@ from .linalg import (
     IntVector,
     Matrix,
     Vector,
-    dot,
     idot,
     int_rank,
     lex_positive,
     pack,
-    vadd,
 )
 from .rootcore import (
     RootsplitError,
     RootSystem,
-    make_root_system,
+    lattice_root_system,
     reflect,
 )
 
@@ -87,66 +85,51 @@ def parse_label_sum(text: str) -> list[CartanLabel]:
     return [parse_label(part) for part in text.split("+")]
 
 
-def _fr(x) -> Fraction:
-    return Fraction(x)
-
-
-def _unit(dim: int, i: int, c=1) -> Vector:
-    return tuple(_fr(c if j == i else 0) for j in range(dim))
-
-
-def _bcd_roots(n: int, short: str) -> set[Vector]:
-    roots: set[Vector] = set()
+def _bcd_roots(n: int, short: str, one: int) -> set[IntVector]:
+    """The integer roots of B_n, C_n or D_n (short "B", "C" or ""), with
+    the integer one standing for 1, as in every builder below."""
+    roots: set[IntVector] = set()
     for i, j in itertools.combinations(range(n), 2):
-        for si in (1, -1):
-            for sj in (1, -1):
-                v = [_fr(0)] * n
-                v[i], v[j] = _fr(si), _fr(sj)
+        for si in (one, -one):
+            for sj in (one, -one):
+                v = [0] * n
+                v[i], v[j] = si, sj
                 roots.add(tuple(v))
-    if short == "B":
+    if short:
+        c = one if short == "B" else 2 * one
         for i in range(n):
-            roots.add(_unit(n, i, 1))
-            roots.add(_unit(n, i, -1))
-    elif short == "C":
-        for i in range(n):
-            roots.add(_unit(n, i, 2))
-            roots.add(_unit(n, i, -2))
+            for s in (c, -c):
+                roots.add(tuple(s if j == i else 0 for j in range(n)))
     return roots
 
 
-def _e8_roots() -> set[Vector]:
-    roots: set[Vector] = set()
-    for i, j in itertools.combinations(range(8), 2):
-        for si in (1, -1):
-            for sj in (1, -1):
-                v = [_fr(0)] * 8
-                v[i], v[j] = _fr(si), _fr(sj)
-                roots.add(tuple(v))
-    half = Fraction(1, 2)
+def _e8_roots(one: int) -> set[IntVector]:
+    roots = _bcd_roots(8, "", one)
+    half = one // 2
     for signs in itertools.product((1, -1), repeat=8):
         if sum(signs) % 4 == 0:  # even number of minus signs
             roots.add(tuple(half * s for s in signs))
     return roots
 
 
-def _g2_roots() -> set[Vector]:
-    roots: set[Vector] = set()
+def _g2_roots(one: int) -> set[IntVector]:
+    roots: set[IntVector] = set()
     for i, j in itertools.permutations(range(3), 2):
-        v = [_fr(0)] * 3
-        v[i], v[j] = _fr(1), _fr(-1)
+        v = [0] * 3
+        v[i], v[j] = one, -one
         roots.add(tuple(v))
     for i, j, k in itertools.permutations(range(3)):
         if j < k:
-            for s in (1, -1):
-                v = [_fr(0)] * 3
-                v[i], v[j], v[k] = _fr(2 * s), _fr(-s), _fr(-s)
+            for s in (one, -one):
+                v = [0] * 3
+                v[i], v[j], v[k] = 2 * s, -s, -s
                 roots.add(tuple(v))
     return roots
 
 
-def _f4_roots() -> set[Vector]:
-    roots = _bcd_roots(4, "B")
-    half = Fraction(1, 2)
+def _f4_roots(one: int) -> set[IntVector]:
+    roots = _bcd_roots(4, "B", one)
+    half = one // 2
     for signs in itertools.product((1, -1), repeat=4):
         roots.add(tuple(half * s for s in signs))
     return roots
@@ -154,34 +137,31 @@ def _f4_roots() -> set[Vector]:
 
 @lru_cache(maxsize=None)
 def build(lab: CartanLabel) -> RootSystem:
-    """Validated root system for an admissible label of rank <= 8."""
+    """Validated root system for an admissible label of rank <= 8, built
+    on integers at its scale (twice the common denominator of its roots):
+    2 for A-D and G2, 4 for F4 and E6-E8, whose roots have halves."""
     if lab.rank > 8:
         raise ValueError("catalog is limited to rank <= 8")
     s, n = lab.series, lab.rank
+    scale = 4 if s in "EF" else 2
     if s == "A":
         roots = {
-            tuple(_fr(1 if k == i else (-1 if k == j else 0)) for k in range(n + 1))
+            tuple(scale if k == i else (-scale if k == j else 0) for k in range(n + 1))
             for i, j in itertools.permutations(range(n + 1), 2)
         }
     elif s in ("B", "C", "D"):
-        roots = _bcd_roots(n, s if s != "D" else "")
+        roots = _bcd_roots(n, s if s != "D" else "", scale)
     elif s == "G":
-        roots = _g2_roots()
+        roots = _g2_roots(scale)
     elif s == "F":
-        roots = _f4_roots()
+        roots = _f4_roots(scale)
     else:  # E series, carved out of E8
-        e8 = _e8_roots()
-        if n == 8:
-            roots = e8
-        else:
-            cond1 = vadd(_unit(8, 6), _unit(8, 7))  # e7+e8
-            roots = {a for a in e8 if dot(a, cond1) == 0}
-            if n == 6:
-                cond2 = tuple(
-                    x - y for x, y in zip(_unit(8, 5), _unit(8, 6))
-                )  # e6-e7
-                roots = {a for a in roots if dot(a, cond2) == 0}
-    return make_root_system(roots)
+        roots = _e8_roots(scale)
+        if n < 8:
+            roots = {a for a in roots if a[6] + a[7] == 0}  # orthogonal to e7+e8
+        if n == 6:
+            roots = {a for a in roots if a[5] == a[6]}  # and to e6-e7
+    return lattice_root_system(scale, roots)
 
 
 def build_sum(labels: Sequence[CartanLabel]) -> RootSystem:
@@ -190,20 +170,24 @@ def build_sum(labels: Sequence[CartanLabel]) -> RootSystem:
 
 
 def direct_sum(parts: Sequence[RootSystem]) -> RootSystem:
-    """Block-orthogonal concatenation of root systems."""
+    """Block-orthogonal concatenation of root systems: their integer roots,
+    brought to the lcm of their scales, padded and sorted. A sum of root
+    systems is one, so it is not checked again."""
     if not parts:
         raise ValueError("direct_sum needs at least one part")
     if len(parts) == 1:
         return parts[0]
+    scale = lcm(*(p.scale for p in parts))
     total = sum(p.ambient_dim for p in parts)
-    roots = []
+    ints = []
     offset = 0
     for p in parts:
-        pad_before = (Fraction(0),) * offset
-        pad_after = (Fraction(0),) * (total - offset - p.ambient_dim)
-        roots.extend(pad_before + r + pad_after for r in p.roots)
+        k = scale // p.scale
+        pad_before = (0,) * offset
+        pad_after = (0,) * (total - offset - p.ambient_dim)
+        ints.extend(pad_before + tuple(k * a for a in r) + pad_after for r in p.ints)
         offset += p.ambient_dim
-    return make_root_system(roots, validate=False)
+    return RootSystem(total, scale, tuple(sorted(ints)))
 
 
 def components(system: RootSystem) -> list[tuple[Vector, ...]]:
@@ -305,10 +289,10 @@ class WeylGroup:
 
 def simple_reflections(ctx: ParentContext) -> list[tuple[int, ...]]:
     """The simple reflections of the parent of ctx as permutations of its
-    root positions, reflected on the context's integer copy of the roots:
+    root positions, reflected on the parent's integer roots:
     the reflection of r in a is the root whose lattice key is
     key(r) - <r, a check> key(a)."""
-    iroots, keys, at = ctx.int_roots, ctx.keys, ctx.at
+    iroots, keys, at = ctx.system.ints, ctx.keys, ctx.at
     perms = []
     for a in ctx.base:
         ka, aa = pack(a, ctx.radix), idot(a, a)
@@ -344,7 +328,7 @@ def weyl_group(ctx: ParentContext) -> WeylGroup:
 def identify_type(system: RootSystem | ClosedSubsystem) -> list[CartanLabel]:
     """Cartan labels of the irreducible components of system's roots, using
     canonical aliases (B1 -> A1, C2 -> B2, D2 -> A1+A1, D3 -> A3), read
-    from its integer copy (a subsystem's is its parent's at its positions)."""
+    from its integer roots (a subsystem's are its parent's at its positions)."""
     if isinstance(system, RootSystem):
         return int_types(system.ints)
     return int_types([system.parent.ints[i] for i in system.positions])

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .linalg import format_rational
+from .linalg import format_rational, format_vector
 from .pipeline import (
     InvariantViolation,
     ParseError,
@@ -35,10 +35,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _vec_json(v):
-    return [format_rational(c) for c in v]
-
-
 def _write(data: bytes, args) -> None:
     """Write the result bytes to --output, or to stdout."""
     if args.output:
@@ -60,8 +56,8 @@ def _cmd_build(args) -> int:
             "g": label,
             "ambient_dim": system.ambient_dim,
             "rank": system.rank,
-            "root_count": len(system.roots),
-            "roots": [_vec_json(r) for r in system.roots],
+            "root_count": len(system.ints),
+            "roots": [format_vector(r, system.scale) for r in system.ints],
         },
         args,
     )
@@ -82,7 +78,7 @@ def _cmd_validate(args) -> int:
             "valid": report.ok,
             "violations": [
                 {"axiom": v.axiom, "message": v.message,
-                 "witness": [_vec_json(w) for w in v.witness]}
+                 "witness": [[format_rational(c) for c in w] for w in v.witness]}
                 for v in report.violations
             ],
         },
@@ -103,7 +99,7 @@ def _cmd_subsystems(args) -> int:
                 {
                     "description": describe_subsystem(ctx, h),
                     "torus_corank": h.torus_corank,
-                    "roots": [_vec_json(r) for r in h.roots],
+                    "roots": [format_vector(system.ints[i], system.scale) for i in h.positions],
                 }
                 for h in subs
             ],
@@ -123,7 +119,7 @@ def _cmd_weights(args) -> int:
             "h": describe_subsystem(ctx, h),
             "dim_M": w.dim_M,
             "quaternionic_n": format_rational(w.quaternionic_n),
-            "weights": [_vec_json(x) for x in w.weights],
+            "weights": [format_vector(x, w.scale) for x in w.ints],
         },
         args,
     )
@@ -156,7 +152,7 @@ def _cmd_wolf(args) -> int:
         {
             "g": label,
             "h": describe_subsystem(ctx, h),
-            "h_roots": [_vec_json(r) for r in h.roots],
+            "h_roots": [format_vector(system.ints[i], system.scale) for i in h.positions],
             "certificate": certificate_dict(cert),
         },
         args,

@@ -1,28 +1,27 @@
-"""Exact rational vectors and small-matrix linear algebra.
+"""Exact vectors: rational at the boundary, integers on a scale inside.
 
-Boundary rule: vectors are `fractions.Fraction` tuples where they are
-parsed and emitted, and in every public value. Hot loops work on integer
-copies, which is exact because the questions they answer (membership,
-sums, signs of dots, ratios, ranks) are invariant under a positive
-rescale. `int_copy` is the one function that picks the scale. A
-`rootcore.RootSystem` makes its copy with it once, when it is made, and
-every layer reads that copy; only vectors from outside get one of their
-own (`rootcore.validate_root_system`, `subalgebra.weights_from_set`).
-Every step of a pair (types, symmetric, Wolf and splitting tests,
-certificate checks, and constraints in the normalized metric, an
-`IntMatrix` over one denominator) reads the parent's copy and names a
-root or a weight by its position in it. Lookups (is a sum or a
-difference of roots a root, a weight, a pair sum?) run on lattice keys:
-`pack` turns each integer root into one int, additive and in lex order,
-so a sum is an int addition and a set lookup hashes an int. Tuples stay
-wherever coordinates are read: dots, theta, canonical certificates, the
-constraints and every emitted value. Keys are made only for the vectors
-their radix was chosen from (a parent's roots, or a weight set given
-from outside), and only their sums and differences are looked up; a
-rational root given from outside is looked up once, by bisection in
-`subalgebra.closed_subsystem`, and a certificate is scaled onto a copy's
-scale (`scale_to_int`) and checked on tuples. `IsotropyWeights` carries
-the copy of W and its keys. Nothing here ever touches a float.
+Boundary rule: a `fractions.Fraction` is made only where input is parsed
+and where output is written (and for the values of the normalized metric
+in `splitting.check_constraints`). In between, every value (a root
+system, a subsystem, a weight set, a certificate, a case witness) holds
+integer vectors v on a named scale, standing for v / scale; membership,
+sums, signs of dots, ratios and ranks are invariant under a positive
+rescale, so they are decided exactly on the integers. `int_copy` picks
+the scale of rational input, once (`rootcore.make_root_system`,
+`rootcore.validate_root_system`, `subalgebra.weights_from_set`); the
+catalog builds integers directly; `scale_to_int` puts a JSON h onto its
+parent's scale (`subalgebra.closed_subsystem`) and raises rather than
+truncate; `format_vector` writes v / scale. The `roots` and `weights` of
+a value are read-only rational views that nothing in the core reads.
+
+Lookups (is a sum or a difference of roots a root, a weight, a pair
+sum?) run on lattice keys: `pack` turns each integer vector into one
+int, additive and in lex order, so a sum is an int addition and a set
+lookup hashes an int. Keys are made only for the vectors their radix was
+chosen from (a parent's roots, or a weight set given from outside), and
+only their sums and differences are looked up; a root given from
+outside is checked for its dimension, then looked up by its key once.
+Nothing here ever touches a float.
 """
 
 from __future__ import annotations
@@ -41,10 +40,6 @@ IntMatrix = tuple[IntVector, ...]
 def vec(*coords) -> Vector:
     """Build an exact vector from ints, strings or Fractions."""
     return tuple(Fraction(c) for c in coords)
-
-
-def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def vsub(u: Vector, v: Vector) -> Vector:
@@ -71,10 +66,6 @@ def idot(u: IntVector, v: IntVector) -> int:
     """Inner product of integer vectors, e.g. from int_copy (no dimension
     check, and no Fraction start value)."""
     return sum(map(mul, u, v))
-
-
-def is_zero(v: Vector) -> bool:
-    return all(a == 0 for a in v)
 
 
 def lex_positive(v: Vector) -> bool:
@@ -131,11 +122,6 @@ def pack(v: IntVector, radix: int) -> int:
     return key
 
 
-def unscale(v: IntVector, scale: int) -> Vector:
-    """Inverse of scale_to_int: the rational vector v / scale."""
-    return tuple(Fraction(a, scale) for a in v)
-
-
 def primitive_direction(v: IntVector) -> IntVector:
     """Sign-normalized primitive integer vector along v (v must be nonzero)."""
     g = 0
@@ -168,10 +154,11 @@ def int_rank(rows: Iterable[IntVector]) -> int:
     return len(echelon)
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def format_rational(q: Fraction) -> str:
     """Exact string form, e.g. '3', '-1/2'."""
     return str(q)
+
+
+def format_vector(v: IntVector, scale: int) -> list[str]:
+    """The exact coordinates of v / scale as strings, e.g. ['1/2', '-1']."""
+    return [format_rational(Fraction(a, scale)) for a in v]

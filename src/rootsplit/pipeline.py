@@ -27,7 +27,7 @@ from .catalog import (
     int_types,
     parse_label_sum,
 )
-from .linalg import Vector, parse_rational
+from .linalg import Vector
 from .rootcore import RootsplitError, RootSystem
 from .splitting import (
     CaseTag,
@@ -128,7 +128,7 @@ def parse_root_list(text: str) -> list[Vector]:
         rows = json.loads(text)
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError("expected a JSON list of lists")
-        roots = [tuple(parse_rational(str(c)) for c in row) for row in rows]
+        roots = [tuple(Fraction(str(c)) for c in row) for row in rows]
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"bad root list: {exc}") from exc
     if len({len(r) for r in roots}) > 1:
@@ -158,7 +158,7 @@ def parse_h_spec(ctx: ParentContext, h_spec: str) -> ClosedSubsystem:
         wanted = _type_key(type_part)
         matches = [
             h for h in enumerate_closed_subsystems(ctx, dedup=True)
-            if h.roots and _type_key_of(ctx, h) == wanted
+            if h.positions and _type_key_of(ctx, h) == wanted
         ]
         k = int(idx_part)
         if k >= len(matches):
@@ -177,13 +177,13 @@ def _type_key(text: str) -> tuple[str, ...]:
 
 
 def _type_key_of(ctx: ParentContext, h: ClosedSubsystem) -> tuple[str, ...]:
-    return tuple(sorted(str(l) for l in int_types([ctx.int_roots[i] for i in h.positions])))
+    return tuple(sorted(str(l) for l in int_types([ctx.system.ints[i] for i in h.positions])))
 
 
 def describe_subsystem(ctx: ParentContext, h: ClosedSubsystem) -> str:
     """Deterministic human-readable description: component types plus the
     central torus rank, e.g. 'A1+A1+T1' or 'torus(T3)'."""
-    if not h.roots:
+    if not h.positions:
         return f"torus(T{h.torus_corank})"
     parts = list(_type_key_of(ctx, h))
     if h.torus_corank:
@@ -252,7 +252,7 @@ def _assign_verdict(g_types, eligible, symmetric, wolf, certificates, cases, h):
             "classification; weights falsify an internal invariant"
         )
     # reducible g: only (A1+A1, torus) is a confirmed product positive
-    if type_strs == ["A1", "A1"] and not h.roots:
+    if type_strs == ["A1", "A1"] and not h.positions:
         return "s2xs2_type"
     return "symmetric_candidate"
 
@@ -309,7 +309,7 @@ def classify_all(
         subsystems = enumerate_closed_subsystems(ctx)
         n_subsystems += len(subsystems)
         for h in subsystems:
-            w_size = len(parent.roots) - len(h.roots)
+            w_size = len(parent.ints) - len(h.positions)
             if w_size == 0 or w_size % 4:  # h = g, or not eligible
                 continue
             pairs.append(classify_subsystem(g_label, ctx, h))

@@ -10,7 +10,7 @@ import csv
 import io
 import json
 
-from .linalg import format_rational
+from .linalg import format_rational, format_vector
 from .pipeline import (
     SCHEMA_VERSION,
     ClassificationReport,
@@ -25,8 +25,8 @@ FORMATS = ("json", "table", "csv")
 
 def certificate_dict(cert: SplittingCertificate, case: str | None = None) -> dict:
     d = {
-        "beta": [format_rational(c) for c in cert.beta],
-        "alphas": [[format_rational(c) for c in a] for a in cert.alphas],
+        "beta": format_vector(cert.beta, cert.scale),
+        "alphas": [format_vector(a, cert.scale) for a in cert.alphas],
         "n": cert.n,
     }
     if case is not None:

@@ -12,7 +12,9 @@ Everything in this module is pure and operates on immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -22,7 +24,6 @@ from .linalg import (
     idot,
     int_copy,
     int_rank,
-    is_zero,
     primitive_direction,
     vscale,
     vsub,
@@ -51,41 +52,46 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A validated root system and its integer copy (linalg.int_copy), made
-    once here and read by every layer: ints are the roots times scale."""
+    """A validated root system, held as its integer roots ints on scale:
+    the roots are ints / scale, sorted lexicographically, and every layer
+    reads ints. roots and root_set are read-only rational views, made on
+    first read."""
 
     ambient_dim: int
-    roots: tuple[Vector, ...]  # sorted lexicographically
-    root_set: frozenset = field(init=False, repr=False, compare=False)
-    scale: int = field(init=False, repr=False, compare=False)
-    ints: tuple[IntVector, ...] = field(init=False, repr=False, compare=False)
+    scale: int
+    ints: tuple[IntVector, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "root_set", frozenset(self.roots))
-        scale, ints = int_copy(self.roots)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "ints", ints)
+    @cached_property
+    def roots(self) -> tuple[Vector, ...]:
+        return tuple(_rational(r, self.scale) for r in self.ints)
 
-    def __contains__(self, v: Vector) -> bool:
-        return v in self.root_set
+    @cached_property
+    def root_set(self) -> frozenset:
+        return frozenset(self.roots)
 
     @property
     def rank(self) -> int:
         return int_rank(self.ints)
 
 
-def make_root_system(vectors: Iterable[Vector], validate: bool = True) -> RootSystem:
-    """Construct a RootSystem from a set of vectors, validating the axioms on its copy."""
-    roots = tuple(sorted(set(vectors)))
-    if not roots:
+def make_root_system(vectors: Iterable[Vector]) -> RootSystem:
+    """The root system of rational vectors, converted once (linalg.int_copy)
+    and checked on that copy."""
+    return lattice_root_system(*int_copy(list(set(vectors))))
+
+
+def lattice_root_system(scale: int, ints: Iterable[IntVector]) -> RootSystem:
+    """The root system of the vectors ints / scale, its axioms checked on
+    the integers; raises ValueError, with rational witnesses, if they fail."""
+    ints = tuple(sorted(set(ints)))
+    if not ints:
         raise ValueError("a root system is nonempty")
-    system = RootSystem(len(roots[0]), roots)
-    if validate:
-        zeros = [Violation("R1", "zero vector present", (v,)) for v in roots if is_zero(v)]
-        violations = zeros or _axiom_violations(roots, system.ints)
-        if violations:
-            raise ValueError(f"not a root system: {tuple(violations[:3])}")
-    return system
+    violations = [
+        Violation("R1", "zero vector present", (_rational(v, scale),)) for v in ints if not any(v)
+    ] or _axiom_violations(scale, ints)
+    if violations:
+        raise ValueError(f"not a root system: {tuple(violations[:3])}")
+    return RootSystem(len(ints[0]), scale, ints)
 
 
 def reflect(v: Vector, alpha: Vector) -> Vector:
@@ -111,22 +117,29 @@ def validate_root_system(candidate: Sequence[Vector]) -> ValidationReport:
 
     seen: set[Vector] = set()
     for v in vecs:
-        if is_zero(v):
+        if not any(v):
             violations.append(Violation("R1", "zero vector present", (v,)))
         if v in seen:
             violations.append(Violation("R1", "duplicate root", (v,)))
         seen.add(v)
 
-    roots = sorted(v for v in seen if not is_zero(v))
-    violations.extend(_axiom_violations(roots, int_copy(roots)[1]))
+    violations.extend(_axiom_violations(*int_copy(sorted(v for v in seen if any(v)))))
     return ValidationReport(tuple(violations))
 
 
-def _axiom_violations(roots: Sequence[Vector], iroots: Sequence[IntVector]) -> list[Violation]:
-    """R2-R4 on sorted, distinct, nonzero roots, checked on their integer
-    copy iroots (the axioms are scale-invariant, and integer arithmetic is
-    much faster than Fraction)."""
+def _rational(v: IntVector, scale: int) -> Vector:
+    return tuple(Fraction(a, scale) for a in v)
+
+
+def _axiom_violations(scale: int, iroots: Sequence[IntVector]) -> list[Violation]:
+    """R2-R4 on the sorted, distinct, nonzero integer roots iroots on scale
+    (the axioms are scale-invariant); a witness is made rational only when
+    its violation is reported."""
     violations: list[Violation] = []
+
+    def witness(*idxs: int) -> tuple[Vector, ...]:
+        return tuple(_rational(iroots[i], scale) for i in idxs)
+
     iset = set(iroots)
 
     # R2: group by primitive direction; each class must be exactly {v, -v}.
@@ -141,7 +154,7 @@ def _axiom_violations(roots: Sequence[Vector], iroots: Sequence[IntVector]) -> l
         if not ok:
             violations.append(
                 Violation("R2", "proportional roots beyond a negative pair",
-                          tuple(roots[i] for i in idxs))
+                          witness(*idxs))
             )
 
     # R3 + R4 in one sweep over ordered pairs.
@@ -157,7 +170,7 @@ def _axiom_violations(roots: Sequence[Vector], iroots: Sequence[IntVector]) -> l
                 if not r3_seen:
                     violations.append(
                         Violation("R3", "non-integral Cartan number",
-                                  (roots[i], roots[j]))
+                                  witness(i, j))
                     )
                     r3_seen = True
                 continue
@@ -165,12 +178,12 @@ def _axiom_violations(roots: Sequence[Vector], iroots: Sequence[IntVector]) -> l
             if refl not in iset and not r4_seen:
                 violations.append(
                     Violation("R4", "reflection leaves the set",
-                              (roots[i], roots[j]))
+                              witness(i, j))
                 )
                 r4_seen = True
         # negation closure, asserted directly (R4 with b = a)
         if tuple(-x for x in a) not in iset and not r4_seen:
-            violations.append(Violation("R4", "negative root missing", (roots[i],)))
+            violations.append(Violation("R4", "negative root missing", witness(i)))
             r4_seen = True
 
     return violations

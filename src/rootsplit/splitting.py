@@ -17,11 +17,8 @@ from typing import Iterable, Iterator, Sequence
 from .catalog import CartanLabel
 from .linalg import (
     IntVector,
-    Vector,
     idot,
     lex_positive,
-    scale_to_int,
-    unscale,
     vneg,
     vsub,
 )
@@ -51,10 +48,13 @@ class G2Input(RootsplitError):
 @dataclass(frozen=True)
 class SplittingCertificate:
     """beta is half the translation vector; alphas are the sign-normalized
-    representatives of {+-alpha_1, ..., +-alpha_n}."""
+    representatives of {+-alpha_1, ..., +-alpha_n}, sorted. Both are
+    integer vectors on scale, the scale of the weights W they split: the
+    rational certificate is beta / scale and alphas / scale."""
 
-    beta: Vector
-    alphas: tuple[Vector, ...]  # sorted
+    scale: int
+    beta: IntVector
+    alphas: tuple[IntVector, ...]
 
     @property
     def n(self) -> int:
@@ -64,7 +64,7 @@ class SplittingCertificate:
 @dataclass(frozen=True)
 class CaseTag:
     tag: str  # SYMMETRIC_NO_TRIPLE or one of CASE_TAGS
-    witness: tuple[Vector, ...] | None = None  # (w1, w2, w3) with w1+w2=w3
+    witness: tuple[IntVector, ...] | None = None  # (w1, w2, w3) of W.ints, w1+w2=w3
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,8 @@ class ConstraintReport:
         return self.pairings_ok and self.beta_norm_ok
 
 
-def _check_shape(beta, alphas) -> None:
-    """On rational or integer vectors alike: a positive scale keeps every
-    answer."""
+def _check_shape(cert: SplittingCertificate) -> None:
+    beta, alphas = cert.beta, cert.alphas
     if all(c == 0 for c in beta):
         raise ValueError("certificate beta must be nonzero")
     seen = set()
@@ -98,32 +97,17 @@ def _check_shape(beta, alphas) -> None:
             raise ValueError("certificate violates the sign convention <beta,alpha> >= 0")
 
 
-def _scaled(cert: SplittingCertificate, scale: int) -> tuple[IntVector, list[IntVector]]:
-    return scale_to_int(cert.beta, scale), [scale_to_int(a, scale) for a in cert.alphas]
-
-
-def _unscaled(beta: IntVector, alphas: Iterable[IntVector], scale: int) -> SplittingCertificate:
-    return SplittingCertificate(unscale(beta, scale), tuple(unscale(a, scale) for a in alphas))
-
-
-def _generation_table(w: IsotropyWeights, cert: SplittingCertificate) -> tuple | None:
-    """(beta, alphas, table) on W's integer copy, as _int_table; a
-    certificate off W's lattice fails here, its shape checked on the
-    rationals, rather than being truncated onto it."""
-    try:
-        beta, alphas = _scaled(cert, w.scale)
-    except ValueError:
-        _check_shape(cert.beta, cert.alphas)
-        return None
-    table = _int_table(w, beta, alphas)
-    return None if table is None else (beta, alphas, table)
+def _check_scale(cert: SplittingCertificate, scale: int) -> None:
+    """A certificate is checked only on the scale it is given on: read on
+    another, its integers would stand for another rational certificate."""
+    if cert.scale != scale:
+        raise ValueError(f"certificate is on scale {cert.scale}, not on scale {scale}")
 
 
 def _int_table(w: IsotropyWeights, beta: IntVector, alphas: Sequence[IntVector]) -> dict | None:
     """The table mapping each generated weight eps_i alpha_i + eps beta
-    to (i, eps_i, eps), for a certificate on W's integer copy; None unless
-    the 4n generated weights are exactly W."""
-    _check_shape(beta, alphas)
+    to (i, eps_i, eps), for a certificate on W's scale; None unless the
+    4n generated weights are exactly W."""
     table = {}
     for i, a in enumerate(alphas):
         for ei in (1, -1):
@@ -135,13 +119,16 @@ def _int_table(w: IsotropyWeights, beta: IntVector, alphas: Sequence[IntVector])
 
 
 def verify_certificate(w: IsotropyWeights, cert: SplittingCertificate) -> bool:
-    """True iff the 4n generated vectors reproduce W exactly."""
-    return _generation_table(w, cert) is not None
+    """True iff the 4n generated vectors reproduce W exactly; raises
+    ValueError for a malformed certificate or one off W's scale."""
+    _check_shape(cert)
+    _check_scale(cert, w.scale)
+    return _int_table(w, cert.beta, cert.alphas) is not None
 
 
-def _canonical(beta, plus_half):
-    """The canonical (beta, alphas) of the half plus_half about beta, on
-    rational or integer vectors alike: beta lexicographically positive,
+def _canonical(beta: IntVector, plus_half: Iterable[IntVector]):
+    """The canonical (beta, alphas) of the half plus_half about beta:
+    beta lexicographically positive,
     alpha signs by <beta,alpha> >= 0 with a lexicographic tie-break when
     orthogonal, alphas sorted."""
     raw = []
@@ -203,13 +190,14 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
     Candidate translations come from one anchor w0 = min(W): every
     splitting puts w0 in W+ or W-, so 2*beta = +-(w0 - w) for some w in W,
     which gives |W| - 1 candidates. The search runs on the positions of
-    W's integer copy, where beta = v/2 is integral, and looks v up by its
+    W's integers, where beta = v/2 is integral, and looks v up by its
     lattice key (lex order is key order, and the lex-positive one of
     +-v has the positive key): a candidate v pairs each w with v - w
     through the pair sums of W (a v that no two weights sum to has no
     splitting, since every w in W+ needs v - w in W+), and is checked by
-    exhaustive propagation over sign orbits. Each certificate is checked
-    on the integer copy and turned back into rationals once, at the end.
+    exhaustive propagation over sign orbits. Each certificate is on W's
+    scale, and is checked on the table whose case it then resolves
+    (w.cases, which case_analysis reads).
     """
     if w.dim_M == 0:
         raise EmptyWeights("the weight set is empty (g = h)")
@@ -241,10 +229,12 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
                 found.add(cert)
 
     certs = []
-    for beta, alphas in sorted(found):  # a positive scale keeps the order
-        cert = _unscaled(beta, alphas, w.scale)
-        if _int_table(w, beta, alphas) is None:
+    for beta, alphas in sorted(found):
+        cert = SplittingCertificate(w.scale, beta, alphas)
+        table = _int_table(w, beta, alphas)
+        if table is None:
             raise RootsplitError(f"splitting certificate {cert} failed verification")
+        w.cases[cert] = _case(w, cert, table)
         certs.append(cert)
     return certs
 
@@ -252,19 +242,20 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
 def check_constraints(ctx: ParentContext, cert: SplittingCertificate) -> ConstraintReport:
     """Evaluate <beta,alpha_i> and |beta|^2 in the normalized metric of the
     parent against the admissible sets {0, 1/4} and {1/4, 3/4, 5/4}, on
-    the parent's integer copy; a certificate off it splits no W of the
-    parent and raises ValueError."""
+    the parent's integers; a certificate off the parent's scale or
+    dimension splits no W of the parent and raises ValueError."""
     if not ctx.irreducible:
         raise ValueError("check_constraints requires an irreducible parent")
     if ctx.types == (CartanLabel("G", 2),):
         raise G2Input("constraints do not apply to G2")
     rows, den = ctx.metric
-    beta, alphas = _scaled(cert, ctx.scale)
+    beta, alphas, scale = cert.beta, cert.alphas, ctx.system.scale
+    _check_scale(cert, scale)
     if any(len(v) != len(rows) for v in (beta, *alphas)):
         raise ValueError("certificate and parent differ in dimension")
     # <beta, alpha> = alpha . (m beta), the metric being symmetric
     mb = [idot(row, beta) for row in rows]
-    q = den * ctx.scale * ctx.scale
+    q = den * scale * scale
     pairings = tuple(Fraction(idot(a, mb), q) for a in alphas)
     b2 = Fraction(idot(beta, mb), q)
     return ConstraintReport(
@@ -288,18 +279,28 @@ def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
       |s| = 3, coefficient {1}                           -> case b
     Sub-cases of d are told apart scale-invariantly: two vanishing
     <beta,alpha> give d1; otherwise |beta|^2 / <beta,alpha> = 1 is d2 and
-    = 3 is d3. The search runs on W's integer copy, where the certificate
-    is also verified.
+    = 3 is d3. A certificate that find_splittings found on W was resolved
+    on the table the search verified it with (w.cases); any other is
+    verified here on W's integers first.
     """
-    generated = _generation_table(w, cert)
-    if generated is None:
+    tag = w.cases.get(cert)
+    if tag is not None:
+        return tag
+    _check_shape(cert)
+    _check_scale(cert, w.scale)
+    table = _int_table(w, cert.beta, cert.alphas)
+    if table is None:
         raise ValueError("certificate does not verify against the weights")
-    beta, alphas, table = generated
+    return _case(w, cert, table)
+
+
+def _case(w: IsotropyWeights, cert: SplittingCertificate, table: dict) -> CaseTag:
+    """case_analysis of a certificate verified on W, given its table."""
     if w.triple is None:
         return CaseTag(SYMMETRIC_NO_TRIPLE, None)
 
     (i1, e1, d1), (i2, e2, d2), (i3, e3, d3) = (table[w.ints[k]] for k in w.triple)
-    triple = tuple(w.weights[k] for k in w.triple)
+    triple = tuple(w.ints[k] for k in w.triple)
     s = d1 + d2 - d3
     coeffs: dict[int, int] = {}
     coeffs[i3] = coeffs.get(i3, 0) + e3
@@ -310,7 +311,7 @@ def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
 
     if abs(s) == 1:
         if pattern == [1, 1, 1]:
-            return _d_subcase(beta, [alphas[i] for i in coeffs], triple)
+            return _d_subcase(cert.beta, [cert.alphas[i] for i in coeffs], triple)
         if pattern == [1, 2]:
             return CaseTag("case_a", triple)
     elif abs(s) == 3:
@@ -324,7 +325,7 @@ def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
 
 
 def _d_subcase(beta: IntVector, alphas: Sequence[IntVector], triple) -> CaseTag:
-    """Case d by <beta,alpha> on the integer copy; the ratios to
+    """Case d by <beta,alpha> on W's integers; the ratios to
     |beta|^2 are scale-invariant."""
     pairings = [idot(beta, a) for a in alphas]
     zeros = sum(1 for p in pairings if p == 0)
@@ -345,13 +346,13 @@ def wolf_certificate(ctx: ParentContext) -> SplittingCertificate:
     """The splitting witness for the Wolf pair: beta = theta/2 and
     A = {alpha - theta/2 : 2<alpha,theta>/<theta,theta> = 1}."""
     weights = isotropy_weights(ctx, ctx.wolf)
-    if not weights.weights:
+    if not weights.dim_M:
         raise EmptyWeights("the weight set is empty (g = h)")
     theta = ctx.theta
     tt = idot(theta, theta)
     # the roots pairing to 1 with theta-check are exactly the W+ half {alpha + beta}
-    plus = [r for r in ctx.int_roots if 2 * idot(theta, r) == tt]
+    plus = [r for r in ctx.system.ints if 2 * idot(theta, r) == tt]
     beta, alphas = _canonical(tuple(x // 2 for x in theta), plus)
     if _int_table(weights, beta, alphas) is None:
         raise RootsplitError("wolf certificate failed verification")
-    return _unscaled(beta, alphas, ctx.scale)
+    return SplittingCertificate(ctx.system.scale, beta, alphas)

@@ -9,8 +9,7 @@ torus_corank). The isotropy weights of the pair are R \\ S.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Container, Iterable, Sequence
@@ -34,6 +33,7 @@ from .linalg import (
     lattice_radix,
     lex_positive,
     pack,
+    scale_to_int,
     vneg,
 )
 from .rootcore import RootsplitError, RootSystem
@@ -45,31 +45,47 @@ class NotClosed(RootsplitError):
 
 @dataclass(frozen=True)
 class ClosedSubsystem:
+    """The roots of parent at the sorted positions in parent.ints, and the
+    rank of the central torus of h; roots is a rational view."""
+
     parent: RootSystem
-    roots: tuple[Vector, ...]  # sorted
+    positions: tuple[int, ...]
     torus_corank: int
-    #: the positions of roots in parent.roots, sorted as roots are
-    positions: tuple[int, ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def roots(self) -> tuple[Vector, ...]:
+        return tuple(self.parent.roots[i] for i in self.positions)
 
 
 @dataclass(frozen=True)
 class IsotropyWeights:
     """W = R(g) \\ R(h); weights of the complexified isotropy representation.
 
-    ints, the weights times scale in the same order, is the integer copy
-    every step of the pair reads; scale is twice a common denominator of W.
-    keys are the lattice keys (linalg.pack) of ints, in the same order,
-    which every lookup reads. A weight is named by its position i in that
-    order. index and sums are made the first time they are read, so each
-    W scans its pair sums at most once, and listing W alone never does.
+    ints are the weights on scale (twice a common denominator of W),
+    sorted, and keys their lattice keys (linalg.pack), which every lookup
+    reads; a weight is named by its position in that order. weights is a
+    rational view. index and sums are made when first read, so each W
+    scans its pair sums at most once, and listing W never does. cases
+    maps each certificate splitting.find_splittings found on W to its
+    case tag, resolved on the table that verified it.
     """
 
-    weights: tuple[Vector, ...]  # sorted
     dim_M: int
-    quaternionic_n: Fraction
-    scale: int = field(compare=False)
-    ints: tuple[IntVector, ...] = field(compare=False)
-    keys: tuple[int, ...] = field(compare=False)
+    scale: int
+    ints: tuple[IntVector, ...]
+    keys: tuple[int, ...]
+
+    @property
+    def quaternionic_n(self) -> Fraction:
+        return Fraction(self.dim_M, 4)
+
+    @cached_property
+    def weights(self) -> tuple[Vector, ...]:
+        return tuple(tuple(Fraction(a, self.scale) for a in x) for x in self.ints)
+
+    @cached_property
+    def cases(self) -> dict:
+        return {}
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -123,20 +139,24 @@ def _subsystem(ctx: ParentContext, positions: Sequence[int], error: str) -> Clos
     for a in keys:
         if a > 0 and not any(a - b in members for b in base):
             base.append(a)
-    roots = tuple(ctx.system.roots[i] for i in positions)
-    return ClosedSubsystem(ctx.system, roots, ctx.rank - len(base), tuple(positions))
+    return ClosedSubsystem(ctx.system, tuple(positions), ctx.rank - len(base))
 
 
 def closed_subsystem(ctx: ParentContext, roots: Iterable[Vector]) -> ClosedSubsystem:
-    """Validated constructor on the parent of ctx, checked on its integer
-    copy; raises NotClosed. Each root is found in the sorted parent roots
-    by bisection."""
-    rs = tuple(sorted(set(roots)))
-    proots = ctx.system.roots
-    positions = tuple(bisect_left(proots, r) for r in rs)
-    if any(i == len(proots) or proots[i] != r for i, r in zip(positions, rs)):
-        raise ValueError("subset is not contained in the parent root system")
-    return _subsystem(ctx, positions, "subset is not a closed subsystem of the parent")
+    """Validated constructor on the parent of ctx from rational roots (a
+    JSON h); raises NotClosed. Each root is checked for the parent's
+    dimension, put onto the parent's scale once and found by its lattice
+    key; the dimension check comes first, since keys of different lengths
+    alias."""
+    system, positions = ctx.system, set()
+    try:
+        for r in roots:
+            if len(r) != system.ambient_dim:  # a root of another length has no key here
+                raise KeyError(r)
+            positions.add(ctx.at[pack(scale_to_int(r, system.scale), ctx.radix)])
+    except (KeyError, ValueError):  # no root, or off the scale or the key bound
+        raise ValueError("subset is not contained in the parent root system") from None
+    return _subsystem(ctx, sorted(positions), "subset is not a closed subsystem of the parent")
 
 
 def enumerate_closed_subsystems(
@@ -148,7 +168,7 @@ def enumerate_closed_subsystems(
     Backtracking over positive-root in/out decisions with closure
     propagation; a sum of two admitted roots that is a root must be
     admitted, which prunes the subset lattice hard. A root is its position
-    in the context's integer copy and a subset is kept as its positive
+    in the parent's integer roots and a subset is kept as its positive
     roots; the sums and differences that closure forces are found on the
     context's lattice keys, where a root is positive iff its key is. Dedup
     keeps the first subset of each Weyl class in search order and marks
@@ -231,29 +251,26 @@ def enumerate_closed_subsystems(
 
 def isotropy_weights(ctx: ParentContext, h: ClosedSubsystem) -> IsotropyWeights:
     """The weight set W = R(g) \\ R(h) with derived dimensions, on the
-    integer copy of the parent of ctx: the positions outside h."""
+    integer roots of the parent of ctx: the positions outside h."""
     if h.parent is not ctx.system and h.parent != ctx.system:
         raise ValueError("subsystem does not belong to this parent")
-    outside = [True] * len(ctx.int_roots)
+    outside = [True] * len(ctx.keys)
     for i in h.positions:
         outside[i] = False
     # the parent's roots are sorted, so W comes out sorted
-    weights = tuple(itertools.compress(ctx.system.roots, outside))
-    ints = tuple(itertools.compress(ctx.int_roots, outside))
+    ints = tuple(itertools.compress(ctx.system.ints, outside))
     keys = tuple(itertools.compress(ctx.keys, outside))
-    n = len(weights)
-    return IsotropyWeights(weights, n, Fraction(n, 4), ctx.scale, ints, keys)
+    return IsotropyWeights(len(ints), ctx.system.scale, ints, keys)
 
 
 def weights_from_set(weights: Iterable[Vector]) -> IsotropyWeights:
     """IsotropyWeights from a raw negation-closed weight set (for transformed
-    or externally supplied inputs), on its own integer copy and keys;
+    or externally supplied inputs), converted once onto its own scale;
     raises ValueError if the weights differ in dimension."""
-    ws = tuple(sorted(set(weights)))
-    scale, ints = int_copy(ws)
+    scale, ints = int_copy(sorted(set(weights)))
     radix = lattice_radix(ints)
     keys = tuple(pack(x, radix) for x in ints)
-    return IsotropyWeights(ws, len(ws), Fraction(len(ws), 4), scale, ints, keys)
+    return IsotropyWeights(len(ints), scale, ints, keys)
 
 
 def is_symmetric_pair(w: IsotropyWeights) -> bool:
@@ -278,10 +295,10 @@ class ParentContext:
 
     Build it once per command and pass it down; it is deliberately not
     cached beyond that, so a fresh process and an in-process repeat do
-    the same work. A root is named by its position in system.roots,
-    which int_roots and keys follow; the simple reflections, under which
-    the enumerator's Weyl dedup closes classes, read this copy too. keys
-    packs the integer roots at radix (linalg.pack), so key order is root
+    the same work. A root is named by its position in system.ints, which
+    keys follow; the simple reflections, under which the enumerator's
+    Weyl dedup closes classes, read system.ints too. keys packs the
+    integer roots at radix (linalg.pack), so key order is root
     order, and at maps a key back to its position: whether a sum or a
     difference of roots is a root is an int lookup in at. theta, wolf and
     metric, which only the Wolf pair and the constraints read, are built
@@ -290,10 +307,8 @@ class ParentContext:
     """
 
     system: RootSystem
-    scale: int  # system.scale, twice the roots' common denominator
-    int_roots: tuple[IntVector, ...]  # system.ints: system.roots times scale, in order
     radix: int  # of the lattice keys
-    keys: tuple[int, ...]  # the lattice keys of int_roots, in order
+    keys: tuple[int, ...]  # the lattice keys of system.ints, in order
     at: dict[int, int]  # lattice key -> its position
     base: tuple[IntVector, ...]  # simple roots
     components: tuple[tuple[IntVector, ...], ...]
@@ -312,14 +327,14 @@ class ParentContext:
     def theta(self) -> IntVector:  # the highest root
         if not self.irreducible:
             raise ValueError("highest_root requires an irreducible system")
-        return int_highest_root(self.int_roots, self.base)
+        return int_highest_root(self.system.ints, self.base)
 
     @cached_property
     def wolf(self) -> ClosedSubsystem:  # {+-theta} and the roots orthogonal to theta
         theta = self.theta
         ends = (theta, vneg(theta))
         positions = tuple(
-            i for i, r in enumerate(self.int_roots) if r in ends or not idot(r, theta)
+            i for i, r in enumerate(self.system.ints) if r in ends or not idot(r, theta)
         )
         return _subsystem(self, positions, "the Wolf subsystem is not closed")
 
@@ -327,12 +342,12 @@ class ParentContext:
     def metric(self) -> tuple[IntMatrix, int] | None:  # (rows, den), int_normalize
         if not self.irreducible or self.types == (CartanLabel("G", 2),):
             return None
-        return int_normalize(self.components, self.scale)
+        return int_normalize(self.components, self.system.scale)
 
 
 def parent_context(system: RootSystem) -> ParentContext:
-    """Compute the per-parent facts of system from the integer copy it
-    carries (RootSystem.ints), with no copy of its own."""
+    """Compute the per-parent facts of system from its integer roots
+    (RootSystem.ints), converting nothing."""
     iroots = system.ints
     radix = lattice_radix(iroots)
     keys = tuple(pack(r, radix) for r in iroots)
@@ -341,9 +356,7 @@ def parent_context(system: RootSystem) -> ParentContext:
     comps = tuple(int_components(iroots, base))
     types = tuple(sorted(int_component_type(c, base) for c in comps))
     long_norm = max(idot(v, v) for v in iroots)
-    return ParentContext(
-        system, system.scale, iroots, radix, keys, at, base, comps, types, long_norm
-    )
+    return ParentContext(system, radix, keys, at, base, comps, types, long_norm)
 
 
 def is_wolf_pair(ctx: ParentContext, h: ClosedSubsystem) -> bool:
@@ -358,13 +371,13 @@ def is_wolf_pair(ctx: ParentContext, h: ClosedSubsystem) -> bool:
         return False
     if h.positions == ctx.wolf.positions:
         return True
-    ih = [ctx.int_roots[i] for i in h.positions]
+    ih = [ctx.system.ints[i] for i in h.positions]
     for g in ih:
         if not lex_positive(g) or idot(g, g) != ctx.long_norm:
             continue
         if sum(1 for x in ih if idot(g, x)) != 2:  # gamma is orthogonal to the rest of h
             continue
-        perp = sum(1 for x in ctx.int_roots if not idot(g, x))
+        perp = sum(1 for x in ctx.system.ints if not idot(g, x))
         if perp == len(ih) - 2:  # so h \ {+-gamma} is all of gamma-perp
             return True
     return False

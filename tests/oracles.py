@@ -11,13 +11,25 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from rootsplit.linalg import dot, lex_positive, vadd, vneg, vscale, vsub
+from rootsplit.linalg import dot, lex_positive, vneg, vscale, vsub
 from rootsplit.rootcore import RootsplitError, reflect
-from rootsplit.splitting import EmptyWeights, SplittingCertificate
+from rootsplit.splitting import EmptyWeights
 
 #: reflection_closure aborts past this size; E8, the largest catalog
 #: system, has 240 roots, so anything bigger is not crystallographic.
 CLOSURE_CAP = 1000
+
+
+def vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def rational(cert) -> tuple:
+    """A rootsplit certificate as the rational (beta, alphas) it stands for,
+    the form the certificate oracles below return."""
+    def q(v):
+        return tuple(Fraction(a, cert.scale) for a in v)
+    return q(cert.beta), tuple(q(a) for a in cert.alphas)
 
 
 class NormscalViolation(RootsplitError):
@@ -130,7 +142,8 @@ def is_closed(subset, parent) -> bool:
     if not s <= parent.root_set:
         raise ValueError("subset is not contained in the parent root system")
     return all(vneg(a) in s for a in s) and all(
-        c in s for a, b in itertools.combinations(s, 2) if (c := vadd(a, b)) in parent
+        c in s for a, b in itertools.combinations(s, 2)
+        if (c := vadd(a, b)) in parent.root_set
     )
 
 
@@ -147,10 +160,11 @@ def brute_force_closed_subsystems(parent) -> list:
     return out
 
 
-def canonical_certificate(beta, plus_half) -> SplittingCertificate:
-    """The certificate with W+ = plus_half about beta: beta lexicographically
-    positive, each alpha = w - beta signed so that <beta,alpha> > 0, or
-    lexicographically positive when orthogonal, and the alphas sorted."""
+def canonical_certificate(beta, plus_half) -> tuple:
+    """The certificate (beta, alphas) with W+ = plus_half about beta: beta
+    lexicographically positive, each alpha = w - beta signed so that
+    <beta,alpha> > 0, or lexicographically positive when orthogonal, and
+    the alphas sorted."""
     alphas = {vsub(w, beta) for w in plus_half}
     if not lex_positive(beta):
         beta = vneg(beta)
@@ -158,13 +172,14 @@ def canonical_certificate(beta, plus_half) -> SplittingCertificate:
     for a in alphas:
         p = dot(beta, a)
         signed.add(a if p > 0 or (p == 0 and lex_positive(a)) else vneg(a))
-    return SplittingCertificate(beta, tuple(sorted(signed)))
+    return beta, tuple(sorted(signed))
 
 
 def splittings_oracle(w) -> list:
-    """Every splitting certificate of the weights w, by enumerating each
-    half H with W = H | (-H) (one sign per negation pair); beta must be
-    the average of H. Exponential in |W|/2: small W only."""
+    """Every splitting certificate (beta, alphas) of the weights w, on
+    their rational view, by enumerating each half H with W = H | (-H) (one
+    sign per negation pair); beta must be the average of H. Exponential
+    in |W|/2: small W only."""
     if w.dim_M == 0:
         raise EmptyWeights("the weight set is empty (g = h)")
     if w.dim_M % 4 != 0:
@@ -185,4 +200,70 @@ def splittings_oracle(w) -> list:
         if {vsub(x, two_beta) for x in half} != wset - hs:
             continue
         found.add(canonical_certificate(beta, half))
-    return sorted(found, key=lambda c: (c.beta, c.alphas))
+    return sorted(found)
+
+
+def _bcd_roots(n: int, short: str) -> set:
+    roots = set()
+    for i, j in itertools.combinations(range(n), 2):
+        for si in (1, -1):
+            for sj in (1, -1):
+                v = [Fraction(0)] * n
+                v[i], v[j] = Fraction(si), Fraction(sj)
+                roots.add(tuple(v))
+    if short in ("B", "C"):
+        c = 1 if short == "B" else 2
+        for i in range(n):
+            for s in (c, -c):
+                roots.add(tuple(Fraction(s if j == i else 0) for j in range(n)))
+    return roots
+
+
+def catalog_roots(lab) -> set:
+    """The rational roots of a catalog label in the catalog's coordinates
+    (Bourbaki, Lie Groups ch. VI, Plates I-IX), built on Fractions."""
+    s, n = lab.series, lab.rank
+    half = Fraction(1, 2)
+    if s == "A":
+        return {
+            tuple(Fraction(1 if k == i else (-1 if k == j else 0)) for k in range(n + 1))
+            for i, j in itertools.permutations(range(n + 1), 2)
+        }
+    if s in ("B", "C", "D"):
+        return _bcd_roots(n, s if s != "D" else "")
+    if s == "G":
+        roots = {tuple(Fraction((i == a) - (i == b)) for i in range(3))
+                 for a, b in itertools.permutations(range(3), 2)}
+        for i, j, k in itertools.permutations(range(3)):
+            if j < k:
+                for t in (1, -1):
+                    v = [Fraction(0)] * 3
+                    v[i], v[j], v[k] = Fraction(2 * t), Fraction(-t), Fraction(-t)
+                    roots.add(tuple(v))
+        return roots
+    if s == "F":
+        return _bcd_roots(4, "B") | {
+            tuple(half * t for t in signs) for signs in itertools.product((1, -1), repeat=4)
+        }
+    e8 = _bcd_roots(8, "") | {
+        tuple(half * t for t in signs)
+        for signs in itertools.product((1, -1), repeat=8) if sum(signs) % 4 == 0
+    }
+    e7_cut = vadd(tuple(Fraction(i == 6) for i in range(8)), tuple(Fraction(i == 7) for i in range(8)))
+    e6_cut = tuple(Fraction((i == 5) - (i == 6)) for i in range(8))
+    cuts = {8: [], 7: [e7_cut], 6: [e7_cut, e6_cut]}[n]
+    return {a for a in e8 if all(dot(a, c) == 0 for c in cuts)}
+
+
+def direct_sum_roots(parts) -> list:
+    """The rational roots of the block-orthogonal sum of root sets, each
+    padded with Fraction zeros, sorted."""
+    total = sum(len(next(iter(p))) for p in parts)
+    roots, offset = [], 0
+    for p in parts:
+        dim = len(next(iter(p)))
+        pad_before = (Fraction(0),) * offset
+        pad_after = (Fraction(0),) * (total - offset - dim)
+        roots.extend(pad_before + r + pad_after for r in p)
+        offset += dim
+    return sorted(roots)

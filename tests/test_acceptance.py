@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from oracles import canonical_certificate, pair_class, splittings_oracle
+from oracles import canonical_certificate, pair_class, rational, splittings_oracle
 from rootsplit.catalog import (
     build,
     build_sum,
@@ -136,7 +136,7 @@ def test_criterion_6_oracle_equivalence_rank_3():
             if (not weights.weights or weights.dim_M % 4 != 0
                     or len(weights.weights) > 12):
                 continue
-            fast = set(find_splittings(weights))
+            fast = {rational(c) for c in find_splittings(weights)}
             slow = set(splittings_oracle(weights))
             assert fast == slow, f"{parent.roots} / {h.roots}"
             checked += 1
@@ -159,7 +159,9 @@ def test_criterion_6_oracle_equivalence_rank_4():
             if (not weights.weights or weights.dim_M % 4 != 0
                     or len(weights.weights) > 20):
                 continue
-            assert set(find_splittings(weights)) == set(splittings_oracle(weights)), (
+            assert {rational(c) for c in find_splittings(weights)} == set(
+                splittings_oracle(weights)
+            ), (
                 f"{parent.roots} / {h.roots}"
             )
             checked += 1
@@ -190,17 +192,17 @@ def test_criterion_7_weyl_equivariance_100_random_cases():
         moved = weights_from_set(
             [wg.apply_word(word, w) for w in weights.weights]
         )
-        transformed = set(find_splittings(moved))
+        transformed = {rational(c) for c in find_splittings(moved)}
         # Certificates transform by the same linear action, up to
         # canonical form.
         expected = set()
-        for c in find_splittings(weights):
-            beta = wg.apply_word(word, c.beta)
+        for c in map(rational, find_splittings(weights)):
+            beta = wg.apply_word(word, c[0])
             plus_half = [
                 wg.apply_word(
-                    word, tuple(b + s * a for b, a in zip(c.beta, alpha))
+                    word, tuple(b + s * a for b, a in zip(c[0], alpha))
                 )
-                for alpha in c.alphas for s in (1, -1)
+                for alpha in c[1] for s in (1, -1)
             ]
             expected.add(canonical_certificate(beta, plus_half))
         assert expected == transformed

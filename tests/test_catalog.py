@@ -4,11 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import cartan_int, reflection_closure, simple_base, span_basis
+from oracles import (
+    cartan_int,
+    catalog_roots,
+    direct_sum_roots,
+    reflection_closure,
+    simple_base,
+    span_basis,
+)
 from parents import RANK_4_PARENTS
 from rootsplit.linalg import (
     dot,
     idot,
+    int_copy,
     vec,
     vscale,
 )
@@ -171,10 +179,10 @@ def _oracle_systems():
     for lab in simple_labels_up_to(4):
         for h in enumerate_closed_subsystems(parent_context(build(lab)), dedup=False):
             if h.roots:
-                yield make_root_system(h.roots, validate=False)
+                yield make_root_system(h.roots)
     for lab in simple_labels_up_to(8):
         yield build(lab)
-        yield make_root_system(wolf_subsystem(build(lab)).roots, validate=False)
+        yield make_root_system(wolf_subsystem(build(lab)).roots)
 
 
 class TestIdentifyType:
@@ -257,10 +265,10 @@ class TestParentFactOracles:
     @pytest.mark.parametrize("spec", PARENT_SPECS)
     def test_matches_all_pairs_oracles(self, spec):
         ctx = parent_context(build_sum(parse_label_sum(spec)))
-        systems = [ctx.int_roots]
+        systems = [ctx.system.ints]
         if ctx.rank <= 4:
             systems += [
-                [ctx.int_roots[i] for i in h.positions]
+                [ctx.system.ints[i] for i in h.positions]
                 for h in enumerate_closed_subsystems(ctx, dedup=False)
             ]
         for iroots in systems:
@@ -319,7 +327,7 @@ def mat_vec(m, v):
 
 def _first_factor_doubled(spec: str):
     first, *rest = [build(l) for l in parse_label_sum(spec)]
-    doubled = make_root_system([vscale(2, r) for r in first.roots], validate=False)
+    doubled = make_root_system([vscale(2, r) for r in first.roots])
     return direct_sum([doubled, *rest])
 
 
@@ -372,3 +380,19 @@ class TestCatalogEnumeration:
     def test_series_filter(self):
         labs = simple_labels_up_to(8, series=["E"])
         assert labs == [label("E", 6), label("E", 7), label("E", 8)]
+
+
+#: every catalog label through rank 8 and every g of rank <= 4
+ORACLE_SPECS = list(dict.fromkeys([str(l) for l in simple_labels_up_to(8)] + RANK_4_PARENTS))
+
+
+@pytest.mark.parametrize("g", ORACLE_SPECS)
+def test_integer_builders_match_rational_oracle(g):
+    # build and build_sum make their integers directly; the oracle builds
+    # the same roots on Fractions, and int_copy gives their copy.
+    labels = parse_label_sum(g)
+    system = build_sum(labels)
+    roots = direct_sum_roots([catalog_roots(l) for l in labels])
+    assert system.roots == tuple(roots)
+    assert (system.scale, system.ints) == int_copy(roots)
+    assert system.ambient_dim == len(roots[0])

@@ -205,3 +205,21 @@ class TestCli:
         r = run("classify", "B3", "")
         assert r.returncode == 1 and r.stdout == ""
         assert r.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "g, h",
+        [
+            ("B3", "[[1,0]]"),
+            ("B3", "[[1,0,0,0]]"),
+            ("B3", '[["1/2",0,0]]'),
+            ("B3", "[[100,0,0]]"),
+            # on A1+A1's scale (1,-1) has the lattice key of (0,0,1,-1)
+            ("A1+A1", "[[1,-1],[-1,1]]"),
+        ],
+        ids=["B3-short", "B3-long", "B3-half", "B3-off-key-bound", "A1+A1-short"],
+    )
+    def test_json_h_outside_the_parent_exits_one(self, g, h):
+        for command in ("weights", "classify"):
+            r = run(command, g, h)
+            assert r.returncode == 1 and r.stdout == ""
+            assert r.stderr == "error: subset is not contained in the parent root system\n"

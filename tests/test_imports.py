@@ -1,5 +1,6 @@
 """Every name a rootsplit module imports is used in that module, only
-rootcore and weights_from_set choose an integer scale, the pair checks
+rootcore and weights_from_set choose an integer scale and no step between
+parse and emit makes a rational, the pair checks
 import no rational metric product or typing, every function the bench
 traces exists, every top-level function and class of src/ is reached,
 and the test oracles use no private rootsplit code."""
@@ -16,8 +17,9 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = Path(__file__).resolve().parent
 
 #: public input helpers that nothing in src/ calls: vec builds a rational
-#: vector, weights_from_set the weights of a set given from outside
-INPUT_HELPERS = {"linalg.vec", "subalgebra.weights_from_set"}
+#: vector, make_root_system the root system and weights_from_set the
+#: weights of a set of rational vectors given from outside
+INPUT_HELPERS = {"linalg.vec", "rootcore.make_root_system", "subalgebra.weights_from_set"}
 
 
 def traced_names():
@@ -47,35 +49,52 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
-#: the helpers that turn Fraction vectors into integers
-SCALING_HELPERS = {"int_copy", "scale_to_int"}
-
-#: per module, the top-level definitions that may call one
-SCALING_CALLERS = {
-    "catalog": set(),
-    "pipeline": set(),
-    "subalgebra": {"weights_from_set"},  # a weight set given from outside
-    "splitting": {"_scaled"},  # a certificate, onto a copy's existing scale
+#: the helpers that turn rational vectors into integers, and where each may
+#: be named: a module, or one definition of a module
+SCALING_HELPERS = {
+    "int_copy": {"rootcore", "subalgebra.weights_from_set"},  # input picks its scale
+    "scale_to_int": {"subalgebra.closed_subsystem"},  # a JSON h, onto its parent's
 }
 
+#: the definitions between parse and emit, which hold integers only
+INTEGER_ONLY = {
+    "catalog": {"_bcd_roots", "_e8_roots", "_g2_roots", "_f4_roots", "build",
+                "build_sum", "direct_sum"},
+    "subalgebra": {"_subsystem", "isotropy_weights"},
+    "splitting": {"find_splittings", "case_analysis", "wolf_certificate"},
+}
 
-@pytest.mark.parametrize("module", sorted(SCALING_CALLERS))
+#: the names that make or convert rationals
+RATIONAL_NAMES = {"Fraction", "int_copy", "scale_to_int", "unscale"}
+
+
+def named_in(node) -> set:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+@pytest.mark.parametrize("module", [p.stem for p in MODULES])
 def test_scale_chosen_only_in_rootcore_and_weights_from_set(module):
-    # A root system's integer copy is made once, in rootcore, and every
-    # layer reads it; none scales a system's roots again.
+    # Rational input is converted once, where it comes in: rootcore picks
+    # the scale of a root system, weights_from_set that of a weight set
+    # given from outside, and closed_subsystem puts a JSON h onto its
+    # parent's scale. Between parse and emit, no step makes a rational.
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-    imported = {
-        a.asname or a.name
-        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-        for a in node.names
-    }
-    callers = {
-        getattr(node, "name", "<module>") for node in tree.body
-        if any(isinstance(n, ast.Name) and n.id in SCALING_HELPERS for n in ast.walk(node))
-    }
-    allowed = SCALING_CALLERS[module]
-    assert callers <= allowed, f"{module}: {sorted(callers - allowed)} scale vectors"
-    assert allowed or not imported & SCALING_HELPERS
+    for node in tree.body:
+        own = getattr(node, "name", "<module>")
+        names = named_in(node)
+        for helper, allowed in SCALING_HELPERS.items():
+            if helper in names:
+                assert module in allowed or f"{module}.{own}" in allowed, (
+                    f"{module}.{own} names {helper}"
+                )
+        if own in INTEGER_ONLY.get(module, ()):
+            assert not names & RATIONAL_NAMES, (
+                f"{module}.{own} names {sorted(names & RATIONAL_NAMES)}"
+            )
+    assert INTEGER_ONLY.get(module, set()) <= {getattr(n, "name", None) for n in tree.body}
 
 
 @pytest.mark.parametrize("module", ["splitting", "pipeline"])

@@ -92,7 +92,7 @@ class TestPack:
         # u + (1, -R, 0, ...) has the same weighted digit sum as u: only
         # the bound check tells them apart.
         ctx = parent_context(build(parse_label_sum("A3")[0]))
-        radix, u = ctx.radix, ctx.int_roots[0]
+        radix, u = ctx.radix, ctx.system.ints[0]
         alias = (u[0] + 1, u[1] - radix, *u[2:])
         assert sum(a * radix ** (len(u) - 1 - k) for k, a in enumerate(alias)) == pack(u, radix)
         with pytest.raises(ValueError, match="lattice key bound"):
@@ -115,18 +115,18 @@ def test_sorted_keys_follow_int_roots(g):
     ctx = parent_context(build(parse_label_sum(g)[0]))
     keys = list(ctx.keys)
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
-    assert list(ctx.int_roots) == sorted(ctx.int_roots)
-    assert ctx.radix > 8 * max(abs(a) for r in ctx.int_roots for a in r)
+    assert list(ctx.system.ints) == sorted(ctx.system.ints)
+    assert ctx.radix > 8 * max(abs(a) for r in ctx.system.ints for a in r)
     assert ctx.at == {k: i for i, k in enumerate(keys)}
-    assert [k > 0 for k in keys] == [lex_positive(r) for r in ctx.int_roots]
+    assert [k > 0 for k in keys] == [lex_positive(r) for r in ctx.system.ints]
 
 
 def check_closure_against_oracle(ctx, positions):
     """The key closure check against the tuple oracle, for the subset of
     ctx's roots at positions; returns whether the subset is closed."""
-    isub = {ctx.int_roots[i] for i in positions}
+    isub = {ctx.system.ints[i] for i in positions}
     closed = _closed([ctx.keys[i] for i in positions], ctx.at)
-    assert closed == tuple_closed(isub, set(ctx.int_roots))
+    assert closed == tuple_closed(isub, set(ctx.system.ints))
     return closed
 
 

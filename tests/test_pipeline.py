@@ -166,7 +166,7 @@ def description_oracle(h):
     describe_subsystem did before it read the parent's integer copy."""
     if not h.roots:
         return f"torus(T{h.torus_corank})"
-    parts = sorted(str(l) for l in identify_type(make_root_system(h.roots, validate=False)))
+    parts = sorted(str(l) for l in identify_type(make_root_system(h.roots)))
     if h.torus_corank:
         parts.append(f"T{h.torus_corank}")
     return "+".join(parts)

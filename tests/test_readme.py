@@ -11,10 +11,10 @@ def test_library_tour_runs():
     assert len(blocks) == 1
     ns = {}
     exec(compile(blocks[0], str(README), "exec"), ns)
-    half = Fraction(1, 2)
     assert ns["theta"] == (1, 1, 0)
     assert len(ns["w"].weights) == 12
-    assert ns["certs"][0].beta == (half, -half, half)
-    report = ns["check_constraints"](ns["ctx"], ns["certs"][0])
+    cert = ns["certs"][0]
+    assert (cert.scale, cert.beta) == (2, (1, -1, 1))  # (1/2, -1/2, 1/2)
+    report = ns["check_constraints"](ns["ctx"], cert)
     assert report.beta_norm2 == Fraction(3, 4)
     assert set(report.pairings) == {Fraction(1, 4)}

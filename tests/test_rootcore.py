@@ -12,7 +12,6 @@ from parents import RANK_4_PARENTS
 from rootsplit.linalg import dot, vec
 from rootsplit.catalog import build, build_sum, label, parse_label_sum, simple_labels_up_to
 from rootsplit.rootcore import reflect, validate_root_system
-from rootsplit.subalgebra import parent_context
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 small_vecs = st.lists(rationals, min_size=2, max_size=4).map(lambda xs: vec(*xs))
@@ -144,4 +143,3 @@ class TestIntegerCopy:
         assert system.scale == scale
         assert system.ints == tuple(tuple(a * scale for a in r) for r in system.roots)
         assert all(type(a) is int for r in system.ints for a in r)
-        assert parent_context(system).int_roots == system.ints

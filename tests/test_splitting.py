@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import splittings_oracle
+from oracles import rational, splittings_oracle
 from parents import RANK_4_PARENTS, parents_up_to
 from rootsplit.linalg import dot, lattice_radix, pack, scale_to_int, vec, vneg
 from rootsplit.catalog import (
@@ -17,6 +17,9 @@ from rootsplit.catalog import (
     simple_labels_up_to,
     weyl_group,
 )
+from rootsplit import splitting
+from rootsplit.pipeline import classify_pair
+from rootsplit.report import certificate_dict
 from rootsplit.rootcore import RootsplitError
 from rootsplit.subalgebra import (
     closed_subsystem,
@@ -40,6 +43,13 @@ from rootsplit.splitting import (
 
 HALF = Fraction(1, 2)
 
+
+def on_scale(scale, beta, *alphas):
+    """The certificate (beta, alphas), given as rationals, on scale."""
+    return SplittingCertificate(
+        scale, scale_to_int(beta, scale), tuple(scale_to_int(a, scale) for a in alphas)
+    )
+
 #: the parents of `classify --max-rank 3 --include-products`
 CATALOG_R3_PARENTS = parents_up_to(3)
 
@@ -59,7 +69,7 @@ def wolf_weights(parent):
 class TestVerifyCertificate:
     def test_hp1_presentation(self):
         w = weights_from_set([vec(1, 1), vec(1, -1), vec(-1, 1), vec(-1, -1)])
-        cert = SplittingCertificate(beta=vec(1, 0), alphas=(vec(0, 1),))
+        cert = on_scale(w.scale, vec(1, 0), vec(0, 1))
         assert verify_certificate(w, cert)
 
     def test_so7_u3_presentation(self):
@@ -69,16 +79,16 @@ class TestVerifyCertificate:
             tuple(b - g for b, g in zip(beta, gamma))
             for gamma in (vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1))
         ))
-        assert verify_certificate(w, SplittingCertificate(beta, alphas))
+        assert verify_certificate(w, on_scale(w.scale, beta, *alphas))
 
     def test_wrong_beta_fails(self):
         w = weights_from_set([vec(1, 1), vec(1, -1), vec(-1, 1), vec(-1, -1)])
-        cert = SplittingCertificate(beta=vec(1, 1), alphas=(vec(0, 1),))
+        cert = on_scale(w.scale, vec(1, 1), vec(0, 1))
         assert not verify_certificate(w, cert)
 
     def test_wrong_cardinality_fails(self):
         w = weights_from_set([vec(1, 1), vec(-1, -1)])
-        cert = SplittingCertificate(beta=vec(1, 0), alphas=(vec(0, 1),))
+        cert = on_scale(w.scale, vec(1, 0), vec(0, 1))
         assert not verify_certificate(w, cert)
 
 
@@ -87,7 +97,7 @@ class TestFindSplittings:
         _, w = b3_u3_weights()
         certs = find_splittings(w)
         assert len(certs) == 1
-        assert certs[0].beta == vec(HALF, HALF, HALF)
+        assert rational(certs[0])[0] == vec(HALF, HALF, HALF)
         assert certs[0].n == 3
 
     def test_s2_x_s2(self):
@@ -99,7 +109,7 @@ class TestFindSplittings:
         for c in certs:
             assert c.n == 1
             assert verify_certificate(w, c)
-        betas = {c.beta for c in certs}
+        betas = {rational(c)[0] for c in certs}
         assert betas == {
             vec(HALF, 0, HALF, 0), vec(HALF, 0, -HALF, 0)
         }
@@ -140,11 +150,11 @@ class TestOracle:
     @pytest.mark.parametrize("lab", [("A", 2), ("B", 2), ("G", 2)])
     def test_wolf_weights_match(self, lab):
         w = wolf_weights(build(label(*lab)))
-        assert set(find_splittings(w)) == set(splittings_oracle(w))
+        assert set(map(rational, find_splittings(w))) == set(splittings_oracle(w))
 
     def test_so7_u3_matches(self):
         _, w = b3_u3_weights()
-        assert set(find_splittings(w)) == set(splittings_oracle(w))
+        assert set(map(rational, find_splittings(w))) == set(splittings_oracle(w))
 
     def test_negative_case_matches(self):
         ctx = parent_context(build(label("B", 2)))
@@ -157,7 +167,7 @@ class TestOracle:
         w = wolf_weights(build(label(*lab)))
         assert w.dim_M <= 20
         certs = find_splittings(w)
-        assert certs and set(certs) == set(splittings_oracle(w))
+        assert certs and set(map(rational, certs)) == set(splittings_oracle(w))
 
 
 class TestCheckConstraints:
@@ -188,8 +198,9 @@ def constraints_oracle(ctx, cert):
     """(pairings, |beta|^2) from the rational metric matrix times beta, as
     check_constraints computed them before the metric moved onto the
     parent's integer copy."""
-    mb = [dot(row, cert.beta) for row in normalize(ctx.system)]
-    return tuple(dot(a, mb) for a in cert.alphas), dot(cert.beta, mb)
+    beta, alphas = rational(cert)
+    mb = [dot(row, beta) for row in normalize(ctx.system)]
+    return tuple(dot(a, mb) for a in alphas), dot(beta, mb)
 
 
 #: the non-G2 simple g of rank 2 to 4 (A1 has no class with |W| = 4n)
@@ -234,16 +245,16 @@ class TestConstraintsOracle:
             self.assert_matches(ctx, cert)
 
     def test_off_lattice_certificate_rejected(self):
-        # B3's copy is at scale 2, so a third is off its lattice
-        ctx = parent_context(build(label("B", 3)))
+        # B3's roots are on scale 2, so a certificate with thirds is not
         third = Fraction(1, 3)
-        cert = SplittingCertificate(vec(third, third, 0), (vec(0, 0, 1),))
-        with pytest.raises(ValueError):
+        ctx = parent_context(build(label("B", 3)))
+        cert = on_scale(6, vec(third, third, 0), vec(0, 0, 1))
+        with pytest.raises(ValueError, match="not on scale 2"):
             check_constraints(ctx, cert)
 
     def test_wrong_dimension_rejected(self):
         ctx = parent_context(build(label("B", 3)))
-        cert = SplittingCertificate(vec(HALF, HALF), (vec(0, 1),))
+        cert = on_scale(2, vec(HALF, HALF), vec(0, 1))
         with pytest.raises(ValueError):
             check_constraints(ctx, cert)
 
@@ -265,26 +276,28 @@ def shape_oracle(cert):
             raise ValueError("certificate violates the sign convention <beta,alpha> >= 0")
 
 
-THIRD = Fraction(1, 3)  # off the lattice of HP1_WEIGHTS, whose copy is at scale 2
+THIRD = Fraction(1, 3)  # off the scale of HP1_WEIGHTS, which is 2
 HP1_WEIGHTS = [vec(1, 1), vec(1, -1), vec(-1, 1), vec(-1, -1)]
 
-#: malformed certificates for HP1_WEIGHTS, on and off its lattice
+#: malformed certificates for HP1_WEIGHTS, on its scale and (with thirds,
+#: on scale 6) off it
 MALFORMED = {
-    "zero_beta": SplittingCertificate(vec(0, 0), (vec(0, 1),)),
-    "zero_beta_off": SplittingCertificate(vec(0, 0), (vec(0, THIRD),)),
-    "zero_alpha": SplittingCertificate(vec(1, 0), (vec(0, 0),)),
-    "zero_alpha_off": SplittingCertificate(vec(1, THIRD), (vec(0, 0),)),
-    "repeated_alpha": SplittingCertificate(vec(1, 0), (vec(0, -1), vec(0, 1))),
-    "repeated_alpha_off": SplittingCertificate(vec(1, THIRD), (vec(0, -1), vec(0, 1))),
-    "wrong_dimension": SplittingCertificate(vec(1, 0), (vec(0, 1, 0),)),
-    "wrong_dimension_off": SplittingCertificate(vec(1, THIRD), (vec(0, 1, 0),)),
-    "negative_pairing": SplittingCertificate(vec(1, 0), (vec(-1, 1),)),
-    "negative_pairing_off": SplittingCertificate(vec(1, THIRD), (vec(-1, 1),)),
+    "zero_beta": on_scale(2, vec(0, 0), vec(0, 1)),
+    "zero_beta_off": on_scale(6, vec(0, 0), vec(0, THIRD)),
+    "zero_alpha": on_scale(2, vec(1, 0), vec(0, 0)),
+    "zero_alpha_off": on_scale(6, vec(1, THIRD), vec(0, 0)),
+    "repeated_alpha": on_scale(2, vec(1, 0), vec(0, -1), vec(0, 1)),
+    "repeated_alpha_off": on_scale(6, vec(1, THIRD), vec(0, -1), vec(0, 1)),
+    "wrong_dimension": on_scale(2, vec(1, 0), vec(0, 1, 0)),
+    "wrong_dimension_off": on_scale(6, vec(1, THIRD), vec(0, 1, 0)),
+    "negative_pairing": on_scale(2, vec(1, 0), vec(-1, 1)),
+    "negative_pairing_off": on_scale(6, vec(1, THIRD), vec(-1, 1)),
 }
 
 
 class TestShapeOracle:
-    """The integer shape check raises the rational check's message."""
+    """The integer shape check raises the rational check's message, on W's
+    scale or off it: the shape is checked before the scale."""
 
     @pytest.mark.parametrize("name", MALFORMED)
     def test_same_message_as_rational_check(self, name):
@@ -298,19 +311,26 @@ class TestShapeOracle:
             assert str(got.value) == str(expected.value), check.__name__
 
     @pytest.mark.parametrize("cert", [
-        SplittingCertificate(vec(1, 0), (vec(0, 1),)),
-        SplittingCertificate(vec(1, THIRD), (vec(0, 1),)),
+        on_scale(2, vec(1, 0), vec(0, 1)),
+        on_scale(6, vec(1, THIRD), vec(0, 1)),
     ], ids=["splits", "off_lattice"])
     def test_well_formed_certificates_do_not_raise(self, cert):
+        # A well-formed certificate raises only the declared scale
+        # mismatch, when it is off W's scale.
         shape_oracle(cert)
         w = weights_from_set(HP1_WEIGHTS)
-        assert verify_certificate(w, cert) == (cert.beta == vec(1, 0))
+        if cert.scale == w.scale:
+            assert verify_certificate(w, cert)
+            return
+        for check in (verify_certificate, case_analysis):
+            with pytest.raises(ValueError, match="not on scale 2"):
+                check(w, cert)
 
 
 class TestCaseAnalysis:
     def test_hp1_is_symmetric(self):
         w = weights_from_set([vec(1, 1), vec(1, -1), vec(-1, 1), vec(-1, -1)])
-        cert = SplittingCertificate(beta=vec(1, 0), alphas=(vec(0, 1),))
+        cert = on_scale(w.scale, vec(1, 0), vec(0, 1))
         assert case_analysis(w, cert).tag == SYMMETRIC_NO_TRIPLE
 
     def test_s2_x_s2_is_symmetric(self):
@@ -328,14 +348,19 @@ class TestCaseAnalysis:
         assert tag.witness is not None
 
     @pytest.mark.parametrize("cert", [
-        SplittingCertificate(beta=vec(1, 1), alphas=(vec(0, 1),)),
+        on_scale(2, vec(1, 1), vec(0, 1)),
         # alpha_2 +- beta repeats alpha_1 +- beta up to sign: 4n is not reached
-        SplittingCertificate(beta=vec(1, 0), alphas=(vec(0, 1), vec(1, 0))),
-        # off the lattice of W: truncating beta to it would give a splitting
-        SplittingCertificate(beta=vec(1, Fraction(1, 1000)), alphas=(vec(0, 1),)),
+        on_scale(2, vec(1, 0), vec(0, 1), vec(1, 0)),
+        # off the scale of W: read on W's scale, 1000 beta would give a splitting
+        on_scale(2000, vec(1, Fraction(1, 1000)), vec(0, 1)),
     ], ids=["wrong_beta", "too_few_weights", "off_lattice"])
     def test_rejects_certificate_not_generating_w(self, cert):
         w = weights_from_set([vec(1, 1), vec(1, -1), vec(-1, 1), vec(-1, -1)])
+        if cert.scale != w.scale:
+            for check in (verify_certificate, case_analysis):
+                with pytest.raises(ValueError, match="not on scale 2"):
+                    check(w, cert)
+            return
         assert not verify_certificate(w, cert)
         with pytest.raises(ValueError, match="does not verify"):
             case_analysis(w, cert)
@@ -370,8 +395,30 @@ class TestPairSums:
             got = w.triple and tuple(w.weights[k] for k in w.triple)
             assert got == expected
             if w.dim_M % 4 == 0:
+                witness = expected and tuple(scale_to_int(x, w.scale) for x in expected)
                 for c in find_splittings(w):
-                    assert case_analysis(w, c).witness == expected
+                    assert case_analysis(w, c).witness == witness
+
+    def test_one_generation_table_per_certificate(self, monkeypatch):
+        # The search resolves each certificate's case on the table it
+        # verifies it with; a certificate from outside is verified again.
+        built = []
+        table = splitting._int_table
+        monkeypatch.setattr(
+            "rootsplit.splitting._int_table", lambda w, b, a: built.append(b) or table(w, b, a)
+        )
+        for g, h in [("B3", "A2#0"), ("A1+A1", "torus"), ("C3", "wolf")]:
+            built.clear()
+            report = classify_pair(g, h)
+            assert report.certificates and len(built) == len(report.certificates)
+        _, w = b3_u3_weights()
+        certs = find_splittings(w)
+        built.clear()
+        tags = [case_analysis(w, c) for c in certs]
+        assert not built
+        fresh = weights_from_set(w.weights)
+        assert [case_analysis(fresh, c) for c in certs] == tags
+        assert len(built) == len(certs)
 
     def test_one_table_per_weight_set(self):
         _, w = b3_u3_weights()
@@ -387,14 +434,14 @@ class TestWolfCertificate:
     def test_b2(self):
         b2 = build(label("B", 2))
         cert = wolf_certificate(parent_context(b2))
-        assert cert.beta == vec(HALF, HALF)
+        assert rational(cert)[0] == vec(HALF, HALF)
         w = wolf_weights(b2)
         assert verify_certificate(w, cert)
 
     def test_b3(self):
         b3 = build(label("B", 3))
         cert = wolf_certificate(parent_context(b3))
-        assert cert.beta == vec(HALF, HALF, 0)
+        assert rational(cert)[0] == vec(HALF, HALF, 0)
         assert cert.n == 3
 
     def test_g2(self):
@@ -431,6 +478,12 @@ class TestWeylEquivariance:
             assert len(set(find_splittings(moved))) == len(base)
 
 
+def rational_tag(w, tag):
+    """A case tag with its witness as the rational weights it stands for."""
+    witness = tag.witness and tuple(tuple(Fraction(a, w.scale) for a in x) for x in tag.witness)
+    return tag.tag, witness
+
+
 class TestScaleIndependence:
     """A pair's certificates and case tags do not depend on the scale of
     the integer copy that its weights carry."""
@@ -440,12 +493,12 @@ class TestScaleIndependence:
         ctx = parent_context(build_sum(parse_label_sum(g)))
         for h in enumerate_closed_subsystems(ctx):
             w = isotropy_weights(ctx, h)
-            assert w.scale == ctx.scale
+            assert w.scale == ctx.system.scale
             assert list(w.ints) == [scale_to_int(x, w.scale) for x in w.weights]
             if not w.weights or w.dim_M % 4:
                 continue
             certs = find_splittings(w)
-            tags = [case_analysis(w, c) for c in certs]
+            tags = [rational_tag(w, case_analysis(w, c)) for c in certs]
             own = weights_from_set(w.weights)
             ints = tuple(tuple(3 * a for a in x) for x in w.ints)
             radix = lattice_radix(ints)
@@ -453,9 +506,11 @@ class TestScaleIndependence:
                 w, scale=3 * w.scale, ints=ints, keys=tuple(pack(x, radix) for x in ints)
             )
             for other in (own, tripled):
-                assert other == w  # equality ignores the integer copy
-                assert find_splittings(other) == certs
-                assert [case_analysis(other, c) for c in certs] == tags
+                assert (other.dim_M, other.weights) == (w.dim_M, w.weights)
+                # each certificate is found on the W it is checked against
+                found = find_splittings(other)
+                assert list(map(certificate_dict, found)) == list(map(certificate_dict, certs))
+                assert [rational_tag(other, case_analysis(other, c)) for c in found] == tags
 
     def test_half_integer_parent(self):
         # E7's roots have halves, so its copy is at scale 4, and the Wolf

@@ -60,7 +60,7 @@ def orbit_marking_classes(ctx):
 
 def int_rank_corank(ctx, h):
     """Oracle: the torus corank of h by elimination on the integer copy."""
-    return ctx.rank - int_rank([ctx.int_roots[i] for i in h.positions])
+    return ctx.rank - int_rank([ctx.system.ints[i] for i in h.positions])
 
 
 def u3_embedding(ctx):
