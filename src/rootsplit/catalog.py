@@ -203,16 +203,19 @@ def int_components(
     """components on integer vectors with their simple base, each sorted,
     in sorted order.
 
-    The simple roots are joined by non-orthogonality (the Dynkin diagram),
-    and each root goes with the first simple root it is not orthogonal
-    to: a root lies in the span of its component's simple roots, so it
-    is orthogonal to every other component's and not to all of its own.
+    The simple roots are joined by non-orthogonality (the Dynkin diagram);
+    a connected one holds every root, unscanned. Otherwise each root goes
+    with the first simple root it is not orthogonal to: a root lies in
+    the span of its component's simple roots, so it is orthogonal to
+    every other component's and not to all of its own.
     """
     tag = list(range(len(base)))  # the component of each simple root
     for i, j in itertools.combinations(range(len(base)), 2):
         if tag[i] != tag[j] and idot(base[i], base[j]):
             old = tag[j]
             tag = [tag[i] if t == old else t for t in tag]
+    if len(set(tag)) == 1:
+        return [tuple(sorted(iroots))]
     groups: dict[int, list[IntVector]] = {}
     for r in iroots:
         k = next(k for k, a in enumerate(base) if idot(r, a))

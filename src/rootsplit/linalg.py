@@ -14,12 +14,12 @@ parent's scale (`subalgebra.closed_subsystem`) and raises rather than
 truncate; `format_vector` writes v / scale. The `roots` and `weights` of
 a value are read-only rational views that nothing in the core reads.
 
-Lookups (is a sum or a difference of roots a root, a weight, a pair
-sum?) run on lattice keys: `pack` turns each integer vector into one
-int, additive and in lex order, so a sum is an int addition and a set
-lookup hashes an int. Keys are made only for the vectors their radix was
-chosen from (a parent's roots, or a weight set given from outside), and
-only their sums and differences are looked up; a root given from
+Lookups (is a sum or a difference of roots a root, is v +- w a weight?)
+run on lattice keys: `pack` turns each integer vector into one int,
+additive and in lex order, so a sum is an int addition and a set lookup
+hashes an int. Keys are made only for the vectors their radix was chosen
+from (a parent's roots, or a weight set given from outside), and only
+signed sums of up to four of them are looked up; a root given from
 outside is checked for its dimension, then looked up by its key once.
 Nothing here ever touches a float.
 """
@@ -99,7 +99,9 @@ def scale_to_int(v: Vector, scale: int) -> IntVector:
 def lattice_radix(vectors: Iterable[IntVector]) -> int:
     """The least power of two above 8 * the largest |coordinate| of the
     integer vectors: with it, every sum or difference of two of them, and
-    every difference of two such sums, packs with digits below radix / 2."""
+    every difference of two such sums (so every v +- w of the splitting
+    search, v a difference of two weights), packs with digits below
+    radix / 2."""
     return 1 << (8 * max((abs(a) for v in vectors for a in v), default=0)).bit_length()
 
 

@@ -155,11 +155,12 @@ def _halves(neg: Sequence[int], refl: Sequence[int]) -> Iterator[list[int]]:
     v/2, on positions: neg[u] is the position of -w_u and refl[u] that of
     v - w_u (-1 if it is not in W). Yields the W+ halves.
 
-    Putting u into W+ forces refl[u] into W+ and neg[u] into W-; putting
-    u into W- puts neg[u] into W+. The orbits of the positions in order
-    are solved alone, each as u or neg[u] into W+, and every combination
-    of their solutions is one candidate half (a later orbit overrides
-    what an earlier one set).
+    Precondition: refl[u] >= 0 or refl[neg[u]] >= 0 for every u, which
+    find_splittings' refutation checks. Putting u into W+ forces refl[u]
+    into W+ and neg[u] into W-; putting u into W- puts neg[u] into W+.
+    The orbits of the positions in order are solved alone, each as u or
+    neg[u] into W+, and every combination of their solutions is one
+    candidate half (a later orbit overrides what an earlier one set).
     """
     n = len(neg)
     assigned = [False] * n
@@ -168,8 +169,6 @@ def _halves(neg: Sequence[int], refl: Sequence[int]) -> Iterator[list[int]]:
         if assigned[u]:
             continue
         choices = [(p, refl[p]) for p in (u, neg[u]) if refl[p] >= 0]
-        if not choices:
-            return
         for x in choices[0]:
             assigned[x] = assigned[neg[x]] = True
         orbit_choices.append(choices)
@@ -190,14 +189,15 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
     Candidate translations come from one anchor w0 = min(W): every
     splitting puts w0 in W+ or W-, so 2*beta = +-(w0 - w) for some w in W,
     which gives |W| - 1 candidates. The search runs on the positions of
-    W's integers, where beta = v/2 is integral, and looks v up by its
+    W's integers, where beta = v/2 is integral, and looks v +- w up by
     lattice key (lex order is key order, and the lex-positive one of
-    +-v has the positive key): a candidate v pairs each w with v - w
-    through the pair sums of W (a v that no two weights sum to has no
-    splitting, since every w in W+ needs v - w in W+), and is checked by
-    exhaustive propagation over sign orbits. Each certificate is on W's
-    scale, and is checked on the table whose case it then resolves
-    (w.cases, which case_analysis reads).
+    +-v has the positive key). A candidate v is first refuted at its
+    first dead weight, a w with neither v - w nor v + w in W (ROADMAP
+    item 5): one of w, -w lies in W+, and each w in W+ needs v - w in
+    W+. Only a survivor pairs each w with refl, the position of v - w,
+    and is checked by exhaustive propagation over sign orbits. Each
+    certificate is on W's scale, and is checked on the table whose case
+    it then resolves (w.cases, which case_analysis reads).
     """
     if w.dim_M == 0:
         raise EmptyWeights("the weight set is empty (g = h)")
@@ -213,14 +213,11 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
 
     found = set()
     for v in sorted(candidates):
-        pairs = w.sums.get(v)
-        if pairs is None:
-            continue
-        refl = [-1] * len(ints)
-        for i, j in pairs:
-            refl[i], refl[j] = j, i
-        i, j = pairs[0]
-        beta = tuple((a + b) // 2 for a, b in zip(ints[i], ints[j]))
+        if any(v - k not in index and v + k not in index for k in keys):
+            continue  # a dead weight: neither w nor -w has its v-partner in W
+        refl = [index.get(v - k, -1) for k in keys]
+        i = next(i for i, j in enumerate(refl) if j >= 0)
+        beta = tuple((a + b) // 2 for a, b in zip(ints[i], ints[refl[i]]))
         for plus in _halves(neg, refl):
             if any(refl[u] == u for u in plus):
                 continue  # beta is in W+, so some alpha_i = 0

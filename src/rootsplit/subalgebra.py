@@ -64,8 +64,9 @@ class IsotropyWeights:
     ints are the weights on scale (twice a common denominator of W),
     sorted, and keys their lattice keys (linalg.pack), which every lookup
     reads; a weight is named by its position in that order. weights is a
-    rational view. index and sums are made when first read, so each W
-    scans its pair sums at most once, and listing W never does. cases
+    rational view. index and triple are made when first read, so each W
+    scans its pair sums at most once, stopping at the first that lies in
+    W, and listing W never does; no table of pair sums is kept. cases
     maps each certificate splitting.find_splittings found on W to its
     case tag, resolved on the table that verified it.
     """
@@ -93,24 +94,15 @@ class IsotropyWeights:
         return {k: i for i, k in enumerate(self.keys)}
 
     @cached_property
-    def sums(self) -> dict[int, list[tuple[int, int]]]:
-        """The key of each sum w_i + w_j with i <= j mapped to its pairs
-        (i, j), in order; the keys are in the order of their first pairs."""
-        keys = self.keys
-        sums: dict[int, list[tuple[int, int]]] = {}
+    def triple(self) -> tuple[int, int, int] | None:
+        """(i, j, k) with w_i + w_j = w_k for the least (i, j), i <= j, in
+        lexicographic order, whose sum lies in W; None if there is none."""
+        keys, index = self.keys, self.index
         for i, a in enumerate(keys):
             for j in range(i, len(keys)):
-                sums.setdefault(a + keys[j], []).append((i, j))
-        return sums
-
-    @cached_property
-    def triple(self) -> tuple[int, int, int] | None:
-        """(i, j, k) with w_i + w_j = w_k for the smallest (i, j), i <= j,
-        whose sum lies in W; None if there is none."""
-        for s, pairs in self.sums.items():
-            k = self.index.get(s)
-            if k is not None:
-                return (*pairs[0], k)
+                k = index.get(a + keys[j])
+                if k is not None:
+                    return i, j, k
         return None
 
 

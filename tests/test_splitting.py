@@ -420,14 +420,17 @@ class TestPairSums:
         assert [case_analysis(fresh, c) for c in certs] == tags
         assert len(built) == len(certs)
 
-    def test_one_table_per_weight_set(self):
+    def test_one_triple_per_weight_set(self):
         _, w = b3_u3_weights()
-        assert "sums" not in vars(w)  # listing W never builds the table
+        assert not hasattr(w, "sums")  # no pair-sum table is kept
+        assert "triple" not in vars(w)  # listing W never scans its sums
         assert not is_symmetric_pair(w)
-        table = w.sums
-        for c in find_splittings(w):
-            case_analysis(w, c)
-        assert w.sums is table
+        triple = vars(w)["triple"]
+        certs = find_splittings(w)
+        assert certs
+        for c in certs:
+            assert case_analysis(w, c).witness == tuple(w.ints[k] for k in triple)
+        assert vars(w)["triple"] is triple
 
 
 class TestWolfCertificate:
