@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Subcommands: build, validate, subsystems, weights, split, wolf, classify.
-Exit codes: 0 success, 1 usage error, 2 internal invariant violation.
+Exit codes: 0 success, 1 usage/input error, 2 internal invariant violation.
 Stdout is byte-identical across reruns; timing goes to stderr.
 """
 
@@ -181,60 +181,64 @@ def _cmd_classify(args) -> int:
     return code
 
 
-def main(argv=None) -> int:
+#: name -> (help, handler, argument specs as (flags, add_argument options))
+_COMMANDS = {
+    "build": ("emit a catalog root system", _cmd_build,
+              [(("g",), {"help": "label, e.g. B3 or A1+A1"})]),
+    "validate": ("check the root system axioms", _cmd_validate, [
+        (("g",), {"nargs": "?", "help": "catalog label"}),
+        (("--roots",), {"default": None, "help": "explicit JSON root list"}),
+    ]),
+    "subsystems": ("enumerate closed subsystems", _cmd_subsystems, [
+        (("g",), {}),
+        (("--no-dedup",), {"action": "store_true",
+                           "help": "do not dedup by Weyl equivalence"}),
+    ]),
+    "weights": ("isotropy weight set of a pair", _cmd_weights, [
+        (("g",), {}), (("h",), {"help": "'torus', 'wolf', 'TYPE#k' or a JSON root list"}),
+    ]),
+    "split": ("search for quaternionic weight splittings", _cmd_split,
+              [(("g",), {}), (("h",), {})]),
+    "wolf": ("Wolf subsystem and certificate", _cmd_wolf, [(("g",), {})]),
+    "classify": ("classify one pair or the whole catalog", _cmd_classify, [
+        (("g",), {"nargs": "?", "default": None}),
+        (("h",), {"nargs": "?", "default": None}),
+        (("--max-rank",), {"type": int, "default": None}),
+        (("--series",), {"nargs": "*", "default": None,
+                         "help": "restrict to these series letters"}),
+        (("--include-products",), {"action": "store_true"}),
+        (("--format",), {"choices": FORMATS, "default": "json"}),
+    ]),
+}
+
+
+def _add_arguments(parser, name) -> None:
+    """Give `parser` the arguments of command `name`, then --output."""
+    _, func, specs = _COMMANDS[name]
+    for flags, options in specs:
+        parser.add_argument(*flags, **options)
+    parser.add_argument("--output", "-o", default=None, help="write to file instead of stdout")
+    parser.set_defaults(func=func)
+
+
+def _full_parser():
+    """The whole command tree, for help and usage errors."""
     parser = _Parser(prog="rootsplit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
+    return parser
 
-    def common(p):
-        p.add_argument("--output", "-o", default=None, help="write to file instead of stdout")
 
-    p = sub.add_parser("build", help="emit a catalog root system")
-    p.add_argument("g", help="label, e.g. B3 or A1+A1")
-    common(p)
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("validate", help="check the root system axioms")
-    p.add_argument("g", nargs="?", help="catalog label")
-    p.add_argument("--roots", default=None, help="explicit JSON root list")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("subsystems", help="enumerate closed subsystems")
-    p.add_argument("g")
-    p.add_argument("--no-dedup", action="store_true",
-                   help="do not dedup by Weyl equivalence")
-    common(p)
-    p.set_defaults(func=_cmd_subsystems)
-
-    p = sub.add_parser("weights", help="isotropy weight set of a pair")
-    p.add_argument("g")
-    p.add_argument("h", help="'torus', 'wolf', 'TYPE#k' or a JSON root list")
-    common(p)
-    p.set_defaults(func=_cmd_weights)
-
-    p = sub.add_parser("split", help="search for quaternionic weight splittings")
-    p.add_argument("g")
-    p.add_argument("h")
-    common(p)
-    p.set_defaults(func=_cmd_split)
-
-    p = sub.add_parser("wolf", help="Wolf subsystem and certificate")
-    p.add_argument("g")
-    common(p)
-    p.set_defaults(func=_cmd_wolf)
-
-    p = sub.add_parser("classify", help="classify one pair or the whole catalog")
-    p.add_argument("g", nargs="?", default=None)
-    p.add_argument("h", nargs="?", default=None)
-    p.add_argument("--max-rank", type=int, default=None)
-    p.add_argument("--series", nargs="*", default=None,
-                   help="restrict to these series letters")
-    p.add_argument("--include-products", action="store_true")
-    p.add_argument("--format", choices=FORMATS, default="json")
-    common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        # one command's arguments cost a fraction of the whole tree's
+        parser = _Parser(prog=f"rootsplit {argv[0]}")
+        _add_arguments(parser, argv[0])
+        args = parser.parse_args(argv[1:])
+    else:
+        args = _full_parser().parse_args(argv)
     try:
         return args.func(args)
     except InvariantViolation as exc:

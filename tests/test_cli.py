@@ -1,6 +1,7 @@
 """Report serialization and the command-line interface."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import rootsplit
+from rootsplit import cli
 from rootsplit.pipeline import classify_all, classify_pair
 from rootsplit.report import emit
+from test_golden import GOLDEN
 
 CLI = [sys.executable, "-m", "rootsplit.cli"]
 # the child imports the same rootsplit as the tests, installed or not
@@ -17,6 +20,33 @@ PACKAGE_ROOT = str(Path(rootsplit.__file__).resolve().parents[1])
 CHILD_PATH = os.pathsep.join(
     p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p
 )
+
+
+BAD_ROOTS = {
+    "scalar": "5", "flat_list": "[1]", "zero_denominator": '[["1/0"]]',
+    "ragged": "[[1,0],[1]]", "string": '"12"', "string_rows": '["12","21"]',
+    "object": '{"1": 1}',
+}
+BAD_BATCH = {
+    "series-Z": ["--max-rank", "3", "--series", "Z"],
+    "series-BC": ["--max-rank", "3", "--series", "B", "BC"],
+    "rank-0": ["--max-rank", "0"],
+    "rank-negative": ["--max-rank", "-1"],
+    "series-empty": ["--max-rank", "2", "--series"],
+}
+IGNORED_ARGUMENTS = {
+    "classify-pair-with-batch-flags":
+        ["classify", "B3", "torus", "--include-products", "--max-rank", "9"],
+    "validate-label-and-roots": ["validate", "B3", "--roots", '[["1"],["-1"]]'],
+}
+OUTSIDE_H = {
+    "B3-short": ("B3", "[[1,0]]"),
+    "B3-long": ("B3", "[[1,0,0,0]]"),
+    "B3-half": ("B3", '[["1/2",0,0]]'),
+    "B3-off-key-bound": ("B3", "[[100,0,0]]"),
+    # on A1+A1's scale (1,-1) has the lattice key of (0,0,1,-1)
+    "A1+A1-short": ("A1+A1", "[[1,-1],[-1,1]]"),
+}
 
 
 def run(*args, text=True, **kw):
@@ -86,12 +116,11 @@ class TestCli:
         assert doc["valid"] is False
         assert doc["violations"]
 
-    @pytest.mark.parametrize("args", [
-        ("--roots", "5"), ("--roots", "[1]"), ("--roots", '[["1/0"]]'),
-        ("--roots", "[[1,0],[1]]"), (),
-        ("--roots", '"12"'), ("--roots", '["12","21"]'), ("--roots", '{"1": 1}'),
-    ], ids=["scalar", "flat_list", "zero_denominator", "ragged", "no_input",
-            "string", "string_rows", "object"])
+    @pytest.mark.parametrize(
+        "args",
+        [*(("--roots", roots) for roots in BAD_ROOTS.values()), ()],
+        ids=[*BAD_ROOTS, "no_input"],
+    )
     def test_validate_bad_input_exits_one(self, args):
         r = run("validate", *args)
         assert r.returncode == 1
@@ -160,33 +189,20 @@ class TestCli:
         assert run("build", "Z9").returncode == 1
 
     def test_bad_subcommand_exits_one(self):
-        assert run("frobnicate").returncode == 1
+        r = run("frobnicate")
+        assert r.returncode == 1
+        assert r.stderr.splitlines()[-1].startswith(
+            "error: argument command: invalid choice: 'frobnicate'"
+        )
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["--max-rank", "3", "--series", "Z"],
-            ["--max-rank", "3", "--series", "B", "BC"],
-            ["--max-rank", "0"],
-            ["--max-rank", "-1"],
-            ["--max-rank", "2", "--series"],
-        ],
-        ids=["series-Z", "series-BC", "rank-0", "rank-negative", "series-empty"],
-    )
+    @pytest.mark.parametrize("args", BAD_BATCH.values(), ids=BAD_BATCH)
     def test_bad_classify_batch_input_exits_one(self, args):
         # Each once printed '"pairs": []' and exited 0.
         r = run("classify", *args)
         assert r.returncode == 1 and r.stdout == ""
         assert r.stderr.startswith("error: ")
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["classify", "B3", "torus", "--include-products", "--max-rank", "9"],
-            ["validate", "B3", "--roots", '[["1"],["-1"]]'],
-        ],
-        ids=["classify-pair-with-batch-flags", "validate-label-and-roots"],
-    )
+    @pytest.mark.parametrize("args", IGNORED_ARGUMENTS.values(), ids=IGNORED_ARGUMENTS)
     def test_ignored_arguments_exit_one(self, args):
         # Each once exited 0 and silently dropped part of its command line.
         r = run(*args)
@@ -206,20 +222,98 @@ class TestCli:
         assert r.returncode == 1 and r.stdout == ""
         assert r.stderr.startswith("error: ")
 
-    @pytest.mark.parametrize(
-        "g, h",
-        [
-            ("B3", "[[1,0]]"),
-            ("B3", "[[1,0,0,0]]"),
-            ("B3", '[["1/2",0,0]]'),
-            ("B3", "[[100,0,0]]"),
-            # on A1+A1's scale (1,-1) has the lattice key of (0,0,1,-1)
-            ("A1+A1", "[[1,-1],[-1,1]]"),
-        ],
-        ids=["B3-short", "B3-long", "B3-half", "B3-off-key-bound", "A1+A1-short"],
-    )
+    @pytest.mark.parametrize("g, h", OUTSIDE_H.values(), ids=OUTSIDE_H)
     def test_json_h_outside_the_parent_exits_one(self, g, h):
         for command in ("weights", "classify"):
             r = run(command, g, h)
             assert r.returncode == 1 and r.stdout == ""
             assert r.stderr == "error: subset is not contained in the parent root system\n"
+
+
+COMMANDS = ("build", "validate", "subsystems", "weights", "split", "wolf", "classify")
+
+#: every argv of the CLI and golden tests, and every option of every command
+PARITY_ARGV = list(dict.fromkeys(map(tuple, [
+    *GOLDEN, *([*argv, "--output", "out.json"] for argv in GOLDEN),
+    ["build", "B2"], ["build", "Z9"], ["build", "A1+A1", "-o", "out.json"],
+    ["validate", "B3"], ["validate"], ["validate", "--roots", '[["1"],["-1"],["2"],["-2"]]'],
+    *(["validate", "--roots", roots] for roots in BAD_ROOTS.values()),
+    *IGNORED_ARGUMENTS.values(), ["validate", "G2", "-o", "out.json"],
+    ["subsystems", "G2"], ["subsystems", "--no-dedup", "B2", "-o", "out.json"],
+    ["weights", "B3", "A2#0"], ["weights", "B3", "--", "[[1,0,0]]"],
+    *([command, g, h] for g, h in OUTSIDE_H.values() for command in ("weights", "classify")),
+    ["split", "B3", "A2#0"], ["split", "G2", "wolf", "-o", "out.json"],
+    ["wolf", "B3"], ["wolf", "A1"], ["wolf", "B3", "--output", "out.json"],
+    ["classify", "G2", "torus", "--format", "json"], ["classify", "A2", "wolf"],
+    ["classify", "B3", "A2#9"], ["classify", "B3", ""], ["classify", "--", "B3", "torus"],
+    *(["classify", "--max-rank", "2", "--format", f] for f in ("json", "table", "csv")),
+    *(["classify", *args] for args in BAD_BATCH.values()),
+    ["classify", "--max-rank", "2", "--series", "b", "--format", "csv"],
+    ["classify", "--max", "3"],
+    ["classify", "--series", "B", "C", "--max-rank", "3", "--include-products", "-o", "out.json"],
+])))
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
+    def test_command_parser_matches_whole_parser(self, argv, monkeypatch):
+        # main hands the command's handler what the whole tree would parse
+        seen = []
+        text, _, specs = cli._COMMANDS[argv[0]]
+        monkeypatch.setitem(cli._COMMANDS, argv[0], (text, seen.append, specs))
+        cli.main(argv)
+        whole = vars(cli._full_parser().parse_args(argv))
+        assert whole.pop("command") == argv[0]
+        assert [vars(args) for args in seen] == [whole]
+
+    def test_one_parser_per_command(self, monkeypatch, tmp_path):
+        made = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        assert cli.main(["classify", "A2", "wolf", "--output", str(tmp_path / "out.json")]) == 0
+        assert made == ["rootsplit classify"]
+
+
+def exit_of(argv, capsys):
+    """Exit code, stdout and stderr of a main call that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+class TestHelpAndUsage:
+    @pytest.fixture(autouse=True)
+    def _width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+
+    def test_help_lists_every_command(self, capsys):
+        code, out, err = exit_of(["--help"], capsys)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: rootsplit [-h]")
+        assert "{" + ",".join(COMMANDS) + "} ..." in out
+        for name in COMMANDS:
+            text = re.escape(cli._COMMANDS[name][0])
+            assert re.search(rf"^    {name} +{text}$", out, re.M)
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_command_help(self, name, capsys):
+        code, out, err = exit_of([name, "--help"], capsys)
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: rootsplit {name} [-h]")
+        assert "--output OUTPUT, -o OUTPUT" in out
+
+    def test_no_command_exits_one(self, capsys):
+        code, out, err = exit_of([], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == "error: the following arguments are required: command"
+
+    def test_unrecognized_option_exits_one(self, capsys):
+        code, out, err = exit_of(["classify", "--bogus"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: rootsplit classify [-h]")
+        assert err.splitlines()[-1] == "error: unrecognized arguments: --bogus"
