@@ -80,8 +80,8 @@ class PairReport:
     is_wolf: bool
     certificates: tuple[SplittingCertificate, ...]
     verdict: str
-    cases: tuple[CaseTag, ...] = ()
-    constraints: tuple[ConstraintReport, ...] = ()
+    cases: tuple[CaseTag, ...]
+    constraints: tuple[ConstraintReport, ...]
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,8 @@ def check_report_invariants(report: PairReport) -> None:
     v = report.verdict
     if v not in VERDICTS:
         raise InvariantViolation(f"unknown verdict {v}")
+    if len(report.cases) != len(report.certificates):
+        raise InvariantViolation("one case tag per certificate required")
     if v == "no_splitting" and report.certificates:
         raise InvariantViolation("no_splitting with certificates present")
     if v == "wolf_space" and not (report.is_wolf and report.certificates):

@@ -35,7 +35,6 @@ def certificate_dict(cert: SplittingCertificate, case: str | None = None) -> dic
 
 
 def pair_dict(p: PairReport) -> dict:
-    cases = [t.tag for t in p.cases] if p.cases else [None] * len(p.certificates)
     d = {
         "g": p.g_label,
         "h": p.h_description,
@@ -46,7 +45,7 @@ def pair_dict(p: PairReport) -> dict:
         "is_wolf": p.is_wolf,
         "verdict": p.verdict,
         "certificates": [
-            certificate_dict(c, case) for c, case in zip(p.certificates, cases)
+            certificate_dict(c, t.tag) for c, t in zip(p.certificates, p.cases)
         ],
     }
     if p.constraints:

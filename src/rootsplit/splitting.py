@@ -9,10 +9,9 @@ pairs are candidates only, since their exclusion needs non-weight data.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .catalog import CartanLabel
 from .linalg import (
@@ -128,110 +127,69 @@ def verify_certificate(w: IsotropyWeights, cert: SplittingCertificate) -> bool:
 
 def _canonical(beta: IntVector, plus_half: Iterable[IntVector]):
     """The canonical (beta, alphas) of the half plus_half about beta:
-    beta lexicographically positive,
-    alpha signs by <beta,alpha> >= 0 with a lexicographic tie-break when
-    orthogonal, alphas sorted."""
-    raw = []
-    seen = set()
-    for w in plus_half:
-        a = vsub(w, beta)  # against the half's own beta, before sign flips
-        if a in seen or vneg(a) in seen:
-            continue
-        seen.add(a)
-        raw.append(a)
+    beta lexicographically positive, alphas sorted. A = plus_half - beta
+    is closed under negation, so the alphas are its members with
+    <beta,alpha> > 0, or lexicographically positive when orthogonal."""
+    raw = [vsub(w, beta) for w in plus_half]  # against the half's own beta
     if not lex_positive(beta):
         beta = vneg(beta)
     alphas = []
     for a in raw:
         p = idot(beta, a)
-        if p < 0 or (p == 0 and not lex_positive(a)):
-            a = vneg(a)
-        alphas.append(a)
+        if p > 0 or (p == 0 and lex_positive(a)):
+            alphas.append(a)
     return beta, tuple(sorted(alphas))
-
-
-def _halves(neg: Sequence[int], refl: Sequence[int]) -> Iterator[list[int]]:
-    """All partitions W = W+ | W- with W+ = v + W- and W+ symmetric about
-    v/2, on positions: neg[u] is the position of -w_u and refl[u] that of
-    v - w_u (-1 if it is not in W). Yields the W+ halves.
-
-    Precondition: refl[u] >= 0 or refl[neg[u]] >= 0 for every u, which
-    find_splittings' refutation checks. Putting u into W+ forces refl[u]
-    into W+ and neg[u] into W-; putting u into W- puts neg[u] into W+.
-    The orbits of the positions in order are solved alone, each as u or
-    neg[u] into W+, and every combination of their solutions is one
-    candidate half (a later orbit overrides what an earlier one set).
-    """
-    n = len(neg)
-    assigned = [False] * n
-    orbit_choices: list[list[tuple[int, int]]] = []
-    for u in range(n):
-        if assigned[u]:
-            continue
-        choices = [(p, refl[p]) for p in (u, neg[u]) if refl[p] >= 0]
-        for x in choices[0]:
-            assigned[x] = assigned[neg[x]] = True
-        orbit_choices.append(choices)
-
-    for combo in itertools.product(*orbit_choices):
-        side = [0] * n
-        for orbit in combo:
-            for x in orbit:
-                side[x], side[neg[x]] = 1, -1
-        plus = [u for u in range(n) if side[u] > 0]
-        if len(plus) * 2 == n:
-            yield plus
 
 
 def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
     """All splitting certificates of W, canonicalized and sorted.
 
     Candidate translations come from one anchor w0 = min(W): every
-    splitting puts w0 in W+ or W-, so 2*beta = +-(w0 - w) for some w in W,
-    which gives |W| - 1 candidates. The search runs on the positions of
-    W's integers, where beta = v/2 is integral, and looks v +- w up by
-    lattice key (lex order is key order, and the lex-positive one of
-    +-v has the positive key). A candidate v is first refuted at its
-    first dead weight, a w with neither v - w nor v + w in W (ROADMAP
-    item 5): one of w, -w lies in W+, and each w in W+ needs v - w in
-    W+. Only a survivor pairs each w with refl, the position of v - w,
-    and is checked by exhaustive propagation over sign orbits. Each
-    certificate is on W's scale, and is checked on the table whose case
-    it then resolves (w.cases, which case_analysis reads).
+    splitting puts w0 in W+ or W-, so v = 2*beta = +-(w - w0) for some w
+    in W, which gives |W| - 1 candidates, each taken lex positive. The
+    search runs on the positions of W's integers, where beta = v/2 is
+    integral, and looks w +- v up by lattice key (lex order is key
+    order).
+
+    W+ holds v - w with each w, and exactly one of +-w. So along each
+    maximal run w, w + v, ..., w + (L-1)v of W in direction v, the top
+    lies in W+ (its negative has no v-partner), the sides alternate, and
+    the bottom lies in W-. Hence v splits W iff every run has even length
+    L, and then its one half is W+ = {w : an even number of w + v,
+    w + 2v, ... lie in W}. A run of length 1 is a dead weight, a w with
+    neither v - w nor v + w in W (ROADMAP item 5), found by one scan
+    before the runs are walked. Each certificate is on W's scale and is
+    checked on its generation table, which w.tables keeps for
+    case_analysis.
     """
     if w.dim_M == 0:
         raise EmptyWeights("the weight set is empty (g = h)")
     if w.dim_M % 4 != 0:
         raise ValueError("|W| must be divisible by 4")
     ints, keys, index = w.ints, w.keys, w.index
-    neg = [index.get(-k, -1) for k in keys]
-    if -1 in neg:
+    if any(-k not in index for k in keys):
         raise ValueError("W must be closed under negation")
 
-    k0 = keys[0]  # the least weight: keys are sorted, as W is
-    candidates = {abs(k0 - k) for k in keys[1:]}
-
-    found = set()
-    for v in sorted(candidates):
+    n = len(keys)
+    certs = []  # in the order of v, so of beta = v/2: sorted
+    for i in range(1, n):
+        v = keys[i] - keys[0]  # positive: keys are sorted, as W is
         if any(v - k not in index and v + k not in index for k in keys):
-            continue  # a dead weight: neither w nor -w has its v-partner in W
-        refl = [index.get(v - k, -1) for k in keys]
-        i = next(i for i, j in enumerate(refl) if j >= 0)
-        beta = tuple((a + b) // 2 for a, b in zip(ints[i], ints[refl[i]]))
-        for plus in _halves(neg, refl):
-            if any(refl[u] == u for u in plus):
-                continue  # beta is in W+, so some alpha_i = 0
-            cert = _canonical(beta, [ints[u] for u in plus])
-            if len(cert[1]) * 4 == len(ints):
-                found.add(cert)
-
-    certs = []
-    for beta, alphas in sorted(found):
+            continue  # a dead weight
+        up = [0] * n  # up[u]: how many of w_u + v, w_u + 2v, ... lie in W
+        for u in range(n - 1, -1, -1):
+            j = index.get(keys[u] + v)
+            if j is not None:
+                up[u] = up[j] + 1
+        if any(up[u] % 2 == 0 for u, k in enumerate(keys) if k - v not in index):
+            continue  # an odd run: its bottom w_u would lie in W+
+        beta = tuple((a - b) // 2 for a, b in zip(ints[i], ints[0]))
+        beta, alphas = _canonical(beta, [ints[u] for u in range(n) if up[u] % 2 == 0])
         cert = SplittingCertificate(w.scale, beta, alphas)
         table = _int_table(w, beta, alphas)
         if table is None:
             raise RootsplitError(f"splitting certificate {cert} failed verification")
-        w.cases[cert] = _case(w, cert, table)
+        w.tables[cert] = table
         certs.append(cert)
     return certs
 
@@ -276,23 +234,17 @@ def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
       |s| = 3, coefficient {1}                           -> case b
     Sub-cases of d are told apart scale-invariantly: two vanishing
     <beta,alpha> give d1; otherwise |beta|^2 / <beta,alpha> = 1 is d2 and
-    = 3 is d3. A certificate that find_splittings found on W was resolved
-    on the table the search verified it with (w.cases); any other is
+    = 3 is d3. A certificate that find_splittings found on W is read on
+    the table the search verified it with (w.tables); any other is
     verified here on W's integers first.
     """
-    tag = w.cases.get(cert)
-    if tag is not None:
-        return tag
-    _check_shape(cert)
-    _check_scale(cert, w.scale)
-    table = _int_table(w, cert.beta, cert.alphas)
+    table = w.tables.get(cert)
     if table is None:
-        raise ValueError("certificate does not verify against the weights")
-    return _case(w, cert, table)
-
-
-def _case(w: IsotropyWeights, cert: SplittingCertificate, table: dict) -> CaseTag:
-    """case_analysis of a certificate verified on W, given its table."""
+        _check_shape(cert)
+        _check_scale(cert, w.scale)
+        table = _int_table(w, cert.beta, cert.alphas)
+        if table is None:
+            raise ValueError("certificate does not verify against the weights")
     if w.triple is None:
         return CaseTag(SYMMETRIC_NO_TRIPLE, None)
 

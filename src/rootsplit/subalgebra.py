@@ -66,9 +66,9 @@ class IsotropyWeights:
     reads; a weight is named by its position in that order. weights is a
     rational view. index and triple are made when first read, so each W
     scans its pair sums at most once, stopping at the first that lies in
-    W, and listing W never does; no table of pair sums is kept. cases
-    maps each certificate splitting.find_splittings found on W to its
-    case tag, resolved on the table that verified it.
+    W, and listing W never does; no table of pair sums is kept. tables
+    maps each certificate splitting.find_splittings found on W to the
+    generation table that verified it, which case_analysis reads.
     """
 
     dim_M: int
@@ -85,7 +85,7 @@ class IsotropyWeights:
         return tuple(tuple(Fraction(a, self.scale) for a in x) for x in self.ints)
 
     @cached_property
-    def cases(self) -> dict:
+    def tables(self) -> dict:
         return {}
 
     @cached_property

@@ -2,7 +2,7 @@
 file).
 
 Each one answers a question rootsplit answers, by a slower route on the
-roots as given: exhaustive where rootsplit propagates, all pairs where it
+roots as given: exhaustive where rootsplit walks runs, all pairs where it
 is O(|R|·rank), and plain vector arithmetic where it runs on integer
 copies and lattice keys. None calls the code it checks or a private helper
 of it.

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,13 @@ class TestEmit:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit(classify_all(2), "xml")
+
+    @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+    def test_one_case_per_certificate(self, fmt):
+        rep = classify_pair("A1+A1", "torus")
+        assert len(rep.certificates) == 2
+        assert emit(rep, fmt)[1] == 0
+        assert emit(replace(rep, cases=rep.cases[:1]), fmt)[1] == 2
 
     def test_bytes_deterministic(self):
         a, _ = emit(classify_all(2), "json")

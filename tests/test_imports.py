@@ -61,7 +61,7 @@ INTEGER_ONLY = {
     "catalog": {"_bcd_roots", "_e8_roots", "_g2_roots", "_f4_roots", "build",
                 "build_sum", "direct_sum"},
     "subalgebra": {"_subsystem", "isotropy_weights"},
-    "splitting": {"find_splittings", "case_analysis", "wolf_certificate"},
+    "splitting": {"_canonical", "find_splittings", "case_analysis", "wolf_certificate"},
 }
 
 #: the names that make or convert rationals

@@ -1,13 +1,15 @@
 """Splitting certificates: search, verification, constraints, case tags."""
 import itertools
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from oracles import rational, splittings_oracle
+from oracles import rational, splittings_oracle, vadd
 from parents import RANK_4_PARENTS, parents_up_to
-from rootsplit.linalg import dot, lattice_radix, pack, scale_to_int, vec, vneg
+from rootsplit.linalg import dot, lattice_radix, pack, scale_to_int, vec, vneg, vsub
 from rootsplit.catalog import (
     build,
     build_sum,
@@ -18,7 +20,7 @@ from rootsplit.catalog import (
     weyl_group,
 )
 from rootsplit import splitting
-from rootsplit.pipeline import classify_pair
+from rootsplit.pipeline import classify_pair, describe_subsystem
 from rootsplit.report import certificate_dict
 from rootsplit.rootcore import RootsplitError
 from rootsplit.subalgebra import (
@@ -34,6 +36,7 @@ from rootsplit.splitting import (
     G2Input,
     SYMMETRIC_NO_TRIPLE,
     SplittingCertificate,
+    UnclassifiableTriple,
     case_analysis,
     check_constraints,
     find_splittings,
@@ -137,6 +140,20 @@ class TestFindSplittings:
             for cert in find_splittings(w):
                 assert verify_certificate(w, cert)
 
+    def test_weights_outside_a_root_system(self):
+        # W = {+-1, +-2} is no isotropy weight set. About beta = 3/2 its
+        # one triple 1 + 1 = 2 fits no case: the search still returns that
+        # splitting, and only case_analysis raises.
+        w = weights_from_set([vec(1), vec(-1), vec(2), vec(-2)])
+        certs = find_splittings(w)
+        assert [rational(c) for c in certs] == splittings_oracle(w) == [
+            (vec(HALF), (vec(Fraction(3, 2)),)),
+            (vec(Fraction(3, 2)), (vec(HALF),)),
+        ]
+        assert case_analysis(w, certs[0]).tag == "case_b"
+        with pytest.raises(UnclassifiableTriple):
+            case_analysis(w, certs[1])
+
     def test_failed_verification_raises(self, monkeypatch):
         # The check must hold under python -O, which strips asserts. The
         # search checks each certificate on the integer copy it holds.
@@ -168,6 +185,98 @@ class TestOracle:
         assert w.dim_M <= 20
         certs = find_splittings(w)
         assert certs and set(map(rational, certs)) == set(splittings_oracle(w))
+
+
+def translations(w):
+    """The candidate translations v = w - min(W), w in W, on W's rational
+    view: each is lex positive, as min(W) is lex least."""
+    w0, *rest = w.weights
+    return [vsub(x, w0) for x in rest]
+
+
+def run_lengths(w, v):
+    """The lengths of the maximal runs x, x + v, x + 2v, ... of W, sorted."""
+    ws = set(w.weights)
+    lengths = []
+    for x in ws:
+        if vsub(x, v) not in ws:  # the bottom of a run
+            n = 0
+            while x in ws:
+                n, x = n + 1, vadd(x, v)
+            lengths.append(n)
+    return sorted(lengths)
+
+
+def decision(w, v):
+    """How the run rule decides v: a run of length 1 is a dead weight, any
+    other odd run refutes, and even runs split."""
+    lengths = run_lengths(w, v)
+    if 1 in lengths:
+        return "dead"
+    return "odd" if any(n % 2 for n in lengths) else "split"
+
+
+HALF_INTEGERS = st.integers(-8, 8).map(lambda x: Fraction(x, 2))
+
+
+@st.composite
+def certificate_weights(draw):
+    """The 4n weights eps_i alpha_i + eps beta of a random (beta, alphas)
+    with n <= 4, kept when they are distinct."""
+    vector = st.tuples(*[HALF_INTEGERS] * draw(st.integers(1, 3)))
+    beta = draw(vector)
+    alphas = draw(st.lists(vector, min_size=1, max_size=4))
+    ws = {
+        tuple(ei * a + e * b for a, b in zip(alpha, beta))
+        for alpha in alphas for ei in (1, -1) for e in (1, -1)
+    }
+    assume(len(ws) == 4 * len(alphas))
+    return weights_from_set(ws)
+
+
+@st.composite
+def pair_weights(draw):
+    """Up to 8 random nonzero +- pairs, kept when |W| is divisible by 4."""
+    vector = st.tuples(*[HALF_INTEGERS] * draw(st.integers(1, 3))).filter(any)
+    ws = {x for v in draw(st.lists(vector, min_size=1, max_size=8)) for x in (v, vneg(v))}
+    assume(len(ws) % 4 == 0)
+    return weights_from_set(ws)
+
+
+class TestRunRule:
+    """find_splittings decides each translation v by the parity of W's runs
+    in direction v, against the exhaustive oracle."""
+
+    @given(certificate_weights())
+    def test_random_certificates_match_oracle(self, w):
+        assert [rational(c) for c in find_splittings(w)] == splittings_oracle(w)
+
+    @given(pair_weights())
+    def test_random_pairs_match_oracle(self, w):
+        assert [rational(c) for c in find_splittings(w)] == splittings_oracle(w)
+
+    def test_one_long_run_and_two_short_runs(self):
+        # {+-1, +-3}: v = 2 makes one run -3, -1, 1, 3 and v = 4 two runs
+        # -3, 1 and -1, 3; both split, each with its one half.
+        w = weights_from_set([vec(1), vec(-1), vec(3), vec(-3)])
+        assert run_lengths(w, vec(2)) == [4]
+        assert run_lengths(w, vec(4)) == [2, 2]
+        assert [rational(c) for c in find_splittings(w)] == splittings_oracle(w) == [
+            (vec(1), (vec(2),)),
+            (vec(2), (vec(1),)),
+        ]
+
+    def test_b3_wolf_pair_has_one_odd_run(self):
+        # B3's Wolf pair (h = A1+A1+A1): of the candidates that pass the
+        # dead-weight scan, one is refuted by an odd run and two split, one
+        # of them with the Wolf certificate.
+        ctx = parent_context(build(label("B", 3)))
+        assert describe_subsystem(ctx, ctx.wolf) == "A1+A1+A1"
+        w = isotropy_weights(ctx, ctx.wolf)
+        decided = Counter(decision(w, v) for v in translations(w))
+        assert decided == {"dead": w.dim_M - 4, "odd": 1, "split": 2}
+        certs = find_splittings(w)
+        assert len(certs) == 2 and wolf_certificate(ctx) in certs
 
 
 class TestCheckConstraints:
@@ -400,8 +509,8 @@ class TestPairSums:
                     assert case_analysis(w, c).witness == witness
 
     def test_one_generation_table_per_certificate(self, monkeypatch):
-        # The search resolves each certificate's case on the table it
-        # verifies it with; a certificate from outside is verified again.
+        # The search keeps the table it verifies each certificate with, and
+        # case_analysis reads it; a certificate from outside is verified again.
         built = []
         table = splitting._int_table
         monkeypatch.setattr(
