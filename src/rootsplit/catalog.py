@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add, sub
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .linalg import (
@@ -22,12 +22,12 @@ from .linalg import (
     Vector,
     idot,
     int_rank,
-    lex_positive,
     pack,
 )
 from .rootcore import (
     RootsplitError,
     RootSystem,
+    int_simple_base,
     lattice_root_system,
     reflect,
 )
@@ -83,6 +83,15 @@ def parse_label(text: str) -> CartanLabel:
 def parse_label_sum(text: str) -> list[CartanLabel]:
     """Parse 'A1+A1' style direct-sum specs into a list of labels."""
     return [parse_label(part) for part in text.split("+")]
+
+
+def _a_roots(n: int, one: int) -> set[IntVector]:
+    """The integer roots e_i - e_j of A_n, in dimension n + 1, with the
+    integer one standing for 1."""
+    return {
+        tuple(one if k == i else (-one if k == j else 0) for k in range(n + 1))
+        for i, j in itertools.permutations(range(n + 1), 2)
+    }
 
 
 def _bcd_roots(n: int, short: str, one: int) -> set[IntVector]:
@@ -145,10 +154,7 @@ def build(lab: CartanLabel) -> RootSystem:
     s, n = lab.series, lab.rank
     scale = 4 if s in "EF" else 2
     if s == "A":
-        roots = {
-            tuple(scale if k == i else (-scale if k == j else 0) for k in range(n + 1))
-            for i, j in itertools.permutations(range(n + 1), 2)
-        }
+        roots = _a_roots(n, scale)
     elif s in ("B", "C", "D"):
         roots = _bcd_roots(n, s if s != "D" else "", scale)
     elif s == "G":
@@ -221,25 +227,6 @@ def int_components(
         k = next(k for k, a in enumerate(base) if idot(r, a))
         groups.setdefault(tag[k], []).append(r)
     return sorted(tuple(sorted(g)) for g in groups.values())
-
-
-def int_simple_base(iroots: Iterable[IntVector]) -> list[IntVector]:
-    """Deterministic simple-root base of integer roots: the indecomposable
-    elements of the lexicographically positive half, sorted.
-
-    Each positive root is tested only against the simple roots found
-    before it: every positive root that is not simple is a positive root
-    plus a simple root (Humphreys, Introduction to Lie Algebras and
-    Representation Theory, 10.2 Corollary), both of them lexicographically
-    smaller, since lex order is translation-invariant.
-    """
-    pos = sorted(r for r in iroots if lex_positive(r))
-    pos_set = set(pos)
-    base: list[IntVector] = []
-    for a in pos:
-        if not any(tuple(map(sub, a, b)) in pos_set for b in base):
-            base.append(a)
-    return base
 
 
 def highest_root(system: RootSystem) -> Vector:

@@ -1,4 +1,4 @@
-"""Root system axioms, their validation, and reflections.
+"""Root system axioms, their validation, simple bases and reflections.
 
 A root system is a finite set of nonzero rational vectors satisfying:
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -24,6 +25,7 @@ from .linalg import (
     idot,
     int_copy,
     int_rank,
+    lex_positive,
     primitive_direction,
     vscale,
     vsub,
@@ -82,13 +84,26 @@ def make_root_system(vectors: Iterable[Vector]) -> RootSystem:
 
 def lattice_root_system(scale: int, ints: Iterable[IntVector]) -> RootSystem:
     """The root system of the vectors ints / scale, its axioms checked on
-    the integers; raises ValueError, with rational witnesses, if they fail."""
+    the integers; raises ValueError, with rational witnesses, if they fail.
+
+    R1 is checked directly and R2-R4 by _axioms_hold in O(|R|*rank) Cartan
+    numbers: R2 by directions, R3 and R4 for each simple root a against
+    every root, and the orbit of the simple roots under their reflections,
+    which must be all of R. This is as strong as R3 and R4 for every pair.
+    Sound: each simple s_a permutes R, so for a root r = w a (w a product
+    of simple reflections) s_r = w s_a w^-1 permutes R, and
+    2<b,r>/<r,r> = 2<w^-1 b,a>/<a,a> is an integer. Complete: in a root
+    system the lex-positive indecomposables form a base, and every root is
+    the image of a simple root under the Weyl group, which the simple
+    reflections generate (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 10.3 Theorem). Only a failure runs the pairwise
+    scan _axiom_violations, for the violations to report."""
     ints = tuple(sorted(set(ints)))
     if not ints:
         raise ValueError("a root system is nonempty")
     violations = [
         Violation("R1", "zero vector present", (_rational(v, scale),)) for v in ints if not any(v)
-    ] or _axiom_violations(scale, ints)
+    ] or _violations(scale, ints)
     if violations:
         raise ValueError(f"not a root system: {tuple(violations[:3])}")
     return RootSystem(len(ints[0]), scale, ints)
@@ -123,7 +138,7 @@ def validate_root_system(candidate: Sequence[Vector]) -> ValidationReport:
             violations.append(Violation("R1", "duplicate root", (v,)))
         seen.add(v)
 
-    violations.extend(_axiom_violations(*int_copy(sorted(v for v in seen if any(v)))))
+    violations.extend(_violations(*int_copy(sorted(v for v in seen if any(v)))))
     return ValidationReport(tuple(violations))
 
 
@@ -131,31 +146,95 @@ def _rational(v: IntVector, scale: int) -> Vector:
     return tuple(Fraction(a, scale) for a in v)
 
 
+def int_simple_base(iroots: Iterable[IntVector]) -> list[IntVector]:
+    """Deterministic simple-root base of integer roots: the indecomposable
+    elements of the lexicographically positive half, sorted.
+
+    Each positive root is tested only against the simple roots found
+    before it: every positive root that is not simple is a positive root
+    plus a simple root (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 10.2 Corollary), both of them lexicographically
+    smaller, since lex order is translation-invariant.
+    """
+    pos = sorted(r for r in iroots if lex_positive(r))
+    pos_set = set(pos)
+    base: list[IntVector] = []
+    for a in pos:
+        if not any(tuple(map(sub, a, b)) in pos_set for b in base):
+            base.append(a)
+    return base
+
+
+def _violations(scale: int, iroots: Sequence[IntVector]) -> list[Violation]:
+    """R2-R4 on the sorted, distinct, nonzero integer roots iroots on scale:
+    none if _axioms_hold, else what the pairwise scan reports."""
+    return [] if _axioms_hold(iroots) else _axiom_violations(scale, iroots)
+
+
+def _axioms_hold(iroots: Sequence[IntVector]) -> bool:
+    """R2-R4 on distinct nonzero integer roots, with O(|R|*rank) Cartan
+    numbers: R2 as the pairwise scan checks it; then, for each simple root
+    a of int_simple_base and every root b, 2<a,b>/<a,a> is an integer and
+    s_a(b) is a root; then the orbit of the simple roots under the simple
+    reflections, by their rows just built, is all of R. Equal in strength
+    to the pairwise scan: lattice_root_system has the argument."""
+    if _proportional_classes(iroots):
+        return False
+    at = {r: i for i, r in enumerate(iroots)}
+    base = int_simple_base(iroots)
+    rows = []  # rows[k][i]: the position of s_a(iroots[i]), a = base[k]
+    for a in base:
+        aa, row = idot(a, a), []
+        for b in iroots:
+            q, r = divmod(2 * idot(a, b), aa)
+            j = at.get(tuple(x - q * y for x, y in zip(b, a)))
+            if r or j is None:
+                return False
+            row.append(j)
+        rows.append(row)
+    orbit = {at[a] for a in base}
+    frontier = list(orbit)
+    while frontier:
+        i = frontier.pop()
+        for row in rows:
+            if row[i] not in orbit:
+                orbit.add(row[i])
+                frontier.append(row[i])
+    return len(orbit) == len(iroots)
+
+
+def _proportional_classes(iroots: Sequence[IntVector]) -> list[list[int]]:
+    """R2: the positions of each class of proportional roots that is
+    neither one root nor a root and its negative, in order of first root."""
+    by_dir: dict[IntVector, list[int]] = {}
+    for idx, iv in enumerate(iroots):
+        by_dir.setdefault(primitive_direction(iv), []).append(idx)
+    return [
+        idxs for idxs in by_dir.values()
+        if len(idxs) > 2
+        or (len(idxs) == 2 and iroots[idxs[0]] != tuple(-a for a in iroots[idxs[1]]))
+    ]
+
+
 def _axiom_violations(scale: int, iroots: Sequence[IntVector]) -> list[Violation]:
     """R2-R4 on the sorted, distinct, nonzero integer roots iroots on scale
-    (the axioms are scale-invariant); a witness is made rational only when
-    its violation is reported."""
-    violations: list[Violation] = []
-
+    (the axioms are scale-invariant), by the scan over ordered pairs: R3
+    and R4 for every pair, O(|R|^2). It runs only to report a failure that
+    _axioms_hold found; a valid system never reaches it. The two agree:
+    R3 and R4 for every pair imply them for the simple roots, and the
+    simple roots' orbit is all of a root system (Humphreys, Introduction
+    to Lie Algebras and Representation Theory, 10.3 Theorem); conversely
+    each root is w a for a simple a, and s_(w a) = w s_a w^-1 permutes R
+    with integral Cartan numbers. A witness is made rational only when its
+    violation is reported."""
     def witness(*idxs: int) -> tuple[Vector, ...]:
         return tuple(_rational(iroots[i], scale) for i in idxs)
 
+    violations = [
+        Violation("R2", "proportional roots beyond a negative pair", witness(*idxs))
+        for idxs in _proportional_classes(iroots)
+    ]
     iset = set(iroots)
-
-    # R2: group by primitive direction; each class must be exactly {v, -v}.
-    by_dir: dict[tuple[int, ...], list[int]] = {}
-    for idx, iv in enumerate(iroots):
-        by_dir.setdefault(primitive_direction(iv), []).append(idx)
-    for idxs in by_dir.values():
-        group = [iroots[i] for i in idxs]
-        ok = len(group) <= 2 and (
-            len(group) == 1 or group[0] == tuple(-a for a in group[1])
-        )
-        if not ok:
-            violations.append(
-                Violation("R2", "proportional roots beyond a negative pair",
-                          witness(*idxs))
-            )
 
     # R3 + R4 in one sweep over ordered pairs.
     r3_seen = r4_seen = False

@@ -21,7 +21,6 @@ from .catalog import (
     int_components,
     int_highest_root,
     int_normalize,
-    int_simple_base,
     simple_reflections,
 )
 from .linalg import (
@@ -36,7 +35,7 @@ from .linalg import (
     scale_to_int,
     vneg,
 )
-from .rootcore import RootsplitError, RootSystem
+from .rootcore import RootsplitError, RootSystem, int_simple_base
 
 
 class NotClosed(RootsplitError):

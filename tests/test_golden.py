@@ -72,6 +72,21 @@ GOLDEN = {
         "73812b16a49b331514bb4ce92acc7020b22aa7868e7a2d8da0d00bf6098b587a",
     ("subsystems", "F4", "--no-dedup"):
         "58c159ef9fa74fb687c20b906edb8ca40673a21d2c72c65e3d962f0b128b6eb8",
+    # the axiom check: two valid systems, and one invalid root list for each
+    # violation the pairwise scan reports (R2; R3 with R4; R4 by a
+    # reflection; R4 by a missing negative), with its witnesses
+    ("validate", "E8"):
+        "1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328",
+    ("validate", "G2"):
+        "1bc74e199bcc58b41274850ff74d9609d82c2e26cb4a253d86acd73ceb545328",
+    ("validate", "--roots", '[["1"],["-1"],["2"],["-2"]]'):
+        "ee7c5c64e45625b4ddf3274149deb56fc345c566de9f060dc1f719d98c9df277",
+    ("validate", "--roots", "[[1,0],[-1,0],[1,2],[-1,-2]]"):
+        "2233ad8ca76a910de45de92cc66d95967873405c9c1887214ea9b4203c1ea233",
+    ("validate", "--roots", "[[1,0],[-1,0],[1,1],[-1,-1]]"):
+        "80abd910c8fa64410eec9db96f6ccf06fae317ca264d4827d65379cdb924009f",
+    ("validate", "--roots", "[[1,0],[0,1],[0,-1]]"):
+        "3a0547fc72d085dc650cb19f2a9e3695989b14122516e5122e49022117fd9f90",
 }
 
 

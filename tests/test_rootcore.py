@@ -1,6 +1,8 @@
 """Axioms, validation, reflections and the integer copy of a root system
 (rootcore), and the test oracles' Cartan numbers, pair trichotomy and
 reflection closure (oracles)."""
+import itertools
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -9,9 +11,20 @@ from hypothesis import given, strategies as st
 
 from oracles import NormscalViolation, cartan_int, pair_class, reflection_closure
 from parents import RANK_4_PARENTS
-from rootsplit.linalg import dot, vec
-from rootsplit.catalog import build, build_sum, label, parse_label_sum, simple_labels_up_to
-from rootsplit.rootcore import reflect, validate_root_system
+from rootsplit import rootcore
+from rootsplit.linalg import dot, int_rank, vec
+from rootsplit.catalog import (
+    _a_roots,
+    _bcd_roots,
+    build,
+    build_sum,
+    direct_sum,
+    label,
+    parse_label_sum,
+    simple_labels_up_to,
+)
+from rootsplit.rootcore import lattice_root_system, make_root_system, reflect, validate_root_system
+from rootsplit.subalgebra import enumerate_closed_subsystems, parent_context
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 small_vecs = st.lists(rationals, min_size=2, max_size=4).map(lambda xs: vec(*xs))
@@ -143,3 +156,128 @@ class TestIntegerCopy:
         assert system.scale == scale
         assert system.ints == tuple(tuple(a * scale for a in r) for r in system.roots)
         assert all(type(a) is int for r in system.ints for a in r)
+
+
+def neg(v):
+    return tuple(-a for a in v)
+
+
+def agree(scale, roots):
+    """The fast axiom check of the distinct nonzero integer roots, asserted
+    to accept exactly when the pairwise scan finds no violation."""
+    ints = tuple(sorted(roots))
+    fast = rootcore._axioms_hold(ints)
+    assert fast == (not rootcore._axiom_violations(scale, ints)), ints
+    return fast
+
+
+def mutated(rng, roots):
+    """roots after one of: drop a root, drop a root and its negative, add a
+    sum of two roots and its negative, add twice a root."""
+    roots = set(roots)
+    r = rng.choice(sorted(roots))
+    kind = rng.randrange(4)
+    if kind == 0:
+        roots.discard(r)
+    elif kind == 1:
+        roots -= {r, neg(r)}
+    elif kind == 2:
+        s = tuple(a + b for a, b in zip(r, rng.choice(sorted(roots))))
+        if any(s):
+            roots |= {s, neg(s)}
+    else:
+        roots.add(tuple(2 * a for a in r))
+    return roots
+
+
+#: the sources of the mutated sets: many of each g of rank <= 4, a few of
+#: each simple g of rank 5 and 6, whose pairwise scans cost the most
+MUTATION_SOURCES = [g for g in RANK_4_PARENTS for _ in range(66)] + [
+    str(l) for l in simple_labels_up_to(6) if l.rank > 4 for _ in range(8)
+]
+
+#: small integer vectors: the plane with coordinates up to 2, and space
+#: with coordinates up to 1 (A3, B3 and their subsystems live there)
+SMALL_POOLS = [
+    [v for v in itertools.product(range(-2, 3), repeat=2) if any(v)],
+    [v for v in itertools.product(range(-1, 2), repeat=3) if any(v)],
+]
+small_sets = st.one_of(
+    *(st.sets(st.sampled_from(pool), min_size=1, max_size=10) for pool in SMALL_POOLS)
+)
+
+
+class TestFastAxiomCheck:
+    """rootcore._axioms_hold, the O(|R|*rank) check of R2-R4, against the
+    O(|R|^2) pairwise scan rootcore._axiom_violations."""
+
+    @pytest.mark.parametrize("g", COPY_SPECS)
+    def test_catalog_and_products_accepted(self, g):
+        system = build_sum(parse_label_sum(g))
+        assert agree(system.scale, system.ints)
+
+    @pytest.mark.parametrize("g", RANK_4_PARENTS)
+    def test_every_closed_subsystem_accepted(self, g):
+        system = build_sum(parse_label_sum(g))
+        for h in enumerate_closed_subsystems(parent_context(system), dedup=False):
+            if h.positions:
+                own = make_root_system(h.roots)
+                assert agree(own.scale, own.ints)
+
+    def test_mutated_sets_agree(self):
+        rng = random.Random(0)
+        verdicts = []
+        for g in MUTATION_SOURCES:
+            system = build_sum(parse_label_sum(g))
+            roots = mutated(rng, system.ints)
+            if roots and rng.randrange(2):
+                roots = mutated(rng, roots)
+            if roots:
+                verdicts.append(agree(system.scale, roots))
+        assert len(verdicts) >= 2000
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @given(small_sets, st.booleans())
+    def test_accepts_iff_the_scan_finds_nothing(self, roots, symmetric):
+        agree(1, roots | {neg(r) for r in roots} if symmetric else roots)
+
+    def test_valid_input_never_reaches_the_scan(self, monkeypatch):
+        def scan(*args):
+            raise AssertionError("the pairwise scan ran on a valid system")
+
+        monkeypatch.setattr(rootcore, "_axiom_violations", scan)
+        for g in COPY_SPECS:
+            # build's cache is bypassed, so every label is built and checked here
+            system = direct_sum([build.__wrapped__(l) for l in parse_label_sum(g)])
+            assert validate_root_system(system.roots).ok, g
+
+
+#: the catalog builders' integer roots of A-D at any rank, on scale 2
+SERIES_ROOTS = {
+    "A": lambda n: _a_roots(n, 2),
+    "B": lambda n: _bcd_roots(n, "B", 2),
+    "C": lambda n: _bcd_roots(n, "C", 2),
+    "D": lambda n: _bcd_roots(n, "", 2),
+}
+
+
+class TestBeyondTheCatalogRank:
+    """The axiom check on the classical series past the catalog's rank 8."""
+
+    @pytest.mark.parametrize("n", [9, 12, 16])
+    @pytest.mark.parametrize("series", sorted(SERIES_ROOTS))
+    def test_accepted_at_rank_n(self, series, n):
+        system = lattice_root_system(2, SERIES_ROOTS[series](n))
+        assert int_rank(system.ints) == n
+
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("series", sorted(SERIES_ROOTS))
+    def test_missing_pair_rejected(self, series, n):
+        roots = SERIES_ROOTS[series](n)
+        top = max(roots)
+        with pytest.raises(ValueError, match="not a root system"):
+            lattice_root_system(2, roots - {top, neg(top)})
+
+    def test_catalog_keeps_its_rank_cap(self):
+        with pytest.raises(ValueError, match="rank <= 8"):
+            build(label("A", 9))
