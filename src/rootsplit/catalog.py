@@ -16,7 +16,6 @@ from operator import add
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .linalg import (
-    IntMatrix,
     IntVector,
     Matrix,
     Vector,
@@ -362,18 +361,9 @@ def normalize(system: RootSystem) -> Matrix:
     roots is (sum of |r|^2 / rank) P. Cartan numbers and pair classes are
     unaffected. Components with length ratio sqrt(3) raise G2Component.
     """
-    iroots = system.ints
-    rows, den = int_normalize(int_components(iroots, int_simple_base(iroots)), system.scale)
-    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-
-
-def int_normalize(
-    comps: Sequence[Sequence[IntVector]], scale: int
-) -> tuple[IntMatrix, int]:
-    """normalize from the integer components of a system scaled by scale,
-    as (rows, den): the metric is rows / den."""
-    terms = []  # (c, comp): the metric is I + sum of c r r^T over comp
-    for comp in comps:
+    iroots, scale, dim = system.ints, system.scale, system.ambient_dim
+    metric = [[Fraction(i == j) for j in range(dim)] for i in range(dim)]
+    for comp in int_components(iroots, int_simple_base(iroots)):
         norms = [idot(r, r) for r in comp]
         lengths = sorted(set(norms))
         if len(lengths) > 2:
@@ -385,19 +375,15 @@ def int_normalize(
         if len(lengths) == 2 and lengths[1] != 2 * lengths[0]:
             raise ValueError("length ratio is neither 1, sqrt(2) nor sqrt(3)")
         s = Fraction(2 * scale * scale, lengths[-1])
-        if s != 1:
-            terms.append(((s - 1) * int_rank(comp) / sum(norms), comp))
-    den = lcm(*(c.denominator for c, _ in terms))
-    dim = len(comps[0][0])
-    metric = [[den * (i == j) for j in range(dim)] for i in range(dim)]
-    for c, comp in terms:
-        k = c.numerator * (den // c.denominator)
+        if s == 1:
+            continue
+        c = (s - 1) * int_rank(comp) / sum(norms)  # (s - 1) P is c times sum of r r^T
         for r in comp:
             support = [(i, a) for i, a in enumerate(r) if a]
             for i, a in support:
                 for j, b in support:
-                    metric[i][j] += k * a * b
-    return tuple(map(tuple, metric)), den
+                    metric[i][j] += c * a * b
+    return tuple(map(tuple, metric))
 
 
 def simple_labels_up_to(max_rank: int, series: Iterable[str] | None = None):

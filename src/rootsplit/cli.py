@@ -23,7 +23,7 @@ from .pipeline import (
     parse_root_list,
 )
 from .report import FORMATS, certificate_dict, emit
-from .rootcore import RootsplitError, validate_root_system
+from .rootcore import RootsplitError, ValidationReport, validate_root_system
 from .splitting import case_analysis, find_splittings, wolf_certificate
 from .subalgebra import enumerate_closed_subsystems, isotropy_weights, parent_context
 
@@ -67,12 +67,12 @@ def _cmd_validate(args) -> int:
     if args.roots is not None and args.g is not None:
         raise ParseError("validate takes either G or --roots, not both")
     if args.roots is not None:
-        vectors = parse_root_list(args.roots)
+        report = validate_root_system(parse_root_list(args.roots))
     elif args.g is not None:
-        vectors = list(parse_g_spec(args.g)[1].roots)
+        parse_g_spec(args.g)  # the build checks the axioms, and raises if they fail
+        report = ValidationReport(())
     else:
         raise ParseError("validate needs either G or --roots")
-    report = validate_root_system(vectors)
     return _emit_json(
         {
             "valid": report.ok,

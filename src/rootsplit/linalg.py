@@ -34,7 +34,6 @@ from typing import Iterable, Sequence
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
-IntMatrix = tuple[IntVector, ...]
 
 
 def vec(*coords) -> Vector:

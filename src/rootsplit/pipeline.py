@@ -1,8 +1,9 @@
 """Classification pipelines: single pairs and batch runs.
 
-A pair (g, h) runs through: build, normalize (skipped for G2), isotropy
-weights, symmetry test, Wolf recognition, splitting search and case
-analysis; a verdict is then assigned with precedence
+A pair (g, h) runs through: build, isotropy weights, symmetry test, Wolf
+recognition, splitting search, case analysis and, on an irreducible g
+other than G2, the constraint values; a verdict is then assigned with
+precedence
 
   not_eligible > no_splitting > wolf_space > so7_u3 > s2xs2_type
   > symmetric_candidate
@@ -209,7 +210,7 @@ def classify_subsystem(g_label: str, ctx: ParentContext, h: ClosedSubsystem) -> 
     if eligible:
         certificates = tuple(find_splittings(w))
         cases = tuple(case_analysis(w, c) for c in certificates)
-        if certificates and ctx.metric is not None:  # G2 is handled raw
+        if certificates and ctx.irreducible and ctx.types != (CartanLabel("G", 2),):
             constraints = tuple(check_constraints(ctx, c) for c in certificates)
 
     verdict = _assign_verdict(

@@ -198,21 +198,24 @@ def check_constraints(ctx: ParentContext, cert: SplittingCertificate) -> Constra
     """Evaluate <beta,alpha_i> and |beta|^2 in the normalized metric of the
     parent against the admissible sets {0, 1/4} and {1/4, 3/4, 5/4}, on
     the parent's integers; a certificate off the parent's scale or
-    dimension splits no W of the parent and raises ValueError."""
+    dimension splits no W of the parent and raises ValueError.
+
+    On an irreducible parent the normalized metric is 2/|theta|^2 times
+    the standard one on the span of R, so each value is 2 idot / long_norm
+    (the scale cancels). That is exact for every certificate, whose beta
+    and alphas lie in the span of R, since alpha +- beta are roots; and
+    for every vector on a catalog parent, where either |theta|^2 = 2 and
+    the metric is I, or the parent is C_n, whose roots span the space."""
     if not ctx.irreducible:
         raise ValueError("check_constraints requires an irreducible parent")
     if ctx.types == (CartanLabel("G", 2),):
         raise G2Input("constraints do not apply to G2")
-    rows, den = ctx.metric
-    beta, alphas, scale = cert.beta, cert.alphas, ctx.system.scale
-    _check_scale(cert, scale)
-    if any(len(v) != len(rows) for v in (beta, *alphas)):
+    beta, alphas, norm = cert.beta, cert.alphas, ctx.long_norm
+    _check_scale(cert, ctx.system.scale)
+    if any(len(v) != ctx.system.ambient_dim for v in (beta, *alphas)):
         raise ValueError("certificate and parent differ in dimension")
-    # <beta, alpha> = alpha . (m beta), the metric being symmetric
-    mb = [idot(row, beta) for row in rows]
-    q = den * scale * scale
-    pairings = tuple(Fraction(idot(a, mb), q) for a in alphas)
-    b2 = Fraction(idot(beta, mb), q)
+    pairings = tuple(Fraction(2 * idot(beta, a), norm) for a in alphas)
+    b2 = Fraction(2 * idot(beta, beta), norm)
     return ConstraintReport(
         pairings,
         b2,

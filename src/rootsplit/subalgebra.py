@@ -20,11 +20,9 @@ from .catalog import (
     int_component_type,
     int_components,
     int_highest_root,
-    int_normalize,
     simple_reflections,
 )
 from .linalg import (
-    IntMatrix,
     IntVector,
     Vector,
     idot,
@@ -291,10 +289,11 @@ class ParentContext:
     Weyl dedup closes classes, read system.ints too. keys packs the
     integer roots at radix (linalg.pack), so key order is root
     order, and at maps a key back to its position: whether a sum or a
-    difference of roots is a root is an int lookup in at. theta, wolf and
-    metric, which only the Wolf pair and the constraints read, are built
-    on first read; theta and wolf raise ValueError for a reducible parent,
-    and metric is None for a reducible parent and for G2.
+    difference of roots is a root is an int lookup in at. theta and wolf,
+    which only the Wolf pair reads, are built on first read, and raise
+    ValueError for a reducible parent. long_norm is read by Wolf
+    recognition and by the constraint values, which take the normalized
+    metric as 2 / long_norm times the standard one.
     """
 
     system: RootSystem
@@ -302,7 +301,6 @@ class ParentContext:
     keys: tuple[int, ...]  # the lattice keys of system.ints, in order
     at: dict[int, int]  # lattice key -> its position
     base: tuple[IntVector, ...]  # simple roots
-    components: tuple[tuple[IntVector, ...], ...]
     types: tuple[CartanLabel, ...]
     long_norm: int  # squared length of a long root, integer-scaled
 
@@ -329,12 +327,6 @@ class ParentContext:
         )
         return _subsystem(self, positions, "the Wolf subsystem is not closed")
 
-    @cached_property
-    def metric(self) -> tuple[IntMatrix, int] | None:  # (rows, den), int_normalize
-        if not self.irreducible or self.types == (CartanLabel("G", 2),):
-            return None
-        return int_normalize(self.components, self.system.scale)
-
 
 def parent_context(system: RootSystem) -> ParentContext:
     """Compute the per-parent facts of system from its integer roots
@@ -344,10 +336,9 @@ def parent_context(system: RootSystem) -> ParentContext:
     keys = tuple(pack(r, radix) for r in iroots)
     at = {k: i for i, k in enumerate(keys)}
     base = tuple(int_simple_base(iroots))
-    comps = tuple(int_components(iroots, base))
-    types = tuple(sorted(int_component_type(c, base) for c in comps))
+    types = tuple(sorted(int_component_type(c, base) for c in int_components(iroots, base)))
     long_norm = max(idot(v, v) for v in iroots)
-    return ParentContext(system, radix, keys, at, base, comps, types, long_norm)
+    return ParentContext(system, radix, keys, at, base, types, long_norm)
 
 
 def is_wolf_pair(ctx: ParentContext, h: ClosedSubsystem) -> bool:
@@ -355,20 +346,19 @@ def is_wolf_pair(ctx: ParentContext, h: ClosedSubsystem) -> bool:
 
     Long roots form one Weyl orbit, so h is Wolf exactly when R(h) is
     {+-gamma} plus every root orthogonal to gamma, for some long root
-    gamma; such a gamma spans an A1 component of h. No Weyl group is
-    needed. A reducible parent raises ValueError.
+    gamma; such a gamma spans an A1 component of h. Once |h| is the Wolf
+    size, a long gamma in h orthogonal to the rest of h suffices: h lies
+    in {+-gamma} plus the roots orthogonal to gamma, a set of the Wolf
+    size since gamma is conjugate to theta, so h is that set. No Weyl
+    group is needed and no root outside h is read. A reducible parent
+    raises ValueError.
     """
     if len(h.positions) != len(ctx.wolf.positions):
         return False
     if h.positions == ctx.wolf.positions:
         return True
     ih = [ctx.system.ints[i] for i in h.positions]
-    for g in ih:
-        if not lex_positive(g) or idot(g, g) != ctx.long_norm:
-            continue
-        if sum(1 for x in ih if idot(g, x)) != 2:  # gamma is orthogonal to the rest of h
-            continue
-        perp = sum(1 for x in ctx.system.ints if not idot(g, x))
-        if perp == len(ih) - 2:  # so h \ {+-gamma} is all of gamma-perp
-            return True
-    return False
+    return any(  # a long gamma orthogonal to the rest of h
+        lex_positive(g) and idot(g, g) == ctx.long_norm and sum(1 for x in ih if idot(g, x)) == 2
+        for g in ih
+    )

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import rootsplit
-from rootsplit import cli
+from rootsplit import catalog, cli, rootcore
 from rootsplit.pipeline import classify_all, classify_pair
 from rootsplit.report import emit
 from test_golden import GOLDEN
@@ -114,6 +114,23 @@ class TestCli:
     def test_validate_ok(self):
         r = run("validate", "B3")
         assert r.returncode == 0
+
+    def test_validate_label_checks_axioms_once(self, monkeypatch, tmp_path):
+        # Building a catalog label checks its axioms; validate reports that
+        # check and runs no second one on a rational copy of the roots.
+        calls = []
+        hold = rootcore._axioms_hold
+
+        def counting(iroots):
+            calls.append(len(iroots))
+            return hold(iroots)
+
+        monkeypatch.setattr(rootcore, "_axioms_hold", counting)
+        catalog.build.cache_clear()
+        out = tmp_path / "out.json"
+        assert cli.main(["validate", "E8", "--output", str(out)]) == 0
+        assert calls == [240]
+        assert json.loads(out.read_text()) == {"valid": True, "violations": []}
 
     def test_validate_bad_roots(self):
         # An invalid candidate is still a successful validation run:

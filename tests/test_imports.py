@@ -1,7 +1,7 @@
 """Every name a rootsplit module imports is used in that module, only
 rootcore and weights_from_set choose an integer scale and no step between
 parse and emit makes a rational, the pair checks
-import no rational metric product or typing, every function the bench
+import no metric matrix, rational product or typing, every function the bench
 traces exists, every top-level function and class of src/ is reached,
 and the test oracles use no private rootsplit code."""
 import ast
@@ -97,18 +97,19 @@ def test_scale_chosen_only_in_rootcore_and_weights_from_set(module):
     assert INTEGER_ONLY.get(module, set()) <= {getattr(n, "name", None) for n in tree.body}
 
 
-@pytest.mark.parametrize("module", ["splitting", "pipeline"])
+@pytest.mark.parametrize("module", ["splitting", "pipeline", "subalgebra"])
 def test_pair_checks_stay_on_the_integer_copy(module):
-    # Certificates, constraints and subsystem types are checked on the
-    # parent's integer copy, not by rational matrix products or by typing
-    # rational roots again.
+    # Certificates, constraints, Wolf recognition and subsystem types are
+    # checked on the parent's integer copy, not by rational matrix
+    # products, by a metric matrix (the constraint values read the
+    # parent's long-root norm) or by typing rational roots again.
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     imported = {
         a.asname or a.name
         for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
         for a in node.names
     }
-    assert not imported & {"mat_vec", "identify_type"}
+    assert not imported & {"mat_vec", "identify_type", "int_normalize", "normalize"}
 
 
 def test_bench_trace_names_resolve():

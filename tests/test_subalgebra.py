@@ -309,13 +309,12 @@ class TestWolf:
             assert is_wolf_pair(ctx, h) == expected, h.roots
 
     def test_wolf_facts_built_on_first_read(self, monkeypatch):
-        # Only the Wolf pair and the constraints read theta, wolf and the
-        # metric, so a context does not build them up front; reading wolf
-        # still runs the closure check.
+        # Only the Wolf pair reads theta and wolf, so a context does not
+        # build them up front; reading wolf still runs the closure check.
         ctx = parent_context(build(label("B", 3)))
-        assert not {"theta", "wolf", "metric"} & set(vars(ctx))
+        assert not {"theta", "wolf"} & set(vars(ctx))
         isotropy_weights(ctx, closed_subsystem(ctx, ()))
-        assert not {"theta", "wolf", "metric"} & set(vars(ctx))
+        assert not {"theta", "wolf"} & set(vars(ctx))
         monkeypatch.setattr("rootsplit.subalgebra._closed", lambda s, p: False)
         with pytest.raises(NotClosed, match="Wolf subsystem"):
             ctx.wolf
