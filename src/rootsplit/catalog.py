@@ -21,7 +21,6 @@ from .linalg import (
     Vector,
     idot,
     int_rank,
-    pack,
 )
 from .rootcore import (
     RootsplitError,
@@ -283,8 +282,8 @@ def simple_reflections(ctx: ParentContext) -> list[tuple[int, ...]]:
     key(r) - <r, a check> key(a)."""
     iroots, keys, at = ctx.system.ints, ctx.keys, ctx.at
     perms = []
-    for a in ctx.base:
-        ka, aa = pack(a, ctx.radix), idot(a, a)
+    for ka in ctx.base:
+        a, aa = iroots[at[ka]], ctx.norms[at[ka]]
         perms.append(tuple(at[k - 2 * idot(a, r) // aa * ka] for r, k in zip(iroots, keys)))
     return perms
 
@@ -296,7 +295,7 @@ def weyl_group(ctx: ParentContext) -> WeylGroup:
     roots, at, base = ctx.system.roots, ctx.at, ctx.base
     if len(base) > WEYL_RANK_CAP:
         raise ValueError(f"weyl_group is capped at rank {WEYL_RANK_CAP}")
-    gens = tuple(roots[at[pack(a, ctx.radix)]] for a in base)
+    gens = tuple(roots[at[k]] for k in base)
     gen_perms = simple_reflections(ctx)
     identity = tuple(range(len(roots)))
     seen = {identity: ()}
@@ -337,14 +336,16 @@ def int_component_type(comp: Sequence[IntVector], base: Sequence[IntVector]) -> 
     by its rank, its number of roots and its number of long roots, so the
     label is a lookup in _TYPES.
     """
-    rank = len(set(base).intersection(comp))
     norms = [idot(r, r) for r in comp]
-    key = (rank, len(comp), norms.count(max(norms)))
-    if key not in _TYPES:
-        raise ValueError(
-            f"component of rank {rank} with {len(comp)} roots matches no catalog type"
-        )
-    return _TYPES[key]
+    return type_by_counts(len(set(base).intersection(comp)), len(comp), norms.count(max(norms)))
+
+
+def type_by_counts(rank: int, size: int, n_long: int) -> CartanLabel:
+    """The simple type of rank rank with size roots, n_long of them long:
+    the _TYPES lookup, which raises ValueError for a key outside it."""
+    if (rank, size, n_long) not in _TYPES:
+        raise ValueError(f"component of rank {rank} with {size} roots matches no catalog type")
+    return _TYPES[rank, size, n_long]
 
 
 def normalize(system: RootSystem) -> Matrix:

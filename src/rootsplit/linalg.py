@@ -27,6 +27,7 @@ Nothing here ever touches a float.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -100,8 +101,9 @@ def lattice_radix(vectors: Iterable[IntVector]) -> int:
     integer vectors: with it, every sum or difference of two of them, and
     every difference of two such sums (so every v +- w of the splitting
     search, v a difference of two weights), packs with digits below
-    radix / 2."""
-    return 1 << (8 * max((abs(a) for v in vectors for a in v), default=0)).bit_length()
+    radix / 2. It runs on every root of a parent per command, so the
+    largest |coordinate| is one C-level max over the chained coordinates."""
+    return 1 << (8 * max(map(abs, chain.from_iterable(vectors)), default=0)).bit_length()
 
 
 def pack(v: IntVector, radix: int) -> int:
@@ -161,5 +163,8 @@ def format_rational(q: Fraction) -> str:
 
 
 def format_vector(v: IntVector, scale: int) -> list[str]:
-    """The exact coordinates of v / scale as strings, e.g. ['1/2', '-1']."""
-    return [format_rational(Fraction(a, scale)) for a in v]
+    """The exact coordinates of v / scale (scale > 0) as strings, e.g.
+    ['1/2', '-1'], each reduced by its gcd with scale: str(Fraction(a,
+    scale)), with no Fraction made."""
+    gs = [gcd(a, scale) for a in v]
+    return [str(a // g) if g == scale else f"{a // g}/{scale // g}" for a, g in zip(v, gs)]

@@ -22,12 +22,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import catalog
-from .catalog import (
-    CartanLabel,
-    build_sum,
-    int_types,
-    parse_label_sum,
-)
+from .catalog import CartanLabel, build_sum, parse_label_sum
 from .linalg import Vector
 from .rootcore import RootsplitError, RootSystem
 from .splitting import (
@@ -180,12 +175,14 @@ def _type_key(text: str) -> tuple[str, ...]:
 
 
 def _type_key_of(ctx: ParentContext, h: ClosedSubsystem) -> tuple[str, ...]:
-    return tuple(sorted(str(l) for l in int_types([ctx.system.ints[i] for i in h.positions])))
+    return tuple(sorted(str(l) for l in ctx.types_of(h.positions, h.base)))
 
 
 def describe_subsystem(ctx: ParentContext, h: ClosedSubsystem) -> str:
     """Deterministic human-readable description: component types plus the
-    central torus rank, e.g. 'A1+A1+T1' or 'torus(T3)'."""
+    central torus rank, e.g. 'A1+A1+T1' or 'torus(T3)'. The types are read
+    on the parent's lattice keys from the simple roots that h was built
+    with (ParentContext.types_of), so they are not found again."""
     if not h.positions:
         return f"torus(T{h.torus_corank})"
     parts = list(_type_key_of(ctx, h))

@@ -9,31 +9,14 @@ torus_corank). The isotropy weights of the pair are R \\ S.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Container, Iterable, Sequence
 
-from .catalog import (
-    WEYL_RANK_CAP,
-    CartanLabel,
-    int_component_type,
-    int_components,
-    int_highest_root,
-    simple_reflections,
-)
-from .linalg import (
-    IntVector,
-    Vector,
-    idot,
-    int_copy,
-    lattice_radix,
-    lex_positive,
-    pack,
-    scale_to_int,
-    vneg,
-)
-from .rootcore import RootsplitError, RootSystem, int_simple_base
+from .catalog import WEYL_RANK_CAP, CartanLabel, simple_reflections, type_by_counts
+from .linalg import IntVector, Vector, idot, int_copy, lattice_radix, pack, scale_to_int
+from .rootcore import RootsplitError, RootSystem
 
 
 class NotClosed(RootsplitError):
@@ -43,11 +26,14 @@ class NotClosed(RootsplitError):
 @dataclass(frozen=True)
 class ClosedSubsystem:
     """The roots of parent at the sorted positions in parent.ints, and the
-    rank of the central torus of h; roots is a rational view."""
+    rank of the central torus of h; base holds the lattice keys of h's
+    simple roots (_simple_keys), which its typing reads, and roots is a
+    rational view."""
 
     parent: RootSystem
     positions: tuple[int, ...]
     torus_corank: int
+    base: tuple[int, ...] = field(compare=False, repr=False)
 
     @cached_property
     def roots(self) -> tuple[Vector, ...]:
@@ -116,19 +102,27 @@ def _closed(sub: Iterable[int], parent: Container[int]) -> bool:
     return True
 
 
-def _subsystem(ctx: ParentContext, positions: Sequence[int], error: str) -> ClosedSubsystem:
-    """The subsystem at the sorted positions of the parent of ctx, checked
-    for closure on its keys (else NotClosed(error)). Its rank is its number
-    of simple roots, found by the rule of int_simple_base: a positive key
-    is simple unless it minus an earlier simple key is in the subsystem."""
-    keys = [ctx.keys[i] for i in positions]
-    if not _closed(keys, ctx.at):
-        raise NotClosed(error)
-    members, base = set(keys), []
+def _simple_keys(keys: Sequence[int], members: Container[int]) -> tuple[int, ...]:
+    """The simple roots of a closed set, given as its sorted lattice keys
+    and a container of them, by the rule of rootcore.int_simple_base: a
+    positive key is simple unless it minus an earlier simple key is in
+    the set."""
+    base: list[int] = []
     for a in keys:
         if a > 0 and not any(a - b in members for b in base):
             base.append(a)
-    return ClosedSubsystem(ctx.system, tuple(positions), ctx.rank - len(base))
+    return tuple(base)
+
+
+def _subsystem(ctx: ParentContext, positions: Sequence[int], error: str) -> ClosedSubsystem:
+    """The subsystem at the sorted positions of the parent of ctx, checked
+    for closure on its keys (else NotClosed(error)). Its rank is its number
+    of simple roots."""
+    keys = [ctx.keys[i] for i in positions]
+    if not _closed(keys, ctx.at):
+        raise NotClosed(error)
+    base = _simple_keys(keys, set(keys))
+    return ClosedSubsystem(ctx.system, tuple(positions), ctx.rank - len(base), base)
 
 
 def closed_subsystem(ctx: ParentContext, roots: Iterable[Vector]) -> ClosedSubsystem:
@@ -285,24 +279,25 @@ class ParentContext:
     Build it once per command and pass it down; it is deliberately not
     cached beyond that, so a fresh process and an in-process repeat do
     the same work. A root is named by its position in system.ints, which
-    keys follow; the simple reflections, under which the enumerator's
-    Weyl dedup closes classes, read system.ints too. keys packs the
-    integer roots at radix (linalg.pack), so key order is root
+    keys and norms follow; the simple reflections, under which the
+    enumerator's Weyl dedup closes classes, read system.ints too. keys
+    packs the integer roots at radix (linalg.pack), so key order is root
     order, and at maps a key back to its position: whether a sum or a
-    difference of roots is a root is an int lookup in at. theta and wolf,
-    which only the Wolf pair reads, are built on first read, and raise
-    ValueError for a reducible parent. long_norm is read by Wolf
-    recognition and by the constraint values, which take the normalized
-    metric as 2 / long_norm times the standard one.
+    difference of roots is a root is an int lookup in at. base, the
+    simple roots, and every fact below are found on the keys, with norms
+    the one table of squared lengths. types, long_norm, theta and wolf
+    are built on first read; theta and wolf, which only the Wolf pair
+    reads, raise ValueError for a reducible parent. long_norm is read by
+    Wolf recognition and by the constraint values, which take the
+    normalized metric as 2 / long_norm times the standard one.
     """
 
     system: RootSystem
     radix: int  # of the lattice keys
     keys: tuple[int, ...]  # the lattice keys of system.ints, in order
     at: dict[int, int]  # lattice key -> its position
-    base: tuple[IntVector, ...]  # simple roots
-    types: tuple[CartanLabel, ...]
-    long_norm: int  # squared length of a long root, integer-scaled
+    norms: tuple[int, ...]  # idot(r, r) of each integer root, in order
+    base: tuple[int, ...]  # the lattice keys of the simple roots
 
     @property
     def irreducible(self) -> bool:
@@ -313,18 +308,66 @@ class ParentContext:
         return len(self.base)
 
     @cached_property
+    def long_norm(self) -> int:  # squared length of a long root, integer-scaled
+        return max(self.norms)
+
+    @cached_property
+    def types(self) -> tuple[CartanLabel, ...]:
+        return self.types_of(range(len(self.keys)), self.base)
+
+    def types_of(self, positions: Sequence[int], base: Sequence[int]) -> tuple[CartanLabel, ...]:
+        """The sorted types of the components of the closed set at
+        positions, whose simple roots have the keys base. Two simple roots
+        are joined in the Dynkin diagram iff their sum is in the set; a
+        connected diagram is one component of every root, and otherwise
+        each positive root k goes with the first simple root a with k = a
+        or k - a in the set: a positive root that is not simple is a
+        positive root plus a simple one (rootcore.int_simple_base), and a
+        sum of roots of two components is no root. A root and its
+        negative share a component and a norm, so the positive roots are
+        counted twice. A component's type is the lookup of its rank, size
+        and number of long roots (catalog.type_by_counts)."""
+        keys, norms = self.keys, self.norms
+        members = {keys[i] for i in positions}
+        tag = list(range(len(base)))  # the component of each simple root
+        for i, j in itertools.combinations(range(len(base)), 2):
+            if tag[i] != tag[j] and base[i] + base[j] in members:
+                old = tag[j]
+                tag = [tag[i] if t == old else t for t in tag]
+        connected = len(set(tag)) == 1
+        groups: dict[int, list[int]] = {}  # the norms of each component's positive roots
+        for p in positions:
+            k = keys[p]
+            if k > 0:
+                i = 0 if connected else next(
+                    i for i, a in enumerate(base) if k == a or k - a in members
+                )
+                groups.setdefault(tag[i], []).append(norms[p])
+        return tuple(sorted(
+            type_by_counts(tag.count(c), 2 * len(ns), 2 * ns.count(max(ns)))
+            for c, ns in groups.items()
+        ))
+
+    @cached_property
     def theta(self) -> IntVector:  # the highest root
         if not self.irreducible:
             raise ValueError("highest_root requires an irreducible system")
-        return int_highest_root(self.system.ints, self.base)
+        # climb by simple roots: a root below theta has a simple root
+        # whose sum with it is a root, so the climb ends at theta
+        at, t = self.at, self.base[0]
+        while up := [t + a for a in self.base if t + a in at]:
+            t = up[0]
+        return self.system.ints[at[t]]
 
     @cached_property
     def wolf(self) -> ClosedSubsystem:  # {+-theta} and the roots orthogonal to theta
-        theta = self.theta
-        ends = (theta, vneg(theta))
-        positions = tuple(
-            i for i, r in enumerate(self.system.ints) if r in ends or not idot(r, theta)
-        )
+        # For a long root gamma and a root r != +-gamma, <r, gamma check> is
+        # -1, 0 or 1, and it is 0 iff neither r + gamma nor r - gamma is a
+        # root (were r + gamma a root, <r + gamma, gamma check> = 2 would
+        # make it gamma). +-theta pass the same test: 0 and +-2 theta are
+        # no roots.
+        t, at = pack(self.theta, self.radix), self.at
+        positions = tuple(i for i, k in enumerate(self.keys) if k + t not in at and k - t not in at)
         return _subsystem(self, positions, "the Wolf subsystem is not closed")
 
 
@@ -335,10 +378,8 @@ def parent_context(system: RootSystem) -> ParentContext:
     radix = lattice_radix(iroots)
     keys = tuple(pack(r, radix) for r in iroots)
     at = {k: i for i, k in enumerate(keys)}
-    base = tuple(int_simple_base(iroots))
-    types = tuple(sorted(int_component_type(c, base) for c in int_components(iroots, base)))
-    long_norm = max(idot(v, v) for v in iroots)
-    return ParentContext(system, radix, keys, at, base, types, long_norm)
+    norms = tuple(idot(r, r) for r in iroots)
+    return ParentContext(system, radix, keys, at, norms, _simple_keys(keys, at))
 
 
 def is_wolf_pair(ctx: ParentContext, h: ClosedSubsystem) -> bool:
@@ -349,16 +390,19 @@ def is_wolf_pair(ctx: ParentContext, h: ClosedSubsystem) -> bool:
     gamma; such a gamma spans an A1 component of h. Once |h| is the Wolf
     size, a long gamma in h orthogonal to the rest of h suffices: h lies
     in {+-gamma} plus the roots orthogonal to gamma, a set of the Wolf
-    size since gamma is conjugate to theta, so h is that set. No Weyl
-    group is needed and no root outside h is read. A reducible parent
-    raises ValueError.
+    size since gamma is conjugate to theta, so h is that set. All of it
+    is read on keys: gamma is long by the norm table, and, gamma being
+    long, a root x is orthogonal to it or +-gamma iff neither x + gamma
+    nor x - gamma is a root (ParentContext.wolf has the argument). No
+    Weyl group is needed and no root outside h is read. A reducible
+    parent raises ValueError.
     """
     if len(h.positions) != len(ctx.wolf.positions):
         return False
     if h.positions == ctx.wolf.positions:
         return True
-    ih = [ctx.system.ints[i] for i in h.positions]
+    at, norms, hk = ctx.at, ctx.norms, [ctx.keys[i] for i in h.positions]
     return any(  # a long gamma orthogonal to the rest of h
-        lex_positive(g) and idot(g, g) == ctx.long_norm and sum(1 for x in ih if idot(g, x)) == 2
-        for g in ih
+        g > 0 and norms[p] == ctx.long_norm and not any(x + g in at or x - g in at for x in hk)
+        for p, g in zip(h.positions, hk)
     )

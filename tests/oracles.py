@@ -10,7 +10,9 @@ of it.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
+from rootsplit.catalog import simple_labels_up_to
 from rootsplit.linalg import dot, lex_positive, vneg, vscale, vsub
 from rootsplit.rootcore import RootsplitError, reflect
 from rootsplit.splitting import EmptyWeights
@@ -94,6 +96,73 @@ def simple_base(roots) -> list:
     pos = sorted(r for r in roots if lex_positive(r))
     pos_set = set(pos)
     return [a for a in pos if not any(vsub(a, b) in pos_set for b in pos)]
+
+
+def inner(u, v):
+    """The standard inner product of two rational or integer vectors."""
+    return sum(a * b for a, b in zip(u, v, strict=True))
+
+
+def components_oracle(roots) -> list:
+    """Connected classes of all roots under non-orthogonality, by
+    union-find over every pair of roots: O(|R|^2). Each class sorted, the
+    classes in sorted order."""
+    roots = list(roots)
+    parent = list(range(len(roots)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, a in enumerate(roots):
+        for j in range(i + 1, len(roots)):
+            if inner(a, roots[j]):
+                parent[find(i)] = find(j)
+    groups = {}
+    for i, r in enumerate(roots):
+        groups.setdefault(find(i), []).append(r)
+    return sorted(tuple(sorted(g)) for g in groups.values())
+
+
+def cartan_matrix(base) -> tuple:
+    """The Cartan numbers 2<a,b>/<a,a> of simple roots a (rows), b."""
+    return tuple(tuple(2 * inner(a, b) // inner(a, a) for b in base) for a in base)
+
+
+def matrices_isomorphic(m1, m2) -> bool:
+    """Whether some permutation of the simple roots takes m1 to m2."""
+    n = len(m1)
+    if n != len(m2) or sorted(map(sorted, m1)) != sorted(map(sorted, m2)):
+        return False
+    return any(
+        all(m1[i][j] == m2[p[i]][p[j]] for i in range(n) for j in range(n))
+        for p in itertools.permutations(range(n))
+    )
+
+
+@lru_cache(maxsize=None)
+def reference_matrices() -> dict:
+    """The Cartan matrix of every catalog type, from its catalog_roots."""
+    return {
+        lab: cartan_matrix(simple_base(catalog_roots(lab)))
+        for lab in simple_labels_up_to(8)
+    }
+
+
+def cartan_types(roots) -> list:
+    """The sorted types of the components of a root set (rational or
+    integer), each found by its Cartan matrix, up to a permutation of its
+    simple roots, among every catalog type's."""
+    out = []
+    for comp in components_oracle(roots):
+        cm = cartan_matrix(simple_base(comp))
+        matches = [lab for lab, ref in reference_matrices().items()
+                   if matrices_isomorphic(cm, ref)]
+        assert len(matches) == 1, matches
+        out.extend(matches)
+    return sorted(out)
 
 
 def span_basis(vectors) -> list:

@@ -1,12 +1,13 @@
 """Catalog builders, type identification, Weyl groups, normalization."""
-import itertools
 from fractions import Fraction
 
 import pytest
 
 from oracles import (
     cartan_int,
+    cartan_types,
     catalog_roots,
+    components_oracle,
     direct_sum_roots,
     reflection_closure,
     simple_base,
@@ -15,7 +16,6 @@ from oracles import (
 from parents import RANK_4_PARENTS
 from rootsplit.linalg import (
     dot,
-    idot,
     int_copy,
     vec,
     vscale,
@@ -139,39 +139,6 @@ class TestWeylGroup:
             assert [g.roots[j] for j in perm] == [reflect(r, gen) for r in g.roots]
 
 
-def _cartan_matrix(base):
-    return tuple(tuple(2 * idot(a, b) // idot(a, a) for b in base) for a in base)
-
-
-def _matrices_isomorphic(m1, m2) -> bool:
-    n = len(m1)
-    if n != len(m2) or sorted(map(sorted, m1)) != sorted(map(sorted, m2)):
-        return False
-    return any(
-        all(m1[i][j] == m2[p[i]][p[j]] for i in range(n) for j in range(n))
-        for p in itertools.permutations(range(n))
-    )
-
-
-_REFERENCE_MATRICES = {
-    lab: _cartan_matrix(simple_base(build(lab).ints))
-    for lab in simple_labels_up_to(8)
-}
-
-
-def _oracle_type(system) -> list:
-    """identify_type by Cartan matrices: each component's, up to a
-    permutation of its simple roots, against every catalog type's."""
-    out = []
-    for comp in _components_oracle(system.ints):
-        cm = _cartan_matrix(simple_base(comp))
-        matches = [lab for lab, ref in _REFERENCE_MATRICES.items()
-                   if _matrices_isomorphic(cm, ref)]
-        assert len(matches) == 1, matches
-        out.extend(matches)
-    return sorted(out)
-
-
 def _oracle_systems():
     """Every nonempty closed subsystem (no Weyl dedup) of the simple
     catalog through rank 4, and every simple system through rank 8 with
@@ -194,7 +161,7 @@ class TestIdentifyType:
         systems = list(_oracle_systems())
         assert len(systems) == 1055
         for system in systems:
-            assert identify_type(system) == _oracle_type(system), system.roots
+            assert identify_type(system) == cartan_types(system.ints), system.roots
 
     def test_round_trip_sum(self):
         s = build_sum(parse_label_sum("A1+A1"))
@@ -230,27 +197,6 @@ class TestSimpleBase:
         assert reflection_closure(simple_base(b3.roots)) == b3.root_set
 
 
-def _components_oracle(iroots):
-    """Connected classes of all roots under non-orthogonality, by
-    union-find over every pair of roots: O(|R|^2)."""
-    parent = list(range(len(iroots)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, a in enumerate(iroots):
-        for j in range(i + 1, len(iroots)):
-            if idot(a, iroots[j]):
-                parent[find(i)] = find(j)
-    groups = {}
-    for i, r in enumerate(iroots):
-        groups.setdefault(find(i), []).append(r)
-    return sorted(tuple(sorted(g)) for g in groups.values())
-
-
 #: every simple g through rank 8 and every product g of rank <= 4
 PARENT_SPECS = [str(l) for l in simple_labels_up_to(8)] + [
     "+".join(map(str, combo)) for combo in _product_labels(4, None)
@@ -273,7 +219,7 @@ class TestParentFactOracles:
             ]
         for iroots in systems:
             assert int_simple_base(iroots) == simple_base(iroots)
-            assert int_components(iroots, int_simple_base(iroots)) == _components_oracle(iroots)
+            assert int_components(iroots, int_simple_base(iroots)) == components_oracle(iroots)
 
 
 def _projection_oracle(basis, dim):

@@ -1,7 +1,8 @@
 """Every name a rootsplit module imports is used in that module, only
 rootcore and weights_from_set choose an integer scale and no step between
 parse and emit makes a rational, the pair checks
-import no metric matrix, rational product or typing, every function the bench
+import no metric matrix, rational product or typing, the pair path types
+nothing on tuples, every function the bench
 traces exists, every top-level function and class of src/ is reached,
 and the test oracles use no private rootsplit code."""
 import ast
@@ -97,19 +98,38 @@ def test_scale_chosen_only_in_rootcore_and_weights_from_set(module):
     assert INTEGER_ONLY.get(module, set()) <= {getattr(n, "name", None) for n in tree.body}
 
 
+def imported_names(module) -> set:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return {
+        a.asname or a.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+
+
 @pytest.mark.parametrize("module", ["splitting", "pipeline", "subalgebra"])
 def test_pair_checks_stay_on_the_integer_copy(module):
     # Certificates, constraints, Wolf recognition and subsystem types are
     # checked on the parent's integer copy, not by rational matrix
     # products, by a metric matrix (the constraint values read the
     # parent's long-root norm) or by typing rational roots again.
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-    imported = {
-        a.asname or a.name
-        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-        for a in node.names
-    }
+    imported = imported_names(module)
     assert not imported & {"mat_vec", "identify_type", "int_normalize", "normalize"}
+
+
+#: the tuple helpers of simple roots, types and the highest root, which
+#: only identify_type, components and highest_root (the tests' oracles)
+#: and the validation of a root system read
+TUPLE_TYPING = {
+    "int_types", "int_components", "int_component_type", "int_highest_root", "int_simple_base",
+}
+
+
+@pytest.mark.parametrize("module", ["pipeline", "subalgebra"])
+def test_parent_and_subsystem_facts_stay_on_lattice_keys(module):
+    # Simple roots, types, theta and the Wolf subsystem of a pair are
+    # found on the parent's lattice keys, not by tuple sums and dots.
+    assert not imported_names(module) & TUPLE_TYPING
 
 
 def test_bench_trace_names_resolve():

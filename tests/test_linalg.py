@@ -1,12 +1,13 @@
 """int_rank on integer copies against a rational Gaussian elimination,
-and the integer copies it runs on."""
+the integer copies it runs on, and the exact strings of integer vectors
+on a scale."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import fraction_rank
-from rootsplit.linalg import int_copy, int_rank, scale_to_int, vec
+from rootsplit.linalg import format_vector, int_copy, int_rank, lattice_radix, scale_to_int, vec
 
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -75,3 +76,16 @@ def test_scale_to_int_clears_denominators():
 def test_scale_to_int_refuses_to_truncate():
     with pytest.raises(ValueError, match="does not clear the denominators"):
         scale_to_int(vec(1, "1/1000"), 4)
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=8), st.integers(1, 10**4))
+def test_format_vector_matches_fraction_strings(v, scale):
+    v = [*v, 0, -scale, -2 * scale + 1]  # zero, a negative integer, a negative fraction
+    assert format_vector(tuple(v), scale) == [str(Fraction(a, scale)) for a in v]
+
+
+@given(st.lists(st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=8), max_size=8))
+def test_lattice_radix_is_above_eight_times_the_largest_coordinate(vectors):
+    top = max((abs(a) for v in vectors for a in v), default=0)
+    radix = lattice_radix(map(tuple, vectors))
+    assert radix > 8 * top and radix & (radix - 1) == 0 and radix <= max(1, 16 * top)

@@ -319,8 +319,11 @@ CONSTRAINT_PARENTS = [
 
 
 class TestConstraintsOracle:
-    """check_constraints on the integer metric against the rational one;
-    B, C and F4 have non-identity metrics."""
+    """check_constraints on the integer metric against the rational one.
+    Only the C_n parents have a non-identity metric (1/2 I: their long
+    roots have square length 4); B_n and F4, like the simply laced types,
+    have long roots of square length 2 and metric I, so the C_n cases
+    carry the check of the metric's scale."""
 
     @staticmethod
     def assert_matches(ctx, cert):
