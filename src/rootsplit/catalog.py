@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .linalg import (
@@ -25,12 +24,12 @@ from .linalg import (
 from .rootcore import (
     RootsplitError,
     RootSystem,
-    int_simple_base,
     lattice_root_system,
     reflect,
 )
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # subalgebra imports catalog: what reads a ParentContext
+    # below imports parent_context when it runs
     from .subalgebra import ClosedSubsystem, ParentContext
 
 #: rank cap of weyl_group (largest needed: F4, order 1152) and of the Weyl
@@ -195,61 +194,31 @@ def direct_sum(parts: Sequence[RootSystem]) -> RootSystem:
 
 
 def components(system: RootSystem) -> list[tuple[Vector, ...]]:
-    """Irreducible components: connected classes under non-orthogonality."""
-    iroots = system.ints
-    back = dict(zip(iroots, system.roots))
-    return [tuple(back[r] for r in c) for c in int_components(iroots, int_simple_base(iroots))]
+    """Irreducible components: connected classes under non-orthogonality,
+    each sorted, in sorted order."""
+    return [tuple(system.roots[i] for i in c) for c in _component_positions(system)]
 
 
-def int_components(
-    iroots: Sequence[IntVector], base: Sequence[IntVector]
-) -> list[tuple[IntVector, ...]]:
-    """components on integer vectors with their simple base, each sorted,
-    in sorted order.
+def _component_positions(system: RootSystem) -> list[tuple[int, ...]]:
+    """The positions in system.ints of each component's roots
+    (ParentContext.components_of with their negatives), each sorted, in
+    sorted order: positions follow root order."""
+    from .subalgebra import parent_context
 
-    The simple roots are joined by non-orthogonality (the Dynkin diagram);
-    a connected one holds every root, unscanned. Otherwise each root goes
-    with the first simple root it is not orthogonal to: a root lies in
-    the span of its component's simple roots, so it is orthogonal to
-    every other component's and not to all of its own.
-    """
-    tag = list(range(len(base)))  # the component of each simple root
-    for i, j in itertools.combinations(range(len(base)), 2):
-        if tag[i] != tag[j] and idot(base[i], base[j]):
-            old = tag[j]
-            tag = [tag[i] if t == old else t for t in tag]
-    if len(set(tag)) == 1:
-        return [tuple(sorted(iroots))]
-    groups: dict[int, list[IntVector]] = {}
-    for r in iroots:
-        k = next(k for k, a in enumerate(base) if idot(r, a))
-        groups.setdefault(tag[k], []).append(r)
-    return sorted(tuple(sorted(g)) for g in groups.values())
+    ctx = parent_context(system)
+    at, keys = ctx.at, ctx.keys
+    return sorted(
+        tuple(sorted(ps + [at[-keys[p]] for p in ps]))
+        for _, ps in ctx.components_of(range(len(keys)), ctx.base)
+    )
 
 
 def highest_root(system: RootSystem) -> Vector:
-    """The unique maximal root of an irreducible system (always long)."""
-    iroots = system.ints
-    base = int_simple_base(iroots)
-    if len(int_components(iroots, base)) != 1:
-        raise ValueError("highest_root requires an irreducible system")
-    theta = int_highest_root(iroots, base)
-    return system.roots[iroots.index(theta)]
+    """The unique maximal root of an irreducible system (always long),
+    ParentContext.theta; a reducible system raises ValueError."""
+    from .subalgebra import parent_context
 
-
-def int_highest_root(iroots: Iterable[IntVector], base: Sequence[IntVector]) -> IntVector:
-    """highest_root on integer vectors, given the irreducible system's base."""
-    root_set = set(iroots)
-    theta = base[0]
-    changed = True
-    while changed:
-        changed = False
-        for a in base:
-            cand = tuple(map(add, theta, a))
-            if cand in root_set:
-                theta = cand
-                changed = True
-    return theta
+    return tuple(Fraction(a, system.scale) for a in parent_context(system).theta)
 
 
 @dataclass(frozen=True)
@@ -316,28 +285,12 @@ def weyl_group(ctx: ParentContext) -> WeylGroup:
 def identify_type(system: RootSystem | ClosedSubsystem) -> list[CartanLabel]:
     """Cartan labels of the irreducible components of system's roots, using
     canonical aliases (B1 -> A1, C2 -> B2, D2 -> A1+A1, D3 -> A3), read
-    from its integer roots (a subsystem's are its parent's at its positions)."""
+    on the lattice keys of its parent (ParentContext.types_of)."""
+    from .subalgebra import parent_context
+
     if isinstance(system, RootSystem):
-        return int_types(system.ints)
-    return int_types([system.parent.ints[i] for i in system.positions])
-
-
-def int_types(iroots: Sequence[IntVector]) -> list[CartanLabel]:
-    """identify_type on integer vectors."""
-    base = int_simple_base(iroots)
-    return sorted(int_component_type(c, base) for c in int_components(iroots, base))
-
-
-def int_component_type(comp: Sequence[IntVector], base: Sequence[IntVector]) -> CartanLabel:
-    """Cartan label of one irreducible component, given on integers with
-    the simple base of its whole root set (the simple roots in comp).
-
-    An irreducible root system of rank <= 8 is determined up to isomorphism
-    by its rank, its number of roots and its number of long roots, so the
-    label is a lookup in _TYPES.
-    """
-    norms = [idot(r, r) for r in comp]
-    return type_by_counts(len(set(base).intersection(comp)), len(comp), norms.count(max(norms)))
+        return list(parent_context(system).types)
+    return list(parent_context(system.parent).types_of(system.positions, system.base))
 
 
 def type_by_counts(rank: int, size: int, n_long: int) -> CartanLabel:
@@ -364,7 +317,8 @@ def normalize(system: RootSystem) -> Matrix:
     """
     iroots, scale, dim = system.ints, system.scale, system.ambient_dim
     metric = [[Fraction(i == j) for j in range(dim)] for i in range(dim)]
-    for comp in int_components(iroots, int_simple_base(iroots)):
+    for positions in _component_positions(system):
+        comp = [iroots[i] for i in positions]
         norms = [idot(r, r) for r in comp]
         lengths = sorted(set(norms))
         if len(lengths) > 2:

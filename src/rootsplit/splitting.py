@@ -78,7 +78,10 @@ class ConstraintReport:
         return self.pairings_ok and self.beta_norm_ok
 
 
-def _check_shape(cert: SplittingCertificate) -> None:
+def _given_table(w: IsotropyWeights, cert: SplittingCertificate) -> dict | None:
+    """_int_table of a certificate given from outside, after its shape
+    and its scale are checked (ValueError): what verify_certificate and
+    case_analysis read."""
     beta, alphas = cert.beta, cert.alphas
     if all(c == 0 for c in beta):
         raise ValueError("certificate beta must be nonzero")
@@ -94,6 +97,8 @@ def _check_shape(cert: SplittingCertificate) -> None:
             raise ValueError(f"dimension mismatch: {len(beta)} vs {len(a)}")
         if idot(beta, a) < 0:
             raise ValueError("certificate violates the sign convention <beta,alpha> >= 0")
+    _check_scale(cert, w.scale)
+    return _int_table(w, beta, alphas)
 
 
 def _check_scale(cert: SplittingCertificate, scale: int) -> None:
@@ -120,9 +125,7 @@ def _int_table(w: IsotropyWeights, beta: IntVector, alphas: Sequence[IntVector])
 def verify_certificate(w: IsotropyWeights, cert: SplittingCertificate) -> bool:
     """True iff the 4n generated vectors reproduce W exactly; raises
     ValueError for a malformed certificate or one off W's scale."""
-    _check_shape(cert)
-    _check_scale(cert, w.scale)
-    return _int_table(w, cert.beta, cert.alphas) is not None
+    return _given_table(w, cert) is not None
 
 
 def _canonical(beta: IntVector, plus_half: Iterable[IntVector]):
@@ -241,13 +244,9 @@ def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
     the table the search verified it with (w.tables); any other is
     verified here on W's integers first.
     """
-    table = w.tables.get(cert)
+    table = w.tables.get(cert) or _given_table(w, cert)
     if table is None:
-        _check_shape(cert)
-        _check_scale(cert, w.scale)
-        table = _int_table(w, cert.beta, cert.alphas)
-        if table is None:
-            raise ValueError("certificate does not verify against the weights")
+        raise ValueError("certificate does not verify against the weights")
     if w.triple is None:
         return CaseTag(SYMMETRIC_NO_TRIPLE, None)
 

@@ -285,11 +285,13 @@ class ParentContext:
     order, and at maps a key back to its position: whether a sum or a
     difference of roots is a root is an int lookup in at. base, the
     simple roots, and every fact below are found on the keys, with norms
-    the one table of squared lengths. types, long_norm, theta and wolf
-    are built on first read; theta and wolf, which only the Wolf pair
-    reads, raise ValueError for a reducible parent. long_norm is read by
-    Wolf recognition and by the constraint values, which take the
-    normalized metric as 2 / long_norm times the standard one.
+    the one table of squared lengths; components_of is the one grouping
+    into components, which types_of and catalog read. types, long_norm,
+    theta (the last root) and wolf are built on first read; theta and
+    wolf, which only the Wolf pair reads, raise ValueError for a
+    reducible parent. long_norm is read by Wolf recognition and by the
+    constraint values, which take the normalized metric as 2 / long_norm
+    times the standard one.
     """
 
     system: RootSystem
@@ -315,19 +317,19 @@ class ParentContext:
     def types(self) -> tuple[CartanLabel, ...]:
         return self.types_of(range(len(self.keys)), self.base)
 
-    def types_of(self, positions: Sequence[int], base: Sequence[int]) -> tuple[CartanLabel, ...]:
-        """The sorted types of the components of the closed set at
-        positions, whose simple roots have the keys base. Two simple roots
-        are joined in the Dynkin diagram iff their sum is in the set; a
-        connected diagram is one component of every root, and otherwise
+    def components_of(
+        self, positions: Sequence[int], base: Sequence[int]
+    ) -> list[tuple[int, list[int]]]:
+        """(rank, positive positions) of each component of the closed set
+        at positions, whose simple roots have the keys base. Two simple
+        roots are joined in the Dynkin diagram iff their sum is in the set;
+        a connected diagram is one component of every root, and otherwise
         each positive root k goes with the first simple root a with k = a
         or k - a in the set: a positive root that is not simple is a
         positive root plus a simple one (rootcore.int_simple_base), and a
-        sum of roots of two components is no root. A root and its
-        negative share a component and a norm, so the positive roots are
-        counted twice. A component's type is the lookup of its rank, size
-        and number of long roots (catalog.type_by_counts)."""
-        keys, norms = self.keys, self.norms
+        sum of roots of two components is no root. A root's negative is in
+        its component."""
+        keys = self.keys
         members = {keys[i] for i in positions}
         tag = list(range(len(base)))  # the component of each simple root
         for i, j in itertools.combinations(range(len(base)), 2):
@@ -335,29 +337,36 @@ class ParentContext:
                 old = tag[j]
                 tag = [tag[i] if t == old else t for t in tag]
         connected = len(set(tag)) == 1
-        groups: dict[int, list[int]] = {}  # the norms of each component's positive roots
+        groups: dict[int, list[int]] = {}
         for p in positions:
             k = keys[p]
             if k > 0:
                 i = 0 if connected else next(
                     i for i, a in enumerate(base) if k == a or k - a in members
                 )
-                groups.setdefault(tag[i], []).append(norms[p])
-        return tuple(sorted(
-            type_by_counts(tag.count(c), 2 * len(ns), 2 * ns.count(max(ns)))
-            for c, ns in groups.items()
-        ))
+                groups.setdefault(tag[i], []).append(p)
+        return [(tag.count(c), ps) for c, ps in groups.items()]
+
+    def types_of(self, positions: Sequence[int], base: Sequence[int]) -> tuple[CartanLabel, ...]:
+        """The sorted types of the components of the closed set at
+        positions, whose simple roots have the keys base (components_of).
+        A component's type is the lookup of its rank, size and number of
+        long roots (catalog.type_by_counts), each twice its positive
+        roots', since a root's negative shares its norm."""
+        types = []
+        for rank, ps in self.components_of(positions, base):
+            ns = [self.norms[p] for p in ps]
+            types.append(type_by_counts(rank, 2 * len(ns), 2 * ns.count(max(ns))))
+        return tuple(sorted(types))
 
     @cached_property
-    def theta(self) -> IntVector:  # the highest root
+    def theta(self) -> IntVector:
+        """The highest root, the last of system.ints: theta - r is a sum of
+        simple roots, which are lexicographically positive, for every root
+        r (Humphreys, Introduction to Lie Algebras, 10.4 Lemma A)."""
         if not self.irreducible:
             raise ValueError("highest_root requires an irreducible system")
-        # climb by simple roots: a root below theta has a simple root
-        # whose sum with it is a root, so the climb ends at theta
-        at, t = self.at, self.base[0]
-        while up := [t + a for a in self.base if t + a in at]:
-            t = up[0]
-        return self.system.ints[at[t]]
+        return self.system.ints[-1]
 
     @cached_property
     def wolf(self) -> ClosedSubsystem:  # {+-theta} and the roots orthogonal to theta
@@ -365,8 +374,9 @@ class ParentContext:
         # -1, 0 or 1, and it is 0 iff neither r + gamma nor r - gamma is a
         # root (were r + gamma a root, <r + gamma, gamma check> = 2 would
         # make it gamma). +-theta pass the same test: 0 and +-2 theta are
-        # no roots.
-        t, at = pack(self.theta, self.radix), self.at
+        # no roots. theta is the last root, so its key is the last key.
+        self.theta  # a reducible parent has no theta: ValueError
+        t, at = self.keys[-1], self.at
         positions = tuple(i for i, k in enumerate(self.keys) if k + t not in at and k - t not in at)
         return _subsystem(self, positions, "the Wolf subsystem is not closed")
 

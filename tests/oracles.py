@@ -98,6 +98,18 @@ def simple_base(roots) -> list:
     return [a for a in pos if not any(vsub(a, b) in pos_set for b in pos)]
 
 
+def highest_root_oracle(roots):
+    """The unique lexicographically positive root r with r + a no root for
+    every simple root a (simple_base): the maximal root of an irreducible
+    system, found without reading the order of the roots. Rational or
+    integer roots."""
+    roots = set(roots)
+    base = simple_base(roots)
+    tops = [r for r in roots if lex_positive(r) and all(vadd(r, a) not in roots for a in base)]
+    assert len(tops) == 1, tops
+    return tops[0]
+
+
 def inner(u, v):
     """The standard inner product of two rational or integer vectors."""
     return sum(a * b for a, b in zip(u, v, strict=True))

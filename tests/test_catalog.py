@@ -1,4 +1,5 @@
 """Catalog builders, type identification, Weyl groups, normalization."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from oracles import (
     catalog_roots,
     components_oracle,
     direct_sum_roots,
+    highest_root_oracle,
     reflection_closure,
     simple_base,
     span_basis,
@@ -18,6 +20,7 @@ from rootsplit.linalg import (
     dot,
     int_copy,
     vec,
+    vneg,
     vscale,
 )
 from rootsplit.catalog import (
@@ -28,8 +31,6 @@ from rootsplit.catalog import (
     direct_sum,
     highest_root,
     identify_type,
-    int_components,
-    int_simple_base,
     label,
     normalize,
     parse_label,
@@ -38,7 +39,7 @@ from rootsplit.catalog import (
     weyl_group,
 )
 from rootsplit.pipeline import _product_labels
-from rootsplit.rootcore import make_root_system, reflect, validate_root_system
+from rootsplit.rootcore import int_simple_base, make_root_system, reflect, validate_root_system
 from rootsplit.subalgebra import enumerate_closed_subsystems, parent_context, wolf_subsystem
 
 EXPECTED_COUNTS = {
@@ -112,6 +113,29 @@ class TestHighestRoot:
             sys = build(lab)
             theta = highest_root(sys)
             assert dot(theta, theta) == max(dot(r, r) for r in sys.roots)
+
+    @pytest.mark.parametrize("lab", simple_labels_up_to(8), ids=str)
+    def test_on_moved_coordinates(self, lab):
+        # A seeded signed permutation of the coordinates times a rational
+        # factor moves the catalog's lexicographic order, and so theta.
+        roots = build(lab).roots
+        rng = random.Random(str(lab))
+        perm = rng.sample(range(len(roots[0])), len(roots[0]))
+        signs = [rng.choice((1, -1)) for _ in perm]
+        factor = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        moved = make_root_system(
+            [tuple(s * factor * r[k] for s, k in zip(signs, perm)) for r in roots]
+        )
+        assert highest_root(moved) == highest_root_oracle(moved.roots)
+        assert identify_type(moved) == [lab]
+
+    @pytest.mark.parametrize("spec", ["A1+A1", "A2+B3", "G2+C3"])
+    def test_reducible_has_none(self, spec):
+        system = build_sum(parse_label_sum(spec))
+        with pytest.raises(ValueError):
+            highest_root(system)
+        with pytest.raises(ValueError):
+            parent_context(system).theta
 
 
 class TestWeylGroup:
@@ -204,22 +228,28 @@ PARENT_SPECS = [str(l) for l in simple_labels_up_to(8)] + [
 
 
 class TestParentFactOracles:
-    """simple base and components in O(|R| rank) against the all-pairs
-    versions, on the parents and on every closed subsystem of those of
-    rank <= 4."""
+    """simple base in O(|R| rank) and components on lattice keys
+    (ParentContext.components_of) against the all-pairs versions, on the
+    parents and on every closed subsystem of those of rank <= 4."""
 
     @pytest.mark.parametrize("spec", PARENT_SPECS)
     def test_matches_all_pairs_oracles(self, spec):
         ctx = parent_context(build_sum(parse_label_sum(spec)))
-        systems = [ctx.system.ints]
+        ints = ctx.system.ints
+        systems = [(range(len(ints)), ctx.base)]
         if ctx.rank <= 4:
             systems += [
-                [ctx.system.ints[i] for i in h.positions]
-                for h in enumerate_closed_subsystems(ctx, dedup=False)
+                (h.positions, h.base) for h in enumerate_closed_subsystems(ctx, dedup=False)
             ]
-        for iroots in systems:
+        for positions, base in systems:
+            iroots = [ints[i] for i in positions]
             assert int_simple_base(iroots) == simple_base(iroots)
-            assert int_components(iroots, int_simple_base(iroots)) == components_oracle(iroots)
+            comps = [
+                (rank, tuple(sorted(r for p in ps for r in (ints[p], vneg(ints[p])))))
+                for rank, ps in ctx.components_of(positions, base)
+            ]
+            assert sorted(c for _, c in comps) == components_oracle(iroots), iroots
+            assert [rank for rank, c in comps] == [len(simple_base(c)) for _, c in comps]
 
 
 def _projection_oracle(basis, dim):
@@ -249,7 +279,7 @@ def _metric_oracle(system):
     """I + sum over components of (s - 1) P, s = 2/|long|^2."""
     dim = system.ambient_dim
     metric = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    for comp in components(system):
+    for comp in components_oracle(system.roots):
         s = Fraction(2) / max(dot(r, r) for r in comp)
         p = _projection_oracle(span_basis(comp), dim)
         metric = [[m + (s - 1) * x for m, x in zip(mr, pr)] for mr, pr in zip(metric, p)]

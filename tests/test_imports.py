@@ -1,8 +1,8 @@
 """Every name a rootsplit module imports is used in that module, only
 rootcore and weights_from_set choose an integer scale and no step between
 parse and emit makes a rational, the pair checks
-import no metric matrix, rational product or typing, the pair path types
-nothing on tuples, every function the bench
+import no metric matrix, rational product or typing, neither the pair
+path nor catalog types on tuples, every function the bench
 traces exists, every top-level function and class of src/ is reached,
 and the test oracles use no private rootsplit code."""
 import ast
@@ -117,18 +117,17 @@ def test_pair_checks_stay_on_the_integer_copy(module):
     assert not imported & {"mat_vec", "identify_type", "int_normalize", "normalize"}
 
 
-#: the tuple helpers of simple roots, types and the highest root, which
-#: only identify_type, components and highest_root (the tests' oracles)
-#: and the validation of a root system read
-TUPLE_TYPING = {
-    "int_types", "int_components", "int_component_type", "int_highest_root", "int_simple_base",
-}
+#: the tuple helper of simple roots, which only the validation of a root
+#: system reads
+TUPLE_TYPING = {"int_simple_base"}
 
 
-@pytest.mark.parametrize("module", ["pipeline", "subalgebra"])
+@pytest.mark.parametrize("module", ["catalog", "pipeline", "subalgebra"])
 def test_parent_and_subsystem_facts_stay_on_lattice_keys(module):
-    # Simple roots, types, theta and the Wolf subsystem of a pair are
-    # found on the parent's lattice keys, not by tuple sums and dots.
+    # Simple roots, components, types, theta and the Wolf subsystem are
+    # found on the parent's lattice keys (ParentContext), not by tuple
+    # sums and dots; catalog's components, identify_type, highest_root
+    # and normalize read them there too.
     assert not imported_names(module) & TUPLE_TYPING
 
 

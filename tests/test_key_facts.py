@@ -1,25 +1,17 @@
 """Parent and subsystem facts read on lattice keys (the simple roots, the
 types of a closed subsystem, the highest root, the Wolf subsystem and
-Wolf recognition) against the tuple helpers they replaced on the pair
-path (int_simple_base, int_types, int_highest_root, the idot rule) and
-the Cartan-matrix oracle."""
+Wolf recognition) against the oracles: the all-pairs simple base, the
+Cartan-matrix types, the highest root by its maximality and the idot
+rule of orthogonality."""
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import cartan_types, is_closed, simple_base, vadd
+from oracles import cartan_types, highest_root_oracle, is_closed, simple_base, vadd
 from parents import RANK_4_PARENTS
-from rootsplit.catalog import (
-    build,
-    build_sum,
-    int_highest_root,
-    int_types,
-    parse_label_sum,
-    simple_labels_up_to,
-)
+from rootsplit.catalog import build, build_sum, parse_label_sum, simple_labels_up_to
 from rootsplit.linalg import idot, pack, vneg, vsub
-from rootsplit.rootcore import int_simple_base
 from rootsplit.subalgebra import (
     ClosedSubsystem,
     closed_subsystem,
@@ -54,11 +46,11 @@ def conjugate(ctx, positions, rng):
 def test_key_types_match_oracles_on_every_closed_subsystem(g):
     ctx = parent_context(build_sum(parse_label_sum(g)))
     ints = ctx.system.ints
-    assert list(ctx.types) == int_types(ints) == cartan_types(ints)
+    assert list(ctx.types) == cartan_types(ints)
     for h in enumerate_closed_subsystems(ctx, dedup=False):
         iroots = [ints[i] for i in h.positions]
-        assert h.base == tuple(pack(a, ctx.radix) for a in int_simple_base(iroots))
-        assert key_types(ctx, h) == int_types(iroots) == cartan_types(iroots), iroots
+        assert h.base == tuple(pack(a, ctx.radix) for a in simple_base(iroots))
+        assert key_types(ctx, h) == cartan_types(iroots), iroots
 
 
 @pytest.mark.parametrize("lab", SIMPLE_LABELS, ids=str)
@@ -66,12 +58,12 @@ def test_key_types_and_recognition_on_wolf_conjugates(lab):
     ctx = parent_context(build(lab))
     ints = ctx.system.ints
     wolf = [ints[i] for i in ctx.wolf.positions]
-    assert key_types(ctx, ctx.wolf) == int_types(wolf) == cartan_types(wolf)
+    assert key_types(ctx, ctx.wolf) == cartan_types(wolf)
     rng = random.Random(str(lab))
     for _ in range(CONJUGATES):
         h = closed_subsystem(ctx, conjugate(ctx, ctx.wolf.positions, rng))
         iroots = [ints[i] for i in h.positions]
-        assert key_types(ctx, h) == int_types(iroots) == cartan_types(iroots), iroots
+        assert key_types(ctx, h) == cartan_types(iroots), iroots
         assert is_wolf_pair(ctx, h), iroots
 
 
@@ -79,12 +71,11 @@ def test_key_types_and_recognition_on_wolf_conjugates(lab):
 def test_parent_facts_match_the_tuple_rules(lab):
     ctx = parent_context(build(lab))
     ints = ctx.system.ints
-    base = int_simple_base(ints)
-    assert ctx.base == tuple(pack(a, ctx.radix) for a in base)
-    assert list(ctx.types) == int_types(ints) == [lab]
+    assert ctx.base == tuple(pack(a, ctx.radix) for a in simple_base(ints))
+    assert list(ctx.types) == cartan_types(ints) == [lab]
     assert ctx.long_norm == max(idot(r, r) for r in ints)
     theta = ctx.theta
-    assert theta == int_highest_root(ints, base)
+    assert theta == highest_root_oracle(ints)
     assert ctx.wolf.positions == tuple(
         i for i, r in enumerate(ints) if r in (theta, vneg(theta)) or not idot(r, theta)
     )

@@ -3,12 +3,11 @@ import json
 
 import pytest
 
-from oracles import simple_base
+from oracles import cartan_types, simple_base
 from parents import RANK_4_PARENTS
 from rootsplit.catalog import (
     build,
     build_sum,
-    identify_type,
     label,
     parse_label_sum,
     simple_labels_up_to,
@@ -22,7 +21,7 @@ from rootsplit.pipeline import (
     parse_g_spec,
     parse_h_spec,
 )
-from rootsplit.rootcore import make_root_system, reflect
+from rootsplit.rootcore import reflect
 from rootsplit.subalgebra import (
     enumerate_closed_subsystems,
     parent_context,
@@ -162,11 +161,11 @@ class TestClassifyAll:
 
 
 def description_oracle(h):
-    """h's description typed from its own rational roots, as
-    describe_subsystem did before it read the parent's integer copy."""
+    """h's description typed from its own rational roots by their Cartan
+    matrices (cartan_types)."""
     if not h.roots:
         return f"torus(T{h.torus_corank})"
-    parts = sorted(str(l) for l in identify_type(make_root_system(h.roots)))
+    parts = sorted(str(l) for l in cartan_types(h.roots))
     if h.torus_corank:
         parts.append(f"T{h.torus_corank}")
     return "+".join(parts)
