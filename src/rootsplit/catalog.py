@@ -8,11 +8,10 @@ dimension 3, F4 in dimension 4 and E6/E7/E8 inside the usual E8 realization.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .linalg import (
     IntVector,
@@ -44,8 +43,7 @@ class G2Component(RootsplitError):
     """A component has length ratio sqrt(3); the {1,2} normalization fails."""
 
 
-@dataclass(frozen=True, order=True)
-class CartanLabel:
+class CartanLabel(NamedTuple):  # ordered by (series, rank)
     series: str
     rank: int
 
@@ -221,8 +219,7 @@ def highest_root(system: RootSystem) -> Vector:
     return tuple(Fraction(a, system.scale) for a in parent_context(system).theta)
 
 
-@dataclass(frozen=True)
-class WeylGroup:
+class WeylGroup(NamedTuple):
     """The full Weyl group as permutations of the sorted root list.
 
     `elements[i]` permutes root indices; `words[i]` is a matching product

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .linalg import format_rational, format_vector
 from .pipeline import (
@@ -36,10 +37,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write(data: bytes, args) -> None:
-    """Write the result bytes to --output, or to stdout."""
+    """Write the result bytes to --output, or to stdout; an --output that
+    cannot be written is an input error."""
     if args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(args.output, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise RootsplitError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.buffer.write(data)
 
@@ -168,12 +173,13 @@ def _cmd_classify(args) -> int:
     if args.g is not None and args.h is not None:
         report = classify_pair(args.g, args.h)
     elif args.max_rank is not None:
+        started = time.monotonic()
         report = classify_all(
             args.max_rank,
             series=args.series,
             include_products=args.include_products,
         )
-        print(f"elapsed: {report.elapsed_seconds:.2f}s", file=sys.stderr)
+        print(f"elapsed: {time.monotonic() - started:.2f}s", file=sys.stderr)
     else:
         raise ParseError("classify needs either G and H, or --max-rank")
     data, code = emit(report, args.format)

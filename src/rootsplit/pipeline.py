@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import catalog
 from .catalog import CartanLabel, build_sum, parse_label_sum
@@ -65,8 +63,7 @@ class InvariantViolation(RootsplitError):
     """A report is inconsistent with its own invariants (exit code 2)."""
 
 
-@dataclass(frozen=True)
-class PairReport:
+class PairReport(NamedTuple):
     g_label: str
     h_description: str
     dim_M: int
@@ -80,13 +77,15 @@ class PairReport:
     constraints: tuple[ConstraintReport, ...]
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
+    """The pairs of one batch, sorted, and what the batch visited; it
+    holds no timing, so two runs of one batch give equal reports (the CLI
+    times classify_all itself)."""
+
     max_rank: int
     pairs: tuple[PairReport, ...]
     systems_visited: int
     subsystems_enumerated: int
-    elapsed_seconds: float = field(compare=False, default=0.0)
 
 
 def check_report_invariants(report: PairReport) -> None:
@@ -294,7 +293,6 @@ def classify_all(
     )
     if unknown:
         raise ValueError(f"unknown series {', '.join(unknown)}: the series are {catalog.SERIES}")
-    started = time.monotonic()
     groups: list[tuple[str, RootSystem]] = []
     for lab in catalog.simple_labels_up_to(max_rank, series):
         groups.append((str(lab), catalog.build(lab)))
@@ -315,11 +313,5 @@ def classify_all(
             pairs.append(classify_subsystem(g_label, ctx, h))
 
     pairs.sort(key=lambda p: (p.g_label, p.h_description, p.dim_M))
-    return ClassificationReport(
-        max_rank,
-        tuple(pairs),
-        len(groups),
-        n_subsystems,
-        time.monotonic() - started,
-    )
+    return ClassificationReport(max_rank, tuple(pairs), len(groups), n_subsystems)
 

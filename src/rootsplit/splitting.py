@@ -9,9 +9,8 @@ pairs are candidates only, since their exclusion needs non-weight data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .catalog import CartanLabel
 from .linalg import (
@@ -44,8 +43,7 @@ class G2Input(RootsplitError):
     """check_constraints does not apply to G2 (length ratio sqrt(3))."""
 
 
-@dataclass(frozen=True)
-class SplittingCertificate:
+class SplittingCertificate(NamedTuple):
     """beta is half the translation vector; alphas are the sign-normalized
     representatives of {+-alpha_1, ..., +-alpha_n}, sorted. Both are
     integer vectors on scale, the scale of the weights W they split: the
@@ -60,14 +58,12 @@ class SplittingCertificate:
         return len(self.alphas)
 
 
-@dataclass(frozen=True)
-class CaseTag:
+class CaseTag(NamedTuple):
     tag: str  # SYMMETRIC_NO_TRIPLE or one of CASE_TAGS
     witness: tuple[IntVector, ...] | None = None  # (w1, w2, w3) of W.ints, w1+w2=w3
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     pairings: tuple[Fraction, ...]  # <beta, alpha_i> per alpha, normalized metric
     beta_norm2: Fraction
     pairings_ok: bool

@@ -9,10 +9,10 @@ torus_corank). The isotropy weights of the pair are R \\ S.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .catalog import WEYL_RANK_CAP, CartanLabel, simple_reflections, type_by_counts
 from .linalg import IntVector, Vector, idot, int_copy, lattice_radix, pack, scale_to_int
@@ -23,19 +23,19 @@ class NotClosed(RootsplitError):
     """The given subset is not closed under root addition in its parent."""
 
 
-@dataclass(frozen=True)
-class ClosedSubsystem:
+class ClosedSubsystem(NamedTuple):
     """The roots of parent at the sorted positions in parent.ints, and the
     rank of the central torus of h; base holds the lattice keys of h's
-    simple roots (_simple_keys), which its typing reads, and roots is a
-    rational view."""
+    simple roots (_simple_keys), which its typing reads. base follows from
+    positions on one parent, so it takes part in equality and the hash
+    like the other fields. roots is a rational view, made on each read."""
 
     parent: RootSystem
     positions: tuple[int, ...]
     torus_corank: int
-    base: tuple[int, ...] = field(compare=False, repr=False)
+    base: tuple[int, ...]
 
-    @cached_property
+    @property
     def roots(self) -> tuple[Vector, ...]:
         return tuple(self.parent.roots[i] for i in self.positions)
 
@@ -271,14 +271,17 @@ def wolf_subsystem(parent: RootSystem) -> ClosedSubsystem:
     return parent_context(parent).wolf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParentContext:
     """Facts about one parent g that every pair (g, h) shares, and the one
     handle on g that the pair functions take.
 
     Build it once per command and pass it down; it is deliberately not
     cached beyond that, so a fresh process and an in-process repeat do
-    the same work. A root is named by its position in system.ints, which
+    the same work. Two contexts compare by identity, as handles do, and a
+    context hashes, which a generated hash over the dict at would not.
+    It stays a dataclass, not a NamedTuple, for its cached_property facts.
+    A root is named by its position in system.ints, which
     keys and norms follow; the simple reflections, under which the
     enumerator's Weyl dedup closes classes, read system.ints too. keys
     packs the integer roots at radix (linalg.pack), so key order is root

@@ -357,6 +357,17 @@ class TestCatalogEnumeration:
         labs = simple_labels_up_to(8, series=["E"])
         assert labs == [label("E", 6), label("E", 7), label("E", 8)]
 
+    def test_labels_sort_by_series_then_rank(self):
+        labs = simple_labels_up_to(8)
+        random.Random(0).shuffle(labs)
+        assert sorted(labs) == sorted(labs, key=lambda l: (l.series, l.rank))
+        assert [str(l) for l in sorted(labs)][6:10] == ["A7", "A8", "B2", "B3"]
+
+    def test_label_repr_and_str(self):
+        # str(label) names g and h in every report
+        assert repr(label("B", 3)) == "CartanLabel(series='B', rank=3)"
+        assert str(label("B", 3)) == "B3" and str(label("E", 8)) == "E8"
+
 
 #: every catalog label through rank 8 and every g of rank <= 4
 ORACLE_SPECS = list(dict.fromkeys([str(l) for l in simple_labels_up_to(8)] + RANK_4_PARENTS))

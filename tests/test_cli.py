@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -96,7 +95,7 @@ class TestEmit:
         rep = classify_pair("A1+A1", "torus")
         assert len(rep.certificates) == 2
         assert emit(rep, fmt)[1] == 0
-        assert emit(replace(rep, cases=rep.cases[:1]), fmt)[1] == 2
+        assert emit(rep._replace(cases=rep.cases[:1]), fmt)[1] == 2
 
     def test_bytes_deterministic(self):
         a, _ = emit(classify_all(2), "json")
@@ -209,6 +208,13 @@ class TestCli:
             r = run(*args, "--output", str(out))
             assert r.returncode == 0 and r.stdout == ""
             assert out.read_bytes() == run(*args, text=False).stdout
+
+    def test_unwritable_output_exits_one(self, tmp_path):
+        # It once ended in a FileNotFoundError traceback.
+        out = tmp_path / "missing" / "x.json"
+        r = run("classify", "A2", "wolf", "--output", str(out))
+        assert r.returncode == 1 and r.stdout == "" and not out.exists()
+        assert r.stderr == f"error: cannot write {out}: No such file or directory\n"
 
     def test_bad_label_exits_one(self):
         assert run("build", "Z9").returncode == 1

@@ -4,7 +4,8 @@ parse and emit makes a rational, the pair checks
 import no metric matrix, rational product or typing, neither the pair
 path nor catalog types on tuples, every function the bench
 traces exists, every top-level function and class of src/ is reached,
-and the test oracles use no private rootsplit code."""
+only the records that cache facts are dataclasses, and the test oracles
+use no private rootsplit code."""
 import ast
 import importlib
 from pathlib import Path
@@ -170,3 +171,28 @@ def test_oracles_use_no_private_rootsplit_name():
         for a in node.names if a.name.startswith("_")
     ]
     assert not private, f"oracles import private names {private}"
+
+
+#: the records whose instances cache derived facts (functools.cached_property)
+CACHING_RECORDS = {"RootSystem", "IsotropyWeights", "ParentContext"}
+
+
+def test_only_records_that_cache_facts_are_dataclasses():
+    # Each dataclass generates its methods as source text and execs them
+    # when its module is imported: a frozen one costs about 1 ms of every
+    # import, so of every CLI run. A record of plain values is a NamedTuple,
+    # which is built without generating code; a dataclass is kept only
+    # where cached_property needs an instance __dict__.
+    found = {}
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in named_in(d) for d in node.decorator_list
+            ):
+                found[node.name] = {
+                    ast.unparse(d) for f in node.body if isinstance(f, ast.FunctionDef)
+                    for d in f.decorator_list
+                }
+    assert set(found) == CACHING_RECORDS, sorted(found)
+    for name, decorators in found.items():
+        assert "cached_property" in decorators, f"{name} caches nothing"

@@ -128,3 +128,11 @@ def test_recognition_needs_no_closure_and_reads_the_long_root(n):
     positions = tuple(sorted(ends + [i for i in apart if i not in ends][: size - 2]))
     assert not is_closed([ctx.system.roots[i] for i in positions], ctx.system)
     assert not is_wolf_pair(ctx, ClosedSubsystem(ctx.system, positions, 0, ()))
+
+
+def test_a_context_is_a_handle():
+    # Contexts compare by identity and hash, though their at is a dict.
+    system = build_sum(parse_label_sum("B3"))
+    a, b = parent_context(system), parent_context(system)
+    assert a == a and a != b and a.keys == b.keys
+    assert {a: 0, b: 1}[a] == 0 and hash(a) == hash(a)

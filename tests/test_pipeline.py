@@ -144,9 +144,11 @@ class TestClassifyAll:
         assert "no_splitting" in check
 
     def test_deterministic(self):
-        a = classify_all(2)
-        b = classify_all(2)
-        assert a.pairs == b.pairs
+        # A report holds no timing (the CLI times the batch), so the whole
+        # report of a batch is equal from run to run.
+        a = classify_all(3, include_products=True)
+        b = classify_all(3, include_products=True)
+        assert a == b and a.pairs and a.systems_visited == 12
 
     def test_series_filter(self):
         rep = classify_all(3, series=["B"])

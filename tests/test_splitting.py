@@ -32,6 +32,7 @@ from rootsplit.subalgebra import (
     weights_from_set,
 )
 from rootsplit.splitting import (
+    CaseTag,
     EmptyWeights,
     G2Input,
     SYMMETRIC_NO_TRIPLE,
@@ -459,6 +460,22 @@ class TestCaseAnalysis:
         assert tag.tag == "case_d3"
         assert tag.witness is not None
 
+    def test_reprs(self):
+        # error messages embed these, e.g. 'splitting certificate {cert}
+        # failed verification'
+        _, w = b3_u3_weights()
+        cert = find_splittings(w)[0]
+        assert repr(cert) == (
+            "SplittingCertificate(scale=2, beta=(1, 1, 1), "
+            "alphas=((-1, 1, 1), (1, -1, 1), (1, 1, -1)))"
+        )
+        assert repr(case_analysis(w, cert)) == (
+            "CaseTag(tag='case_d3', witness=((-2, -2, 0), (0, 2, 0), (-2, 0, 0)))"
+        )
+        assert repr(CaseTag(SYMMETRIC_NO_TRIPLE)) == (
+            "CaseTag(tag='symmetric_no_triple', witness=None)"
+        )
+
     @pytest.mark.parametrize("cert", [
         on_scale(2, vec(1, 1), vec(0, 1)),
         # alpha_2 +- beta repeats alpha_1 +- beta up to sign: 4n is not reached
@@ -525,6 +542,7 @@ class TestPairSums:
             assert report.certificates and len(built) == len(report.certificates)
         _, w = b3_u3_weights()
         certs = find_splittings(w)
+        assert set(w.tables) == set(certs)  # each certificate keys its table
         built.clear()
         tags = [case_analysis(w, c) for c in certs]
         assert not built

@@ -198,7 +198,7 @@ class TestEnumeration:
         monkeypatch.setattr("rootsplit.weyl_group", refuse)
         ctx = parent_context(build(label("F", 4)))
         assert enumerate_closed_subsystems(ctx)
-        assert classify_all(4, include_products=True)
+        assert classify_all(4, include_products=True).pairs
 
 
 class TestIsotropyWeights:
@@ -260,6 +260,7 @@ class TestWolf:
         ctx = parent_context(parent)
         wolf = ctx.wolf
         assert wolf == closed_subsystem(ctx, wolf.roots)
+        assert hash(wolf) == hash(closed_subsystem(ctx, wolf.roots))  # base hashes too
         assert wolf.positions == closed_subsystem(ctx, wolf.roots).positions
         assert tuple(parent.roots[i] for i in wolf.positions) == wolf.roots
         assert is_closed(wolf.roots, parent)
