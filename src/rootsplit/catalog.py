@@ -203,11 +203,10 @@ def _component_positions(system: RootSystem) -> list[tuple[int, ...]]:
     sorted order: positions follow root order."""
     from .subalgebra import parent_context
 
-    ctx = parent_context(system)
-    at, keys = ctx.at, ctx.keys
+    at, keys = system.at, system.keys
     return sorted(
         tuple(sorted(ps + [at[-keys[p]] for p in ps]))
-        for _, ps in ctx.components_of(range(len(keys)), ctx.base)
+        for _, ps in parent_context(system).components_of(range(len(keys)), system.base)
     )
 
 
@@ -241,28 +240,16 @@ class WeylGroup(NamedTuple):
         return v
 
 
-def simple_reflections(ctx: ParentContext) -> list[tuple[int, ...]]:
-    """The simple reflections of the parent of ctx as permutations of its
-    root positions, reflected on the parent's integer roots:
-    the reflection of r in a is the root whose lattice key is
-    key(r) - <r, a check> key(a)."""
-    iroots, keys, at = ctx.system.ints, ctx.keys, ctx.at
-    perms = []
-    for ka in ctx.base:
-        a, aa = iroots[at[ka]], ctx.norms[at[ka]]
-        perms.append(tuple(at[k - 2 * idot(a, r) // aa * ka] for r, k in zip(iroots, keys)))
-    return perms
-
-
 def weyl_group(ctx: ParentContext) -> WeylGroup:
-    """Full Weyl group of the parent of ctx by closure of its
-    simple_reflections (rank <= 4). No production path builds it; it is
-    the full-group oracle of the tests."""
-    roots, at, base = ctx.system.roots, ctx.at, ctx.base
+    """Full Weyl group of the parent of ctx by closure of its simple
+    reflections (RootSystem.reflections, rank <= 4). No production path
+    builds it; it is the full-group oracle of the tests."""
+    system = ctx.system
+    roots, at, base = system.roots, system.at, system.base
     if len(base) > WEYL_RANK_CAP:
         raise ValueError(f"weyl_group is capped at rank {WEYL_RANK_CAP}")
     gens = tuple(roots[at[k]] for k in base)
-    gen_perms = simple_reflections(ctx)
+    gen_perms = system.reflections
     identity = tuple(range(len(roots)))
     seen = {identity: ()}
     frontier = [identity]

@@ -101,8 +101,9 @@ def lattice_radix(vectors: Iterable[IntVector]) -> int:
     integer vectors: with it, every sum or difference of two of them, and
     every difference of two such sums (so every v +- w of the splitting
     search, v a difference of two weights), packs with digits below
-    radix / 2. It runs on every root of a parent per command, so the
-    largest |coordinate| is one C-level max over the chained coordinates."""
+    radix / 2. It runs once per root system (RootSystem.radix, made by its
+    axiom check) and once per weight set given from outside; the largest
+    |coordinate| is one C-level max over the chained coordinates."""
     return 1 << (8 * max(map(abs, chain.from_iterable(vectors)), default=0)).bit_length()
 
 

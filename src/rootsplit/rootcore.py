@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .linalg import (
     IntVector,
@@ -24,8 +23,8 @@ from .linalg import (
     dot,
     idot,
     int_copy,
-    int_rank,
-    lex_positive,
+    lattice_radix,
+    pack,
     primitive_direction,
     vscale,
     vsub,
@@ -52,10 +51,12 @@ class ValidationReport(NamedTuple):
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A validated root system, held as its integer roots ints on scale:
-    the roots are ints / scale, sorted lexicographically, and every layer
-    reads ints. roots and root_set are read-only rational views, made on
-    first read."""
+    """A root system, held as its integer roots ints on scale: the roots
+    are ints / scale, sorted lexicographically, and every layer reads ints.
+    What the axiom check reads is made on first read and kept, so a built
+    system carries it: keys, the lattice keys of ints at radix (key order
+    is root order), at, a key back to its position, base, the keys of the
+    simple roots, and reflections. roots and root_set are rational views."""
 
     ambient_dim: int
     scale: int
@@ -69,9 +70,46 @@ class RootSystem:
     def root_set(self) -> frozenset:
         return frozenset(self.roots)
 
+    @cached_property
+    def radix(self) -> int:
+        return lattice_radix(self.ints)
+
+    @cached_property
+    def keys(self) -> tuple[int, ...]:
+        return tuple(pack(r, self.radix) for r in self.ints)
+
+    @cached_property
+    def at(self) -> dict[int, int]:
+        return {k: i for i, k in enumerate(self.keys)}
+
+    @cached_property
+    def base(self) -> tuple[int, ...]:
+        return simple_keys(self.keys, self.at)
+
     @property
     def rank(self) -> int:
-        return int_rank(self.ints)
+        return len(self.base)
+
+    @cached_property
+    def reflections(self) -> tuple[tuple[int, ...], ...] | None:
+        """The simple reflections as permutations of root positions: row k
+        maps b to s_a(b), a the k-th simple root, whose key is
+        key(b) - q key(a), q = 2<a,b>/<a,a>. With |q| <= 3, as in every
+        root system, b - q a has coordinates below radix / 2, so the key is
+        exact. None if q is no integer, |q| > 3 or s_a(b) no root."""
+        ints, keys, at = self.ints, self.keys, self.at
+        rows = []
+        for ka in self.base:
+            a = ints[at[ka]]
+            aa, row = idot(a, a), []
+            for b, kb in zip(ints, keys):
+                q, r = divmod(2 * idot(a, b), aa)
+                j = at.get(kb - q * ka)
+                if r or abs(q) > 3 or j is None:
+                    return None
+                row.append(j)
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 def make_root_system(vectors: Iterable[Vector]) -> RootSystem:
@@ -84,10 +122,11 @@ def lattice_root_system(scale: int, ints: Iterable[IntVector]) -> RootSystem:
     """The root system of the vectors ints / scale, its axioms checked on
     the integers; raises ValueError, with rational witnesses, if they fail.
 
-    R1 is checked directly and R2-R4 by _axioms_hold in O(|R|*rank) Cartan
-    numbers: R2 by directions, R3 and R4 for each simple root a against
-    every root, and the orbit of the simple roots under their reflections,
-    which must be all of R. This is as strong as R3 and R4 for every pair.
+    R1 is checked directly and R2-R4 by _axioms_hold on the system's
+    lattice keys, in O(|R|*rank) Cartan numbers: R2 by directions, R3 and
+    R4 for each simple root a against every root (RootSystem.reflections),
+    and the orbit of the simple roots under their reflections, which must
+    be all of R. This is as strong as R3 and R4 for every pair.
     Sound: each simple s_a permutes R, so for a root r = w a (w a product
     of simple reflections) s_r = w s_a w^-1 permutes R, and
     2<b,r>/<r,r> = 2<w^-1 b,a>/<a,a> is an integer. Complete: in a root
@@ -99,12 +138,13 @@ def lattice_root_system(scale: int, ints: Iterable[IntVector]) -> RootSystem:
     ints = tuple(sorted(set(ints)))
     if not ints:
         raise ValueError("a root system is nonempty")
+    system = RootSystem(len(ints[0]), scale, ints)
     violations = [
         Violation("R1", "zero vector present", (_rational(v, scale),)) for v in ints if not any(v)
-    ] or _violations(scale, ints)
+    ] or _violations(system)
     if violations:
         raise ValueError(f"not a root system: {tuple(violations[:3])}")
-    return RootSystem(len(ints[0]), scale, ints)
+    return system
 
 
 def reflect(v: Vector, alpha: Vector) -> Vector:
@@ -136,7 +176,8 @@ def validate_root_system(candidate: Sequence[Vector]) -> ValidationReport:
             violations.append(Violation("R1", "duplicate root", (v,)))
         seen.add(v)
 
-    violations.extend(_violations(*int_copy(sorted(v for v in seen if any(v)))))
+    scale, ints = int_copy(sorted(v for v in seen if any(v)))
+    violations.extend(_violations(RootSystem(len(vecs[0]), scale, ints)))
     return ValidationReport(tuple(violations))
 
 
@@ -144,53 +185,36 @@ def _rational(v: IntVector, scale: int) -> Vector:
     return tuple(Fraction(a, scale) for a in v)
 
 
-def int_simple_base(iroots: Iterable[IntVector]) -> list[IntVector]:
-    """Deterministic simple-root base of integer roots: the indecomposable
-    elements of the lexicographically positive half, sorted.
-
-    Each positive root is tested only against the simple roots found
-    before it: every positive root that is not simple is a positive root
-    plus a simple root (Humphreys, Introduction to Lie Algebras and
-    Representation Theory, 10.2 Corollary), both of them lexicographically
-    smaller, since lex order is translation-invariant.
-    """
-    pos = sorted(r for r in iroots if lex_positive(r))
-    pos_set = set(pos)
-    base: list[IntVector] = []
-    for a in pos:
-        if not any(tuple(map(sub, a, b)) in pos_set for b in base):
+def simple_keys(keys: Sequence[int], members: Container[int]) -> tuple[int, ...]:
+    """The simple roots of a set of roots, given as its sorted lattice keys
+    and a container of them: a positive key is simple unless it minus an
+    earlier simple key is in the set. A positive root that is not simple
+    is a positive root plus a simple root (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 10.2 Corollary), both smaller."""
+    base: list[int] = []
+    for a in keys:
+        if a > 0 and not any(a - b in members for b in base):
             base.append(a)
-    return base
+    return tuple(base)
 
 
-def _violations(scale: int, iroots: Sequence[IntVector]) -> list[Violation]:
-    """R2-R4 on the sorted, distinct, nonzero integer roots iroots on scale:
+def _violations(system: RootSystem) -> list[Violation]:
+    """R2-R4 on the sorted, distinct, nonzero integer roots of system:
     none if _axioms_hold, else what the pairwise scan reports."""
-    return [] if _axioms_hold(iroots) else _axiom_violations(scale, iroots)
+    return [] if _axioms_hold(system) else _axiom_violations(system.scale, system.ints)
 
 
-def _axioms_hold(iroots: Sequence[IntVector]) -> bool:
+def _axioms_hold(system: RootSystem) -> bool:
     """R2-R4 on distinct nonzero integer roots, with O(|R|*rank) Cartan
-    numbers: R2 as the pairwise scan checks it; then, for each simple root
-    a of int_simple_base and every root b, 2<a,b>/<a,a> is an integer and
-    s_a(b) is a root; then the orbit of the simple roots under the simple
-    reflections, by their rows just built, is all of R. Equal in strength
-    to the pairwise scan: lattice_root_system has the argument."""
-    if _proportional_classes(iroots):
+    numbers: R2 as the pairwise scan checks it; then the simple
+    reflections must map the set into itself; then the orbit of the simple
+    roots under them is all of R (lattice_root_system has the argument).
+    An integral q = 2<a,b>/<a,a> with |q| > 3 fails the scan too: then
+    2<a,b>/<b,b> is a nonzero fraction of size below 1, so R3 fails."""
+    rows = system.reflections
+    if _proportional_classes(system.ints) or rows is None:
         return False
-    at = {r: i for i, r in enumerate(iroots)}
-    base = int_simple_base(iroots)
-    rows = []  # rows[k][i]: the position of s_a(iroots[i]), a = base[k]
-    for a in base:
-        aa, row = idot(a, a), []
-        for b in iroots:
-            q, r = divmod(2 * idot(a, b), aa)
-            j = at.get(tuple(x - q * y for x, y in zip(b, a)))
-            if r or j is None:
-                return False
-            row.append(j)
-        rows.append(row)
-    orbit = {at[a] for a in base}
+    orbit = {system.at[k] for k in system.base}
     frontier = list(orbit)
     while frontier:
         i = frontier.pop()
@@ -198,7 +222,7 @@ def _axioms_hold(iroots: Sequence[IntVector]) -> bool:
             if row[i] not in orbit:
                 orbit.add(row[i])
                 frontier.append(row[i])
-    return len(orbit) == len(iroots)
+    return len(orbit) == len(system.ints)
 
 
 def _proportional_classes(iroots: Sequence[IntVector]) -> list[list[int]]:

@@ -14,9 +14,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Container, Iterable, NamedTuple, Sequence
 
-from .catalog import WEYL_RANK_CAP, CartanLabel, simple_reflections, type_by_counts
+from .catalog import WEYL_RANK_CAP, CartanLabel, type_by_counts
 from .linalg import IntVector, Vector, idot, int_copy, lattice_radix, pack, scale_to_int
-from .rootcore import RootsplitError, RootSystem
+from .rootcore import RootsplitError, RootSystem, simple_keys
 
 
 class NotClosed(RootsplitError):
@@ -26,9 +26,10 @@ class NotClosed(RootsplitError):
 class ClosedSubsystem(NamedTuple):
     """The roots of parent at the sorted positions in parent.ints, and the
     rank of the central torus of h; base holds the lattice keys of h's
-    simple roots (_simple_keys), which its typing reads. base follows from
-    positions on one parent, so it takes part in equality and the hash
-    like the other fields. roots is a rational view, made on each read."""
+    simple roots (rootcore.simple_keys), which its typing reads. base
+    follows from positions on one parent, so it takes part in equality and
+    the hash like the other fields. roots is a rational view, made on each
+    read."""
 
     parent: RootSystem
     positions: tuple[int, ...]
@@ -102,27 +103,16 @@ def _closed(sub: Iterable[int], parent: Container[int]) -> bool:
     return True
 
 
-def _simple_keys(keys: Sequence[int], members: Container[int]) -> tuple[int, ...]:
-    """The simple roots of a closed set, given as its sorted lattice keys
-    and a container of them, by the rule of rootcore.int_simple_base: a
-    positive key is simple unless it minus an earlier simple key is in
-    the set."""
-    base: list[int] = []
-    for a in keys:
-        if a > 0 and not any(a - b in members for b in base):
-            base.append(a)
-    return tuple(base)
-
-
 def _subsystem(ctx: ParentContext, positions: Sequence[int], error: str) -> ClosedSubsystem:
     """The subsystem at the sorted positions of the parent of ctx, checked
     for closure on its keys (else NotClosed(error)). Its rank is its number
     of simple roots."""
-    keys = [ctx.keys[i] for i in positions]
-    if not _closed(keys, ctx.at):
+    system = ctx.system
+    keys = [system.keys[i] for i in positions]
+    if not _closed(keys, system.at):
         raise NotClosed(error)
-    base = _simple_keys(keys, set(keys))
-    return ClosedSubsystem(ctx.system, tuple(positions), ctx.rank - len(base), base)
+    base = simple_keys(keys, set(keys))
+    return ClosedSubsystem(system, tuple(positions), system.rank - len(base), base)
 
 
 def closed_subsystem(ctx: ParentContext, roots: Iterable[Vector]) -> ClosedSubsystem:
@@ -136,7 +126,7 @@ def closed_subsystem(ctx: ParentContext, roots: Iterable[Vector]) -> ClosedSubsy
         for r in roots:
             if len(r) != system.ambient_dim:  # a root of another length has no key here
                 raise KeyError(r)
-            positions.add(ctx.at[pack(scale_to_int(r, system.scale), ctx.radix)])
+            positions.add(system.at[pack(scale_to_int(r, system.scale), system.radix)])
     except (KeyError, ValueError):  # no root, or off the scale or the key bound
         raise ValueError("subset is not contained in the parent root system") from None
     return _subsystem(ctx, sorted(positions), "subset is not a closed subsystem of the parent")
@@ -153,17 +143,19 @@ def enumerate_closed_subsystems(
     admitted, which prunes the subset lattice hard. A root is its position
     in the parent's integer roots and a subset is kept as its positive
     roots; the sums and differences that closure forces are found on the
-    context's lattice keys, where a root is positive iff its key is. Dedup
+    parent's lattice keys, where a root is positive iff its key is. Dedup
     keeps the first subset of each Weyl class in search order and marks
-    its orbit as seen by closing it under the simple reflections, with no
-    Weyl group built; the rank cap stays, since the search still lists
-    every closed subset. Every subsystem returned is checked for closure.
+    its orbit as seen by closing it under the parent's simple reflections
+    (RootSystem.reflections), with no Weyl group built; the rank cap
+    stays, since the search still lists every closed subset. Every
+    subsystem returned is checked for closure.
     """
-    if dedup and ctx.rank > WEYL_RANK_CAP:
+    system = ctx.system
+    if dedup and system.rank > WEYL_RANK_CAP:
         raise ValueError(
             f"Weyl dedup of subsystems is capped at rank {WEYL_RANK_CAP}"
         )
-    keys, at = ctx.keys, ctx.at
+    keys, at = system.keys, system.at
     neg = [at[-k] for k in keys]
     up = [i if k > 0 else neg[i] for i, k in enumerate(keys)]
     pos = [i for i, u in enumerate(up) if u == i]
@@ -211,7 +203,7 @@ def enumerate_closed_subsystems(
     dfs(0)
 
     if dedup:  # up after a simple reflection: the positive roots of the image
-        gens = [[up[j] for j in p] for p in simple_reflections(ctx)]
+        gens = [[up[j] for j in p] for p in system.reflections]
         seen: set[frozenset[int]] = set()
         classes = []
         for s in found:
@@ -237,13 +229,14 @@ def isotropy_weights(ctx: ParentContext, h: ClosedSubsystem) -> IsotropyWeights:
     integer roots of the parent of ctx: the positions outside h."""
     if h.parent is not ctx.system and h.parent != ctx.system:
         raise ValueError("subsystem does not belong to this parent")
-    outside = [True] * len(ctx.keys)
+    system = ctx.system
+    outside = [True] * len(system.keys)
     for i in h.positions:
         outside[i] = False
     # the parent's roots are sorted, so W comes out sorted
-    ints = tuple(itertools.compress(ctx.system.ints, outside))
-    keys = tuple(itertools.compress(ctx.keys, outside))
-    return IsotropyWeights(len(ints), ctx.system.scale, ints, keys)
+    ints = tuple(itertools.compress(system.ints, outside))
+    keys = tuple(itertools.compress(system.keys, outside))
+    return IsotropyWeights(len(ints), system.scale, ints, keys)
 
 
 def weights_from_set(weights: Iterable[Vector]) -> IsotropyWeights:
@@ -276,41 +269,31 @@ class ParentContext:
     """Facts about one parent g that every pair (g, h) shares, and the one
     handle on g that the pair functions take.
 
-    Build it once per command and pass it down; it is deliberately not
-    cached beyond that, so a fresh process and an in-process repeat do
-    the same work. Two contexts compare by identity, as handles do, and a
-    context hashes, which a generated hash over the dict at would not.
-    It stays a dataclass, not a NamedTuple, for its cached_property facts.
-    A root is named by its position in system.ints, which
-    keys and norms follow; the simple reflections, under which the
-    enumerator's Weyl dedup closes classes, read system.ints too. keys
-    packs the integer roots at radix (linalg.pack), so key order is root
-    order, and at maps a key back to its position: whether a sum or a
-    difference of roots is a root is an int lookup in at. base, the
-    simple roots, and every fact below are found on the keys, with norms
-    the one table of squared lengths; components_of is the one grouping
-    into components, which types_of and catalog read. types, long_norm,
-    theta (the last root) and wolf are built on first read; theta and
-    wolf, which only the Wolf pair reads, raise ValueError for a
+    What the axiom check makes lives on the system and is read there:
+    system.keys, the lattice keys of system.ints, system.at, a key back to
+    its position, system.base, the keys of the simple roots, and
+    system.reflections, under which the enumerator's Weyl dedup closes
+    classes. A built system carries them, so no command packs its roots
+    or finds its base again. The per-pair facts are still made per
+    command: build a context once per command and pass it down; it is
+    deliberately not cached beyond that. A root is named by its position
+    in system.ints, which norms, the one table of squared lengths,
+    follows. Every fact below is found on the keys; components_of is the
+    one grouping into components, which types_of and catalog read. types,
+    long_norm, theta (the last root) and wolf are built on first read;
+    theta and wolf, which only the Wolf pair reads, raise ValueError for a
     reducible parent. long_norm is read by Wolf recognition and by the
     constraint values, which take the normalized metric as 2 / long_norm
-    times the standard one.
+    times the standard one. Contexts compare and hash by identity, as
+    handles do; a context stays a dataclass for its cached_property facts.
     """
 
     system: RootSystem
-    radix: int  # of the lattice keys
-    keys: tuple[int, ...]  # the lattice keys of system.ints, in order
-    at: dict[int, int]  # lattice key -> its position
     norms: tuple[int, ...]  # idot(r, r) of each integer root, in order
-    base: tuple[int, ...]  # the lattice keys of the simple roots
 
     @property
     def irreducible(self) -> bool:
         return len(self.types) == 1
-
-    @property
-    def rank(self) -> int:
-        return len(self.base)
 
     @cached_property
     def long_norm(self) -> int:  # squared length of a long root, integer-scaled
@@ -318,7 +301,7 @@ class ParentContext:
 
     @cached_property
     def types(self) -> tuple[CartanLabel, ...]:
-        return self.types_of(range(len(self.keys)), self.base)
+        return self.types_of(range(len(self.system.keys)), self.system.base)
 
     def components_of(
         self, positions: Sequence[int], base: Sequence[int]
@@ -329,10 +312,10 @@ class ParentContext:
         a connected diagram is one component of every root, and otherwise
         each positive root k goes with the first simple root a with k = a
         or k - a in the set: a positive root that is not simple is a
-        positive root plus a simple one (rootcore.int_simple_base), and a
+        positive root plus a simple one (rootcore.simple_keys), and a
         sum of roots of two components is no root. A root's negative is in
         its component."""
-        keys = self.keys
+        keys = self.system.keys
         members = {keys[i] for i in positions}
         tag = list(range(len(base)))  # the component of each simple root
         for i, j in itertools.combinations(range(len(base)), 2):
@@ -379,20 +362,16 @@ class ParentContext:
         # make it gamma). +-theta pass the same test: 0 and +-2 theta are
         # no roots. theta is the last root, so its key is the last key.
         self.theta  # a reducible parent has no theta: ValueError
-        t, at = self.keys[-1], self.at
-        positions = tuple(i for i, k in enumerate(self.keys) if k + t not in at and k - t not in at)
+        keys, at = self.system.keys, self.system.at
+        t = keys[-1]
+        positions = tuple(i for i, k in enumerate(keys) if k + t not in at and k - t not in at)
         return _subsystem(self, positions, "the Wolf subsystem is not closed")
 
 
 def parent_context(system: RootSystem) -> ParentContext:
-    """Compute the per-parent facts of system from its integer roots
-    (RootSystem.ints), converting nothing."""
-    iroots = system.ints
-    radix = lattice_radix(iroots)
-    keys = tuple(pack(r, radix) for r in iroots)
-    at = {k: i for i, k in enumerate(keys)}
-    norms = tuple(idot(r, r) for r in iroots)
-    return ParentContext(system, radix, keys, at, norms, _simple_keys(keys, at))
+    """The handle on system for one command: its norms, from its integer
+    roots; the keys and the simple roots are the system's own."""
+    return ParentContext(system, tuple(idot(r, r) for r in system.ints))
 
 
 def is_wolf_pair(ctx: ParentContext, h: ClosedSubsystem) -> bool:
@@ -414,7 +393,7 @@ def is_wolf_pair(ctx: ParentContext, h: ClosedSubsystem) -> bool:
         return False
     if h.positions == ctx.wolf.positions:
         return True
-    at, norms, hk = ctx.at, ctx.norms, [ctx.keys[i] for i in h.positions]
+    at, norms, hk = ctx.system.at, ctx.norms, [ctx.system.keys[i] for i in h.positions]
     return any(  # a long gamma orthogonal to the rest of h
         g > 0 and norms[p] == ctx.long_norm and not any(x + g in at or x - g in at for x in hk)
         for p, g in zip(h.positions, hk)

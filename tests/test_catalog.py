@@ -19,6 +19,7 @@ from parents import RANK_4_PARENTS
 from rootsplit.linalg import (
     dot,
     int_copy,
+    pack,
     vec,
     vneg,
     vscale,
@@ -39,7 +40,7 @@ from rootsplit.catalog import (
     weyl_group,
 )
 from rootsplit.pipeline import _product_labels
-from rootsplit.rootcore import int_simple_base, make_root_system, reflect, validate_root_system
+from rootsplit.rootcore import make_root_system, reflect, validate_root_system
 from rootsplit.subalgebra import enumerate_closed_subsystems, parent_context, wolf_subsystem
 
 EXPECTED_COUNTS = {
@@ -155,8 +156,8 @@ class TestWeylGroup:
     @pytest.mark.parametrize("spec", RANK_4_PARENTS)
     def test_generators_match_rational_reflection(self, spec):
         # Oracle: the Fraction reflection the generator permutations
-        # (simple_reflections) were built with before they were reflected
-        # on integers.
+        # (RootSystem.reflections) were built with before they were
+        # reflected on lattice keys.
         g = weyl_group(parent_context(build_sum(parse_label_sum(spec))))
         for k, gen in enumerate(g.generators):
             perm = g.elements[g.words.index((k,))]
@@ -228,22 +229,23 @@ PARENT_SPECS = [str(l) for l in simple_labels_up_to(8)] + [
 
 
 class TestParentFactOracles:
-    """simple base in O(|R| rank) and components on lattice keys
-    (ParentContext.components_of) against the all-pairs versions, on the
-    parents and on every closed subsystem of those of rank <= 4."""
+    """The simple keys (RootSystem.base, ClosedSubsystem.base) and the
+    components on lattice keys (ParentContext.components_of) against the
+    all-pairs versions, on the parents and on every closed subsystem of
+    those of rank <= 4."""
 
     @pytest.mark.parametrize("spec", PARENT_SPECS)
     def test_matches_all_pairs_oracles(self, spec):
         ctx = parent_context(build_sum(parse_label_sum(spec)))
-        ints = ctx.system.ints
-        systems = [(range(len(ints)), ctx.base)]
-        if ctx.rank <= 4:
+        ints, radix = ctx.system.ints, ctx.system.radix
+        systems = [(range(len(ints)), ctx.system.base)]
+        if ctx.system.rank <= 4:
             systems += [
                 (h.positions, h.base) for h in enumerate_closed_subsystems(ctx, dedup=False)
             ]
         for positions, base in systems:
             iroots = [ints[i] for i in positions]
-            assert int_simple_base(iroots) == simple_base(iroots)
+            assert base == tuple(pack(a, radix) for a in simple_base(iroots))
             comps = [
                 (rank, tuple(sorted(r for p in ps for r in (ints[p], vneg(ints[p])))))
                 for rank, ps in ctx.components_of(positions, base)

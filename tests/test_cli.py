@@ -120,9 +120,9 @@ class TestCli:
         calls = []
         hold = rootcore._axioms_hold
 
-        def counting(iroots):
-            calls.append(len(iroots))
-            return hold(iroots)
+        def counting(system):
+            calls.append(len(system.ints))
+            return hold(system)
 
         monkeypatch.setattr(rootcore, "_axioms_hold", counting)
         catalog.build.cache_clear()

@@ -87,6 +87,20 @@ GOLDEN = {
         "80abd910c8fa64410eec9db96f6ccf06fae317ca264d4827d65379cdb924009f",
     ("validate", "--roots", "[[1,0],[0,1],[0,-1]]"):
         "3a0547fc72d085dc650cb19f2a9e3695989b14122516e5122e49022117fd9f90",
+    # a lone zero vector (R1, and nothing left to check), and an integral
+    # Cartan number 4, which the fast check refuses before any lookup
+    ("validate", "--roots", "[[0,0]]"):
+        "99f2775ccb42d922c5084304c122994a70a13d23760c39d6b60a5a0f724a9454",
+    ("validate", "--roots", "[[1,0],[-1,0],[2,1],[-2,-1]]"):
+        "7b1966f0f4d99ff07f7160ef56f034e9960c53ba8a445dbf54524183e9aa6e40",
+    # the rank field of build, the number of simple roots: the largest
+    # system, long roots 2e_i, and a product with a non-simply-laced factor
+    ("build", "E8"):
+        "28828abcccc77ddede2f6435ec9bf164db619e77cf764f2397e24c0ca1c66359",
+    ("build", "C8"):
+        "8d778bc7c4acabfe71872f47c6ec09d4e8eb52b4fbbe2a65217dd93d35dbb734",
+    ("build", "A1+A1+B2"):
+        "114ed002c11b70dd7e239a6d34cf33ea65f898a527f1f7b52fa061120ddaf590",
 }
 
 

@@ -1,9 +1,8 @@
 """Every name a rootsplit module imports is used in that module, only
 rootcore and weights_from_set choose an integer scale and no step between
 parse and emit makes a rational, the pair checks
-import no metric matrix, rational product or typing, neither the pair
-path nor catalog types on tuples, every function the bench
-traces exists, every top-level function and class of src/ is reached,
+import no metric matrix, rational product or typing, every function the
+bench traces exists, every top-level function and class of src/ is reached,
 only the records that cache facts are dataclasses, and the test oracles
 use no private rootsplit code."""
 import ast
@@ -116,20 +115,6 @@ def test_pair_checks_stay_on_the_integer_copy(module):
     # parent's long-root norm) or by typing rational roots again.
     imported = imported_names(module)
     assert not imported & {"mat_vec", "identify_type", "int_normalize", "normalize"}
-
-
-#: the tuple helper of simple roots, which only the validation of a root
-#: system reads
-TUPLE_TYPING = {"int_simple_base"}
-
-
-@pytest.mark.parametrize("module", ["catalog", "pipeline", "subalgebra"])
-def test_parent_and_subsystem_facts_stay_on_lattice_keys(module):
-    # Simple roots, components, types, theta and the Wolf subsystem are
-    # found on the parent's lattice keys (ParentContext), not by tuple
-    # sums and dots; catalog's components, identify_type, highest_root
-    # and normalize read them there too.
-    assert not imported_names(module) & TUPLE_TYPING
 
 
 def test_bench_trace_names_resolve():

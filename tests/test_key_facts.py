@@ -49,7 +49,7 @@ def test_key_types_match_oracles_on_every_closed_subsystem(g):
     assert list(ctx.types) == cartan_types(ints)
     for h in enumerate_closed_subsystems(ctx, dedup=False):
         iroots = [ints[i] for i in h.positions]
-        assert h.base == tuple(pack(a, ctx.radix) for a in simple_base(iroots))
+        assert h.base == tuple(pack(a, ctx.system.radix) for a in simple_base(iroots))
         assert key_types(ctx, h) == cartan_types(iroots), iroots
 
 
@@ -71,7 +71,7 @@ def test_key_types_and_recognition_on_wolf_conjugates(lab):
 def test_parent_facts_match_the_tuple_rules(lab):
     ctx = parent_context(build(lab))
     ints = ctx.system.ints
-    assert ctx.base == tuple(pack(a, ctx.radix) for a in simple_base(ints))
+    assert ctx.system.base == tuple(pack(a, ctx.system.radix) for a in simple_base(ints))
     assert list(ctx.types) == cartan_types(ints) == [lab]
     assert ctx.long_norm == max(idot(r, r) for r in ints)
     theta = ctx.theta
@@ -119,10 +119,10 @@ def test_recognition_needs_no_closure_and_reads_the_long_root(n):
     # sets the long-root test changes no answer. The set is built
     # directly, bypassing the closure check.
     ctx = parent_context(build(parse_label_sum(f"B{n}")[0]))
-    ints, at, size = ctx.system.ints, ctx.at, len(ctx.wolf.positions)
+    ints, at, size = ctx.system.ints, ctx.system.at, len(ctx.wolf.positions)
     e1 = (ctx.system.scale,) + (0,) * (n - 1)
-    g = pack(e1, ctx.radix)
-    apart = [i for i, k in enumerate(ctx.keys) if k + g not in at and k - g not in at]
+    g = pack(e1, ctx.system.radix)
+    apart = [i for i, k in enumerate(ctx.system.keys) if k + g not in at and k - g not in at]
     assert len(apart) > size
     ends = [at[g], at[-g]]
     positions = tuple(sorted(ends + [i for i in apart if i not in ends][: size - 2]))
@@ -131,8 +131,8 @@ def test_recognition_needs_no_closure_and_reads_the_long_root(n):
 
 
 def test_a_context_is_a_handle():
-    # Contexts compare by identity and hash, though their at is a dict.
+    # Contexts compare by identity and hash, though their fields are equal.
     system = build_sum(parse_label_sum("B3"))
     a, b = parent_context(system), parent_context(system)
-    assert a == a and a != b and a.keys == b.keys
+    assert a == a and a != b and a.system is b.system and a.norms == b.norms
     assert {a: 0, b: 1}[a] == 0 and hash(a) == hash(a)

@@ -1,7 +1,8 @@
 """Lattice keys: the packing of integer vectors into one int, and the
 closure check and weight-triple scan that run on it, against tuple
-oracles."""
+oracles; a built system is packed once, at build."""
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from parents import RANK_4_PARENTS
 from rootsplit.catalog import build, build_sum, parse_label_sum, simple_labels_up_to
 from rootsplit.linalg import lattice_radix, lex_positive, pack, vec
+from rootsplit.pipeline import classify_subsystem
 from rootsplit.subalgebra import (
     _closed,
     enumerate_closed_subsystems,
@@ -93,7 +95,7 @@ class TestPack:
         # u + (1, -R, 0, ...) has the same weighted digit sum as u: only
         # the bound check tells them apart.
         ctx = parent_context(build(parse_label_sum("A3")[0]))
-        radix, u = ctx.radix, ctx.system.ints[0]
+        radix, u = ctx.system.radix, ctx.system.ints[0]
         alias = (u[0] + 1, u[1] - radix, *u[2:])
         assert sum(a * radix ** (len(u) - 1 - k) for k, a in enumerate(alias)) == pack(u, radix)
         with pytest.raises(ValueError, match="lattice key bound"):
@@ -114,11 +116,11 @@ class TestPack:
 @pytest.mark.parametrize("g", SIMPLE_LABELS)
 def test_sorted_keys_follow_int_roots(g):
     ctx = parent_context(build(parse_label_sum(g)[0]))
-    keys = list(ctx.keys)
+    keys = list(ctx.system.keys)
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     assert list(ctx.system.ints) == sorted(ctx.system.ints)
-    assert ctx.radix > 8 * max(abs(a) for r in ctx.system.ints for a in r)
-    assert ctx.at == {k: i for i, k in enumerate(keys)}
+    assert ctx.system.radix > 8 * max(abs(a) for r in ctx.system.ints for a in r)
+    assert ctx.system.at == {k: i for i, k in enumerate(keys)}
     assert [k > 0 for k in keys] == [lex_positive(r) for r in ctx.system.ints]
 
 
@@ -126,7 +128,7 @@ def check_closure_against_oracle(ctx, positions):
     """The key closure check against the tuple oracle, for the subset of
     ctx's roots at positions; returns whether the subset is closed."""
     isub = {ctx.system.ints[i] for i in positions}
-    closed = _closed([ctx.keys[i] for i in positions], ctx.at)
+    closed = _closed([ctx.system.keys[i] for i in positions], ctx.system.at)
     assert closed == tuple_closed(isub, set(ctx.system.ints))
     return closed
 
@@ -141,13 +143,13 @@ def check_triple_against_oracle(ctx, h):
 @pytest.mark.parametrize("g", RANK_4_PARENTS)
 def test_keys_match_tuple_oracles_on_every_closed_subsystem(g):
     ctx = parent_context(build_sum(parse_label_sum(g)))
-    positive = [i for i, k in enumerate(ctx.keys) if k > 0]
+    positive = [i for i, k in enumerate(ctx.system.keys) if k > 0]
     for h in enumerate_closed_subsystems(ctx, dedup=False):
         assert check_closure_against_oracle(ctx, h.positions)
         # h with one more root pair, closed or not
         extra = next((i for i in positive if i not in h.positions), None)
         if extra is not None:
-            check_closure_against_oracle(ctx, [*h.positions, extra, ctx.at[-ctx.keys[extra]]])
+            check_closure_against_oracle(ctx, [*h.positions, extra, ctx.system.at[-ctx.system.keys[extra]]])
         check_triple_against_oracle(ctx, h)
 
 
@@ -156,3 +158,24 @@ def test_keys_match_tuple_oracles_on_the_wolf_pair(g):
     ctx = parent_context(build(parse_label_sum(g)[0]))
     assert check_closure_against_oracle(ctx, ctx.wolf.positions)
     check_triple_against_oracle(ctx, ctx.wolf)
+
+
+def test_a_built_system_is_packed_once_at_build(monkeypatch):
+    # The axiom check of build makes the keys, and every layer reads them
+    # there: with pack raising in every rootsplit module, the context,
+    # the Wolf pair and the enumerator of a built system still run.
+    systems = {g: build(parse_label_sum(g)[0]) for g in ("E8", "B4")}
+
+    def no_pack(*args):
+        raise AssertionError("a root was packed after build")
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rootsplit" and getattr(module, "pack", None) is pack:
+            monkeypatch.setattr(module, "pack", no_pack)
+            patched.add(name)
+    assert {"rootsplit.linalg", "rootsplit.rootcore", "rootsplit.subalgebra"} <= patched
+    for g, system in systems.items():
+        ctx = parent_context(system)
+        assert classify_subsystem(g, ctx, ctx.wolf).verdict == "wolf_space"
+    assert enumerate_closed_subsystems(parent_context(systems["B4"]))

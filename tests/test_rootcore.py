@@ -166,7 +166,7 @@ def agree(scale, roots):
     """The fast axiom check of the distinct nonzero integer roots, asserted
     to accept exactly when the pairwise scan finds no violation."""
     ints = tuple(sorted(roots))
-    fast = rootcore._axioms_hold(ints)
+    fast = rootcore._axioms_hold(rootcore.RootSystem(len(ints[0]), scale, ints))
     assert fast == (not rootcore._axiom_violations(scale, ints)), ints
     return fast
 
@@ -236,6 +236,11 @@ class TestFastAxiomCheck:
                 verdicts.append(agree(system.scale, roots))
         assert len(verdicts) >= 2000
         assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_cartan_number_four_refused(self):
+        # 2<a,b>/<a,a> = 4 for a = (1,0), b = (2,1): an integer, but no
+        # reduced root system has it, and the scan finds R3 on (b, a).
+        assert not agree(1, {(1, 0), (-1, 0), (2, 1), (-2, -1)})
 
     @given(small_sets, st.booleans())
     def test_accepts_iff_the_scan_finds_nothing(self, roots, symmetric):

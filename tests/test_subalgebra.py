@@ -44,7 +44,7 @@ def orbit_marking_classes(ctx):
     the first subsystem of each class and mark its image under every
     element of the full Weyl group as seen."""
     perms = weyl_group(ctx).elements
-    pos = [i for i, k in enumerate(ctx.keys) if k > 0]
+    pos = [i for i, k in enumerate(ctx.system.keys) if k > 0]
     found = sorted(
         enumerate_closed_subsystems(ctx, dedup=False),
         key=lambda h: [i in h.positions for i in pos],
@@ -60,7 +60,7 @@ def orbit_marking_classes(ctx):
 
 def int_rank_corank(ctx, h):
     """Oracle: the torus corank of h by elimination on the integer copy."""
-    return ctx.rank - int_rank([ctx.system.ints[i] for i in h.positions])
+    return ctx.system.rank - int_rank([ctx.system.ints[i] for i in h.positions])
 
 
 def u3_embedding(ctx):
