@@ -166,7 +166,15 @@ def build(lab: CartanLabel) -> RootSystem:
 
 
 def build_sum(labels: Sequence[CartanLabel]) -> RootSystem:
-    """Direct sum of catalog systems, e.g. for the spec string 'A1+A1'."""
+    """Direct sum of catalog systems, e.g. for the spec string 'A1+A1'.
+    One label is its build; a product is built once per label tuple, in
+    the order given, and kept with its facts (its keys, base, reflections
+    and subalgebra.parent_context), as build keeps a simple system."""
+    return build(labels[0]) if len(labels) == 1 else _build_product(tuple(labels))
+
+
+@lru_cache(maxsize=None)
+def _build_product(labels: tuple[CartanLabel, ...]) -> RootSystem:
     return direct_sum([build(l) for l in labels])
 
 

@@ -142,30 +142,20 @@ def enumerate_closed_subsystems(
     propagation; a sum of two admitted roots that is a root must be
     admitted, which prunes the subset lattice hard. A root is its position
     in the parent's integer roots and a subset is kept as its positive
-    roots; the sums and differences that closure forces are found on the
-    parent's lattice keys, where a root is positive iff its key is. Dedup
-    keeps the first subset of each Weyl class in search order and marks
-    its orbit as seen by closing it under the parent's simple reflections
-    (RootSystem.reflections), with no Weyl group built; the rank cap
-    stays, since the search still lists every closed subset. Every
-    subsystem returned is checked for closure.
+    roots. The tables the search reads are the parent's, made once per
+    context (ParentContext.closure_table), so a call runs only the search.
+    Dedup keeps the first subset of each Weyl class in search order and
+    marks its orbit as seen by closing it under the parent's simple
+    reflections, with no Weyl group built; the rank cap stays, since the
+    search still lists every closed subset. Every subsystem returned is
+    checked for closure.
     """
-    system = ctx.system
-    if dedup and system.rank > WEYL_RANK_CAP:
+    if dedup and ctx.system.rank > WEYL_RANK_CAP:
         raise ValueError(
             f"Weyl dedup of subsystems is capped at rank {WEYL_RANK_CAP}"
         )
-    keys, at = system.keys, system.at
-    neg = [at[-k] for k in keys]
-    up = [i if k > 0 else neg[i] for i, k in enumerate(keys)]
-    pos = [i for i, u in enumerate(up) if u == i]
-    # forced[i][j]: the positive roots that closure admits with i and j
-    forced: list[list[tuple[int, ...]]] = [[()] * len(keys) for _ in keys]
-    for i, j in itertools.combinations(pos, 2):
-        a, b = keys[i], keys[j]
-        forced[i][j] = forced[j][i] = tuple(up[at[c]] for c in (a + b, a - b) if c in at)
-
-    state = [0] * len(keys)  # of a positive root: 0 undecided, 1 in, -1 out
+    neg, pos, forced, gens = ctx.closure_table
+    state = [0] * len(neg)  # of a positive root: 0 undecided, 1 in, -1 out
     inside: list[int] = []  # the positive roots in, in order of admission
     found: list[frozenset[int]] = []  # the positive roots of each closed subset
 
@@ -202,8 +192,7 @@ def enumerate_closed_subsystems(
 
     dfs(0)
 
-    if dedup:  # up after a simple reflection: the positive roots of the image
-        gens = [[up[j] for j in p] for p in system.reflections]
+    if dedup:
         seen: set[frozenset[int]] = set()
         classes = []
         for s in found:
@@ -269,23 +258,23 @@ class ParentContext:
     """Facts about one parent g that every pair (g, h) shares, and the one
     handle on g that the pair functions take.
 
+    A system has one context (parent_context), made on first use and kept
+    on the system, so each fact below is made once per built system, not
+    once per command or pair; two equal but distinct systems have two.
     What the axiom check makes lives on the system and is read there:
     system.keys, the lattice keys of system.ints, system.at, a key back to
     its position, system.base, the keys of the simple roots, and
-    system.reflections, under which the enumerator's Weyl dedup closes
-    classes. A built system carries them, so no command packs its roots
-    or finds its base again. The per-pair facts are still made per
-    command: build a context once per command and pass it down; it is
-    deliberately not cached beyond that. A root is named by its position
-    in system.ints, which norms, the one table of squared lengths,
-    follows. Every fact below is found on the keys; components_of is the
-    one grouping into components, which types_of and catalog read. types,
-    long_norm, theta (the last root) and wolf are built on first read;
-    theta and wolf, which only the Wolf pair reads, raise ValueError for a
-    reducible parent. long_norm is read by Wolf recognition and by the
-    constraint values, which take the normalized metric as 2 / long_norm
-    times the standard one. Contexts compare and hash by identity, as
-    handles do; a context stays a dataclass for its cached_property facts.
+    system.reflections, the simple reflections. A root is named by its
+    position in system.ints, which norms, the one table of squared
+    lengths, follows. Every fact below is found on the keys; components_of
+    is the one grouping into components, which types_of and catalog read.
+    types, long_norm, theta (the last root), wolf and closure_table are
+    built on first read; theta and wolf, which only the Wolf pair reads,
+    raise ValueError for a reducible parent. long_norm is read by Wolf
+    recognition and by the constraint values, which take the normalized
+    metric as 2 / long_norm times the standard one. Contexts compare and
+    hash by identity, as handles do; a context stays a dataclass for its
+    cached_property facts.
     """
 
     system: RootSystem
@@ -367,11 +356,35 @@ class ParentContext:
         positions = tuple(i for i, k in enumerate(keys) if k + t not in at and k - t not in at)
         return _subsystem(self, positions, "the Wolf subsystem is not closed")
 
+    @cached_property
+    def closure_table(self) -> tuple:
+        """The tables of enumerate_closed_subsystems, on root positions:
+        neg[i], the position of -root i; pos, the positive roots in order;
+        forced[i][j], the positive roots that closure admits with positive
+        roots i and j (their sum and difference, found on the keys, where a
+        root is positive iff its key is); gens, each simple reflection as a
+        map of positive roots to the positive roots of their images, under
+        which Weyl dedup closes a class."""
+        keys, at = self.system.keys, self.system.at
+        neg = tuple(at[-k] for k in keys)
+        up = [i if k > 0 else neg[i] for i, k in enumerate(keys)]  # the positive one of +-i
+        pos = tuple(i for i, u in enumerate(up) if u == i)
+        forced: list[list[tuple[int, ...]]] = [[()] * len(keys) for _ in keys]
+        for i, j in itertools.combinations(pos, 2):
+            a, b = keys[i], keys[j]
+            forced[i][j] = forced[j][i] = tuple(up[at[c]] for c in (a + b, a - b) if c in at)
+        gens = tuple(tuple(up[j] for j in p) for p in self.system.reflections)
+        return neg, pos, tuple(map(tuple, forced)), gens
+
 
 def parent_context(system: RootSystem) -> ParentContext:
-    """The handle on system for one command: its norms, from its integer
-    roots; the keys and the simple roots are the system's own."""
-    return ParentContext(system, tuple(idot(r, r) for r in system.ints))
+    """The one context of system, with its norms from its integer roots:
+    made on the first call and kept in the system's __dict__, as a
+    cached_property keeps a fact, so it lives and dies with the system."""
+    facts = vars(system)
+    if "context" not in facts:
+        facts["context"] = ParentContext(system, tuple(idot(r, r) for r in system.ints))
+    return facts["context"]
 
 
 def is_wolf_pair(ctx: ParentContext, h: ClosedSubsystem) -> bool:

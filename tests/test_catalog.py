@@ -97,6 +97,16 @@ class TestDirectSum:
         s = build_sum(parse_label_sum("A1+A1+A1"))
         assert len(s.roots) == 6 and s.rank == 3
 
+    def test_build_sum_keeps_each_product(self):
+        # A product is built once per label tuple, so its facts are made
+        # once; one label is its simple build, which build.cache_clear
+        # rebuilds.
+        s = build_sum(parse_label_sum("A1+B3"))
+        assert build_sum(parse_label_sum("A1+B3")) is s
+        assert build_sum(parse_label_sum("A1+A1")) is not s
+        lab = label("E", 6)
+        assert build_sum([lab]) is build(lab)
+
 
 class TestHighestRoot:
     def test_a1(self):

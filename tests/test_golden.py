@@ -101,6 +101,14 @@ GOLDEN = {
         "8d778bc7c4acabfe71872f47c6ec09d4e8eb52b4fbbe2a65217dd93d35dbb734",
     ("build", "A1+A1+B2"):
         "114ed002c11b70dd7e239a6d34cf33ea65f898a527f1f7b52fa061120ddaf590",
+    # product parents, which build_sum keeps: a pair on a product with a
+    # non-simply-laced factor, the S2xS2 pair, and a product's classes
+    ("classify", "A1+B3", "torus"):
+        "e52558a18c7ad5d1202013ea2398ba5e7953336647c22222f5831ce4984dacfb",
+    ("classify", "A1+A1", "torus"):
+        "df453ad8571ff90b370ded29d8d32b4ef72ae62671afcb8f40638a806084d32c",
+    ("subsystems", "A1+A2"):
+        "9f30abe53d7a28323341a6774703102da37778663a72021abdeca98b49a16968",
 }
 
 
@@ -109,3 +117,13 @@ def test_json_output_hash(argv, tmp_path):
     out = tmp_path / "out.json"
     assert cli.main([*argv, "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
+def test_json_output_hash_on_a_second_run(argv, tmp_path):
+    # A parent's facts are kept with its built system, so a second run of a
+    # command in one process reads them; it must write the same bytes.
+    for run in ("first", "second"):
+        out = tmp_path / f"{run}.json"
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[argv], run

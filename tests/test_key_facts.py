@@ -12,6 +12,7 @@ from oracles import cartan_types, highest_root_oracle, is_closed, simple_base, v
 from parents import RANK_4_PARENTS
 from rootsplit.catalog import build, build_sum, parse_label_sum, simple_labels_up_to
 from rootsplit.linalg import idot, pack, vneg, vsub
+from rootsplit.rootcore import lattice_root_system
 from rootsplit.subalgebra import (
     ClosedSubsystem,
     closed_subsystem,
@@ -131,8 +132,11 @@ def test_recognition_needs_no_closure_and_reads_the_long_root(n):
 
 
 def test_a_context_is_a_handle():
-    # Contexts compare by identity and hash, though their fields are equal.
+    # Contexts compare by identity and hash, though their fields are equal:
+    # two equal but distinct systems keep one context each.
     system = build_sum(parse_label_sum("B3"))
-    a, b = parent_context(system), parent_context(system)
-    assert a == a and a != b and a.system is b.system and a.norms == b.norms
-    assert {a: 0, b: 1}[a] == 0 and hash(a) == hash(a)
+    other = lattice_root_system(system.scale, system.ints)
+    a, b = parent_context(system), parent_context(other)
+    assert a.system == b.system and a.system is not b.system and a.norms == b.norms
+    assert a == a and a != b
+    assert {a: 0, b: 1}[a] == 0 and hash(a) == hash(a) == object.__hash__(a)

@@ -13,8 +13,9 @@ from rootsplit.catalog import (
     simple_labels_up_to,
     weyl_group,
 )
-from rootsplit.pipeline import classify_all
-from rootsplit.rootcore import make_root_system
+from rootsplit import catalog, subalgebra
+from rootsplit.pipeline import classify_all, classify_pair
+from rootsplit.rootcore import lattice_root_system, make_root_system
 from rootsplit.subalgebra import (
     NotClosed,
     closed_subsystem,
@@ -201,6 +202,56 @@ class TestEnumeration:
         assert classify_all(4, include_products=True).pairs
 
 
+class TestOneContextPerSystem:
+    def test_a_system_keeps_its_context(self):
+        s = build_sum(parse_label_sum("A1+B2"))
+        assert parent_context(s) is parent_context(s)
+        fresh = lattice_root_system(s.scale, s.ints)
+        assert fresh == s and parent_context(fresh) is not parent_context(s)
+
+    def test_parent_facts_made_once_per_system(self, monkeypatch):
+        # The Wolf closure check and the parent's type lookup run on the
+        # first classify of a built E6 only; h's own types (A5+A1) are read
+        # per pair, by describe_subsystem. A fresh E6 makes them again.
+        closed, looked_up = [], []
+        closed_check, lookup = subalgebra._closed, subalgebra.type_by_counts
+
+        def counting_closed(sub, parent):
+            closed.append(1)
+            return closed_check(sub, parent)
+
+        def counting_lookup(*key):
+            looked_up.append(key)
+            return lookup(*key)
+
+        monkeypatch.setattr(subalgebra, "_closed", counting_closed)
+        monkeypatch.setattr(subalgebra, "type_by_counts", counting_lookup)
+
+        def classify():
+            closed.clear()
+            looked_up.clear()
+            return classify_pair("E6", "wolf"), len(closed), sorted(looked_up)
+
+        e6, h_types = (6, 72, 72), [(1, 2, 2), (5, 30, 30)]
+        catalog.build.cache_clear()
+        first = classify()
+        assert first[1:] == (1, sorted([e6, *h_types]))
+        for _ in range(2):
+            assert classify() == (first[0], 0, h_types)
+        catalog.build.cache_clear()
+        assert classify() == first
+
+    @pytest.mark.parametrize("g", ["G2", "B3", "A1+B2", "F4"])
+    def test_enumeration_repeats_on_one_context(self, g):
+        s = build_sum(parse_label_sum(g))
+        ctx = parent_context(s)
+        fresh = parent_context(lattice_root_system(s.scale, s.ints))
+        for dedup in (True, False):
+            first = enumerate_closed_subsystems(ctx, dedup)
+            assert enumerate_closed_subsystems(ctx, dedup) == first
+            assert enumerate_closed_subsystems(fresh, dedup) == first
+
+
 class TestIsotropyWeights:
     def test_g2_over_torus(self):
         ctx = parent_context(build(label("G", 2)))
@@ -312,7 +363,9 @@ class TestWolf:
     def test_wolf_facts_built_on_first_read(self, monkeypatch):
         # Only the Wolf pair reads theta and wolf, so a context does not
         # build them up front; reading wolf still runs the closure check.
-        ctx = parent_context(build(label("B", 3)))
+        # The system is built afresh: the shared build's context keeps the
+        # facts that earlier tests read.
+        ctx = parent_context(build.__wrapped__(label("B", 3)))
         assert not {"theta", "wolf"} & set(vars(ctx))
         isotropy_weights(ctx, closed_subsystem(ctx, ()))
         assert not {"theta", "wolf"} & set(vars(ctx))
