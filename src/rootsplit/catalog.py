@@ -168,8 +168,9 @@ def build(lab: CartanLabel) -> RootSystem:
 def build_sum(labels: Sequence[CartanLabel]) -> RootSystem:
     """Direct sum of catalog systems, e.g. for the spec string 'A1+A1'.
     One label is its build; a product is built once per label tuple, in
-    the order given, and kept with its facts (its keys, base, reflections
-    and subalgebra.parent_context), as build keeps a simple system."""
+    the order given. Like build, it keeps each system it builds, with its
+    facts (its keys, base, reflections and subalgebra.parent_context), for
+    the whole process."""
     return build(labels[0]) if len(labels) == 1 else _build_product(tuple(labels))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Container, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Container, Iterable, NamedTuple, Sequence
 
 from .linalg import (
     IntVector,
@@ -29,6 +29,9 @@ from .linalg import (
     vscale,
     vsub,
 )
+
+if TYPE_CHECKING:
+    from .subalgebra import ParentContext
 
 
 class RootsplitError(Exception):
@@ -56,7 +59,9 @@ class RootSystem:
     What the axiom check reads is made on first read and kept, so a built
     system carries it: keys, the lattice keys of ints at radix (key order
     is root order), at, a key back to its position, base, the keys of the
-    simple roots, and reflections. roots and root_set are rational views."""
+    simple roots, and reflections. roots and root_set are rational views.
+    context, the subalgebra.ParentContext of the system, is kept the same
+    way, so every fact of a parent g is made once per built system."""
 
     ambient_dim: int
     scale: int
@@ -110,6 +115,14 @@ class RootSystem:
                 row.append(j)
             rows.append(tuple(row))
         return tuple(rows)
+
+    @cached_property
+    def context(self) -> ParentContext:
+        """The one handle on this system as a parent g, with its norms
+        (subalgebra.parent_context reads it)."""
+        from .subalgebra import ParentContext
+
+        return ParentContext(self, tuple(idot(r, r) for r in self.ints))
 
 
 def make_root_system(vectors: Iterable[Vector]) -> RootSystem:

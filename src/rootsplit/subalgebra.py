@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Container, Iterable, NamedTuple, Sequence
 
 from .catalog import WEYL_RANK_CAP, CartanLabel, type_by_counts
-from .linalg import IntVector, Vector, idot, int_copy, lattice_radix, pack, scale_to_int
+from .linalg import IntVector, Vector, int_copy, lattice_radix, pack, scale_to_int
 from .rootcore import RootsplitError, RootSystem, simple_keys
 
 
@@ -258,9 +258,11 @@ class ParentContext:
     """Facts about one parent g that every pair (g, h) shares, and the one
     handle on g that the pair functions take.
 
-    A system has one context (parent_context), made on first use and kept
-    on the system, so each fact below is made once per built system, not
-    once per command or pair; two equal but distinct systems have two.
+    A system has one context (parent_context, RootSystem.context), made
+    on first use and kept on the system, so each fact below is made once
+    per built system, not once per command or pair; two equal but
+    distinct systems have two. catalog.build and catalog.build_sum keep
+    each system they build, so its context, for the whole process.
     What the axiom check makes lives on the system and is read there:
     system.keys, the lattice keys of system.ints, system.at, a key back to
     its position, system.base, the keys of the simple roots, and
@@ -364,27 +366,24 @@ class ParentContext:
         roots i and j (their sum and difference, found on the keys, where a
         root is positive iff its key is); gens, each simple reflection as a
         map of positive roots to the positive roots of their images, under
-        which Weyl dedup closes a class."""
+        which Weyl dedup closes a class. They stay lists, which the search
+        only reads: a copy into tuples would cost a first call 10-20%."""
         keys, at = self.system.keys, self.system.at
-        neg = tuple(at[-k] for k in keys)
+        neg = [at[-k] for k in keys]
         up = [i if k > 0 else neg[i] for i, k in enumerate(keys)]  # the positive one of +-i
-        pos = tuple(i for i, u in enumerate(up) if u == i)
+        pos = [i for i, u in enumerate(up) if u == i]
         forced: list[list[tuple[int, ...]]] = [[()] * len(keys) for _ in keys]
         for i, j in itertools.combinations(pos, 2):
             a, b = keys[i], keys[j]
             forced[i][j] = forced[j][i] = tuple(up[at[c]] for c in (a + b, a - b) if c in at)
-        gens = tuple(tuple(up[j] for j in p) for p in self.system.reflections)
-        return neg, pos, tuple(map(tuple, forced)), gens
+        gens = [[up[j] for j in p] for p in self.system.reflections]
+        return neg, pos, forced, gens
 
 
 def parent_context(system: RootSystem) -> ParentContext:
-    """The one context of system, with its norms from its integer roots:
-    made on the first call and kept in the system's __dict__, as a
-    cached_property keeps a fact, so it lives and dies with the system."""
-    facts = vars(system)
-    if "context" not in facts:
-        facts["context"] = ParentContext(system, tuple(idot(r, r) for r in system.ints))
-    return facts["context"]
+    """The one context of system, RootSystem.context: made on the first
+    call and kept on the system, as the system keeps its keys."""
+    return system.context
 
 
 def is_wolf_pair(ctx: ParentContext, h: ClosedSubsystem) -> bool:

@@ -114,13 +114,6 @@ GOLDEN = {
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
 def test_json_output_hash(argv, tmp_path):
-    out = tmp_path / "out.json"
-    assert cli.main([*argv, "--output", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[argv]
-
-
-@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
-def test_json_output_hash_on_a_second_run(argv, tmp_path):
     # A parent's facts are kept with its built system, so a second run of a
     # command in one process reads them; it must write the same bytes.
     for run in ("first", "second"):
