@@ -367,7 +367,7 @@ class ParentContext:
         root is positive iff its key is); gens, each simple reflection as a
         map of positive roots to the positive roots of their images, under
         which Weyl dedup closes a class. They stay lists, which the search
-        only reads: a copy into tuples would cost a first call 10-20%."""
+        only reads: a copy into tuples made them 10-20% slower to build."""
         keys, at = self.system.keys, self.system.at
         neg = [at[-k] for k in keys]
         up = [i if k > 0 else neg[i] for i, k in enumerate(keys)]  # the positive one of +-i
