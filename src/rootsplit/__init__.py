@@ -4,6 +4,8 @@ weight sets it is built on."""
 
 from .linalg import Vector, dot, vec
 from .rootcore import (
+    CartanLabel,
+    ClosedSubsystem,
     RootSystem,
     ValidationReport,
     make_root_system,
@@ -11,7 +13,6 @@ from .rootcore import (
     validate_root_system,
 )
 from .catalog import (
-    CartanLabel,
     G2Component,
     WeylGroup,
     build,
@@ -25,15 +26,12 @@ from .catalog import (
     weyl_group,
 )
 from .subalgebra import (
-    ClosedSubsystem,
     IsotropyWeights,
-    ParentContext,
     closed_subsystem,
     enumerate_closed_subsystems,
     is_symmetric_pair,
     is_wolf_pair,
     isotropy_weights,
-    parent_context,
     weights_from_set,
     wolf_subsystem,
 )

@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import (
     IntVector,
@@ -21,34 +21,22 @@ from .linalg import (
     int_rank,
 )
 from .rootcore import (
+    SERIES,
+    CartanLabel,
+    ClosedSubsystem,
     RootsplitError,
     RootSystem,
     lattice_root_system,
     reflect,
 )
 
-if TYPE_CHECKING:  # subalgebra imports catalog: what reads a ParentContext
-    # below imports parent_context when it runs
-    from .subalgebra import ClosedSubsystem, ParentContext
-
 #: rank cap of weyl_group (largest needed: F4, order 1152) and of the Weyl
 #: dedup of subsystems, whose search still lists every closed subset
 WEYL_RANK_CAP = 4
 
-#: the series letters of the catalog
-SERIES = "ABCDEFG"
-
 
 class G2Component(RootsplitError):
     """A component has length ratio sqrt(3); the {1,2} normalization fails."""
-
-
-class CartanLabel(NamedTuple):  # ordered by (series, rank)
-    series: str
-    rank: int
-
-    def __str__(self) -> str:
-        return f"{self.series}{self.rank}"
 
 
 def label(series: str, rank: int) -> CartanLabel:
@@ -169,8 +157,7 @@ def build_sum(labels: Sequence[CartanLabel]) -> RootSystem:
     """Direct sum of catalog systems, e.g. for the spec string 'A1+A1'.
     One label is its build; a product is built once per label tuple, in
     the order given. Like build, it keeps each system it builds, with its
-    facts (its keys, base, reflections and subalgebra.parent_context), for
-    the whole process."""
+    facts (RootSystem), for the whole process."""
     return build(labels[0]) if len(labels) == 1 else _build_product(tuple(labels))
 
 
@@ -208,23 +195,19 @@ def components(system: RootSystem) -> list[tuple[Vector, ...]]:
 
 def _component_positions(system: RootSystem) -> list[tuple[int, ...]]:
     """The positions in system.ints of each component's roots
-    (ParentContext.components_of with their negatives), each sorted, in
+    (RootSystem.components_of with their negatives), each sorted, in
     sorted order: positions follow root order."""
-    from .subalgebra import parent_context
-
     at, keys = system.at, system.keys
     return sorted(
         tuple(sorted(ps + [at[-keys[p]] for p in ps]))
-        for _, ps in parent_context(system).components_of(range(len(keys)), system.base)
+        for _, ps in system.components_of(range(len(keys)), system.base)
     )
 
 
 def highest_root(system: RootSystem) -> Vector:
     """The unique maximal root of an irreducible system (always long),
-    ParentContext.theta; a reducible system raises ValueError."""
-    from .subalgebra import parent_context
-
-    return tuple(Fraction(a, system.scale) for a in parent_context(system).theta)
+    RootSystem.theta; a reducible system raises ValueError."""
+    return tuple(Fraction(a, system.scale) for a in system.theta)
 
 
 class WeylGroup(NamedTuple):
@@ -249,24 +232,23 @@ class WeylGroup(NamedTuple):
         return v
 
 
-def weyl_group(ctx: ParentContext) -> WeylGroup:
-    """Full Weyl group of the parent of ctx by closure of its simple
-    reflections (RootSystem.reflections, rank <= 4). No production path
-    builds it; it is the full-group oracle of the tests."""
-    system = ctx.system
-    roots, at, base = system.roots, system.at, system.base
+def weyl_group(g: RootSystem) -> WeylGroup:
+    """Full Weyl group of g by closure of its simple reflections
+    (RootSystem.reflections, rank <= 4). No production path builds it; it
+    is the full-group oracle of the tests."""
+    roots, at, base = g.roots, g.at, g.base
     if len(base) > WEYL_RANK_CAP:
         raise ValueError(f"weyl_group is capped at rank {WEYL_RANK_CAP}")
     gens = tuple(roots[at[k]] for k in base)
-    gen_perms = system.reflections
+    gen_perms = g.reflections
     identity = tuple(range(len(roots)))
     seen = {identity: ()}
     frontier = [identity]
     while frontier:
         nxt = []
         for p in frontier:
-            for gi, g in enumerate(gen_perms):
-                q = tuple(g[p[i]] for i in range(len(p)))
+            for gi, s_a in enumerate(gen_perms):
+                q = tuple(s_a[p[i]] for i in range(len(p)))
                 if q not in seen:
                     seen[q] = (gi,) + seen[p]
                     nxt.append(q)
@@ -278,20 +260,10 @@ def weyl_group(ctx: ParentContext) -> WeylGroup:
 def identify_type(system: RootSystem | ClosedSubsystem) -> list[CartanLabel]:
     """Cartan labels of the irreducible components of system's roots, using
     canonical aliases (B1 -> A1, C2 -> B2, D2 -> A1+A1, D3 -> A3), read
-    on the lattice keys of its parent (ParentContext.types_of)."""
-    from .subalgebra import parent_context
-
+    on the lattice keys of its parent (RootSystem.types_of)."""
     if isinstance(system, RootSystem):
-        return list(parent_context(system).types)
-    return list(parent_context(system.parent).types_of(system.positions, system.base))
-
-
-def type_by_counts(rank: int, size: int, n_long: int) -> CartanLabel:
-    """The simple type of rank rank with size roots, n_long of them long:
-    the _TYPES lookup, which raises ValueError for a key outside it."""
-    if (rank, size, n_long) not in _TYPES:
-        raise ValueError(f"component of rank {rank} with {size} roots matches no catalog type")
-    return _TYPES[rank, size, n_long]
+        return list(system.types)
+    return list(system.parent.types_of(system.positions, system.base))
 
 
 def normalize(system: RootSystem) -> Matrix:
@@ -348,23 +320,3 @@ def simple_labels_up_to(max_rank: int, series: Iterable[str] | None = None):
         out = [l for l in out if l.series in wanted]
     return sorted(out, key=str)
 
-
-def _root_counts(series: str, n: int) -> tuple[int, int]:
-    """(|R|, number of long roots) of the simple type series_n (Bourbaki,
-    Lie Groups ch. VI, Plates I-IX); all roots of a simply laced type are long."""
-    return {
-        "A": (n * (n + 1), n * (n + 1)),
-        "B": (2 * n * n, 2 * n * (n - 1)),
-        "C": (2 * n * n, 2 * n),
-        "D": (2 * n * (n - 1), 2 * n * (n - 1)),
-        "E": ({6: 72, 7: 126, 8: 240}.get(n),) * 2,
-        "F": (48, 24),
-        "G": (12, 6),
-    }[series]
-
-
-#: (rank, |R|, number of long roots) -> simple type, over every catalog label
-_TYPES = {
-    (lab.rank, *_root_counts(lab.series, lab.rank)): lab
-    for lab in simple_labels_up_to(8)
-}

@@ -26,7 +26,7 @@ from .pipeline import (
 from .report import FORMATS, certificate_dict, emit
 from .rootcore import RootsplitError, ValidationReport, validate_root_system
 from .splitting import case_analysis, find_splittings, wolf_certificate
-from .subalgebra import enumerate_closed_subsystems, isotropy_weights, parent_context
+from .subalgebra import enumerate_closed_subsystems, isotropy_weights
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,9 +92,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_subsystems(args) -> int:
-    label, system = parse_g_spec(args.g)
-    ctx = parent_context(system)
-    subs = enumerate_closed_subsystems(ctx, dedup=not args.no_dedup)
+    label, g = parse_g_spec(args.g)
+    subs = enumerate_closed_subsystems(g, dedup=not args.no_dedup)
     return _emit_json(
         {
             "g": label,
@@ -102,9 +101,9 @@ def _cmd_subsystems(args) -> int:
             "count": len(subs),
             "subsystems": [
                 {
-                    "description": describe_subsystem(ctx, h),
+                    "description": describe_subsystem(g, h),
                     "torus_corank": h.torus_corank,
-                    "roots": [format_vector(system.ints[i], system.scale) for i in h.positions],
+                    "roots": [format_vector(g.ints[i], g.scale) for i in h.positions],
                 }
                 for h in subs
             ],
@@ -114,14 +113,13 @@ def _cmd_subsystems(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    label, system = parse_g_spec(args.g)
-    ctx = parent_context(system)
-    h = parse_h_spec(ctx, args.h)
-    w = isotropy_weights(ctx, h)
+    label, g = parse_g_spec(args.g)
+    h = parse_h_spec(g, args.h)
+    w = isotropy_weights(g, h)
     return _emit_json(
         {
             "g": label,
-            "h": describe_subsystem(ctx, h),
+            "h": describe_subsystem(g, h),
             "dim_M": w.dim_M,
             "quaternionic_n": format_rational(w.quaternionic_n),
             "weights": [format_vector(x, w.scale) for x in w.ints],
@@ -131,15 +129,14 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    label, system = parse_g_spec(args.g)
-    ctx = parent_context(system)
-    h = parse_h_spec(ctx, args.h)
-    w = isotropy_weights(ctx, h)
+    label, g = parse_g_spec(args.g)
+    h = parse_h_spec(g, args.h)
+    w = isotropy_weights(g, h)
     certs = find_splittings(w)
     return _emit_json(
         {
             "g": label,
-            "h": describe_subsystem(ctx, h),
+            "h": describe_subsystem(g, h),
             "certificates": [
                 certificate_dict(c, case_analysis(w, c).tag) for c in certs
             ],
@@ -149,15 +146,14 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_wolf(args) -> int:
-    label, system = parse_g_spec(args.g)
-    ctx = parent_context(system)
-    cert = wolf_certificate(ctx)
-    h = ctx.wolf
+    label, g = parse_g_spec(args.g)
+    cert = wolf_certificate(g)
+    h = g.wolf
     return _emit_json(
         {
             "g": label,
-            "h": describe_subsystem(ctx, h),
-            "h_roots": [format_vector(system.ints[i], system.scale) for i in h.positions],
+            "h": describe_subsystem(g, h),
+            "h_roots": [format_vector(g.ints[i], g.scale) for i in h.positions],
             "certificate": certificate_dict(cert),
         },
         args,

@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from . import catalog
-from .catalog import CartanLabel, build_sum, parse_label_sum
+from .catalog import build_sum, parse_label_sum
 from .linalg import Vector
-from .rootcore import RootsplitError, RootSystem
+from .rootcore import CartanLabel, ClosedSubsystem, RootsplitError, RootSystem
 from .splitting import (
     CaseTag,
     ConstraintReport,
@@ -33,14 +33,11 @@ from .splitting import (
     find_splittings,
 )
 from .subalgebra import (
-    ClosedSubsystem,
-    ParentContext,
     closed_subsystem,
     enumerate_closed_subsystems,
     is_symmetric_pair,
     is_wolf_pair,
     isotropy_weights,
-    parent_context,
 )
 
 SCHEMA_VERSION = 1
@@ -133,8 +130,8 @@ def parse_root_list(text: str) -> list[Vector]:
     return roots
 
 
-def parse_h_spec(ctx: ParentContext, h_spec: str) -> ClosedSubsystem:
-    """Resolve an h specification against the parent g of ctx.
+def parse_h_spec(g: RootSystem, h_spec: str) -> ClosedSubsystem:
+    """Resolve an h specification against the parent g.
 
     Grammar: 'torus' (the empty subsystem, h = maximal torus), 'wolf'
     (highest-root normalizer), 'TYPE#k' (k-th Weyl class with that
@@ -143,19 +140,19 @@ def parse_h_spec(ctx: ParentContext, h_spec: str) -> ClosedSubsystem:
     """
     h_spec = h_spec.strip()
     if h_spec == "torus":
-        return closed_subsystem(ctx, ())
+        return closed_subsystem(g, ())
     if h_spec == "wolf":
-        return ctx.wolf
+        return g.wolf
     if h_spec.startswith("["):
-        return closed_subsystem(ctx, parse_root_list(h_spec))
+        return closed_subsystem(g, parse_root_list(h_spec))
     if "#" in h_spec:
         type_part, _, idx_part = h_spec.rpartition("#")
         if not idx_part.isdigit():
             raise ParseError(f"bad subsystem index in {h_spec!r}")
         wanted = _type_key(type_part)
         matches = [
-            h for h in enumerate_closed_subsystems(ctx, dedup=True)
-            if h.positions and _type_key_of(ctx, h) == wanted
+            h for h in enumerate_closed_subsystems(g, dedup=True)
+            if h.positions and _type_key_of(g, h) == wanted
         ]
         k = int(idx_part)
         if k >= len(matches):
@@ -173,32 +170,32 @@ def _type_key(text: str) -> tuple[str, ...]:
         raise ParseError(str(exc)) from exc
 
 
-def _type_key_of(ctx: ParentContext, h: ClosedSubsystem) -> tuple[str, ...]:
-    return tuple(sorted(str(l) for l in ctx.types_of(h.positions, h.base)))
+def _type_key_of(g: RootSystem, h: ClosedSubsystem) -> tuple[str, ...]:
+    return tuple(sorted(str(l) for l in g.types_of(h.positions, h.base)))
 
 
-def describe_subsystem(ctx: ParentContext, h: ClosedSubsystem) -> str:
+def describe_subsystem(g: RootSystem, h: ClosedSubsystem) -> str:
     """Deterministic human-readable description: component types plus the
     central torus rank, e.g. 'A1+A1+T1' or 'torus(T3)'. The types are read
     on the parent's lattice keys from the simple roots that h was built
-    with (ParentContext.types_of), so they are not found again."""
+    with (RootSystem.types_of), so they are not found again."""
     if not h.positions:
         return f"torus(T{h.torus_corank})"
-    parts = list(_type_key_of(ctx, h))
+    parts = list(_type_key_of(g, h))
     if h.torus_corank:
         parts.append(f"T{h.torus_corank}")
     return "+".join(parts)
 
 
-def classify_subsystem(g_label: str, ctx: ParentContext, h: ClosedSubsystem) -> PairReport:
-    """Full pipeline for one equal-rank pair (g, h), g given by its context."""
-    w = isotropy_weights(ctx, h)
+def classify_subsystem(g_label: str, g: RootSystem, h: ClosedSubsystem) -> PairReport:
+    """Full pipeline for one equal-rank pair (g, h), g named g_label."""
+    w = isotropy_weights(g, h)
     if w.dim_M == 0:
         raise EmptyWeights("h = g: the quotient is a point")
 
     eligible = w.dim_M % 4 == 0
     symmetric = is_symmetric_pair(w)
-    wolf = ctx.irreducible and is_wolf_pair(ctx, h)
+    wolf = g.irreducible and is_wolf_pair(g, h)
 
     certificates: tuple[SplittingCertificate, ...] = ()
     cases: tuple[CaseTag, ...] = ()
@@ -206,15 +203,15 @@ def classify_subsystem(g_label: str, ctx: ParentContext, h: ClosedSubsystem) -> 
     if eligible:
         certificates = tuple(find_splittings(w))
         cases = tuple(case_analysis(w, c) for c in certificates)
-        if certificates and ctx.irreducible and ctx.types != (CartanLabel("G", 2),):
-            constraints = tuple(check_constraints(ctx, c) for c in certificates)
+        if certificates and g.irreducible and g.types != (CartanLabel("G", 2),):
+            constraints = tuple(check_constraints(g, c) for c in certificates)
 
     verdict = _assign_verdict(
-        ctx.types, eligible, symmetric, wolf, certificates, cases, h
+        g.types, eligible, symmetric, wolf, certificates, cases, h
     )
     report = PairReport(
         g_label,
-        describe_subsystem(ctx, h),
+        describe_subsystem(g, h),
         w.dim_M,
         w.quaternionic_n,
         eligible,
@@ -258,9 +255,8 @@ def _assign_verdict(g_types, eligible, symmetric, wolf, certificates, cases, h):
 
 def classify_pair(g_spec: str, h_spec: str) -> PairReport:
     """Classify one pair given CLI spec strings."""
-    g_label, parent = parse_g_spec(g_spec)
-    ctx = parent_context(parent)
-    return classify_subsystem(g_label, ctx, parse_h_spec(ctx, h_spec))
+    g_label, g = parse_g_spec(g_spec)
+    return classify_subsystem(g_label, g, parse_h_spec(g, h_spec))
 
 
 def _product_labels(max_rank: int, series) -> list[list[CartanLabel]]:
@@ -302,15 +298,14 @@ def classify_all(
 
     pairs = []
     n_subsystems = 0
-    for g_label, parent in groups:
-        ctx = parent_context(parent)
-        subsystems = enumerate_closed_subsystems(ctx)
+    for g_label, g in groups:
+        subsystems = enumerate_closed_subsystems(g)
         n_subsystems += len(subsystems)
         for h in subsystems:
-            w_size = len(parent.ints) - len(h.positions)
+            w_size = len(g.ints) - len(h.positions)
             if w_size == 0 or w_size % 4:  # h = g, or not eligible
                 continue
-            pairs.append(classify_subsystem(g_label, ctx, h))
+            pairs.append(classify_subsystem(g_label, g, h))
 
     pairs.sort(key=lambda p: (p.g_label, p.h_description, p.dim_M))
     return ClassificationReport(max_rank, tuple(pairs), len(groups), n_subsystems)

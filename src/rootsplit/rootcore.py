@@ -1,4 +1,6 @@
-"""Root system axioms, their validation, simple bases and reflections.
+"""Root system axioms, their validation, simple bases and reflections, and
+the facts of a root system as a parent g: types, theta, the Wolf subsystem
+and the closed subsystems' tables.
 
 A root system is a finite set of nonzero rational vectors satisfying:
 
@@ -12,10 +14,11 @@ Everything in this module is pure and operates on immutable values.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import TYPE_CHECKING, Container, Iterable, NamedTuple, Sequence
+from functools import cached_property, lru_cache
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .linalg import (
     IntVector,
@@ -30,12 +33,16 @@ from .linalg import (
     vsub,
 )
 
-if TYPE_CHECKING:
-    from .subalgebra import ParentContext
+#: the series letters of the catalog, in the order type_by_counts tries them
+SERIES = "ABCDEFG"
 
 
 class RootsplitError(Exception):
     """Base class for all domain errors raised by this package."""
+
+
+class NotClosed(RootsplitError):
+    """The given subset is not closed under root addition in its parent."""
 
 
 class Violation(NamedTuple):
@@ -52,16 +59,71 @@ class ValidationReport(NamedTuple):
         return not self.violations
 
 
+class CartanLabel(NamedTuple):  # ordered by (series, rank)
+    series: str
+    rank: int
+
+    def __str__(self) -> str:
+        return f"{self.series}{self.rank}"
+
+
+def _root_counts(series: str, n: int) -> tuple[int, int] | None:
+    """(|R|, number of long roots) of the simple type series_n (Bourbaki,
+    Lie Groups ch. VI, Plates I-IX); all roots of a simply laced type are
+    long. None where the series has no simple type of rank n: below rank
+    1, B1 (whose one root length the B formula counts short), D1, D2 =
+    A1+A1, and E, F and G off ranks 6-8, 4 and 2. The aliases C1 = A1,
+    C2 = B2 and D3 = A3 have their counts."""
+    if n < 1 or (series, n) in {("B", 1), ("D", 1), ("D", 2)}:
+        return None
+    return {
+        "A": (n * (n + 1), n * (n + 1)),
+        "B": (2 * n * n, 2 * n * (n - 1)),
+        "C": (2 * n * n, 2 * n),
+        "D": (2 * n * (n - 1), 2 * n * (n - 1)),
+        "E": {6: (72, 72), 7: (126, 126), 8: (240, 240)}.get(n),
+        "F": (48, 24) if n == 4 else None,
+        "G": (12, 6) if n == 2 else None,
+    }[series]
+
+
+@lru_cache(maxsize=None)
+def type_by_counts(rank: int, size: int, n_long: int) -> CartanLabel:
+    """The simple type of rank rank with size roots, n_long of them long,
+    at any rank: the first series, in SERIES order, whose closed formula
+    (_root_counts) gives (size, n_long) at rank. The key is injective on
+    the simple types but for the aliases, which resolve to the name
+    catalog.label admits (A1, B2, A3). A key that no type has raises
+    ValueError. Each pair types h's components, so an answer is kept, as
+    a table lookup costs: a process meets few types."""
+    for series in SERIES:
+        if _root_counts(series, rank) == (size, n_long):
+            return CartanLabel(series, rank)
+    raise ValueError(f"component of rank {rank} with {size} roots matches no simple type")
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """A root system, held as its integer roots ints on scale: the roots
     are ints / scale, sorted lexicographically, and every layer reads ints.
-    What the axiom check reads is made on first read and kept, so a built
-    system carries it: keys, the lattice keys of ints at radix (key order
-    is root order), at, a key back to its position, base, the keys of the
-    simple roots, and reflections. roots and root_set are rational views.
-    context, the subalgebra.ParentContext of the system, is kept the same
-    way, so every fact of a parent g is made once per built system."""
+    A built system is the one handle on it as a parent g: every fact below
+    is made on first read and kept, so it is made once per built system,
+    not once per command or pair; two equal but distinct systems make
+    their facts once each. catalog.build and catalog.build_sum keep each
+    system they build, and so its facts, for the whole process.
+
+    What the axiom check reads: keys, the lattice keys of ints at radix
+    (key order is root order), at, a key back to its position, base, the
+    keys of the simple roots, and reflections, the simple reflections. A
+    root is named by its position in ints, which norms, the one table of
+    squared lengths, follows. The facts of a parent g, found on the keys:
+    long_norm, the squared length of a long root, read by Wolf
+    recognition and by the constraint values (the normalized metric is
+    2 / long_norm times the standard one); types, by components_of, the
+    one grouping into components, and types_of; theta (the last root) and
+    wolf, which only the Wolf pair reads and which raise ValueError for a
+    reducible system; and closure_table, the tables of the closed
+    subsystems' search. roots and root_set are rational views."""
 
     ambient_dim: int
     scale: int
@@ -117,12 +179,147 @@ class RootSystem:
         return tuple(rows)
 
     @cached_property
-    def context(self) -> ParentContext:
-        """The one handle on this system as a parent g, with its norms
-        (subalgebra.parent_context reads it)."""
-        from .subalgebra import ParentContext
+    def norms(self) -> tuple[int, ...]:  # idot(r, r) of each integer root, in order
+        return tuple(idot(r, r) for r in self.ints)
 
-        return ParentContext(self, tuple(idot(r, r) for r in self.ints))
+    @cached_property
+    def long_norm(self) -> int:  # squared length of a long root, integer-scaled
+        return max(self.norms)
+
+    @property
+    def irreducible(self) -> bool:
+        return len(self.types) == 1
+
+    @cached_property
+    def types(self) -> tuple[CartanLabel, ...]:
+        return self.types_of(range(len(self.keys)), self.base)
+
+    def components_of(
+        self, positions: Sequence[int], base: Sequence[int]
+    ) -> list[tuple[int, list[int]]]:
+        """(rank, positive positions) of each component of the closed set
+        at positions, whose simple roots have the keys base. Two simple
+        roots are joined in the Dynkin diagram iff their sum is in the set;
+        a connected diagram is one component of every root, and otherwise
+        each positive root k goes with the first simple root a with k = a
+        or k - a in the set: a positive root that is not simple is a
+        positive root plus a simple one (simple_keys), and a sum of roots
+        of two components is no root. A root's negative is in its
+        component."""
+        keys = self.keys
+        members = {keys[i] for i in positions}
+        tag = list(range(len(base)))  # the component of each simple root
+        for i, j in itertools.combinations(range(len(base)), 2):
+            if tag[i] != tag[j] and base[i] + base[j] in members:
+                old = tag[j]
+                tag = [tag[i] if t == old else t for t in tag]
+        connected = len(set(tag)) == 1
+        groups: dict[int, list[int]] = {}
+        for p in positions:
+            k = keys[p]
+            if k > 0:
+                i = 0 if connected else next(
+                    i for i, a in enumerate(base) if k == a or k - a in members
+                )
+                groups.setdefault(tag[i], []).append(p)
+        return [(tag.count(c), ps) for c, ps in groups.items()]
+
+    def types_of(self, positions: Sequence[int], base: Sequence[int]) -> tuple[CartanLabel, ...]:
+        """The sorted types of the components of the closed set at
+        positions, whose simple roots have the keys base (components_of).
+        A component's type is read from its rank, size and number of long
+        roots (type_by_counts), each twice its positive roots', since a
+        root's negative shares its norm."""
+        types = []
+        for rank, ps in self.components_of(positions, base):
+            ns = [self.norms[p] for p in ps]
+            types.append(type_by_counts(rank, 2 * len(ns), 2 * ns.count(max(ns))))
+        return tuple(sorted(types))
+
+    @cached_property
+    def theta(self) -> IntVector:
+        """The highest root, the last of ints: theta - r is a sum of simple
+        roots, which are lexicographically positive, for every root r
+        (Humphreys, Introduction to Lie Algebras, 10.4 Lemma A)."""
+        if not self.irreducible:
+            raise ValueError("highest_root requires an irreducible system")
+        return self.ints[-1]
+
+    @cached_property
+    def wolf(self) -> ClosedSubsystem:  # {+-theta} and the roots orthogonal to theta
+        # For a long root gamma and a root r != +-gamma, <r, gamma check> is
+        # -1, 0 or 1, and it is 0 iff neither r + gamma nor r - gamma is a
+        # root (were r + gamma a root, <r + gamma, gamma check> = 2 would
+        # make it gamma). +-theta pass the same test: 0 and +-2 theta are
+        # no roots. theta is the last root, so its key is the last key.
+        self.theta  # a reducible parent has no theta: ValueError
+        keys, at = self.keys, self.at
+        t = keys[-1]
+        positions = tuple(i for i, k in enumerate(keys) if k + t not in at and k - t not in at)
+        return _subsystem(self, positions, "the Wolf subsystem is not closed")
+
+    @cached_property
+    def closure_table(self) -> tuple:
+        """The tables of subalgebra.enumerate_closed_subsystems, on root
+        positions: neg[i], the position of -root i; pos, the positive roots
+        in order; forced[i][j], the positive roots that closure admits with
+        positive roots i and j (their sum and difference, found on the
+        keys, where a root is positive iff its key is); gens, each simple
+        reflection as a map of positive roots to the positive roots of
+        their images, under which Weyl dedup closes a class. They stay
+        lists, which the search only reads: a copy into tuples made them
+        10-20% slower to build."""
+        keys, at = self.keys, self.at
+        neg = [at[-k] for k in keys]
+        up = [i if k > 0 else neg[i] for i, k in enumerate(keys)]  # the positive one of +-i
+        pos = [i for i, u in enumerate(up) if u == i]
+        forced: list[list[tuple[int, ...]]] = [[()] * len(keys) for _ in keys]
+        for i, j in itertools.combinations(pos, 2):
+            a, b = keys[i], keys[j]
+            forced[i][j] = forced[j][i] = tuple(up[at[c]] for c in (a + b, a - b) if c in at)
+        gens = [[up[j] for j in p] for p in self.reflections]
+        return neg, pos, forced, gens
+
+
+class ClosedSubsystem(NamedTuple):
+    """The roots of parent at the sorted positions in parent.ints, and the
+    rank of the central torus of h; base holds the lattice keys of h's
+    simple roots (simple_keys), which its typing reads. base follows from
+    positions on one parent, so it takes part in equality and the hash
+    like the other fields. roots is a rational view, made on each read."""
+
+    parent: RootSystem
+    positions: tuple[int, ...]
+    torus_corank: int
+    base: tuple[int, ...]
+
+    @property
+    def roots(self) -> tuple[Vector, ...]:
+        return tuple(self.parent.roots[i] for i in self.positions)
+
+
+def _closed(sub: Iterable[int], parent: Container[int]) -> bool:
+    """Negation- and addition-closure of sub within parent, both given as
+    lattice keys of one packing."""
+    sub = set(sub)
+    if any(-a not in sub for a in sub):
+        return False
+    for a, b in itertools.combinations(sub, 2):
+        c = a + b
+        if c in parent and c not in sub:
+            return False
+    return True
+
+
+def _subsystem(g: RootSystem, positions: Sequence[int], error: str) -> ClosedSubsystem:
+    """The subsystem of g at the sorted positions, checked for closure on
+    its keys (else NotClosed(error)). Its rank is its number of simple
+    roots."""
+    keys = [g.keys[i] for i in positions]
+    if not _closed(keys, g.at):
+        raise NotClosed(error)
+    base = simple_keys(keys, set(keys))
+    return ClosedSubsystem(g, tuple(positions), g.rank - len(base), base)
 
 
 def make_root_system(vectors: Iterable[Vector]) -> RootSystem:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .catalog import CartanLabel
 from .linalg import (
     IntVector,
     idot,
@@ -20,8 +19,8 @@ from .linalg import (
     vneg,
     vsub,
 )
-from .rootcore import RootsplitError
-from .subalgebra import IsotropyWeights, ParentContext, isotropy_weights
+from .rootcore import CartanLabel, RootsplitError, RootSystem
+from .subalgebra import IsotropyWeights, isotropy_weights
 
 ADMISSIBLE_PAIRINGS = frozenset({Fraction(0), Fraction(1, 4)})
 ADMISSIBLE_BETA_NORMS = frozenset({Fraction(1, 4), Fraction(3, 4), Fraction(5, 4)})
@@ -193,7 +192,7 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
     return certs
 
 
-def check_constraints(ctx: ParentContext, cert: SplittingCertificate) -> ConstraintReport:
+def check_constraints(g: RootSystem, cert: SplittingCertificate) -> ConstraintReport:
     """Evaluate <beta,alpha_i> and |beta|^2 in the normalized metric of the
     parent against the admissible sets {0, 1/4} and {1/4, 3/4, 5/4}, on
     the parent's integers; a certificate off the parent's scale or
@@ -205,13 +204,13 @@ def check_constraints(ctx: ParentContext, cert: SplittingCertificate) -> Constra
     and alphas lie in the span of R, since alpha +- beta are roots; and
     for every vector on a catalog parent, where either |theta|^2 = 2 and
     the metric is I, or the parent is C_n, whose roots span the space."""
-    if not ctx.irreducible:
+    if not g.irreducible:
         raise ValueError("check_constraints requires an irreducible parent")
-    if ctx.types == (CartanLabel("G", 2),):
+    if g.types == (CartanLabel("G", 2),):
         raise G2Input("constraints do not apply to G2")
-    beta, alphas, norm = cert.beta, cert.alphas, ctx.long_norm
-    _check_scale(cert, ctx.system.scale)
-    if any(len(v) != ctx.system.ambient_dim for v in (beta, *alphas)):
+    beta, alphas, norm = cert.beta, cert.alphas, g.long_norm
+    _check_scale(cert, g.scale)
+    if any(len(v) != g.ambient_dim for v in (beta, *alphas)):
         raise ValueError("certificate and parent differ in dimension")
     pairings = tuple(Fraction(2 * idot(beta, a), norm) for a in alphas)
     b2 = Fraction(2 * idot(beta, beta), norm)
@@ -289,17 +288,17 @@ def _d_subcase(beta: IntVector, alphas: Sequence[IntVector], triple) -> CaseTag:
     )
 
 
-def wolf_certificate(ctx: ParentContext) -> SplittingCertificate:
+def wolf_certificate(g: RootSystem) -> SplittingCertificate:
     """The splitting witness for the Wolf pair: beta = theta/2 and
     A = {alpha - theta/2 : 2<alpha,theta>/<theta,theta> = 1}."""
-    weights = isotropy_weights(ctx, ctx.wolf)
+    weights = isotropy_weights(g, g.wolf)
     if not weights.dim_M:
         raise EmptyWeights("the weight set is empty (g = h)")
-    theta = ctx.theta
+    theta = g.theta
     tt = idot(theta, theta)
     # the roots pairing to 1 with theta-check are exactly the W+ half {alpha + beta}
-    plus = [r for r in ctx.system.ints if 2 * idot(theta, r) == tt]
+    plus = [r for r in g.ints if 2 * idot(theta, r) == tt]
     beta, alphas = _canonical(tuple(x // 2 for x in theta), plus)
     if _int_table(weights, beta, alphas) is None:
         raise RootsplitError("wolf certificate failed verification")
-    return SplittingCertificate(ctx.system.scale, beta, alphas)
+    return SplittingCertificate(g.scale, beta, alphas)

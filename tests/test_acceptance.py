@@ -28,7 +28,6 @@ from rootsplit.subalgebra import (
     closed_subsystem,
     enumerate_closed_subsystems,
     isotropy_weights,
-    parent_context,
     weights_from_set,
 )
 
@@ -61,11 +60,11 @@ def test_criterion_3_so7_u3_certificate():
     assert len(report.certificates) >= 1
     assert [c.tag for c in report.cases] == ["case_d3"]
 
-    ctx = parent_context(build(label("B", 3)))
-    h = closed_subsystem(ctx, [r for r in ctx.system.roots if sum(r) == 0])
-    weights = isotropy_weights(ctx, h)
+    g = build(label("B", 3))
+    h = closed_subsystem(g, [r for r in g.roots if sum(r) == 0])
+    weights = isotropy_weights(g, h)
     cert = find_splittings(weights)[0]
-    constraints = check_constraints(ctx, cert)
+    constraints = check_constraints(g, cert)
     assert constraints.beta_norm2 == Fraction(3, 4)
     assert set(constraints.pairings) == {Fraction(1, 4)}
 
@@ -80,11 +79,11 @@ WOLF_CERTIFICATE_COUNTS = {
 def test_criterion_4_wolf_witnesses_rediscovered_through_rank_8():
     counts = {}
     for lab in simple_labels_up_to(8):
-        ctx = parent_context(build(lab))
-        weights = isotropy_weights(ctx, ctx.wolf)
+        parent = build(lab)
+        weights = isotropy_weights(parent, parent.wolf)
         if not weights.weights:
             continue  # rank 1: h = g, the quotient is a point
-        cert = wolf_certificate(ctx)
+        cert = wolf_certificate(parent)
         assert verify_certificate(weights, cert), str(lab)
         found = find_splittings(weights)
         assert cert in found, str(lab)
@@ -130,9 +129,8 @@ def test_criterion_6_oracle_equivalence_rank_3():
     checked = 0
     for lab in simple_labels_up_to(3) + [parse_label_sum("A1+A1")]:
         parent = build_sum(lab) if isinstance(lab, list) else build(lab)
-        ctx = parent_context(parent)
-        for h in enumerate_closed_subsystems(ctx):
-            weights = isotropy_weights(ctx, h)
+        for h in enumerate_closed_subsystems(parent):
+            weights = isotropy_weights(parent, h)
             if (not weights.weights or weights.dim_M % 4 != 0
                     or len(weights.weights) > 12):
                 continue
@@ -153,9 +151,8 @@ def test_criterion_6_oracle_equivalence_rank_4():
     ]
     checked = 0
     for parent in parents:
-        ctx = parent_context(parent)
-        for h in enumerate_closed_subsystems(ctx):
-            weights = isotropy_weights(ctx, h)
+        for h in enumerate_closed_subsystems(parent):
+            weights = isotropy_weights(parent, h)
             if (not weights.weights or weights.dim_M % 4 != 0
                     or len(weights.weights) > 20):
                 continue
@@ -174,21 +171,20 @@ def test_criterion_7_weyl_equivariance_100_random_cases():
     cases = []
     for lab in labels3:
         parent = build(lab)
-        ctx = parent_context(parent)
-        wg = weyl_group(ctx)
+        wg = weyl_group(parent)
         subs = [
-            h for h in enumerate_closed_subsystems(ctx)
+            h for h in enumerate_closed_subsystems(parent)
             if len(h.roots) < len(parent.roots)
             and (len(parent.roots) - len(h.roots)) % 4 == 0
         ]
         if subs:
-            cases.append((ctx, wg, subs))
+            cases.append((parent, wg, subs))
     for _ in range(100):
-        ctx, wg, subs = rng.choice(cases)
+        parent, wg, subs = rng.choice(cases)
         h = rng.choice(subs)
         k = rng.randrange(len(wg.elements))
         word = wg.words[k]
-        weights = isotropy_weights(ctx, h)
+        weights = isotropy_weights(parent, h)
         moved = weights_from_set(
             [wg.apply_word(word, w) for w in weights.weights]
         )

@@ -41,7 +41,7 @@ from rootsplit.catalog import (
 )
 from rootsplit.pipeline import _product_labels
 from rootsplit.rootcore import make_root_system, reflect, validate_root_system
-from rootsplit.subalgebra import enumerate_closed_subsystems, parent_context, wolf_subsystem
+from rootsplit.subalgebra import enumerate_closed_subsystems, wolf_subsystem
 
 EXPECTED_COUNTS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 12,
@@ -146,7 +146,7 @@ class TestHighestRoot:
         with pytest.raises(ValueError):
             highest_root(system)
         with pytest.raises(ValueError):
-            parent_context(system).theta
+            system.theta
 
 
 class TestWeylGroup:
@@ -157,10 +157,10 @@ class TestWeylGroup:
          (("F", 4), 1152)],
     )
     def test_orders(self, lab, order):
-        assert len(weyl_group(parent_context(build(label(*lab)))).elements) == order
+        assert len(weyl_group(build(label(*lab))).elements) == order
 
     def test_identity_word_present(self):
-        g = weyl_group(parent_context(build(label("B", 2))))
+        g = weyl_group(build(label("B", 2)))
         assert tuple(range(len(g.roots))) in g.elements
 
     @pytest.mark.parametrize("spec", RANK_4_PARENTS)
@@ -168,7 +168,7 @@ class TestWeylGroup:
         # Oracle: the Fraction reflection the generator permutations
         # (RootSystem.reflections) were built with before they were
         # reflected on lattice keys.
-        g = weyl_group(parent_context(build_sum(parse_label_sum(spec))))
+        g = weyl_group(build_sum(parse_label_sum(spec)))
         for k, gen in enumerate(g.generators):
             perm = g.elements[g.words.index((k,))]
             assert [g.roots[j] for j in perm] == [reflect(r, gen) for r in g.roots]
@@ -179,7 +179,7 @@ def _oracle_systems():
     catalog through rank 4, and every simple system through rank 8 with
     its Wolf subsystem."""
     for lab in simple_labels_up_to(4):
-        for h in enumerate_closed_subsystems(parent_context(build(lab)), dedup=False):
+        for h in enumerate_closed_subsystems(build(lab), dedup=False):
             if h.roots:
                 yield make_root_system(h.roots)
     for lab in simple_labels_up_to(8):
@@ -240,25 +240,25 @@ PARENT_SPECS = [str(l) for l in simple_labels_up_to(8)] + [
 
 class TestParentFactOracles:
     """The simple keys (RootSystem.base, ClosedSubsystem.base) and the
-    components on lattice keys (ParentContext.components_of) against the
+    components on lattice keys (RootSystem.components_of) against the
     all-pairs versions, on the parents and on every closed subsystem of
     those of rank <= 4."""
 
     @pytest.mark.parametrize("spec", PARENT_SPECS)
     def test_matches_all_pairs_oracles(self, spec):
-        ctx = parent_context(build_sum(parse_label_sum(spec)))
-        ints, radix = ctx.system.ints, ctx.system.radix
-        systems = [(range(len(ints)), ctx.system.base)]
-        if ctx.system.rank <= 4:
+        g = build_sum(parse_label_sum(spec))
+        ints, radix = g.ints, g.radix
+        systems = [(range(len(ints)), g.base)]
+        if g.rank <= 4:
             systems += [
-                (h.positions, h.base) for h in enumerate_closed_subsystems(ctx, dedup=False)
+                (h.positions, h.base) for h in enumerate_closed_subsystems(g, dedup=False)
             ]
         for positions, base in systems:
             iroots = [ints[i] for i in positions]
             assert base == tuple(pack(a, radix) for a in simple_base(iroots))
             comps = [
                 (rank, tuple(sorted(r for p in ps for r in (ints[p], vneg(ints[p])))))
-                for rank, ps in ctx.components_of(positions, base)
+                for rank, ps in g.components_of(positions, base)
             ]
             assert sorted(c for _, c in comps) == components_oracle(iroots), iroots
             assert [rank for rank, c in comps] == [len(simple_base(c)) for _, c in comps]

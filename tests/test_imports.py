@@ -1,4 +1,5 @@
-"""Every name a rootsplit module imports is used in that module, only
+"""Every import of a rootsplit module is at module level and reads only
+modules below it, every name it imports is used in that module, only
 rootcore and weights_from_set choose an integer scale and no step between
 parse and emit makes a rational, the pair checks
 import no metric matrix, rational product or typing, every function the
@@ -34,6 +35,35 @@ def traced_names():
     )
 
 
+#: the modules of src/ in import order: each imports only modules before it
+LAYERS = ("linalg", "rootcore", "catalog", "subalgebra", "splitting", "pipeline", "report", "cli")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_imports_are_module_level_and_layered(path):
+    # An import inside a function or under TYPE_CHECKING hides a cycle;
+    # with every module importing only the layers below it, there is none.
+    assert {p.stem for p in MODULES} == set(LAYERS)
+    tree = ast.parse(path.read_text(), str(path))
+    top = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
+    nested = [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, (ast.Import, ast.ImportFrom)) and n not in top
+    ]
+    assert not nested, f"{path.name}: imports below module level at lines {nested}"
+    assert "TYPE_CHECKING" not in named_in(tree), f"{path.name} names TYPE_CHECKING"
+    below = set(LAYERS[:LAYERS.index(path.stem)])
+    for node in top:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules = [node.module] if node.module else [a.name for a in node.names]
+            assert set(modules) <= below, f"{path.name}:{node.lineno} imports {modules}"
+        else:
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            assert not any(n.split(".")[0] == "rootsplit" for n in names), (
+                f"{path.name}:{node.lineno} imports rootsplit by its absolute name"
+            )
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), str(path))
@@ -61,7 +91,8 @@ SCALING_HELPERS = {
 INTEGER_ONLY = {
     "catalog": {"_bcd_roots", "_e8_roots", "_g2_roots", "_f4_roots", "build",
                 "build_sum", "direct_sum"},
-    "subalgebra": {"_subsystem", "isotropy_weights"},
+    "rootcore": {"_subsystem"},
+    "subalgebra": {"isotropy_weights"},
     "splitting": {"_canonical", "find_splittings", "case_analysis", "wolf_certificate"},
 }
 
@@ -159,7 +190,7 @@ def test_oracles_use_no_private_rootsplit_name():
 
 
 #: the records whose instances cache derived facts (functools.cached_property)
-CACHING_RECORDS = {"RootSystem", "IsotropyWeights", "ParentContext"}
+CACHING_RECORDS = {"RootSystem", "IsotropyWeights"}
 
 
 def test_only_records_that_cache_facts_are_dataclasses():

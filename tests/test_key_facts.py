@@ -12,14 +12,8 @@ from oracles import cartan_types, highest_root_oracle, is_closed, simple_base, v
 from parents import RANK_4_PARENTS
 from rootsplit.catalog import build, build_sum, parse_label_sum, simple_labels_up_to
 from rootsplit.linalg import idot, pack, vneg, vsub
-from rootsplit.rootcore import lattice_root_system
-from rootsplit.subalgebra import (
-    ClosedSubsystem,
-    closed_subsystem,
-    enumerate_closed_subsystems,
-    is_wolf_pair,
-    parent_context,
-)
+from rootsplit.rootcore import ClosedSubsystem, lattice_root_system
+from rootsplit.subalgebra import closed_subsystem, enumerate_closed_subsystems, is_wolf_pair
 
 SIMPLE_LABELS = simple_labels_up_to(8)
 #: seeded Weyl conjugates of each Wolf subsystem, and reflections per
@@ -27,57 +21,57 @@ SIMPLE_LABELS = simple_labels_up_to(8)
 CONJUGATES, LETTERS_PER_RANK = 3, 4
 
 
-def key_types(ctx, h):
-    return list(ctx.types_of(h.positions, h.base))
+def key_types(g, h):
+    return list(g.types_of(h.positions, h.base))
 
 
-def conjugate(ctx, positions, rng):
+def conjugate(g, positions, rng):
     """Oracle: the roots at positions under a seeded word of simple
     reflections of the oracle's base, reflected on integer tuples, as
     rational roots."""
-    base = simple_base(ctx.system.ints)
-    roots = [ctx.system.ints[i] for i in positions]
+    base = simple_base(g.ints)
+    roots = [g.ints[i] for i in positions]
     for _ in range(LETTERS_PER_RANK * len(base)):
         a = rng.choice(base)
         roots = [vsub(r, tuple(2 * idot(a, r) // idot(a, a) * x for x in a)) for r in roots]
-    return [tuple(Fraction(x, ctx.system.scale) for x in r) for r in roots]
+    return [tuple(Fraction(x, g.scale) for x in r) for r in roots]
 
 
 @pytest.mark.parametrize("g", RANK_4_PARENTS)
 def test_key_types_match_oracles_on_every_closed_subsystem(g):
-    ctx = parent_context(build_sum(parse_label_sum(g)))
-    ints = ctx.system.ints
-    assert list(ctx.types) == cartan_types(ints)
-    for h in enumerate_closed_subsystems(ctx, dedup=False):
+    parent = build_sum(parse_label_sum(g))
+    ints = parent.ints
+    assert list(parent.types) == cartan_types(ints)
+    for h in enumerate_closed_subsystems(parent, dedup=False):
         iroots = [ints[i] for i in h.positions]
-        assert h.base == tuple(pack(a, ctx.system.radix) for a in simple_base(iroots))
-        assert key_types(ctx, h) == cartan_types(iroots), iroots
+        assert h.base == tuple(pack(a, parent.radix) for a in simple_base(iroots))
+        assert key_types(parent, h) == cartan_types(iroots), iroots
 
 
 @pytest.mark.parametrize("lab", SIMPLE_LABELS, ids=str)
 def test_key_types_and_recognition_on_wolf_conjugates(lab):
-    ctx = parent_context(build(lab))
-    ints = ctx.system.ints
-    wolf = [ints[i] for i in ctx.wolf.positions]
-    assert key_types(ctx, ctx.wolf) == cartan_types(wolf)
+    g = build(lab)
+    ints = g.ints
+    wolf = [ints[i] for i in g.wolf.positions]
+    assert key_types(g, g.wolf) == cartan_types(wolf)
     rng = random.Random(str(lab))
     for _ in range(CONJUGATES):
-        h = closed_subsystem(ctx, conjugate(ctx, ctx.wolf.positions, rng))
+        h = closed_subsystem(g, conjugate(g, g.wolf.positions, rng))
         iroots = [ints[i] for i in h.positions]
-        assert key_types(ctx, h) == cartan_types(iroots), iroots
-        assert is_wolf_pair(ctx, h), iroots
+        assert key_types(g, h) == cartan_types(iroots), iroots
+        assert is_wolf_pair(g, h), iroots
 
 
 @pytest.mark.parametrize("lab", SIMPLE_LABELS, ids=str)
 def test_parent_facts_match_the_tuple_rules(lab):
-    ctx = parent_context(build(lab))
-    ints = ctx.system.ints
-    assert ctx.system.base == tuple(pack(a, ctx.system.radix) for a in simple_base(ints))
-    assert list(ctx.types) == cartan_types(ints) == [lab]
-    assert ctx.long_norm == max(idot(r, r) for r in ints)
-    theta = ctx.theta
+    g = build(lab)
+    ints = g.ints
+    assert g.base == tuple(pack(a, g.radix) for a in simple_base(ints))
+    assert list(g.types) == cartan_types(ints) == [lab]
+    assert g.long_norm == max(idot(r, r) for r in ints)
+    theta = g.theta
     assert theta == highest_root_oracle(ints)
-    assert ctx.wolf.positions == tuple(
+    assert g.wolf.positions == tuple(
         i for i, r in enumerate(ints) if r in (theta, vneg(theta)) or not idot(r, theta)
     )
 
@@ -119,24 +113,25 @@ def test_recognition_needs_no_closure_and_reads_the_long_root(n):
     # not closed, so it is no Weyl image of the Wolf subsystem; on closed
     # sets the long-root test changes no answer. The set is built
     # directly, bypassing the closure check.
-    ctx = parent_context(build(parse_label_sum(f"B{n}")[0]))
-    ints, at, size = ctx.system.ints, ctx.system.at, len(ctx.wolf.positions)
-    e1 = (ctx.system.scale,) + (0,) * (n - 1)
-    g = pack(e1, ctx.system.radix)
-    apart = [i for i, k in enumerate(ctx.system.keys) if k + g not in at and k - g not in at]
+    parent = build(parse_label_sum(f"B{n}")[0])
+    ints, at, size = parent.ints, parent.at, len(parent.wolf.positions)
+    e1 = (parent.scale,) + (0,) * (n - 1)
+    g = pack(e1, parent.radix)
+    apart = [i for i, k in enumerate(parent.keys) if k + g not in at and k - g not in at]
     assert len(apart) > size
     ends = [at[g], at[-g]]
     positions = tuple(sorted(ends + [i for i in apart if i not in ends][: size - 2]))
-    assert not is_closed([ctx.system.roots[i] for i in positions], ctx.system)
-    assert not is_wolf_pair(ctx, ClosedSubsystem(ctx.system, positions, 0, ()))
+    assert not is_closed([parent.roots[i] for i in positions], parent)
+    assert not is_wolf_pair(parent, ClosedSubsystem(parent, positions, 0, ()))
 
 
-def test_a_context_is_a_handle():
-    # Contexts compare by identity and hash, though their fields are equal:
-    # two equal but distinct systems keep one context each.
-    system = build_sum(parse_label_sum("B3"))
-    other = lattice_root_system(system.scale, system.ints)
-    a, b = parent_context(system), parent_context(other)
-    assert a.system == b.system and a.system is not b.system and a.norms == b.norms
-    assert a == a and a != b
-    assert {a: 0, b: 1}[a] == 0 and hash(a) == hash(a) == object.__hash__(a)
+def test_a_system_keeps_its_facts():
+    # A built system makes each parent fact once and keeps it; an equal
+    # but distinct system makes its own.
+    for lab in ("B3", "E6"):
+        system = build(parse_label_sum(lab)[0])
+        assert build(parse_label_sum(lab)[0]).wolf is system.wolf
+        fresh = lattice_root_system(system.scale, system.ints)
+        assert fresh == system and fresh is not system
+        assert fresh.wolf == system.wolf and fresh.wolf is not system.wolf
+        assert fresh.types == system.types and fresh.types is not system.types

@@ -11,13 +11,8 @@ from parents import RANK_4_PARENTS
 from rootsplit.catalog import build, build_sum, parse_label_sum, simple_labels_up_to
 from rootsplit.linalg import lattice_radix, lex_positive, pack, vec
 from rootsplit.pipeline import classify_subsystem
-from rootsplit.subalgebra import (
-    _closed,
-    enumerate_closed_subsystems,
-    isotropy_weights,
-    parent_context,
-    weights_from_set,
-)
+from rootsplit.rootcore import _closed
+from rootsplit.subalgebra import enumerate_closed_subsystems, isotropy_weights, weights_from_set
 
 SIMPLE_LABELS = [str(l) for l in simple_labels_up_to(8)]
 
@@ -94,8 +89,8 @@ class TestPack:
     def test_out_of_bound_vector_raises_rather_than_alias(self):
         # u + (1, -R, 0, ...) has the same weighted digit sum as u: only
         # the bound check tells them apart.
-        ctx = parent_context(build(parse_label_sum("A3")[0]))
-        radix, u = ctx.system.radix, ctx.system.ints[0]
+        g = build(parse_label_sum("A3")[0])
+        radix, u = g.radix, g.ints[0]
         alias = (u[0] + 1, u[1] - radix, *u[2:])
         assert sum(a * radix ** (len(u) - 1 - k) for k, a in enumerate(alias)) == pack(u, radix)
         with pytest.raises(ValueError, match="lattice key bound"):
@@ -115,49 +110,49 @@ class TestPack:
 
 @pytest.mark.parametrize("g", SIMPLE_LABELS)
 def test_sorted_keys_follow_int_roots(g):
-    ctx = parent_context(build(parse_label_sum(g)[0]))
-    keys = list(ctx.system.keys)
+    parent = build(parse_label_sum(g)[0])
+    keys = list(parent.keys)
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
-    assert list(ctx.system.ints) == sorted(ctx.system.ints)
-    assert ctx.system.radix > 8 * max(abs(a) for r in ctx.system.ints for a in r)
-    assert ctx.system.at == {k: i for i, k in enumerate(keys)}
-    assert [k > 0 for k in keys] == [lex_positive(r) for r in ctx.system.ints]
+    assert list(parent.ints) == sorted(parent.ints)
+    assert parent.radix > 8 * max(abs(a) for r in parent.ints for a in r)
+    assert parent.at == {k: i for i, k in enumerate(keys)}
+    assert [k > 0 for k in keys] == [lex_positive(r) for r in parent.ints]
 
 
-def check_closure_against_oracle(ctx, positions):
+def check_closure_against_oracle(g, positions):
     """The key closure check against the tuple oracle, for the subset of
-    ctx's roots at positions; returns whether the subset is closed."""
-    isub = {ctx.system.ints[i] for i in positions}
-    closed = _closed([ctx.system.keys[i] for i in positions], ctx.system.at)
-    assert closed == tuple_closed(isub, set(ctx.system.ints))
+    g's roots at positions; returns whether the subset is closed."""
+    isub = {g.ints[i] for i in positions}
+    closed = _closed([g.keys[i] for i in positions], g.at)
+    assert closed == tuple_closed(isub, set(g.ints))
     return closed
 
 
-def check_triple_against_oracle(ctx, h):
-    """The key-lookup triple of the pair (ctx, h) against the one the
+def check_triple_against_oracle(g, h):
+    """The key-lookup triple of the pair (g, h) against the one the
     tuple pair-sum table gives."""
-    w = isotropy_weights(ctx, h)
+    w = isotropy_weights(g, h)
     assert w.triple == tuple_triple(w.ints, tuple_sums(w.ints))
 
 
 @pytest.mark.parametrize("g", RANK_4_PARENTS)
 def test_keys_match_tuple_oracles_on_every_closed_subsystem(g):
-    ctx = parent_context(build_sum(parse_label_sum(g)))
-    positive = [i for i, k in enumerate(ctx.system.keys) if k > 0]
-    for h in enumerate_closed_subsystems(ctx, dedup=False):
-        assert check_closure_against_oracle(ctx, h.positions)
+    parent = build_sum(parse_label_sum(g))
+    positive = [i for i, k in enumerate(parent.keys) if k > 0]
+    for h in enumerate_closed_subsystems(parent, dedup=False):
+        assert check_closure_against_oracle(parent, h.positions)
         # h with one more root pair, closed or not
         extra = next((i for i in positive if i not in h.positions), None)
         if extra is not None:
-            check_closure_against_oracle(ctx, [*h.positions, extra, ctx.system.at[-ctx.system.keys[extra]]])
-        check_triple_against_oracle(ctx, h)
+            check_closure_against_oracle(parent, [*h.positions, extra, parent.at[-parent.keys[extra]]])
+        check_triple_against_oracle(parent, h)
 
 
 @pytest.mark.parametrize("g", SIMPLE_LABELS)
 def test_keys_match_tuple_oracles_on_the_wolf_pair(g):
-    ctx = parent_context(build(parse_label_sum(g)[0]))
-    assert check_closure_against_oracle(ctx, ctx.wolf.positions)
-    check_triple_against_oracle(ctx, ctx.wolf)
+    parent = build(parse_label_sum(g)[0])
+    assert check_closure_against_oracle(parent, parent.wolf.positions)
+    check_triple_against_oracle(parent, parent.wolf)
 
 
 def test_a_built_system_is_packed_once_at_build(monkeypatch):
@@ -176,6 +171,5 @@ def test_a_built_system_is_packed_once_at_build(monkeypatch):
             patched.add(name)
     assert {"rootsplit.linalg", "rootsplit.rootcore", "rootsplit.subalgebra"} <= patched
     for g, system in systems.items():
-        ctx = parent_context(system)
-        assert classify_subsystem(g, ctx, ctx.wolf).verdict == "wolf_space"
-    assert enumerate_closed_subsystems(parent_context(systems["B4"]))
+        assert classify_subsystem(g, system, system.wolf).verdict == "wolf_space"
+    assert enumerate_closed_subsystems(systems["B4"])

@@ -24,7 +24,6 @@ from rootsplit.pipeline import (
 from rootsplit.rootcore import reflect
 from rootsplit.subalgebra import (
     enumerate_closed_subsystems,
-    parent_context,
     wolf_subsystem,
 )
 
@@ -44,34 +43,34 @@ class TestParsing:
 
     def test_h_spec_torus(self):
         _, b2 = parse_g_spec("B2")
-        h = parse_h_spec(parent_context(b2), "torus")
+        h = parse_h_spec(b2, "torus")
         assert h.roots == () and h.torus_corank == 2
 
     def test_h_spec_wolf(self):
         _, b3 = parse_g_spec("B3")
-        h = parse_h_spec(parent_context(b3), "wolf")
+        h = parse_h_spec(b3, "wolf")
         assert len(h.roots) == 6
 
     def test_h_spec_indexed_type(self):
         _, b3 = parse_g_spec("B3")
-        h = parse_h_spec(parent_context(b3), "A2#0")
+        h = parse_h_spec(b3, "A2#0")
         assert len(h.roots) == 6
 
     def test_h_spec_json(self):
         _, b2 = parse_g_spec("B2")
         spec = '[["1","1"],["-1","-1"],["1","-1"],["-1","1"]]'
-        h = parse_h_spec(parent_context(b2), spec)
+        h = parse_h_spec(b2, spec)
         assert len(h.roots) == 4
 
     def test_h_spec_bad_index(self):
         _, b3 = parse_g_spec("B3")
         with pytest.raises(ParseError):
-            parse_h_spec(parent_context(b3), "A2#9")
+            parse_h_spec(b3, "A2#9")
 
     def test_h_spec_garbage(self):
         _, b3 = parse_g_spec("B3")
         with pytest.raises(ParseError):
-            parse_h_spec(parent_context(b3), "not-a-spec")
+            parse_h_spec(b3, "not-a-spec")
 
 
 class TestVerdicts:
@@ -176,11 +175,11 @@ def description_oracle(h):
 class TestDescribeSubsystem:
     @pytest.mark.parametrize("g", RANK_4_PARENTS)
     def test_every_closed_subsystem_matches_rational_typing(self, g):
-        ctx = parent_context(build_sum(parse_label_sum(g)))
-        for h in enumerate_closed_subsystems(ctx, dedup=False):
-            assert describe_subsystem(ctx, h) == description_oracle(h), h.roots
+        parent = build_sum(parse_label_sum(g))
+        for h in enumerate_closed_subsystems(parent, dedup=False):
+            assert describe_subsystem(parent, h) == description_oracle(h), h.roots
 
     def test_wolf_subsystems_through_rank_8_match_rational_typing(self):
         for lab in simple_labels_up_to(8):
-            ctx = parent_context(build(lab))
-            assert describe_subsystem(ctx, ctx.wolf) == description_oracle(ctx.wolf), str(lab)
+            g = build(lab)
+            assert describe_subsystem(g, g.wolf) == description_oracle(g.wolf), str(lab)

@@ -15,6 +15,6 @@ def test_library_tour_runs():
     assert len(ns["w"].weights) == 12
     cert = ns["certs"][0]
     assert (cert.scale, cert.beta) == (2, (1, -1, 1))  # (1/2, -1/2, 1/2)
-    report = ns["check_constraints"](ns["ctx"], cert)
+    report = ns["check_constraints"](ns["b3"], cert)
     assert report.beta_norm2 == Fraction(3, 4)
     assert set(report.pairings) == {Fraction(1, 4)}

@@ -23,8 +23,15 @@ from rootsplit.catalog import (
     parse_label_sum,
     simple_labels_up_to,
 )
-from rootsplit.rootcore import lattice_root_system, make_root_system, reflect, validate_root_system
-from rootsplit.subalgebra import enumerate_closed_subsystems, parent_context
+from rootsplit.rootcore import (
+    CartanLabel,
+    lattice_root_system,
+    make_root_system,
+    reflect,
+    type_by_counts,
+    validate_root_system,
+)
+from rootsplit.subalgebra import enumerate_closed_subsystems
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 small_vecs = st.lists(rationals, min_size=2, max_size=4).map(lambda xs: vec(*xs))
@@ -219,7 +226,7 @@ class TestFastAxiomCheck:
     @pytest.mark.parametrize("g", RANK_4_PARENTS)
     def test_every_closed_subsystem_accepted(self, g):
         system = build_sum(parse_label_sum(g))
-        for h in enumerate_closed_subsystems(parent_context(system), dedup=False):
+        for h in enumerate_closed_subsystems(system, dedup=False):
             if h.positions:
                 own = make_root_system(h.roots)
                 assert agree(own.scale, own.ints)
@@ -286,3 +293,29 @@ class TestBeyondTheCatalogRank:
     def test_catalog_keeps_its_rank_cap(self):
         with pytest.raises(ValueError, match="rank <= 8"):
             build(label("A", 9))
+
+    @pytest.mark.parametrize("n", [9, 12, 16])
+    @pytest.mark.parametrize("series", sorted(SERIES_ROOTS))
+    def test_typed_at_rank_n(self, series, n):
+        system = lattice_root_system(2, SERIES_ROOTS[series](n))
+        assert system.types == (CartanLabel(series, n),)
+
+
+class TestTypeByCounts:
+    """type_by_counts decodes (rank, |R|, long roots) by closed formulas."""
+
+    @pytest.mark.parametrize("key,name", [
+        ((1, 2, 2), "A1"),  # also B1 and C1
+        ((2, 8, 4), "B2"),  # also C2
+        ((3, 12, 12), "A3"),  # also D3
+    ])
+    def test_aliases_resolve_to_the_admitted_label(self, key, name):
+        assert str(type_by_counts(*key)) == name
+
+    @pytest.mark.parametrize("key", [
+        (0, 0, 0), (1, 0, 0), (1, 2, 0), (2, 4, 4), (3, 48, 24), (5, 72, 72),
+        (9, 240, 240), (2, 12, 12), (4, 32, 20),
+    ])
+    def test_a_key_no_type_has_raises(self, key):
+        with pytest.raises(ValueError, match="matches no simple type"):
+            type_by_counts(*key)

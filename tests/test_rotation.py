@@ -21,7 +21,7 @@ from rootsplit.catalog import build_sum, parse_label_sum, simple_labels_up_to
 from rootsplit.linalg import vsub
 from rootsplit.pipeline import classify_subsystem, describe_subsystem
 from rootsplit.rootcore import make_root_system
-from rootsplit.subalgebra import closed_subsystem, enumerate_closed_subsystems, parent_context
+from rootsplit.subalgebra import closed_subsystem, enumerate_closed_subsystems
 
 #: the 31 labels, then the product parents of rank <= 4
 SPECS = list(dict.fromkeys([str(l) for l in simple_labels_up_to(8)] + RANK_4_PARENTS))
@@ -93,22 +93,21 @@ def test_rows_and_certificates_survive_a_rotation(spec):
     system = build_sum(parse_label_sum(spec))
     q = cayley(random.Random(spec), system.ambient_dim)
     moved = make_root_system([apply(q, r) for r in system.roots])
-    ctx, mctx = parent_context(system), parent_context(moved)
-    assert mctx.types == ctx.types
-    if ctx.irreducible:  # theta is each frame's own highest root
-        assert ctx.theta == highest_root_oracle(system.ints)
-        assert mctx.theta == highest_root_oracle(moved.ints)
-    if len(ctx.types) > 1 or ctx.types[0].rank <= 4:
-        classes = enumerate_closed_subsystems(ctx)
-        assert sorted(describe_subsystem(mctx, h) for h in enumerate_closed_subsystems(mctx)) == (
-            sorted(describe_subsystem(ctx, h) for h in classes)
+    assert moved.types == system.types
+    if system.irreducible:  # theta is each frame's own highest root
+        assert system.theta == highest_root_oracle(system.ints)
+        assert moved.theta == highest_root_oracle(moved.ints)
+    if len(system.types) > 1 or system.types[0].rank <= 4:
+        classes = enumerate_closed_subsystems(system)
+        assert sorted(describe_subsystem(moved, h) for h in enumerate_closed_subsystems(moved)) == (
+            sorted(describe_subsystem(system, h) for h in classes)
         )
         hs = [h for h in classes if len(h.positions) < len(system.ints)]
     else:
-        hs = [ctx.wolf]
+        hs = [system.wolf]
     for h in hs:
-        mh = closed_subsystem(mctx, [apply(q, r) for r in h.roots])
-        report, mreport = classify_subsystem(spec, ctx, h), classify_subsystem(spec, mctx, mh)
+        mh = closed_subsystem(moved, [apply(q, r) for r in h.roots])
+        report, mreport = classify_subsystem(spec, system, h), classify_subsystem(spec, moved, mh)
         assert row(mreport) == row(report), h.roots
         assert [rational(c) for c in mreport.certificates] == sorted(
             moved_certificate(q, c) for c in report.certificates

@@ -28,7 +28,6 @@ from rootsplit.subalgebra import (
     enumerate_closed_subsystems,
     is_symmetric_pair,
     isotropy_weights,
-    parent_context,
     weights_from_set,
 )
 from rootsplit.splitting import (
@@ -60,14 +59,12 @@ CATALOG_R3_PARENTS = parents_up_to(3)
 
 def b3_u3_weights():
     b3 = build(label("B", 3))
-    ctx = parent_context(b3)
-    h = closed_subsystem(ctx, [r for r in b3.roots if sum(r) == 0])
-    return b3, isotropy_weights(ctx, h)
+    h = closed_subsystem(b3, [r for r in b3.roots if sum(r) == 0])
+    return b3, isotropy_weights(b3, h)
 
 
 def wolf_weights(parent):
-    ctx = parent_context(parent)
-    return isotropy_weights(ctx, ctx.wolf)
+    return isotropy_weights(parent, parent.wolf)
 
 
 class TestVerifyCertificate:
@@ -119,15 +116,15 @@ class TestFindSplittings:
         }
 
     def test_s8_has_none(self):
-        ctx = parent_context(build(label("B", 4)))
+        g = build(label("B", 4))
         d4 = closed_subsystem(
-            ctx, [r for r in ctx.system.roots if sum(1 for x in r if x) == 2]
+            g, [r for r in g.roots if sum(1 for x in r if x) == 2]
         )
-        assert find_splittings(isotropy_weights(ctx, d4)) == []
+        assert find_splittings(isotropy_weights(g, d4)) == []
 
     def test_g2_torus_has_none(self):
-        ctx = parent_context(build(label("G", 2)))
-        w = isotropy_weights(ctx, closed_subsystem(ctx, []))
+        g = build(label("G", 2))
+        w = isotropy_weights(g, closed_subsystem(g, []))
         assert find_splittings(w) == []
 
     def test_empty_weights_rejected(self):
@@ -175,8 +172,8 @@ class TestOracle:
         assert set(map(rational, find_splittings(w))) == set(splittings_oracle(w))
 
     def test_negative_case_matches(self):
-        ctx = parent_context(build(label("B", 2)))
-        w = isotropy_weights(ctx, closed_subsystem(ctx, []))
+        g = build(label("B", 2))
+        w = isotropy_weights(g, closed_subsystem(g, []))
         assert find_splittings(w) == splittings_oracle(w) == []
 
     @pytest.mark.parametrize("lab", [("A", 5), ("A", 6), ("C", 5), ("C", 6)])
@@ -271,20 +268,20 @@ class TestRunRule:
         # B3's Wolf pair (h = A1+A1+A1): of the candidates that pass the
         # dead-weight scan, one is refuted by an odd run and two split, one
         # of them with the Wolf certificate.
-        ctx = parent_context(build(label("B", 3)))
-        assert describe_subsystem(ctx, ctx.wolf) == "A1+A1+A1"
-        w = isotropy_weights(ctx, ctx.wolf)
+        g = build(label("B", 3))
+        assert describe_subsystem(g, g.wolf) == "A1+A1+A1"
+        w = isotropy_weights(g, g.wolf)
         decided = Counter(decision(w, v) for v in translations(w))
         assert decided == {"dead": w.dim_M - 4, "odd": 1, "split": 2}
         certs = find_splittings(w)
-        assert len(certs) == 2 and wolf_certificate(ctx) in certs
+        assert len(certs) == 2 and wolf_certificate(g) in certs
 
 
 class TestCheckConstraints:
     def test_so7_u3_values(self):
         b3, w = b3_u3_weights()
         cert = find_splittings(w)[0]
-        rep = check_constraints(parent_context(b3), cert)
+        rep = check_constraints(b3, cert)
         assert rep.beta_norm2 == Fraction(3, 4)
         assert set(rep.pairings) == {Fraction(1, 4)}
         assert rep.pairings_ok and rep.beta_norm_ok
@@ -292,24 +289,24 @@ class TestCheckConstraints:
     def test_g2_rejected(self):
         g2 = build(label("G", 2))
         with pytest.raises(G2Input):
-            check_constraints(parent_context(g2), wolf_certificate(parent_context(g2)))
+            check_constraints(g2, wolf_certificate(g2))
 
     def test_wolf_certificate_norm_outside_admissible_set(self):
         # Symmetric pairs are not subject to the norm constraint; the
         # checker still reports the raw values faithfully.
         b2 = build(label("B", 2))
-        rep = check_constraints(parent_context(b2), wolf_certificate(parent_context(b2)))
+        rep = check_constraints(b2, wolf_certificate(b2))
         assert rep.pairings_ok
         assert rep.beta_norm2 == Fraction(1, 2)
         assert not rep.beta_norm_ok
 
 
-def constraints_oracle(ctx, cert):
+def constraints_oracle(g, cert):
     """(pairings, |beta|^2) from the rational metric matrix times beta, as
     check_constraints computed them before the metric moved onto the
     parent's integer copy."""
     beta, alphas = rational(cert)
-    mb = [dot(row, beta) for row in normalize(ctx.system)]
+    mb = [dot(row, beta) for row in normalize(g)]
     return tuple(dot(a, mb) for a in alphas), dot(beta, mb)
 
 
@@ -327,23 +324,23 @@ class TestConstraintsOracle:
     carry the check of the metric's scale."""
 
     @staticmethod
-    def assert_matches(ctx, cert):
-        rep = check_constraints(ctx, cert)
-        pairings, b2 = constraints_oracle(ctx, cert)
+    def assert_matches(g, cert):
+        rep = check_constraints(g, cert)
+        pairings, b2 = constraints_oracle(g, cert)
         assert (rep.pairings, rep.beta_norm2) == (pairings, b2), cert
         assert rep.pairings_ok == all(p in (0, Fraction(1, 4)) for p in pairings)
         assert rep.beta_norm_ok == (b2 in (Fraction(1, 4), Fraction(3, 4), Fraction(5, 4)))
 
     @pytest.mark.parametrize("g", CONSTRAINT_PARENTS)
     def test_every_certificate_of_every_class(self, g):
-        ctx = parent_context(build_sum(parse_label_sum(g)))
+        parent = build_sum(parse_label_sum(g))
         checked = 0
-        for h in enumerate_closed_subsystems(ctx):
-            w = isotropy_weights(ctx, h)
+        for h in enumerate_closed_subsystems(parent):
+            w = isotropy_weights(parent, h)
             if not w.weights or w.dim_M % 4:
                 continue
             for cert in find_splittings(w):
-                self.assert_matches(ctx, cert)
+                self.assert_matches(parent, cert)
                 checked += 1
         assert checked
 
@@ -351,25 +348,25 @@ class TestConstraintsOracle:
         "g", [str(l) for l in simple_labels_up_to(8) if l.series != "G" and l.rank > 1]
     )
     def test_wolf_pairs_through_rank_8(self, g):
-        ctx = parent_context(build_sum(parse_label_sum(g)))
-        certs = find_splittings(isotropy_weights(ctx, ctx.wolf))
-        assert wolf_certificate(ctx) in certs
+        parent = build_sum(parse_label_sum(g))
+        certs = find_splittings(isotropy_weights(parent, parent.wolf))
+        assert wolf_certificate(parent) in certs
         for cert in certs:
-            self.assert_matches(ctx, cert)
+            self.assert_matches(parent, cert)
 
     def test_off_lattice_certificate_rejected(self):
         # B3's roots are on scale 2, so a certificate with thirds is not
         third = Fraction(1, 3)
-        ctx = parent_context(build(label("B", 3)))
+        g = build(label("B", 3))
         cert = on_scale(6, vec(third, third, 0), vec(0, 0, 1))
         with pytest.raises(ValueError, match="not on scale 2"):
-            check_constraints(ctx, cert)
+            check_constraints(g, cert)
 
     def test_wrong_dimension_rejected(self):
-        ctx = parent_context(build(label("B", 3)))
+        g = build(label("B", 3))
         cert = on_scale(2, vec(HALF, HALF), vec(0, 1))
         with pytest.raises(ValueError):
-            check_constraints(ctx, cert)
+            check_constraints(g, cert)
 
 
 def shape_oracle(cert):
@@ -509,9 +506,9 @@ def first_triple_oracle(w):
 class TestPairSums:
     @pytest.mark.parametrize("g", RANK_4_PARENTS)
     def test_triple_matches_pairwise_scan(self, g):
-        ctx = parent_context(build_sum(parse_label_sum(g)))
-        for h in enumerate_closed_subsystems(ctx):
-            w = isotropy_weights(ctx, h)
+        parent = build_sum(parse_label_sum(g))
+        for h in enumerate_closed_subsystems(parent):
+            w = isotropy_weights(parent, h)
             if not w.weights:
                 continue
             expected = first_triple_oracle(w)
@@ -566,39 +563,39 @@ class TestPairSums:
 class TestWolfCertificate:
     def test_b2(self):
         b2 = build(label("B", 2))
-        cert = wolf_certificate(parent_context(b2))
+        cert = wolf_certificate(b2)
         assert rational(cert)[0] == vec(HALF, HALF)
         w = wolf_weights(b2)
         assert verify_certificate(w, cert)
 
     def test_b3(self):
         b3 = build(label("B", 3))
-        cert = wolf_certificate(parent_context(b3))
+        cert = wolf_certificate(b3)
         assert rational(cert)[0] == vec(HALF, HALF, 0)
         assert cert.n == 3
 
     def test_g2(self):
         g2 = build(label("G", 2))
-        cert = wolf_certificate(parent_context(g2))
+        cert = wolf_certificate(g2)
         w = wolf_weights(g2)
         assert verify_certificate(w, cert)
         assert cert.n == 2
 
     def test_a1_has_no_weights(self):
         with pytest.raises(EmptyWeights):
-            wolf_certificate(parent_context(build(label("A", 1))))
+            wolf_certificate(build(label("A", 1)))
 
     def test_rediscovered_by_search(self):
         for lab in [("A", 2), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]:
             parent = build(label(*lab))
             w = wolf_weights(parent)
-            assert wolf_certificate(parent_context(parent)) in find_splittings(w), str(lab)
+            assert wolf_certificate(parent) in find_splittings(w), str(lab)
 
 
 class TestWeylEquivariance:
     def test_so7_u3_transforms(self):
         b3, w = b3_u3_weights()
-        wg = weyl_group(parent_context(b3))
+        wg = weyl_group(b3)
         index = {r: i for i, r in enumerate(wg.roots)}
 
         def apply(perm, v):
@@ -623,10 +620,10 @@ class TestScaleIndependence:
 
     @pytest.mark.parametrize("g", CATALOG_R3_PARENTS)
     def test_parent_copy_matches_other_scales(self, g):
-        ctx = parent_context(build_sum(parse_label_sum(g)))
-        for h in enumerate_closed_subsystems(ctx):
-            w = isotropy_weights(ctx, h)
-            assert w.scale == ctx.system.scale
+        parent = build_sum(parse_label_sum(g))
+        for h in enumerate_closed_subsystems(parent):
+            w = isotropy_weights(parent, h)
+            assert w.scale == parent.scale
             assert list(w.ints) == [scale_to_int(x, w.scale) for x in w.weights]
             if not w.weights or w.dim_M % 4:
                 continue
@@ -648,8 +645,8 @@ class TestScaleIndependence:
     def test_half_integer_parent(self):
         # E7's roots have halves, so its copy is at scale 4, and the Wolf
         # weights given from outside pick the same scale from W alone.
-        ctx = parent_context(build(label("E", 7)))
-        w = isotropy_weights(ctx, ctx.wolf)
+        g = build(label("E", 7))
+        w = isotropy_weights(g, g.wolf)
         own = weights_from_set(w.weights)
         assert w.scale == own.scale == 4
         assert own.ints == w.ints
