@@ -2,14 +2,13 @@
 quaternionic weight splittings, with the root systems, subsystems and
 weight sets it is built on."""
 
-from .linalg import Vector, dot, vec
+from .linalg import Vector, vec
 from .rootcore import (
     CartanLabel,
     ClosedSubsystem,
     RootSystem,
     ValidationReport,
     make_root_system,
-    reflect,
     validate_root_system,
 )
 from .catalog import (

@@ -26,8 +26,9 @@ from .rootcore import (
     ClosedSubsystem,
     RootsplitError,
     RootSystem,
+    _root_counts,
     lattice_root_system,
-    reflect,
+    type_by_counts,
 )
 
 #: rank cap of weyl_group (largest needed: F4, order 1152) and of the Weyl
@@ -39,18 +40,19 @@ class G2Component(RootsplitError):
     """A component has length ratio sqrt(3); the {1,2} normalization fails."""
 
 
+def _admits(series: str, rank: int) -> bool:
+    """Whether series_rank names a simple type: the root-count formulas
+    have counts for it (rootcore._root_counts) and type_by_counts decodes
+    them back to it, so the aliases C1, C2 and D3 fail."""
+    counts = _root_counts(series, rank)
+    return counts is not None and type_by_counts(rank, *counts) == (series, rank)
+
+
+@lru_cache(maxsize=None)
 def label(series: str, rank: int) -> CartanLabel:
-    """Admissible Cartan label; aliases such as C2 or D3 are rejected."""
-    ok = (
-        (series == "A" and rank >= 1)
-        or (series == "B" and rank >= 2)
-        or (series == "C" and rank >= 3)
-        or (series == "D" and rank >= 4)
-        or (series == "E" and rank in (6, 7, 8))
-        or (series == "F" and rank == 4)
-        or (series == "G" and rank == 2)
-    )
-    if not ok:
+    """Admissible Cartan label (_admits); aliases such as C2 or D3 are
+    rejected. An admitted label is kept: every label of a command is read."""
+    if not _admits(series, rank):
         raise ValueError(f"inadmissible Cartan label {series}{rank}")
     return CartanLabel(series, rank)
 
@@ -129,9 +131,10 @@ def _f4_roots(one: int) -> set[IntVector]:
 
 @lru_cache(maxsize=None)
 def build(lab: CartanLabel) -> RootSystem:
-    """Validated root system for an admissible label of rank <= 8, built
-    on integers at its scale (twice the common denominator of its roots):
-    2 for A-D and G2, 4 for F4 and E6-E8, whose roots have halves."""
+    """Validated root system for an admissible label (label) of rank <= 8,
+    built on integers at its scale (twice the common denominator of its
+    roots): 2 for A-D and G2, 4 for F4 and E6-E8, whose roots have halves."""
+    label(*lab)
     if lab.rank > 8:
         raise ValueError("catalog is limited to rank <= 8")
     s, n = lab.series, lab.rank
@@ -214,22 +217,13 @@ class WeylGroup(NamedTuple):
     """The full Weyl group as permutations of the sorted root list.
 
     `elements[i]` permutes root indices; `words[i]` is a matching product
-    of generator reflections, usable on arbitrary vectors via `apply_word`.
+    of reflections in the simple roots `generators`, applied last first.
     """
 
     roots: tuple[Vector, ...]
     generators: tuple[Vector, ...]
     elements: tuple[tuple[int, ...], ...]
     words: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def apply_word(self, word: tuple[int, ...], v: Vector) -> Vector:
-        for g in reversed(word):
-            v = reflect(v, self.generators[g])
-        return v
 
 
 def weyl_group(g: RootSystem) -> WeylGroup:
@@ -308,15 +302,9 @@ def normalize(system: RootSystem) -> Matrix:
 
 def simple_labels_up_to(max_rank: int, series: Iterable[str] | None = None):
     """All admissible simple labels of rank <= max_rank, sorted."""
-    out = []
-    for r in range(1, max_rank + 1):
-        for s in SERIES:
-            try:
-                out.append(label(s, r))
-            except ValueError:
-                continue
-    if series is not None:
-        wanted = {s.upper() for s in series}
-        out = [l for l in out if l.series in wanted]
-    return sorted(out, key=str)
+    wanted = SERIES if series is None else {s.upper() for s in series}
+    return sorted(
+        CartanLabel(s, r)
+        for s in SERIES for r in range(1, max_rank + 1) if s in wanted and _admits(s, r)
+    )
 

@@ -55,10 +55,10 @@ def _emit_json(doc, args) -> int:
 
 
 def _cmd_build(args) -> int:
-    label, system = parse_g_spec(args.g)
+    system = parse_g_spec(args.g)
     return _emit_json(
         {
-            "g": label,
+            "g": system.name,
             "ambient_dim": system.ambient_dim,
             "rank": system.rank,
             "root_count": len(system.ints),
@@ -92,11 +92,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_subsystems(args) -> int:
-    label, g = parse_g_spec(args.g)
+    g = parse_g_spec(args.g)
     subs = enumerate_closed_subsystems(g, dedup=not args.no_dedup)
     return _emit_json(
         {
-            "g": label,
+            "g": g.name,
             "dedup": not args.no_dedup,
             "count": len(subs),
             "subsystems": [
@@ -113,12 +113,12 @@ def _cmd_subsystems(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    label, g = parse_g_spec(args.g)
+    g = parse_g_spec(args.g)
     h = parse_h_spec(g, args.h)
     w = isotropy_weights(g, h)
     return _emit_json(
         {
-            "g": label,
+            "g": g.name,
             "h": describe_subsystem(g, h),
             "dim_M": w.dim_M,
             "quaternionic_n": format_rational(w.quaternionic_n),
@@ -129,13 +129,13 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    label, g = parse_g_spec(args.g)
+    g = parse_g_spec(args.g)
     h = parse_h_spec(g, args.h)
     w = isotropy_weights(g, h)
     certs = find_splittings(w)
     return _emit_json(
         {
-            "g": label,
+            "g": g.name,
             "h": describe_subsystem(g, h),
             "certificates": [
                 certificate_dict(c, case_analysis(w, c).tag) for c in certs
@@ -146,12 +146,12 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_wolf(args) -> int:
-    label, g = parse_g_spec(args.g)
+    g = parse_g_spec(args.g)
     cert = wolf_certificate(g)
     h = g.wolf
     return _emit_json(
         {
-            "g": label,
+            "g": g.name,
             "h": describe_subsystem(g, h),
             "h_roots": [format_vector(g.ints[i], g.scale) for i in h.positions],
             "certificate": certificate_dict(cert),

@@ -50,21 +50,9 @@ def vneg(v: Vector) -> Vector:
     return tuple(-a for a in v)
 
 
-def vscale(c: Fraction | int, v: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
-
-
-def dot(u: Vector, v: Vector) -> Fraction:
-    """Standard inner product; raises on dimension mismatch."""
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 def idot(u: IntVector, v: IntVector) -> int:
     """Inner product of integer vectors, e.g. from int_copy (no dimension
-    check, and no Fraction start value)."""
+    check)."""
     return sum(map(mul, u, v))
 
 

@@ -105,14 +105,17 @@ def check_report_invariants(report: PairReport) -> None:
         raise InvariantViolation("symmetric_candidate cannot be a Wolf pair")
 
 
-def parse_g_spec(g_spec: str) -> tuple[str, RootSystem]:
-    """Build g from a direct-sum label string such as 'B3' or 'A1+A1'."""
+def _sorted_labels(text: str) -> list[CartanLabel]:
     try:
-        labels = parse_label_sum(g_spec)
+        return sorted(parse_label_sum(text))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    labels.sort(key=str)
-    return "+".join(str(l) for l in labels), build_sum(labels)
+
+
+def parse_g_spec(g_spec: str) -> RootSystem:
+    """Build g from a direct-sum label string such as 'B3' or 'A1+A1', its
+    factors in sorted order, the order of g.name."""
+    return build_sum(_sorted_labels(g_spec))
 
 
 def parse_root_list(text: str) -> list[Vector]:
@@ -149,10 +152,10 @@ def parse_h_spec(g: RootSystem, h_spec: str) -> ClosedSubsystem:
         type_part, _, idx_part = h_spec.rpartition("#")
         if not idx_part.isdigit():
             raise ParseError(f"bad subsystem index in {h_spec!r}")
-        wanted = _type_key(type_part)
+        wanted = tuple(_sorted_labels(type_part))
         matches = [
             h for h in enumerate_closed_subsystems(g, dedup=True)
-            if h.positions and _type_key_of(g, h) == wanted
+            if h.positions and g.types_of(h.positions, h.base) == wanted
         ]
         k = int(idx_part)
         if k >= len(matches):
@@ -163,17 +166,6 @@ def parse_h_spec(g: RootSystem, h_spec: str) -> ClosedSubsystem:
     raise ParseError(f"cannot parse subsystem spec {h_spec!r}")
 
 
-def _type_key(text: str) -> tuple[str, ...]:
-    try:
-        return tuple(sorted(str(l) for l in parse_label_sum(text)))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def _type_key_of(g: RootSystem, h: ClosedSubsystem) -> tuple[str, ...]:
-    return tuple(sorted(str(l) for l in g.types_of(h.positions, h.base)))
-
-
 def describe_subsystem(g: RootSystem, h: ClosedSubsystem) -> str:
     """Deterministic human-readable description: component types plus the
     central torus rank, e.g. 'A1+A1+T1' or 'torus(T3)'. The types are read
@@ -181,14 +173,14 @@ def describe_subsystem(g: RootSystem, h: ClosedSubsystem) -> str:
     with (RootSystem.types_of), so they are not found again."""
     if not h.positions:
         return f"torus(T{h.torus_corank})"
-    parts = list(_type_key_of(g, h))
+    parts = [str(t) for t in g.types_of(h.positions, h.base)]
     if h.torus_corank:
         parts.append(f"T{h.torus_corank}")
     return "+".join(parts)
 
 
-def classify_subsystem(g_label: str, g: RootSystem, h: ClosedSubsystem) -> PairReport:
-    """Full pipeline for one equal-rank pair (g, h), g named g_label."""
+def classify_subsystem(g: RootSystem, h: ClosedSubsystem) -> PairReport:
+    """Full pipeline for one equal-rank pair (g, h)."""
     w = isotropy_weights(g, h)
     if w.dim_M == 0:
         raise EmptyWeights("h = g: the quotient is a point")
@@ -203,14 +195,12 @@ def classify_subsystem(g_label: str, g: RootSystem, h: ClosedSubsystem) -> PairR
     if eligible:
         certificates = tuple(find_splittings(w))
         cases = tuple(case_analysis(w, c) for c in certificates)
-        if certificates and g.irreducible and g.types != (CartanLabel("G", 2),):
+        if certificates and g.irreducible and g.name != "G2":
             constraints = tuple(check_constraints(g, c) for c in certificates)
 
-    verdict = _assign_verdict(
-        g.types, eligible, symmetric, wolf, certificates, cases, h
-    )
+    verdict = _assign_verdict(g, eligible, symmetric, wolf, certificates, cases, h)
     report = PairReport(
-        g_label,
+        g.name,
         describe_subsystem(g, h),
         w.dim_M,
         w.quaternionic_n,
@@ -226,20 +216,15 @@ def classify_subsystem(g_label: str, g: RootSystem, h: ClosedSubsystem) -> PairR
     return report
 
 
-def _assign_verdict(g_types, eligible, symmetric, wolf, certificates, cases, h):
+def _assign_verdict(g, eligible, symmetric, wolf, certificates, cases, h):
     if not eligible:
         return "not_eligible"
     if not certificates:
         return "no_splitting"
     if wolf:
         return "wolf_space"
-    type_strs = [str(t) for t in g_types]
-    if len(g_types) == 1:
-        if (
-            not symmetric
-            and type_strs == ["B3"]
-            and any(t.tag == "case_d3" for t in cases)
-        ):
+    if g.irreducible:
+        if not symmetric and g.name == "B3" and any(t.tag == "case_d3" for t in cases):
             return "so7_u3"
         if symmetric:
             return "symmetric_candidate"
@@ -248,25 +233,26 @@ def _assign_verdict(g_types, eligible, symmetric, wolf, certificates, cases, h):
             "classification; weights falsify an internal invariant"
         )
     # reducible g: only (A1+A1, torus) is a confirmed product positive
-    if type_strs == ["A1", "A1"] and not h.positions:
+    if g.name == "A1+A1" and not h.positions:
         return "s2xs2_type"
     return "symmetric_candidate"
 
 
 def classify_pair(g_spec: str, h_spec: str) -> PairReport:
     """Classify one pair given CLI spec strings."""
-    g_label, g = parse_g_spec(g_spec)
-    return classify_subsystem(g_label, g, parse_h_spec(g, h_spec))
+    g = parse_g_spec(g_spec)
+    return classify_subsystem(g, parse_h_spec(g, h_spec))
 
 
-def _product_labels(max_rank: int, series) -> list[list[CartanLabel]]:
+def _product_labels(max_rank: int, series) -> list[tuple[CartanLabel, ...]]:
+    """The factors of each product of rank <= max_rank, in sorted order."""
     simples = catalog.simple_labels_up_to(max_rank - 1, series)
-    out = []
-    for size in range(2, max_rank + 1):
-        for combo in itertools.combinations_with_replacement(simples, size):
-            if sum(l.rank for l in combo) <= max_rank:
-                out.append(sorted(combo, key=str))
-    return out
+    return [
+        combo
+        for size in range(2, max_rank + 1)
+        for combo in itertools.combinations_with_replacement(simples, size)
+        if sum(l.rank for l in combo) <= max_rank
+    ]
 
 
 def classify_all(
@@ -289,23 +275,20 @@ def classify_all(
     )
     if unknown:
         raise ValueError(f"unknown series {', '.join(unknown)}: the series are {catalog.SERIES}")
-    groups: list[tuple[str, RootSystem]] = []
-    for lab in catalog.simple_labels_up_to(max_rank, series):
-        groups.append((str(lab), catalog.build(lab)))
+    groups = [catalog.build(lab) for lab in catalog.simple_labels_up_to(max_rank, series)]
     if include_products:
-        for combo in _product_labels(max_rank, series):
-            groups.append(("+".join(str(l) for l in combo), build_sum(combo)))
+        groups += map(build_sum, _product_labels(max_rank, series))
 
     pairs = []
     n_subsystems = 0
-    for g_label, g in groups:
+    for g in groups:
         subsystems = enumerate_closed_subsystems(g)
         n_subsystems += len(subsystems)
         for h in subsystems:
             w_size = len(g.ints) - len(h.positions)
             if w_size == 0 or w_size % 4:  # h = g, or not eligible
                 continue
-            pairs.append(classify_subsystem(g_label, g, h))
+            pairs.append(classify_subsystem(g, h))
 
     pairs.sort(key=lambda p: (p.g_label, p.h_description, p.dim_M))
     return ClassificationReport(max_rank, tuple(pairs), len(groups), n_subsystems)

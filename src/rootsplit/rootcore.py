@@ -23,14 +23,11 @@ from typing import Container, Iterable, NamedTuple, Sequence
 from .linalg import (
     IntVector,
     Vector,
-    dot,
     idot,
     int_copy,
     lattice_radix,
     pack,
     primitive_direction,
-    vscale,
-    vsub,
 )
 
 #: the series letters of the catalog, in the order type_by_counts tries them
@@ -67,24 +64,30 @@ class CartanLabel(NamedTuple):  # ordered by (series, rank)
         return f"{self.series}{self.rank}"
 
 
+#: the closed root-count formula of each series at rank n (_root_counts)
+_COUNTS = {
+    "A": lambda n: (n * (n + 1), n * (n + 1)),
+    "B": lambda n: (2 * n * n, 2 * n * (n - 1)),
+    "C": lambda n: (2 * n * n, 2 * n),
+    "D": lambda n: (2 * n * (n - 1), 2 * n * (n - 1)),
+    "E": {6: (72, 72), 7: (126, 126), 8: (240, 240)}.get,
+    "F": {4: (48, 24)}.get,
+    "G": {2: (12, 6)}.get,
+}
+
+
 def _root_counts(series: str, n: int) -> tuple[int, int] | None:
     """(|R|, number of long roots) of the simple type series_n (Bourbaki,
-    Lie Groups ch. VI, Plates I-IX); all roots of a simply laced type are
-    long. None where the series has no simple type of rank n: below rank
+    Lie Groups ch. VI, Plates I-IX), from that series' formula only; all
+    roots of a simply laced type are long. None for a letter outside
+    SERIES and where the series has no simple type of rank n: below rank
     1, B1 (whose one root length the B formula counts short), D1, D2 =
     A1+A1, and E, F and G off ranks 6-8, 4 and 2. The aliases C1 = A1,
     C2 = B2 and D3 = A3 have their counts."""
-    if n < 1 or (series, n) in {("B", 1), ("D", 1), ("D", 2)}:
+    counts = _COUNTS.get(series)
+    if counts is None or n < 1 or (series, n) in {("B", 1), ("D", 1), ("D", 2)}:
         return None
-    return {
-        "A": (n * (n + 1), n * (n + 1)),
-        "B": (2 * n * n, 2 * n * (n - 1)),
-        "C": (2 * n * n, 2 * n),
-        "D": (2 * n * (n - 1), 2 * n * (n - 1)),
-        "E": {6: (72, 72), 7: (126, 126), 8: (240, 240)}.get(n),
-        "F": (48, 24) if n == 4 else None,
-        "G": (12, 6) if n == 2 else None,
-    }[series]
+    return counts(n)
 
 
 @lru_cache(maxsize=None)
@@ -92,10 +95,10 @@ def type_by_counts(rank: int, size: int, n_long: int) -> CartanLabel:
     """The simple type of rank rank with size roots, n_long of them long,
     at any rank: the first series, in SERIES order, whose closed formula
     (_root_counts) gives (size, n_long) at rank. The key is injective on
-    the simple types but for the aliases, which resolve to the name
-    catalog.label admits (A1, B2, A3). A key that no type has raises
-    ValueError. Each pair types h's components, so an answer is kept, as
-    a table lookup costs: a process meets few types."""
+    the simple types but for the aliases, which resolve to the first
+    series (A1, B2, A3), the one name catalog.label admits. A key that no
+    type has raises ValueError. Each pair types h's components, so an
+    answer is kept, as a table lookup costs: a process meets few types."""
     for series in SERIES:
         if _root_counts(series, rank) == (size, n_long):
             return CartanLabel(series, rank)
@@ -120,10 +123,11 @@ class RootSystem:
     long_norm, the squared length of a long root, read by Wolf
     recognition and by the constraint values (the normalized metric is
     2 / long_norm times the standard one); types, by components_of, the
-    one grouping into components, and types_of; theta (the last root) and
-    wolf, which only the Wolf pair reads and which raise ValueError for a
-    reducible system; and closure_table, the tables of the closed
-    subsystems' search. roots and root_set are rational views."""
+    one grouping into components, and types_of; name, the types joined by
+    "+", which the commands print and the verdicts read; theta (the last
+    root) and wolf, which only the Wolf pair reads and which raise
+    ValueError for a reducible system; and closure_table, the tables of
+    the closed subsystems' search. roots and root_set are rational views."""
 
     ambient_dim: int
     scale: int
@@ -194,6 +198,10 @@ class RootSystem:
     def types(self) -> tuple[CartanLabel, ...]:
         return self.types_of(range(len(self.keys)), self.base)
 
+    @cached_property
+    def name(self) -> str:  # the sorted types joined by "+", e.g. 'A1+A1' or 'B3'
+        return "+".join(map(str, self.types))
+
     def components_of(
         self, positions: Sequence[int], base: Sequence[int]
     ) -> list[tuple[int, list[int]]]:
@@ -242,7 +250,9 @@ class RootSystem:
         roots, which are lexicographically positive, for every root r
         (Humphreys, Introduction to Lie Algebras, 10.4 Lemma A)."""
         if not self.irreducible:
-            raise ValueError("highest_root requires an irreducible system")
+            raise ValueError(
+                f"theta, and so the Wolf subsystem, needs an irreducible g, not {self.name}"
+            )
         return self.ints[-1]
 
     @cached_property
@@ -355,15 +365,6 @@ def lattice_root_system(scale: int, ints: Iterable[IntVector]) -> RootSystem:
     if violations:
         raise ValueError(f"not a root system: {tuple(violations[:3])}")
     return system
-
-
-def reflect(v: Vector, alpha: Vector) -> Vector:
-    """Reflection of v through the hyperplane orthogonal to alpha."""
-    aa = dot(alpha, alpha)
-    if aa == 0:
-        raise ValueError("cannot reflect through the zero vector")
-    c = 2 * dot(alpha, v) / aa
-    return vsub(v, vscale(c, alpha))
 
 
 def validate_root_system(candidate: Sequence[Vector]) -> ValidationReport:

@@ -19,7 +19,7 @@ from .linalg import (
     vneg,
     vsub,
 )
-from .rootcore import CartanLabel, RootsplitError, RootSystem
+from .rootcore import RootsplitError, RootSystem
 from .subalgebra import IsotropyWeights, isotropy_weights
 
 ADMISSIBLE_PAIRINGS = frozenset({Fraction(0), Fraction(1, 4)})
@@ -206,7 +206,7 @@ def check_constraints(g: RootSystem, cert: SplittingCertificate) -> ConstraintRe
     the metric is I, or the parent is C_n, whose roots span the space."""
     if not g.irreducible:
         raise ValueError("check_constraints requires an irreducible parent")
-    if g.types == (CartanLabel("G", 2),):
+    if g.name == "G2":
         raise G2Input("constraints do not apply to G2")
     beta, alphas, norm = cert.beta, cert.alphas, g.long_norm
     _check_scale(cert, g.scale)

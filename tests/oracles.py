@@ -13,8 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from rootsplit.catalog import simple_labels_up_to
-from rootsplit.linalg import dot, lex_positive, vneg, vscale, vsub
-from rootsplit.rootcore import RootsplitError, reflect
+from rootsplit.linalg import lex_positive, vneg, vsub
+from rootsplit.rootcore import RootsplitError
 from rootsplit.splitting import EmptyWeights
 
 #: reflection_closure aborts past this size; E8, the largest catalog
@@ -24,6 +24,50 @@ CLOSURE_CAP = 1000
 
 def vadd(u, v):
     return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vscale(c, v) -> tuple:
+    c = Fraction(c)
+    return tuple(c * a for a in v)
+
+
+def dot(u, v) -> Fraction:
+    """Standard inner product; raises on dimension mismatch."""
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def reflect(v, alpha) -> tuple:
+    """Reflection of v through the hyperplane orthogonal to alpha."""
+    aa = dot(alpha, alpha)
+    if aa == 0:
+        raise ValueError("cannot reflect through the zero vector")
+    return vsub(v, vscale(2 * dot(alpha, v) / aa, alpha))
+
+
+def apply_word(wg, word, v) -> tuple:
+    """A Weyl group element given as a word of catalog.weyl_group (an entry
+    of wg.words), applied to any vector: the reflections in the generators
+    the word names, last first."""
+    for g in reversed(word):
+        v = reflect(v, wg.generators[g])
+    return v
+
+
+def admissible_label(series: str, rank: int) -> bool:
+    """The simple Cartan labels, one clause per series, with the aliases
+    B1 = C1 = A1, C2 = B2, D2 = A1+A1 and D3 = A3 (and D1, which is no
+    root system) left out."""
+    return (
+        (series == "A" and rank >= 1)
+        or (series == "B" and rank >= 2)
+        or (series == "C" and rank >= 3)
+        or (series == "D" and rank >= 4)
+        or (series == "E" and rank in (6, 7, 8))
+        or (series == "F" and rank == 4)
+        or (series == "G" and rank == 2)
+    )
 
 
 def rational(cert) -> tuple:

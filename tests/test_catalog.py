@@ -5,24 +5,26 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    admissible_label,
     cartan_int,
     cartan_types,
     catalog_roots,
     components_oracle,
     direct_sum_roots,
+    dot,
     highest_root_oracle,
+    reflect,
     reflection_closure,
     simple_base,
     span_basis,
+    vscale,
 )
 from parents import RANK_4_PARENTS
 from rootsplit.linalg import (
-    dot,
     int_copy,
     pack,
     vec,
     vneg,
-    vscale,
 )
 from rootsplit.catalog import (
     G2Component,
@@ -39,8 +41,8 @@ from rootsplit.catalog import (
     simple_labels_up_to,
     weyl_group,
 )
-from rootsplit.pipeline import _product_labels
-from rootsplit.rootcore import make_root_system, reflect, validate_root_system
+from rootsplit.pipeline import _product_labels, parse_g_spec
+from rootsplit.rootcore import CartanLabel, make_root_system, validate_root_system
 from rootsplit.subalgebra import enumerate_closed_subsystems, wolf_subsystem
 
 EXPECTED_COUNTS = {
@@ -70,6 +72,35 @@ class TestBuild:
         for bad in ("B1", "C1", "C2", "D2", "D3", "E5", "E9", "F3", "G3", "H2", ""):
             with pytest.raises(ValueError):
                 parse_label(bad)
+
+    @pytest.mark.parametrize("bad", ["E5", "E4", "F3", "G5", "X3", "C2", "D3", "D2", "B1"])
+    def test_build_refuses_an_inadmissible_label(self, bad):
+        # build admits its label through label, as parse_label does: an
+        # alias or a type that does not exist builds no other system.
+        with pytest.raises(ValueError, match=f"inadmissible Cartan label {bad}$"):
+            build(CartanLabel(bad[0], int(bad[1:])))
+
+    def test_label_admits_the_simple_types(self):
+        # The root-count formulas admit exactly the clause list of the
+        # simple types, aliases left out, at every rank.
+        for series in "ABCDEFGHX":
+            for rank in range(31):
+                try:
+                    admitted = label(series, rank) == (series, rank)
+                except ValueError:
+                    admitted = False
+                assert admitted == admissible_label(series, rank), f"{series}{rank}"
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[l] for l in simple_labels_up_to(8)] + [list(c) for c in _product_labels(4, None)],
+        ids=lambda labels: "+".join(map(str, labels)),
+    )
+    def test_a_built_g_names_itself(self, labels):
+        # g.name is the label sum sorted as strings, in any factor order.
+        name = "+".join(sorted(map(str, labels)))
+        assert parse_g_spec(name).name == name
+        assert parse_g_spec("+".join(map(str, labels[::-1]))).name == name
 
     def test_parse_label_sum(self):
         assert parse_label_sum("A1+A1") == [label("A", 1), label("A", 1)]

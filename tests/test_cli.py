@@ -178,6 +178,15 @@ class TestCli:
         assert r.returncode == 1 and r.stdout == ""
         assert r.stderr.splitlines()[-1] == "error: the weight set is empty (g = h)"
 
+    @pytest.mark.parametrize("args", [("classify", "A1+A1", "wolf"), ("wolf", "A1+A2")])
+    def test_wolf_of_a_reducible_g_exits_one(self, args):
+        # theta, and so the Wolf subsystem, exists only on an irreducible g
+        r = run(*args)
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr == (
+            f"error: theta, and so the Wolf subsystem, needs an irreducible g, not {args[1]}\n"
+        )
+
     def test_classify_pair(self):
         r = run("classify", "G2", "torus", "--format", "json")
         assert r.returncode == 0

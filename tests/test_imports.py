@@ -3,11 +3,12 @@ modules below it, every name it imports is used in that module, only
 rootcore and weights_from_set choose an integer scale and no step between
 parse and emit makes a rational, the pair checks
 import no metric matrix, rational product or typing, every function the
-bench traces exists, every top-level function and class of src/ is reached,
-only the records that cache facts are dataclasses, and the test oracles
+bench traces exists, every top-level function and class of src/ and every
+member of a src/ class is reached, only the records that cache facts are dataclasses, and the test oracles
 use no private rootsplit code."""
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -100,11 +101,16 @@ INTEGER_ONLY = {
 RATIONAL_NAMES = {"Fraction", "int_copy", "scale_to_int", "unscale"}
 
 
-def named_in(node) -> set:
-    return {
+def names_under(node) -> list:
+    """The Name and Attribute names in node, with repeats."""
+    return [
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
-    }
+    ]
+
+
+def named_in(node) -> set:
+    return set(names_under(node))
 
 
 @pytest.mark.parametrize("module", [p.stem for p in MODULES])
@@ -175,6 +181,32 @@ def test_every_src_definition_is_reached():
     allowed = {f"{m}.{f}" for m, f in traced_names()} | INPUT_HELPERS
     unreached = {q for name, q in defined.items() if name not in named}
     assert unreached <= allowed, f"reached by nothing in src/: {sorted(unreached - allowed)}"
+
+
+#: the members of src/ classes that only the bench reads (bench/workloads.py)
+BENCH_READS = {"rootcore.RootSystem.root_set"}
+
+
+def test_every_src_member_is_reached():
+    # The member-level guard: a method or property of a src/ class whose
+    # name no other code of src/ reads is read by the bench (which traces
+    # only module-level functions), or only the tests use it (it belongs
+    # in tests/oracles.py), or nothing.
+    members, named = {}, Counter()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), str(path))
+        named.update(names_under(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                members.update(
+                    (f"{path.stem}.{node.name}.{f.name}", f) for f in node.body
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")
+                )
+    unreached = {
+        qualified for qualified, f in members.items()
+        if named[f.name] == names_under(f).count(f.name) and qualified not in BENCH_READS
+    }
+    assert members and not unreached, f"members reached by nothing in src/: {sorted(unreached)}"
 
 
 def test_oracles_use_no_private_rootsplit_name():

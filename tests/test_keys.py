@@ -171,5 +171,6 @@ def test_a_built_system_is_packed_once_at_build(monkeypatch):
             patched.add(name)
     assert {"rootsplit.linalg", "rootsplit.rootcore", "rootsplit.subalgebra"} <= patched
     for g, system in systems.items():
-        assert classify_subsystem(g, system, system.wolf).verdict == "wolf_space"
+        report = classify_subsystem(system, system.wolf)
+        assert (report.g_label, report.verdict) == (g, "wolf_space")
     assert enumerate_closed_subsystems(systems["B4"])

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from oracles import cartan_types, simple_base
+from oracles import cartan_types, reflect, simple_base
 from parents import RANK_4_PARENTS
 from rootsplit.catalog import (
     build,
@@ -21,7 +21,6 @@ from rootsplit.pipeline import (
     parse_g_spec,
     parse_h_spec,
 )
-from rootsplit.rootcore import reflect
 from rootsplit.subalgebra import (
     enumerate_closed_subsystems,
     wolf_subsystem,
@@ -30,45 +29,45 @@ from rootsplit.subalgebra import (
 
 class TestParsing:
     def test_g_spec_simple(self):
-        name, sys = parse_g_spec("B3")
-        assert name == "B3" and len(sys.roots) == 18
+        sys = parse_g_spec("B3")
+        assert sys.name == "B3" and len(sys.roots) == 18
 
     def test_g_spec_sum(self):
-        name, sys = parse_g_spec("A1+A1")
-        assert len(sys.roots) == 4
+        sys = parse_g_spec("A1+A1")
+        assert sys.name == "A1+A1" and len(sys.roots) == 4
 
     def test_g_spec_invalid(self):
         with pytest.raises(ParseError):
             parse_g_spec("Z9")
 
     def test_h_spec_torus(self):
-        _, b2 = parse_g_spec("B2")
+        b2 = parse_g_spec("B2")
         h = parse_h_spec(b2, "torus")
         assert h.roots == () and h.torus_corank == 2
 
     def test_h_spec_wolf(self):
-        _, b3 = parse_g_spec("B3")
+        b3 = parse_g_spec("B3")
         h = parse_h_spec(b3, "wolf")
         assert len(h.roots) == 6
 
     def test_h_spec_indexed_type(self):
-        _, b3 = parse_g_spec("B3")
+        b3 = parse_g_spec("B3")
         h = parse_h_spec(b3, "A2#0")
         assert len(h.roots) == 6
 
     def test_h_spec_json(self):
-        _, b2 = parse_g_spec("B2")
+        b2 = parse_g_spec("B2")
         spec = '[["1","1"],["-1","-1"],["1","-1"],["-1","1"]]'
         h = parse_h_spec(b2, spec)
         assert len(h.roots) == 4
 
     def test_h_spec_bad_index(self):
-        _, b3 = parse_g_spec("B3")
+        b3 = parse_g_spec("B3")
         with pytest.raises(ParseError):
             parse_h_spec(b3, "A2#9")
 
     def test_h_spec_garbage(self):
-        _, b3 = parse_g_spec("B3")
+        b3 = parse_g_spec("B3")
         with pytest.raises(ParseError):
             parse_h_spec(b3, "not-a-spec")
 
@@ -114,7 +113,7 @@ class TestVerdicts:
     def test_conjugate_wolf_subsystem_above_rank_4(self, g):
         # theta's Wolf subsystem reflected by one simple root: a Weyl
         # conjugate that is not the literal set, passed as a JSON root list.
-        _, parent = parse_g_spec(g)
+        parent = parse_g_spec(g)
         wolf = set(wolf_subsystem(parent).roots)
         moved = next(
             image for image in (

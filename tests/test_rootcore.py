@@ -1,6 +1,6 @@
-"""Axioms, validation, reflections and the integer copy of a root system
-(rootcore), and the test oracles' Cartan numbers, pair trichotomy and
-reflection closure (oracles)."""
+"""Axioms, validation, simple reflections and the integer copy of a root
+system (rootcore), and the test oracles' inner product, reflection, Cartan
+numbers, pair trichotomy and reflection closure (oracles)."""
 import itertools
 import random
 from fractions import Fraction
@@ -9,10 +9,10 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import NormscalViolation, cartan_int, pair_class, reflection_closure
+from oracles import NormscalViolation, cartan_int, dot, pair_class, reflect, reflection_closure
 from parents import RANK_4_PARENTS
 from rootsplit import rootcore
-from rootsplit.linalg import dot, int_rank, vec
+from rootsplit.linalg import int_rank, vec
 from rootsplit.catalog import (
     _a_roots,
     _bcd_roots,
@@ -27,7 +27,6 @@ from rootsplit.rootcore import (
     CartanLabel,
     lattice_root_system,
     make_root_system,
-    reflect,
     type_by_counts,
     validate_root_system,
 )

@@ -60,9 +60,10 @@ def apply(q, v):
 
 
 def row(report):
-    """The report's fields that do not name coordinates: its certificates
-    by number, its case tags and constraint values as multisets (the
-    triple a case tag cites and the order of the alphas are coordinates)."""
+    """The report's fields that do not name coordinates, g's name (the
+    name each frame's g gives itself) among them: its certificates by
+    number, its case tags and constraint values as multisets (the triple
+    a case tag cites and the order of the alphas are coordinates)."""
     return report._replace(
         certificates=len(report.certificates),
         cases=sorted(t.tag for t in report.cases),
@@ -93,7 +94,7 @@ def test_rows_and_certificates_survive_a_rotation(spec):
     system = build_sum(parse_label_sum(spec))
     q = cayley(random.Random(spec), system.ambient_dim)
     moved = make_root_system([apply(q, r) for r in system.roots])
-    assert moved.types == system.types
+    assert moved.types == system.types and moved.name == system.name == spec
     if system.irreducible:  # theta is each frame's own highest root
         assert system.theta == highest_root_oracle(system.ints)
         assert moved.theta == highest_root_oracle(moved.ints)
@@ -107,7 +108,7 @@ def test_rows_and_certificates_survive_a_rotation(spec):
         hs = [system.wolf]
     for h in hs:
         mh = closed_subsystem(moved, [apply(q, r) for r in h.roots])
-        report, mreport = classify_subsystem(spec, system, h), classify_subsystem(spec, moved, mh)
+        report, mreport = classify_subsystem(system, h), classify_subsystem(moved, mh)
         assert row(mreport) == row(report), h.roots
         assert [rational(c) for c in mreport.certificates] == sorted(
             moved_certificate(q, c) for c in report.certificates

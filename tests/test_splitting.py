@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from oracles import rational, splittings_oracle, vadd
+from oracles import dot, rational, splittings_oracle, vadd
 from parents import RANK_4_PARENTS, parents_up_to
-from rootsplit.linalg import dot, lattice_radix, pack, scale_to_int, vec, vneg, vsub
+from rootsplit.linalg import lattice_radix, pack, scale_to_int, vec, vneg, vsub
 from rootsplit.catalog import (
     build,
     build_sum,
