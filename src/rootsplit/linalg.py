@@ -42,10 +42,6 @@ def vec(*coords) -> Vector:
     return tuple(Fraction(c) for c in coords)
 
 
-def vsub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vneg(v: Vector) -> Vector:
     return tuple(-a for a in v)
 
@@ -54,14 +50,6 @@ def idot(u: IntVector, v: IntVector) -> int:
     """Inner product of integer vectors, e.g. from int_copy (no dimension
     check)."""
     return sum(map(mul, u, v))
-
-
-def lex_positive(v: Vector) -> bool:
-    """True if the first nonzero coordinate is positive (zero is not positive)."""
-    for a in v:
-        if a != 0:
-            return a > 0
-    return False
 
 
 def int_copy(vectors: Sequence[Vector]) -> tuple[int, tuple[IntVector, ...]]:

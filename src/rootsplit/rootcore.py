@@ -126,8 +126,9 @@ class RootSystem:
     one grouping into components, and types_of; name, the types joined by
     "+", which the commands print and the verdicts read; theta (the last
     root) and wolf, which only the Wolf pair reads and which raise
-    ValueError for a reducible system; and closure_table, the tables of
-    the closed subsystems' search. roots and root_set are rational views."""
+    ValueError for a reducible system; parities, read by the symmetric
+    test; and closure_table, the tables of the closed subsystems' search.
+    roots and root_set are rational views."""
 
     ambient_dim: int
     scale: int
@@ -181,6 +182,23 @@ class RootSystem:
                 row.append(j)
             rows.append(tuple(row))
         return tuple(rows)
+
+    @cached_property
+    def parities(self) -> tuple[int, ...]:
+        """Of each root, the bitmask of the simple roots (bit i for base[i])
+        whose coefficient in it is odd, by one ascending walk over the
+        positive keys: a non-simple one is k + a for a smaller positive k
+        and a simple a (simple_keys). ValueError if a root is not reached."""
+        at, bits = self.at, [(a, 1 << i) for i, a in enumerate(self.base)]
+        mask = dict(bits)
+        for k in self.keys:
+            if k > 0:
+                if k not in mask:
+                    raise ValueError(f"root key {k} is not reached from the simple roots")
+                for a, bit in bits:
+                    if k + a in at:
+                        mask.setdefault(k + a, mask[k] ^ bit)
+        return tuple(mask[abs(k)] for k in self.keys)
 
     @cached_property
     def norms(self) -> tuple[int, ...]:  # idot(r, r) of each integer root, in order

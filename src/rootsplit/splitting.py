@@ -12,13 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import (
-    IntVector,
-    idot,
-    lex_positive,
-    vneg,
-    vsub,
-)
+from .linalg import IntVector, idot, lattice_radix, pack, vneg
 from .rootcore import RootsplitError, RootSystem
 from .subalgebra import IsotropyWeights, isotropy_weights
 
@@ -73,10 +67,13 @@ class ConstraintReport(NamedTuple):
         return self.pairings_ok and self.beta_norm_ok
 
 
-def _given_table(w: IsotropyWeights, cert: SplittingCertificate) -> dict | None:
+def _given_table(w: IsotropyWeights, cert: SplittingCertificate) -> list | None:
     """_int_table of a certificate given from outside, after its shape
     and its scale are checked (ValueError): what verify_certificate and
-    case_analysis read."""
+    case_analysis read, on its keys at W's radix. A certificate of W has
+    beta, alpha = (w+ -+ w-) / 2 for weights w+-, so a lattice_radix no
+    larger than W's; past that, or in another dimension, it does not
+    verify, and within it each alpha +- beta keeps digits below radix / 4."""
     beta, alphas = cert.beta, cert.alphas
     if all(c == 0 for c in beta):
         raise ValueError("certificate beta must be nonzero")
@@ -93,7 +90,9 @@ def _given_table(w: IsotropyWeights, cert: SplittingCertificate) -> dict | None:
         if idot(beta, a) < 0:
             raise ValueError("certificate violates the sign convention <beta,alpha> >= 0")
     _check_scale(cert, w.scale)
-    return _int_table(w, beta, alphas)
+    if (w.ints and len(beta) != len(w.ints[0])) or lattice_radix((beta, *alphas)) > w.radix:
+        return None
+    return _int_table(w, pack(beta, w.radix), [pack(a, w.radix) for a in alphas])
 
 
 def _check_scale(cert: SplittingCertificate, scale: int) -> None:
@@ -103,17 +102,18 @@ def _check_scale(cert: SplittingCertificate, scale: int) -> None:
         raise ValueError(f"certificate is on scale {cert.scale}, not on scale {scale}")
 
 
-def _int_table(w: IsotropyWeights, beta: IntVector, alphas: Sequence[IntVector]) -> dict | None:
-    """The table mapping each generated weight eps_i alpha_i + eps beta
-    to (i, eps_i, eps), for a certificate on W's scale; None unless the
-    4n generated weights are exactly W."""
+def _int_table(w: IsotropyWeights, beta_key: int, alpha_keys: Sequence[int]) -> list | None:
+    """Of each weight of W, by position, the (i, eps_i, eps) that generates
+    it as eps_i alpha_i + eps beta, for a certificate given by the lattice
+    keys of beta and the alphas at W's radix; None unless the 4n generated
+    keys are exactly W's."""
     table = {}
-    for i, a in enumerate(alphas):
+    for i, a in enumerate(alpha_keys):
         for ei in (1, -1):
             for e in (1, -1):
-                table[tuple(ei * x + e * y for x, y in zip(a, beta))] = (i, ei, e)
-    if len(table) == 4 * len(alphas) == w.dim_M and all(x in table for x in w.ints):
-        return table
+                table[ei * a + e * beta_key] = (i, ei, e)
+    if len(table) == 4 * len(alpha_keys) == w.dim_M and all(k in table for k in w.keys):
+        return [table[k] for k in w.keys]
     return None
 
 
@@ -123,20 +123,40 @@ def verify_certificate(w: IsotropyWeights, cert: SplittingCertificate) -> bool:
     return _given_table(w, cert) is not None
 
 
-def _canonical(beta: IntVector, plus_half: Iterable[IntVector]):
-    """The canonical (beta, alphas) of the half plus_half about beta:
-    beta lexicographically positive, alphas sorted. A = plus_half - beta
-    is closed under negation, so the alphas are its members with
-    <beta,alpha> > 0, or lexicographically positive when orthogonal."""
-    raw = [vsub(w, beta) for w in plus_half]  # against the half's own beta
-    if not lex_positive(beta):
-        beta = vneg(beta)
-    alphas = []
-    for a in raw:
-        p = idot(beta, a)
-        if p > 0 or (p == 0 and lex_positive(a)):
-            alphas.append(a)
-    return beta, tuple(sorted(alphas))
+def _certify(w: IsotropyWeights, beta: IntVector, beta_key: int, plus: Iterable[int]):
+    """The certificate about the lex positive beta (key beta_key) with the
+    W+ half at positions plus, and the _int_table that checks it. A = W+ -
+    beta is closed under negation, so the alphas are its members with
+    <beta,w> - |beta|^2 > 0, or a positive key when that is 0."""
+    b2, picked = idot(beta, beta), []
+    for u in plus:
+        p, k = idot(beta, w.ints[u]) - b2, w.keys[u] - beta_key
+        if p > 0 or (p == 0 and k > 0):
+            picked.append((k, u))
+    picked.sort()
+    alphas = tuple(tuple(x - y for x, y in zip(w.ints[u], beta)) for _, u in picked)
+    cert = SplittingCertificate(w.scale, beta, alphas)
+    table = _int_table(w, beta_key, [k for k, _ in picked])
+    if table is None:
+        raise RootsplitError(f"splitting certificate {cert} failed verification")
+    return cert, table
+
+
+def _plus_half(keys: Sequence[int], index: dict[int, int], v: int) -> list[int] | None:
+    """The positions of the W+ half of v (find_splittings), or None. Most v
+    meet a dead weight within a few, so that scan is a plain loop."""
+    for k in keys:
+        if v - k not in index and v + k not in index:
+            return None  # a dead weight
+    n = len(keys)
+    up = [0] * n  # up[u]: how many of w_u + v, w_u + 2v, ... lie in W
+    for u in range(n - 1, -1, -1):
+        j = index.get(keys[u] + v)
+        if j is not None:
+            up[u] = up[j] + 1
+    if any(up[u] % 2 == 0 for u, k in enumerate(keys) if k - v not in index):
+        return None  # an odd run: its bottom w_u would lie in W+
+    return [u for u in range(n) if up[u] % 2 == 0]
 
 
 def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
@@ -145,9 +165,9 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
     Candidate translations come from one anchor w0 = min(W): every
     splitting puts w0 in W+ or W-, so v = 2*beta = +-(w - w0) for some w
     in W, which gives |W| - 1 candidates, each taken lex positive. The
-    search runs on the positions of W's integers, where beta = v/2 is
-    integral, and looks w +- v up by lattice key (lex order is key
-    order).
+    search runs on the lattice keys of W, where v is key(w) - key(w0) and
+    looks w +- v up by key (lex order is key order); beta = v/2 is
+    integral, its key is v // 2, and it is lex positive.
 
     W+ holds v - w with each w, and exactly one of +-w. So along each
     maximal run w, w + v, ..., w + (L-1)v of W in direction v, the top
@@ -156,9 +176,9 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
     L, and then its one half is W+ = {w : an even number of w + v,
     w + 2v, ... lie in W}. A run of length 1 is a dead weight, a w with
     neither v - w nor v + w in W (ROADMAP item 5), found by one scan
-    before the runs are walked. Each certificate is on W's scale and is
-    checked on its generation table, which w.tables keeps for
-    case_analysis.
+    before the runs are walked. Each certificate is on W's scale, is
+    canonicalized and checked on keys (_certify), and its generation
+    table is kept in w.tables for case_analysis.
     """
     if w.dim_M == 0:
         raise EmptyWeights("the weight set is empty (g = h)")
@@ -168,27 +188,15 @@ def find_splittings(w: IsotropyWeights) -> list[SplittingCertificate]:
     if any(-k not in index for k in keys):
         raise ValueError("W must be closed under negation")
 
-    n = len(keys)
     certs = []  # in the order of v, so of beta = v/2: sorted
-    for i in range(1, n):
+    for i in range(1, len(keys)):
         v = keys[i] - keys[0]  # positive: keys are sorted, as W is
-        if any(v - k not in index and v + k not in index for k in keys):
-            continue  # a dead weight
-        up = [0] * n  # up[u]: how many of w_u + v, w_u + 2v, ... lie in W
-        for u in range(n - 1, -1, -1):
-            j = index.get(keys[u] + v)
-            if j is not None:
-                up[u] = up[j] + 1
-        if any(up[u] % 2 == 0 for u, k in enumerate(keys) if k - v not in index):
-            continue  # an odd run: its bottom w_u would lie in W+
-        beta = tuple((a - b) // 2 for a, b in zip(ints[i], ints[0]))
-        beta, alphas = _canonical(beta, [ints[u] for u in range(n) if up[u] % 2 == 0])
-        cert = SplittingCertificate(w.scale, beta, alphas)
-        table = _int_table(w, beta, alphas)
-        if table is None:
-            raise RootsplitError(f"splitting certificate {cert} failed verification")
-        w.tables[cert] = table
-        certs.append(cert)
+        plus = _plus_half(keys, index, v)
+        if plus is not None:
+            beta = tuple((a - b) // 2 for a, b in zip(ints[i], ints[0]))
+            cert, table = _certify(w, beta, v // 2, plus)
+            w.tables[cert] = table
+            certs.append(cert)
     return certs
 
 
@@ -223,9 +231,10 @@ def check_constraints(g: RootSystem, cert: SplittingCertificate) -> ConstraintRe
 
 
 def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
-    """Resolve the first weight triple w1 + w2 = w3 (W.triple, the one the
-    symmetric test found) into the exhaustive case list; with no triple
-    the pair is symmetric at the weight level.
+    """Resolve the first weight triple w1 + w2 = w3 (W.triple, the least
+    pair by the pair-sum scan) into the exhaustive case list; with no
+    triple the pair is symmetric at the weight level, which a W cut from
+    a parent knows from its parity test, with no scan.
 
     Writing the triple relation as s*beta = sum of signed alphas with
     s = eps1 + eps2 - eps3 in {+-1, +-3}, the coefficient pattern selects:
@@ -235,9 +244,10 @@ def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
       |s| = 3, coefficient {1}                           -> case b
     Sub-cases of d are told apart scale-invariantly: two vanishing
     <beta,alpha> give d1; otherwise |beta|^2 / <beta,alpha> = 1 is d2 and
-    = 3 is d3. A certificate that find_splittings found on W is read on
-    the table the search verified it with (w.tables); any other is
-    verified here on W's integers first.
+    = 3 is d3. The triple's weights are read by position on the table
+    that verified the certificate: the search's, kept in w.tables, for a
+    certificate find_splittings found on W; for any other, the one
+    _given_table makes on keys at W's radix.
     """
     table = w.tables.get(cert) or _given_table(w, cert)
     if table is None:
@@ -245,7 +255,7 @@ def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
     if w.triple is None:
         return CaseTag(SYMMETRIC_NO_TRIPLE, None)
 
-    (i1, e1, d1), (i2, e2, d2), (i3, e3, d3) = (table[w.ints[k]] for k in w.triple)
+    (i1, e1, d1), (i2, e2, d2), (i3, e3, d3) = (table[k] for k in w.triple)
     triple = tuple(w.ints[k] for k in w.triple)
     s = d1 + d2 - d3
     coeffs: dict[int, int] = {}
@@ -296,9 +306,7 @@ def wolf_certificate(g: RootSystem) -> SplittingCertificate:
         raise EmptyWeights("the weight set is empty (g = h)")
     theta = g.theta
     tt = idot(theta, theta)
-    # the roots pairing to 1 with theta-check are exactly the W+ half {alpha + beta}
-    plus = [r for r in g.ints if 2 * idot(theta, r) == tt]
-    beta, alphas = _canonical(tuple(x // 2 for x in theta), plus)
-    if _int_table(weights, beta, alphas) is None:
-        raise RootsplitError("wolf certificate failed verification")
-    return SplittingCertificate(g.scale, beta, alphas)
+    # the weights pairing to 1 with theta-check are exactly the W+ half {alpha + beta}
+    plus = [u for u, r in enumerate(weights.ints) if 2 * idot(theta, r) == tt]
+    beta = tuple(x // 2 for x in theta)
+    return _certify(weights, beta, g.keys[-1] // 2, plus)[0]

@@ -24,19 +24,24 @@ class IsotropyWeights:
     """W = R(g) \\ R(h); weights of the complexified isotropy representation.
 
     ints are the weights on scale (twice a common denominator of W),
-    sorted, and keys their lattice keys (linalg.pack), which every lookup
-    reads; a weight is named by its position in that order. weights is a
-    rational view. index and triple are made when first read, so each W
-    scans its pair sums at most once, stopping at the first that lies in
-    W, and listing W never does; no table of pair sums is kept. tables
-    maps each certificate splitting.find_splittings found on W to the
-    generation table that verified it, which case_analysis reads.
+    sorted, and keys their lattice keys (linalg.pack) at radix, which
+    every lookup reads; a weight is named by its position in that order.
+    weights is a rational view. symmetric is the answer of the parity test
+    of isotropy_weights for a W cut from a parent, and None for one given
+    from outside. index and triple are made when first read: triple is
+    None without a scan when symmetric is True, and otherwise scans the
+    pair sums once, stopping at the first that lies in W; listing W never
+    scans, and no table of pair sums is kept. tables maps each certificate
+    splitting.find_splittings found on W to the generation table that
+    verified it, which case_analysis reads.
     """
 
     dim_M: int
     scale: int
     ints: tuple[IntVector, ...]
     keys: tuple[int, ...]
+    radix: int
+    symmetric: bool | None
 
     @property
     def quaternionic_n(self) -> Fraction:
@@ -58,7 +63,10 @@ class IsotropyWeights:
     @cached_property
     def triple(self) -> tuple[int, int, int] | None:
         """(i, j, k) with w_i + w_j = w_k for the least (i, j), i <= j, in
-        lexicographic order, whose sum lies in W; None if there is none."""
+        lexicographic order, whose sum lies in W; None if there is none,
+        with no scan when symmetric is True."""
+        if self.symmetric:
+            return None
         keys, index = self.keys, self.index
         for i, a in enumerate(keys):
             for j in range(i, len(keys)):
@@ -167,34 +175,51 @@ def enumerate_closed_subsystems(
 
 
 def isotropy_weights(g: RootSystem, h: ClosedSubsystem) -> IsotropyWeights:
-    """The weight set W = R(g) \\ R(h) with derived dimensions, on the
-    integer roots of the parent g: the positions outside h."""
+    """The weight set W = R(g) \\ R(h) on the integer roots of the parent
+    g: the positions outside h, and whether no two weights sum to a
+    weight (symmetric), read off the parent's parities in O(|R|).
+
+    With S the simple roots of g outside h, W is symmetric iff a root
+    lies in W exactly when its coefficients on S have an odd sum. Proof:
+    h is closed, so h + h stays in h and h + W in W (else a weight is a
+    root of h minus one). So W is symmetric iff the indicator of W is
+    additive mod 2 on the root triples a + b = c. Every positive root is
+    a chain of simple-root additions (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 10.2 Corollary), so that holds
+    iff the indicator is the coefficient parity on S, which is additive.
+    """
     if h.parent is not g and h.parent != g:
         raise ValueError("subsystem does not belong to this parent")
     outside = [True] * len(g.keys)
     for i in h.positions:
         outside[i] = False
+    s = sum(1 << i for i, a in enumerate(g.base) if outside[g.at[a]])
+    symmetric = [(p & s).bit_count() & 1 for p in g.parities] == outside  # 1 == True, 0 == False
     # the parent's roots are sorted, so W comes out sorted
     ints = tuple(itertools.compress(g.ints, outside))
     keys = tuple(itertools.compress(g.keys, outside))
-    return IsotropyWeights(len(ints), g.scale, ints, keys)
+    return IsotropyWeights(len(ints), g.scale, ints, keys, g.radix, symmetric)
 
 
 def weights_from_set(weights: Iterable[Vector]) -> IsotropyWeights:
     """IsotropyWeights from a raw negation-closed weight set (for transformed
     or externally supplied inputs), converted once onto its own scale;
-    raises ValueError if the weights differ in dimension."""
+    raises ValueError if the weights differ in dimension. With no parent,
+    its symmetry is left to the pair-sum scan of triple."""
     scale, ints = int_copy(sorted(set(weights)))
     radix = lattice_radix(ints)
     keys = tuple(pack(x, radix) for x in ints)
-    return IsotropyWeights(len(ints), scale, ints, keys)
+    return IsotropyWeights(len(ints), scale, ints, keys, radix, None)
 
 
 def is_symmetric_pair(w: IsotropyWeights) -> bool:
     """Weight-level symmetry criterion: no two weights sum to a weight.
 
-    w.triple also counts w + w; that changes no answer, since if 2w is in
-    the negation-closed W, so is (-w) + 2w = w.
+    On a W cut from a parent that the parity test of isotropy_weights
+    found symmetric it makes no pair-sum lookup; otherwise it scans the
+    pair sums up to the first triple (w.triple). The scan also counts
+    w + w; that changes no answer, since if 2w is in the negation-closed
+    W, so is (-w) + 2w = w.
     """
     return w.triple is None
 

@@ -13,13 +13,25 @@ from fractions import Fraction
 from functools import lru_cache
 
 from rootsplit.catalog import simple_labels_up_to
-from rootsplit.linalg import lex_positive, vneg, vsub
 from rootsplit.rootcore import RootsplitError
 from rootsplit.splitting import EmptyWeights
 
 #: reflection_closure aborts past this size; E8, the largest catalog
 #: system, has 240 roots, so anything bigger is not crystallographic.
 CLOSURE_CAP = 1000
+
+
+def vneg(v):
+    return tuple(-a for a in v)
+
+
+def vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def lex_positive(v) -> bool:
+    """True if the first nonzero coordinate is positive (zero is not positive)."""
+    return next((a > 0 for a in v if a != 0), False)
 
 
 def vadd(u, v):
@@ -140,6 +152,35 @@ def simple_base(roots) -> list:
     pos = sorted(r for r in roots if lex_positive(r))
     pos_set = set(pos)
     return [a for a in pos if not any(vsub(a, b) in pos_set for b in pos)]
+
+
+def inverse(m):
+    """The inverse of a square Fraction matrix, by Gauss-Jordan."""
+    n = len(m)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def coefficient_parities(roots) -> dict:
+    """Of each root, the bitmask of the simple roots (bit i for the i-th
+    of simple_base) whose coefficient in it is odd, the coefficients
+    solved for through the inverse Gram matrix of the simple roots."""
+    base = simple_base(roots)
+    inv = inverse([[dot(a, b) for b in base] for a in base])
+    parities = {}
+    for r in roots:
+        pairings = [dot(a, r) for a in base]
+        coeffs = [sum(x * p for x, p in zip(row, pairings)) for row in inv]
+        assert all(c.denominator == 1 for c in coeffs), r
+        parities[r] = sum(1 << i for i, c in enumerate(coeffs) if c.numerator % 2)
+    return parities
 
 
 def highest_root_oracle(roots):

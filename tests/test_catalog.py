@@ -17,15 +17,11 @@ from oracles import (
     reflection_closure,
     simple_base,
     span_basis,
+    vneg,
     vscale,
 )
 from parents import RANK_4_PARENTS
-from rootsplit.linalg import (
-    int_copy,
-    pack,
-    vec,
-    vneg,
-)
+from rootsplit.linalg import int_copy, pack, vec
 from rootsplit.catalog import (
     G2Component,
     build,

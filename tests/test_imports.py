@@ -94,7 +94,8 @@ INTEGER_ONLY = {
                 "build_sum", "direct_sum"},
     "rootcore": {"_subsystem"},
     "subalgebra": {"isotropy_weights"},
-    "splitting": {"_canonical", "find_splittings", "case_analysis", "wolf_certificate"},
+    "splitting": {"_given_table", "_int_table", "_certify", "_plus_half", "find_splittings",
+                  "case_analysis", "wolf_certificate"},
 }
 
 #: the names that make or convert rationals

@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import cartan_types, highest_root_oracle, is_closed, simple_base, vadd
+from oracles import cartan_types, highest_root_oracle, is_closed, simple_base, vadd, vneg, vsub
 from parents import RANK_4_PARENTS
 from rootsplit.catalog import build, build_sum, parse_label_sum, simple_labels_up_to
-from rootsplit.linalg import idot, pack, vneg, vsub
+from rootsplit.linalg import idot, pack
 from rootsplit.rootcore import ClosedSubsystem, lattice_root_system
 from rootsplit.subalgebra import closed_subsystem, enumerate_closed_subsystems, is_wolf_pair
 

@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 
 from parents import RANK_4_PARENTS
 from rootsplit.catalog import build, build_sum, parse_label_sum, simple_labels_up_to
-from rootsplit.linalg import lattice_radix, lex_positive, pack, vec
+from oracles import lex_positive
+from rootsplit.linalg import lattice_radix, pack, vec
 from rootsplit.pipeline import classify_subsystem
 from rootsplit.rootcore import _closed
 from rootsplit.subalgebra import enumerate_closed_subsystems, isotropy_weights, weights_from_set

@@ -9,7 +9,15 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import NormscalViolation, cartan_int, dot, pair_class, reflect, reflection_closure
+from oracles import (
+    NormscalViolation,
+    cartan_int,
+    coefficient_parities,
+    dot,
+    pair_class,
+    reflect,
+    reflection_closure,
+)
 from parents import RANK_4_PARENTS
 from rootsplit import rootcore
 from rootsplit.linalg import int_rank, vec
@@ -298,6 +306,36 @@ class TestBeyondTheCatalogRank:
     def test_typed_at_rank_n(self, series, n):
         system = lattice_root_system(2, SERIES_ROOTS[series](n))
         assert system.types == (CartanLabel(series, n),)
+
+    @pytest.mark.parametrize("n", [9, 12, 16])
+    @pytest.mark.parametrize("series", sorted(SERIES_ROOTS))
+    def test_parities_at_rank_n(self, series, n):
+        check_parities(lattice_root_system(2, SERIES_ROOTS[series](n)))
+
+
+def check_parities(system):
+    """The walk reaches every root, and each mask is the parity of the
+    root's simple coefficients, solved for apart from the keys."""
+    oracle = coefficient_parities(system.ints)
+    assert system.parities == tuple(oracle[r] for r in system.ints)
+
+
+class TestParities:
+    @pytest.mark.parametrize("lab", simple_labels_up_to(8), ids=str)
+    def test_every_label(self, lab):
+        check_parities(build(lab))
+
+    @pytest.mark.parametrize("g", ["A1+A1", "B2+G2", "A2+C3"])
+    def test_product_parents(self, g):
+        check_parities(build_sum(parse_label_sum(g)))
+
+    def test_an_unreached_root_raises(self):
+        # a system whose base misses a simple root: the walk cannot reach
+        # the roots that need it
+        system = build.__wrapped__(label("A", 3))
+        vars(system)["base"] = system.base[:1]
+        with pytest.raises(ValueError, match="not reached from the simple roots"):
+            system.parities
 
 
 class TestTypeByCounts:

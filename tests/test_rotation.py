@@ -6,8 +6,9 @@ off the coordinate axes and planes, so the lattice keys, their radix, the
 lexicographic order (theta, the simple roots) and the sign of a key all
 change. The moved parent must give the same report row for each pair
 (g, h), with h moved by Q, and its certificates must be those of (g, h)
-mapped by Q, signed by the conventions of splitting._canonical
-(oracles.canonical_certificate). Covered: the 31 catalog labels (every
+mapped by Q, signed by the conventions of splitting.find_splittings
+(oracles.canonical_certificate); the symmetric flag of the parity test
+must not move either. Covered: the 31 catalog labels (every
 Weyl class at rank <= 4, the Wolf pair above) and every product parent
 of rank <= 4."""
 import random
@@ -15,30 +16,21 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import canonical_certificate, highest_root_oracle, rational, vadd
+from oracles import canonical_certificate, highest_root_oracle, inverse, rational, vadd, vsub
 from parents import RANK_4_PARENTS
 from rootsplit.catalog import build_sum, parse_label_sum, simple_labels_up_to
-from rootsplit.linalg import vsub
 from rootsplit.pipeline import classify_subsystem, describe_subsystem
 from rootsplit.rootcore import make_root_system
-from rootsplit.subalgebra import closed_subsystem, enumerate_closed_subsystems
+from rootsplit.subalgebra import (
+    closed_subsystem,
+    enumerate_closed_subsystems,
+    is_symmetric_pair,
+    isotropy_weights,
+    weights_from_set,
+)
 
 #: the 31 labels, then the product parents of rank <= 4
 SPECS = list(dict.fromkeys([str(l) for l in simple_labels_up_to(8)] + RANK_4_PARENTS))
-
-
-def inverse(m):
-    """The inverse of a square Fraction matrix, by Gauss-Jordan."""
-    n = len(m)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for c in range(n):
-        p = next(r for r in range(c, n) if aug[r][c])
-        aug[c], aug[p] = aug[p], aug[c]
-        aug[c] = [x / aug[c][c] for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def cayley(rng, n):
@@ -109,6 +101,9 @@ def test_rows_and_certificates_survive_a_rotation(spec):
     for h in hs:
         mh = closed_subsystem(moved, [apply(q, r) for r in h.roots])
         report, mreport = classify_subsystem(system, h), classify_subsystem(moved, mh)
+        # the parity test reads each frame's own simple roots; the scan reads neither
+        w, mw = isotropy_weights(system, h), isotropy_weights(moved, mh)
+        assert mw.symmetric == w.symmetric == is_symmetric_pair(weights_from_set(mw.weights))
         assert row(mreport) == row(report), h.roots
         assert [rational(c) for c in mreport.certificates] == sorted(
             moved_certificate(q, c) for c in report.certificates

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from oracles import dot, rational, splittings_oracle, vadd
+from oracles import dot, rational, splittings_oracle, vadd, vneg, vsub
 from parents import RANK_4_PARENTS, parents_up_to
-from rootsplit.linalg import lattice_radix, pack, scale_to_int, vec, vneg, vsub
+from rootsplit.linalg import lattice_radix, pack, scale_to_int, vec
 from rootsplit.catalog import (
     build,
     build_sum,
@@ -492,6 +492,36 @@ class TestCaseAnalysis:
             case_analysis(w, cert)
 
 
+class TestGivenCertificateKeys:
+    """A certificate given from outside is packed at W's radix: one past
+    that bound, or of another dimension, generates no W and does not
+    verify, with no error from the packing."""
+
+    @pytest.mark.parametrize("cert", [
+        SplittingCertificate(2, (40, 0), ((0, 2),)),  # past the key bound 16
+        SplittingCertificate(2, (2, 0), ((0, -40),)),
+        SplittingCertificate(2, (2, 6), ((0, 2),)),  # within it, past W's coordinates
+        SplittingCertificate(2, (2, 0, 0), ((0, 2, 0),)),  # another dimension
+    ], ids=["beta", "alpha", "inside", "dimension"])
+    def test_does_not_verify(self, cert):
+        w = weights_from_set(HP1_WEIGHTS)
+        assert (w.scale, w.radix) == (2, 32)
+        assert not verify_certificate(w, cert)
+        with pytest.raises(ValueError, match="does not verify"):
+            case_analysis(w, cert)
+
+    @pytest.mark.parametrize("lab", simple_labels_up_to(8), ids=str)
+    def test_wolf_certificate_verifies_on_weights_from_outside(self, lab):
+        g = build(lab)
+        if g.name == "A1":
+            return  # h = g: no weights
+        w = weights_from_set(wolf_weights(g).weights)
+        cert = wolf_certificate(g)
+        assert w.scale == cert.scale
+        assert verify_certificate(w, cert)
+        assert case_analysis(w, cert).tag == SYMMETRIC_NO_TRIPLE
+
+
 def first_triple_oracle(w):
     """The first (w1, w2, w1 + w2) in W by a plain scan over the pairs
     w1 <= w2, independent of the pair-sum table."""
@@ -633,7 +663,8 @@ class TestScaleIndependence:
             ints = tuple(tuple(3 * a for a in x) for x in w.ints)
             radix = lattice_radix(ints)
             tripled = replace(
-                w, scale=3 * w.scale, ints=ints, keys=tuple(pack(x, radix) for x in ints)
+                w, scale=3 * w.scale, ints=ints, keys=tuple(pack(x, radix) for x in ints),
+                radix=radix,
             )
             for other in (own, tripled):
                 assert (other.dim_M, other.weights) == (w.dim_M, w.weights)

@@ -1,4 +1,6 @@
 """Closed subsystems, isotropy weights, symmetric and Wolf pairs."""
+import itertools
+
 import pytest
 
 from oracles import brute_force_closed_subsystems, dot, fraction_rank, is_closed
@@ -283,6 +285,47 @@ class TestSymmetricPair:
 
     def test_rank_one(self):
         assert is_symmetric_pair(weights_from_set([vec(1, -1), vec(-1, 1)]))
+
+
+def pair_sum_scan(w):
+    """Oracle: no two distinct weights of W sum to a weight."""
+    keys = set(w.keys)
+    return not any(a + b in keys for a, b in itertools.combinations(w.keys, 2))
+
+
+class TestParityCriterion:
+    """The symmetric test of a W cut from a parent, read off the parent's
+    simple-coefficient parities, against the pairwise scan."""
+
+    @pytest.mark.parametrize("lab", simple_labels_up_to(8), ids=str)
+    def test_wolf_pair(self, lab):
+        g = build(lab)
+        w = isotropy_weights(g, g.wolf)
+        assert w.symmetric is pair_sum_scan(w) is is_symmetric_pair(w) is True
+
+    @pytest.mark.parametrize("g", ["A5", "B5", "C5", "D5"])
+    def test_every_closed_subsystem(self, g):
+        parent = build_sum(parse_label_sum(g))
+        flags = set()
+        for h in enumerate_closed_subsystems(parent, dedup=False):
+            w = isotropy_weights(parent, h)
+            assert w.symmetric == pair_sum_scan(w) == is_symmetric_pair(w), h.positions
+            flags.add(w.symmetric)
+        assert flags == {True, False}
+
+    def test_symmetric_test_makes_no_pair_sum_lookup(self):
+        # every lookup of the scan goes through W's index of its keys
+        g = build(label("E", 8))
+        w = isotropy_weights(g, g.wolf)
+        assert is_symmetric_pair(w) and w.triple is None
+        assert "index" not in vars(w)
+
+    def test_weights_given_from_outside_are_scanned(self):
+        g = build(label("B", 3))
+        for h in (u3_embedding(g), g.wolf):
+            w = weights_from_set(isotropy_weights(g, h).weights)
+            assert w.symmetric is None
+            assert is_symmetric_pair(w) == pair_sum_scan(w) == (h == g.wolf)
 
 
 class TestWolf:
