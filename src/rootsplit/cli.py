@@ -12,7 +12,7 @@ import json
 import sys
 import time
 
-from .linalg import format_rational, format_vector
+from .linalg import format_vector
 from .pipeline import (
     InvariantViolation,
     ParseError,
@@ -83,7 +83,7 @@ def _cmd_validate(args) -> int:
             "valid": report.ok,
             "violations": [
                 {"axiom": v.axiom, "message": v.message,
-                 "witness": [[format_rational(c) for c in w] for w in v.witness]}
+                 "witness": [[str(c) for c in w] for w in v.witness]}
                 for v in report.violations
             ],
         },
@@ -101,7 +101,7 @@ def _cmd_subsystems(args) -> int:
             "count": len(subs),
             "subsystems": [
                 {
-                    "description": describe_subsystem(g, h),
+                    "description": describe_subsystem(h),
                     "torus_corank": h.torus_corank,
                     "roots": [format_vector(g.ints[i], g.scale) for i in h.positions],
                 }
@@ -115,13 +115,13 @@ def _cmd_subsystems(args) -> int:
 def _cmd_weights(args) -> int:
     g = parse_g_spec(args.g)
     h = parse_h_spec(g, args.h)
-    w = isotropy_weights(g, h)
+    w = isotropy_weights(h)
     return _emit_json(
         {
             "g": g.name,
-            "h": describe_subsystem(g, h),
+            "h": describe_subsystem(h),
             "dim_M": w.dim_M,
-            "quaternionic_n": format_rational(w.quaternionic_n),
+            "quaternionic_n": str(w.quaternionic_n),
             "weights": [format_vector(x, w.scale) for x in w.ints],
         },
         args,
@@ -131,12 +131,12 @@ def _cmd_weights(args) -> int:
 def _cmd_split(args) -> int:
     g = parse_g_spec(args.g)
     h = parse_h_spec(g, args.h)
-    w = isotropy_weights(g, h)
+    w = isotropy_weights(h)
     certs = find_splittings(w)
     return _emit_json(
         {
             "g": g.name,
-            "h": describe_subsystem(g, h),
+            "h": describe_subsystem(h),
             "certificates": [
                 certificate_dict(c, case_analysis(w, c).tag) for c in certs
             ],
@@ -152,7 +152,7 @@ def _cmd_wolf(args) -> int:
     return _emit_json(
         {
             "g": g.name,
-            "h": describe_subsystem(g, h),
+            "h": describe_subsystem(h),
             "h_roots": [format_vector(g.ints[i], g.scale) for i in h.positions],
             "certificate": certificate_dict(cert),
         },

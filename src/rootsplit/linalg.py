@@ -42,10 +42,6 @@ def vec(*coords) -> Vector:
     return tuple(Fraction(c) for c in coords)
 
 
-def vneg(v: Vector) -> Vector:
-    return tuple(-a for a in v)
-
-
 def idot(u: IntVector, v: IntVector) -> int:
     """Inner product of integer vectors, e.g. from int_copy (no dimension
     check)."""
@@ -132,11 +128,6 @@ def int_rank(rows: Iterable[IntVector]) -> int:
             if len(echelon) == len(row):
                 break
     return len(echelon)
-
-
-def format_rational(q: Fraction) -> str:
-    """Exact string form, e.g. '3', '-1/2'."""
-    return str(q)
 
 
 def format_vector(v: IntVector, scale: int) -> list[str]:

@@ -166,28 +166,29 @@ def parse_h_spec(g: RootSystem, h_spec: str) -> ClosedSubsystem:
     raise ParseError(f"cannot parse subsystem spec {h_spec!r}")
 
 
-def describe_subsystem(g: RootSystem, h: ClosedSubsystem) -> str:
+def describe_subsystem(h: ClosedSubsystem) -> str:
     """Deterministic human-readable description: component types plus the
     central torus rank, e.g. 'A1+A1+T1' or 'torus(T3)'. The types are read
     on the parent's lattice keys from the simple roots that h was built
     with (RootSystem.types_of), so they are not found again."""
     if not h.positions:
         return f"torus(T{h.torus_corank})"
-    parts = [str(t) for t in g.types_of(h.positions, h.base)]
+    parts = [str(t) for t in h.parent.types_of(h.positions, h.base)]
     if h.torus_corank:
         parts.append(f"T{h.torus_corank}")
     return "+".join(parts)
 
 
-def classify_subsystem(g: RootSystem, h: ClosedSubsystem) -> PairReport:
-    """Full pipeline for one equal-rank pair (g, h)."""
-    w = isotropy_weights(g, h)
+def classify_subsystem(h: ClosedSubsystem) -> PairReport:
+    """Full pipeline for one equal-rank pair (g, h), g = h.parent."""
+    g = h.parent
+    w = isotropy_weights(h)
     if w.dim_M == 0:
         raise EmptyWeights("h = g: the quotient is a point")
 
     eligible = w.dim_M % 4 == 0
     symmetric = is_symmetric_pair(w)
-    wolf = g.irreducible and is_wolf_pair(g, h)
+    wolf = g.irreducible and is_wolf_pair(h)
 
     certificates: tuple[SplittingCertificate, ...] = ()
     cases: tuple[CaseTag, ...] = ()
@@ -198,10 +199,10 @@ def classify_subsystem(g: RootSystem, h: ClosedSubsystem) -> PairReport:
         if certificates and g.irreducible and g.name != "G2":
             constraints = tuple(check_constraints(g, c) for c in certificates)
 
-    verdict = _assign_verdict(g, eligible, symmetric, wolf, certificates, cases, h)
+    verdict = _assign_verdict(eligible, symmetric, wolf, certificates, cases, h)
     report = PairReport(
         g.name,
-        describe_subsystem(g, h),
+        describe_subsystem(h),
         w.dim_M,
         w.quaternionic_n,
         eligible,
@@ -216,7 +217,8 @@ def classify_subsystem(g: RootSystem, h: ClosedSubsystem) -> PairReport:
     return report
 
 
-def _assign_verdict(g, eligible, symmetric, wolf, certificates, cases, h):
+def _assign_verdict(eligible, symmetric, wolf, certificates, cases, h):
+    g = h.parent
     if not eligible:
         return "not_eligible"
     if not certificates:
@@ -241,7 +243,7 @@ def _assign_verdict(g, eligible, symmetric, wolf, certificates, cases, h):
 def classify_pair(g_spec: str, h_spec: str) -> PairReport:
     """Classify one pair given CLI spec strings."""
     g = parse_g_spec(g_spec)
-    return classify_subsystem(g, parse_h_spec(g, h_spec))
+    return classify_subsystem(parse_h_spec(g, h_spec))
 
 
 def _product_labels(max_rank: int, series) -> list[tuple[CartanLabel, ...]]:
@@ -288,7 +290,7 @@ def classify_all(
             w_size = len(g.ints) - len(h.positions)
             if w_size == 0 or w_size % 4:  # h = g, or not eligible
                 continue
-            pairs.append(classify_subsystem(g, h))
+            pairs.append(classify_subsystem(h))
 
     pairs.sort(key=lambda p: (p.g_label, p.h_description, p.dim_M))
     return ClassificationReport(max_rank, tuple(pairs), len(groups), n_subsystems)

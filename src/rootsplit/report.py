@@ -10,7 +10,7 @@ import csv
 import io
 import json
 
-from .linalg import format_rational, format_vector
+from .linalg import format_vector
 from .pipeline import (
     SCHEMA_VERSION,
     ClassificationReport,
@@ -39,7 +39,7 @@ def pair_dict(p: PairReport) -> dict:
         "g": p.g_label,
         "h": p.h_description,
         "dim_M": p.dim_M,
-        "quaternionic_n": format_rational(p.quaternionic_n),
+        "quaternionic_n": str(p.quaternionic_n),
         "eligible": p.eligible,
         "symmetric": p.symmetric,
         "is_wolf": p.is_wolf,
@@ -51,8 +51,8 @@ def pair_dict(p: PairReport) -> dict:
     if p.constraints:
         d["constraints"] = [
             {
-                "pairings": [format_rational(x) for x in r.pairings],
-                "beta_norm2": format_rational(r.beta_norm2),
+                "pairings": [str(x) for x in r.pairings],
+                "beta_norm2": str(r.beta_norm2),
                 "ok": r.ok,
             }
             for r in p.constraints
@@ -65,7 +65,7 @@ def _pair_row(p: PairReport) -> list[str]:
         p.g_label,
         p.h_description,
         str(p.dim_M),
-        format_rational(p.quaternionic_n),
+        str(p.quaternionic_n),
         "yes" if p.eligible else "no",
         "yes" if p.symmetric else "no",
         "yes" if p.is_wolf else "no",

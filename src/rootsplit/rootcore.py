@@ -310,16 +310,20 @@ class RootSystem:
 
 
 class ClosedSubsystem(NamedTuple):
-    """The roots of parent at the sorted positions in parent.ints, and the
-    rank of the central torus of h; base holds the lattice keys of h's
+    """The roots of parent (g, which every pair step reads here) at the
+    sorted positions in parent.ints; base holds the lattice keys of h's
     simple roots (simple_keys), which its typing reads. base follows from
     positions on one parent, so it takes part in equality and the hash
     like the other fields. roots is a rational view, made on each read."""
 
     parent: RootSystem
     positions: tuple[int, ...]
-    torus_corank: int
     base: tuple[int, ...]
+
+    @property
+    def torus_corank(self) -> int:
+        """The rank of the central torus of h."""
+        return self.parent.rank - len(self.base)
 
     @property
     def roots(self) -> tuple[Vector, ...]:
@@ -347,7 +351,7 @@ def _subsystem(g: RootSystem, positions: Sequence[int], error: str) -> ClosedSub
     if not _closed(keys, g.at):
         raise NotClosed(error)
     base = simple_keys(keys, set(keys))
-    return ClosedSubsystem(g, tuple(positions), g.rank - len(base), base)
+    return ClosedSubsystem(g, tuple(positions), base)
 
 
 def make_root_system(vectors: Iterable[Vector]) -> RootSystem:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import IntVector, idot, lattice_radix, pack, vneg
+from .linalg import IntVector, idot, lattice_radix, pack
 from .rootcore import RootsplitError, RootSystem
 from .subalgebra import IsotropyWeights, isotropy_weights
 
@@ -81,7 +81,7 @@ def _given_table(w: IsotropyWeights, cert: SplittingCertificate) -> list | None:
     for a in alphas:
         if all(c == 0 for c in a):
             raise ValueError("certificate alphas must be nonzero")
-        if a in seen or vneg(a) in seen:
+        if a in seen or tuple(-c for c in a) in seen:
             raise ValueError("certificate alphas must be distinct up to sign")
         seen.add(a)
     for a in alphas:
@@ -233,8 +233,8 @@ def check_constraints(g: RootSystem, cert: SplittingCertificate) -> ConstraintRe
 def case_analysis(w: IsotropyWeights, cert: SplittingCertificate) -> CaseTag:
     """Resolve the first weight triple w1 + w2 = w3 (W.triple, the least
     pair by the pair-sum scan) into the exhaustive case list; with no
-    triple the pair is symmetric at the weight level, which a W cut from
-    a parent knows from its parity test, with no scan.
+    triple the pair is symmetric at the weight level, which W decided
+    where it was made (IsotropyWeights.symmetric), with no scan.
 
     Writing the triple relation as s*beta = sum of signed alphas with
     s = eps1 + eps2 - eps3 in {+-1, +-3}, the coefficient pattern selects:
@@ -301,7 +301,7 @@ def _d_subcase(beta: IntVector, alphas: Sequence[IntVector], triple) -> CaseTag:
 def wolf_certificate(g: RootSystem) -> SplittingCertificate:
     """The splitting witness for the Wolf pair: beta = theta/2 and
     A = {alpha - theta/2 : 2<alpha,theta>/<theta,theta> = 1}."""
-    weights = isotropy_weights(g, g.wolf)
+    weights = isotropy_weights(g.wolf)
     if not weights.dim_M:
         raise EmptyWeights("the weight set is empty (g = h)")
     theta = g.theta

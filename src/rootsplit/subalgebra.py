@@ -26,22 +26,25 @@ class IsotropyWeights:
     ints are the weights on scale (twice a common denominator of W),
     sorted, and keys their lattice keys (linalg.pack) at radix, which
     every lookup reads; a weight is named by its position in that order.
-    weights is a rational view. symmetric is the answer of the parity test
-    of isotropy_weights for a W cut from a parent, and None for one given
-    from outside. index and triple are made when first read: triple is
-    None without a scan when symmetric is True, and otherwise scans the
-    pair sums once, stopping at the first that lies in W; listing W never
-    scans, and no table of pair sums is kept. tables maps each certificate
-    splitting.find_splittings found on W to the generation table that
-    verified it, which case_analysis reads.
+    weights is a rational view. symmetric (no two weights sum to a weight)
+    is decided where W is made: by the parity test of isotropy_weights,
+    or by the pair-sum scan for a W given from outside. index and triple
+    are made when first read: triple is None when symmetric is True, and
+    otherwise scans the pair sums once, stopping at the first in W;
+    listing W never scans, and no table of pair sums is kept. tables maps
+    each certificate splitting.find_splittings found on W to the
+    generation table that verified it, which case_analysis reads.
     """
 
-    dim_M: int
     scale: int
     ints: tuple[IntVector, ...]
     keys: tuple[int, ...]
     radix: int
-    symmetric: bool | None
+    symmetric: bool
+
+    @property
+    def dim_M(self) -> int:
+        return len(self.ints)
 
     @property
     def quaternionic_n(self) -> Fraction:
@@ -65,15 +68,19 @@ class IsotropyWeights:
         """(i, j, k) with w_i + w_j = w_k for the least (i, j), i <= j, in
         lexicographic order, whose sum lies in W; None if there is none,
         with no scan when symmetric is True."""
-        if self.symmetric:
-            return None
-        keys, index = self.keys, self.index
-        for i, a in enumerate(keys):
-            for j in range(i, len(keys)):
-                k = index.get(a + keys[j])
-                if k is not None:
-                    return i, j, k
-        return None
+        return None if self.symmetric else _first_triple(self.keys, self.index)
+
+
+def _first_triple(keys: tuple[int, ...], index: dict[int, int]) -> tuple[int, int, int] | None:
+    """The pair-sum scan: (i, j, k) with keys[i] + keys[j] = keys[k] for
+    the least (i, j), i <= j, or None. Counting w + w changes no answer:
+    if 2w is in a negation-closed W, so is (-w) + 2w = w."""
+    for i, a in enumerate(keys):
+        for j in range(i, len(keys)):
+            k = index.get(a + keys[j])
+            if k is not None:
+                return i, j, k
+    return None
 
 
 def closed_subsystem(g: RootSystem, roots: Iterable[Vector]) -> ClosedSubsystem:
@@ -174,10 +181,10 @@ def enumerate_closed_subsystems(
     return subs
 
 
-def isotropy_weights(g: RootSystem, h: ClosedSubsystem) -> IsotropyWeights:
+def isotropy_weights(h: ClosedSubsystem) -> IsotropyWeights:
     """The weight set W = R(g) \\ R(h) on the integer roots of the parent
-    g: the positions outside h, and whether no two weights sum to a
-    weight (symmetric), read off the parent's parities in O(|R|).
+    g = h.parent: the positions outside h, and whether no two weights sum
+    to a weight (symmetric), read off the parent's parities in O(|R|).
 
     With S the simple roots of g outside h, W is symmetric iff a root
     lies in W exactly when its coefficients on S have an odd sum. Proof:
@@ -188,8 +195,7 @@ def isotropy_weights(g: RootSystem, h: ClosedSubsystem) -> IsotropyWeights:
     Algebras and Representation Theory, 10.2 Corollary), so that holds
     iff the indicator is the coefficient parity on S, which is additive.
     """
-    if h.parent is not g and h.parent != g:
-        raise ValueError("subsystem does not belong to this parent")
+    g = h.parent
     outside = [True] * len(g.keys)
     for i in h.positions:
         outside[i] = False
@@ -198,30 +204,26 @@ def isotropy_weights(g: RootSystem, h: ClosedSubsystem) -> IsotropyWeights:
     # the parent's roots are sorted, so W comes out sorted
     ints = tuple(itertools.compress(g.ints, outside))
     keys = tuple(itertools.compress(g.keys, outside))
-    return IsotropyWeights(len(ints), g.scale, ints, keys, g.radix, symmetric)
+    return IsotropyWeights(g.scale, ints, keys, g.radix, symmetric)
 
 
 def weights_from_set(weights: Iterable[Vector]) -> IsotropyWeights:
     """IsotropyWeights from a raw negation-closed weight set (for transformed
     or externally supplied inputs), converted once onto its own scale;
     raises ValueError if the weights differ in dimension. With no parent,
-    its symmetry is left to the pair-sum scan of triple."""
+    its symmetry is decided by the pair-sum scan (_first_triple)."""
     scale, ints = int_copy(sorted(set(weights)))
     radix = lattice_radix(ints)
     keys = tuple(pack(x, radix) for x in ints)
-    return IsotropyWeights(len(ints), scale, ints, keys, radix, None)
+    index = {k: i for i, k in enumerate(keys)}
+    return IsotropyWeights(scale, ints, keys, radix, _first_triple(keys, index) is None)
 
 
 def is_symmetric_pair(w: IsotropyWeights) -> bool:
     """Weight-level symmetry criterion: no two weights sum to a weight.
-
-    On a W cut from a parent that the parity test of isotropy_weights
-    found symmetric it makes no pair-sum lookup; otherwise it scans the
-    pair sums up to the first triple (w.triple). The scan also counts
-    w + w; that changes no answer, since if 2w is in the negation-closed
-    W, so is (-w) + 2w = w.
-    """
-    return w.triple is None
+    W decided it where it was made (IsotropyWeights.symmetric), so this
+    makes no pair-sum lookup."""
+    return w.symmetric
 
 
 def wolf_subsystem(g: RootSystem) -> ClosedSubsystem:
@@ -230,8 +232,8 @@ def wolf_subsystem(g: RootSystem) -> ClosedSubsystem:
     return g.wolf
 
 
-def is_wolf_pair(g: RootSystem, h: ClosedSubsystem) -> bool:
-    """True iff h is Weyl-equivalent to the Wolf subsystem of the parent.
+def is_wolf_pair(h: ClosedSubsystem) -> bool:
+    """True iff h is Weyl-equivalent to the Wolf subsystem of its parent g.
 
     Long roots form one Weyl orbit, so h is Wolf exactly when R(h) is
     {+-gamma} plus every root orthogonal to gamma, for some long root
@@ -245,6 +247,7 @@ def is_wolf_pair(g: RootSystem, h: ClosedSubsystem) -> bool:
     Weyl group is needed and no root outside h is read. A reducible
     parent raises ValueError.
     """
+    g = h.parent
     if len(h.positions) != len(g.wolf.positions):
         return False
     if h.positions == g.wolf.positions:

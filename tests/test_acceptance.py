@@ -62,7 +62,7 @@ def test_criterion_3_so7_u3_certificate():
 
     g = build(label("B", 3))
     h = closed_subsystem(g, [r for r in g.roots if sum(r) == 0])
-    weights = isotropy_weights(g, h)
+    weights = isotropy_weights(h)
     cert = find_splittings(weights)[0]
     constraints = check_constraints(g, cert)
     assert constraints.beta_norm2 == Fraction(3, 4)
@@ -80,7 +80,7 @@ def test_criterion_4_wolf_witnesses_rediscovered_through_rank_8():
     counts = {}
     for lab in simple_labels_up_to(8):
         parent = build(lab)
-        weights = isotropy_weights(parent, parent.wolf)
+        weights = isotropy_weights(parent.wolf)
         if not weights.weights:
             continue  # rank 1: h = g, the quotient is a point
         cert = wolf_certificate(parent)
@@ -130,7 +130,7 @@ def test_criterion_6_oracle_equivalence_rank_3():
     for lab in simple_labels_up_to(3) + [parse_label_sum("A1+A1")]:
         parent = build_sum(lab) if isinstance(lab, list) else build(lab)
         for h in enumerate_closed_subsystems(parent):
-            weights = isotropy_weights(parent, h)
+            weights = isotropy_weights(h)
             if (not weights.weights or weights.dim_M % 4 != 0
                     or len(weights.weights) > 12):
                 continue
@@ -152,7 +152,7 @@ def test_criterion_6_oracle_equivalence_rank_4():
     checked = 0
     for parent in parents:
         for h in enumerate_closed_subsystems(parent):
-            weights = isotropy_weights(parent, h)
+            weights = isotropy_weights(h)
             if (not weights.weights or weights.dim_M % 4 != 0
                     or len(weights.weights) > 20):
                 continue
@@ -184,7 +184,7 @@ def test_criterion_7_weyl_equivariance_100_random_cases():
         h = rng.choice(subs)
         k = rng.randrange(len(wg.elements))
         word = wg.words[k]
-        weights = isotropy_weights(parent, h)
+        weights = isotropy_weights(h)
         moved = weights_from_set(
             [apply_word(wg, word, w) for w in weights.weights]
         )

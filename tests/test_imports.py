@@ -1,11 +1,11 @@
 """Every import of a rootsplit module is at module level and reads only
 modules below it, every name it imports is used in that module, only
 rootcore and weights_from_set choose an integer scale and no step between
-parse and emit makes a rational, the pair checks
-import no metric matrix, rational product or typing, every function the
+parse and emit makes a rational, the pair checks import no metric matrix,
+rational product or typing, no step takes g beside h, every function the
 bench traces exists, every top-level function and class of src/ and every
-member of a src/ class is reached, only the records that cache facts are dataclasses, and the test oracles
-use no private rootsplit code."""
+member of a src/ class is reached, only the records that cache facts are
+dataclasses, and the test oracles use no private rootsplit code."""
 import ast
 import importlib
 from collections import Counter
@@ -153,6 +153,27 @@ def test_pair_checks_stay_on_the_integer_copy(module):
     # parent's long-root norm) or by typing rational roots again.
     imported = imported_names(module)
     assert not imported & {"mat_vec", "identify_type", "int_normalize", "normalize"}
+
+
+def test_no_step_takes_g_beside_h():
+    # h holds its parent g (h.parent), so a step on a pair takes h alone:
+    # one that took g beside it could be handed a g that is not h's, and
+    # nothing would check that the two agree.
+    both = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                hints = [
+                    named_in(a.annotation)
+                    for a in args.posonlyargs + args.args + args.kwonlyargs if a.annotation
+                ]
+                if any(
+                    "RootSystem" in x and "ClosedSubsystem" in y
+                    for i, x in enumerate(hints) for j, y in enumerate(hints) if i != j
+                ):
+                    both.append(f"{path.stem}.{node.name}")
+    assert not both, f"take a RootSystem beside a ClosedSubsystem: {sorted(both)}"
 
 
 def test_bench_trace_names_resolve():

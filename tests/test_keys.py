@@ -129,10 +129,10 @@ def check_closure_against_oracle(g, positions):
     return closed
 
 
-def check_triple_against_oracle(g, h):
-    """The key-lookup triple of the pair (g, h) against the one the
+def check_triple_against_oracle(h):
+    """The key-lookup triple of the pair (h.parent, h) against the one the
     tuple pair-sum table gives."""
-    w = isotropy_weights(g, h)
+    w = isotropy_weights(h)
     assert w.triple == tuple_triple(w.ints, tuple_sums(w.ints))
 
 
@@ -146,14 +146,14 @@ def test_keys_match_tuple_oracles_on_every_closed_subsystem(g):
         extra = next((i for i in positive if i not in h.positions), None)
         if extra is not None:
             check_closure_against_oracle(parent, [*h.positions, extra, parent.at[-parent.keys[extra]]])
-        check_triple_against_oracle(parent, h)
+        check_triple_against_oracle(h)
 
 
 @pytest.mark.parametrize("g", SIMPLE_LABELS)
 def test_keys_match_tuple_oracles_on_the_wolf_pair(g):
     parent = build(parse_label_sum(g)[0])
     assert check_closure_against_oracle(parent, parent.wolf.positions)
-    check_triple_against_oracle(parent, parent.wolf)
+    check_triple_against_oracle(parent.wolf)
 
 
 def test_a_built_system_is_packed_once_at_build(monkeypatch):
@@ -172,6 +172,6 @@ def test_a_built_system_is_packed_once_at_build(monkeypatch):
             patched.add(name)
     assert {"rootsplit.linalg", "rootsplit.rootcore", "rootsplit.subalgebra"} <= patched
     for g, system in systems.items():
-        report = classify_subsystem(system, system.wolf)
+        report = classify_subsystem(system.wolf)
         assert (report.g_label, report.verdict) == (g, "wolf_space")
     assert enumerate_closed_subsystems(systems["B4"])

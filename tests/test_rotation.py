@@ -92,17 +92,17 @@ def test_rows_and_certificates_survive_a_rotation(spec):
         assert moved.theta == highest_root_oracle(moved.ints)
     if len(system.types) > 1 or system.types[0].rank <= 4:
         classes = enumerate_closed_subsystems(system)
-        assert sorted(describe_subsystem(moved, h) for h in enumerate_closed_subsystems(moved)) == (
-            sorted(describe_subsystem(system, h) for h in classes)
+        assert sorted(describe_subsystem(h) for h in enumerate_closed_subsystems(moved)) == (
+            sorted(describe_subsystem(h) for h in classes)
         )
         hs = [h for h in classes if len(h.positions) < len(system.ints)]
     else:
         hs = [system.wolf]
     for h in hs:
         mh = closed_subsystem(moved, [apply(q, r) for r in h.roots])
-        report, mreport = classify_subsystem(system, h), classify_subsystem(moved, mh)
+        report, mreport = classify_subsystem(h), classify_subsystem(mh)
         # the parity test reads each frame's own simple roots; the scan reads neither
-        w, mw = isotropy_weights(system, h), isotropy_weights(moved, mh)
+        w, mw = isotropy_weights(h), isotropy_weights(mh)
         assert mw.symmetric == w.symmetric == is_symmetric_pair(weights_from_set(mw.weights))
         assert row(mreport) == row(report), h.roots
         assert [rational(c) for c in mreport.certificates] == sorted(

@@ -19,7 +19,7 @@ from rootsplit.catalog import (
     simple_labels_up_to,
     weyl_group,
 )
-from rootsplit import splitting
+from rootsplit import splitting, subalgebra
 from rootsplit.pipeline import classify_pair, describe_subsystem
 from rootsplit.report import certificate_dict
 from rootsplit.rootcore import RootsplitError
@@ -60,11 +60,11 @@ CATALOG_R3_PARENTS = parents_up_to(3)
 def b3_u3_weights():
     b3 = build(label("B", 3))
     h = closed_subsystem(b3, [r for r in b3.roots if sum(r) == 0])
-    return b3, isotropy_weights(b3, h)
+    return b3, isotropy_weights(h)
 
 
 def wolf_weights(parent):
-    return isotropy_weights(parent, parent.wolf)
+    return isotropy_weights(parent.wolf)
 
 
 class TestVerifyCertificate:
@@ -120,11 +120,11 @@ class TestFindSplittings:
         d4 = closed_subsystem(
             g, [r for r in g.roots if sum(1 for x in r if x) == 2]
         )
-        assert find_splittings(isotropy_weights(g, d4)) == []
+        assert find_splittings(isotropy_weights(d4)) == []
 
     def test_g2_torus_has_none(self):
         g = build(label("G", 2))
-        w = isotropy_weights(g, closed_subsystem(g, []))
+        w = isotropy_weights(closed_subsystem(g, []))
         assert find_splittings(w) == []
 
     def test_empty_weights_rejected(self):
@@ -173,7 +173,7 @@ class TestOracle:
 
     def test_negative_case_matches(self):
         g = build(label("B", 2))
-        w = isotropy_weights(g, closed_subsystem(g, []))
+        w = isotropy_weights(closed_subsystem(g, []))
         assert find_splittings(w) == splittings_oracle(w) == []
 
     @pytest.mark.parametrize("lab", [("A", 5), ("A", 6), ("C", 5), ("C", 6)])
@@ -269,8 +269,8 @@ class TestRunRule:
         # dead-weight scan, one is refuted by an odd run and two split, one
         # of them with the Wolf certificate.
         g = build(label("B", 3))
-        assert describe_subsystem(g, g.wolf) == "A1+A1+A1"
-        w = isotropy_weights(g, g.wolf)
+        assert describe_subsystem(g.wolf) == "A1+A1+A1"
+        w = isotropy_weights(g.wolf)
         decided = Counter(decision(w, v) for v in translations(w))
         assert decided == {"dead": w.dim_M - 4, "odd": 1, "split": 2}
         certs = find_splittings(w)
@@ -336,7 +336,7 @@ class TestConstraintsOracle:
         parent = build_sum(parse_label_sum(g))
         checked = 0
         for h in enumerate_closed_subsystems(parent):
-            w = isotropy_weights(parent, h)
+            w = isotropy_weights(h)
             if not w.weights or w.dim_M % 4:
                 continue
             for cert in find_splittings(w):
@@ -349,7 +349,7 @@ class TestConstraintsOracle:
     )
     def test_wolf_pairs_through_rank_8(self, g):
         parent = build_sum(parse_label_sum(g))
-        certs = find_splittings(isotropy_weights(parent, parent.wolf))
+        certs = find_splittings(isotropy_weights(parent.wolf))
         assert wolf_certificate(parent) in certs
         for cert in certs:
             self.assert_matches(parent, cert)
@@ -538,7 +538,7 @@ class TestPairSums:
     def test_triple_matches_pairwise_scan(self, g):
         parent = build_sum(parse_label_sum(g))
         for h in enumerate_closed_subsystems(parent):
-            w = isotropy_weights(parent, h)
+            w = isotropy_weights(h)
             if not w.weights:
                 continue
             expected = first_triple_oracle(w)
@@ -577,17 +577,27 @@ class TestPairSums:
         assert [case_analysis(fresh, c) for c in certs] == tags
         assert len(built) == len(certs)
 
-    def test_one_triple_per_weight_set(self):
+    def test_one_triple_per_weight_set(self, monkeypatch):
+        # The parity test answered where W was cut from its parent, so the
+        # symmetric test scans nothing; the first case_analysis makes the
+        # one triple, and later calls reuse it.
+        scans = []
+        scan = subalgebra._first_triple
+        monkeypatch.setattr(
+            "rootsplit.subalgebra._first_triple", lambda k, i: scans.append(1) or scan(k, i)
+        )
         _, w = b3_u3_weights()
         assert not hasattr(w, "sums")  # no pair-sum table is kept
-        assert "triple" not in vars(w)  # listing W never scans its sums
         assert not is_symmetric_pair(w)
-        triple = vars(w)["triple"]
+        assert not scans and "triple" not in vars(w)  # listing W never scans its sums
         certs = find_splittings(w)
-        assert certs
+        assert certs and not scans
+        tag = case_analysis(w, certs[0])
+        triple = vars(w)["triple"]
+        assert len(scans) == 1 and tag.witness == tuple(w.ints[k] for k in triple)
         for c in certs:
-            assert case_analysis(w, c).witness == tuple(w.ints[k] for k in triple)
-        assert vars(w)["triple"] is triple
+            assert case_analysis(w, c).witness == tag.witness
+        assert vars(w)["triple"] is triple and len(scans) == 1
 
 
 class TestWolfCertificate:
@@ -652,7 +662,7 @@ class TestScaleIndependence:
     def test_parent_copy_matches_other_scales(self, g):
         parent = build_sum(parse_label_sum(g))
         for h in enumerate_closed_subsystems(parent):
-            w = isotropy_weights(parent, h)
+            w = isotropy_weights(h)
             assert w.scale == parent.scale
             assert list(w.ints) == [scale_to_int(x, w.scale) for x in w.weights]
             if not w.weights or w.dim_M % 4:
@@ -677,7 +687,7 @@ class TestScaleIndependence:
         # E7's roots have halves, so its copy is at scale 4, and the Wolf
         # weights given from outside pick the same scale from W alone.
         g = build(label("E", 7))
-        w = isotropy_weights(g, g.wolf)
+        w = isotropy_weights(g.wolf)
         own = weights_from_set(w.weights)
         assert w.scale == own.scale == 4
         assert own.ints == w.ints

@@ -253,13 +253,13 @@ class TestOneContextPerSystem:
 class TestIsotropyWeights:
     def test_g2_over_torus(self):
         g = build(label("G", 2))
-        w = isotropy_weights(g, closed_subsystem(g, []))
+        w = isotropy_weights(closed_subsystem(g, []))
         assert len(w.weights) == 12
         assert w.dim_M == 12 and w.quaternionic_n == 3
 
     def test_so7_u3(self):
         b3 = build(label("B", 3))
-        w = isotropy_weights(b3, u3_embedding(b3))
+        w = isotropy_weights(u3_embedding(b3))
         expected = {r for r in b3.roots if sum(r) != 0}
         assert set(w.weights) == expected
         assert w.quaternionic_n == 3
@@ -269,7 +269,7 @@ class TestIsotropyWeights:
         d2 = closed_subsystem(
             g, [vec(1, 1), vec(-1, -1), vec(1, -1), vec(-1, 1)]
         )
-        w = isotropy_weights(g, d2)
+        w = isotropy_weights(d2)
         assert set(w.weights) == {vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)}
         assert w.dim_M == 4 and w.quaternionic_n == 1
 
@@ -281,7 +281,7 @@ class TestSymmetricPair:
 
     def test_so7_u3_is_not(self):
         g = build(label("B", 3))
-        assert not is_symmetric_pair(isotropy_weights(g, u3_embedding(g)))
+        assert not is_symmetric_pair(isotropy_weights(u3_embedding(g)))
 
     def test_rank_one(self):
         assert is_symmetric_pair(weights_from_set([vec(1, -1), vec(-1, 1)]))
@@ -300,7 +300,7 @@ class TestParityCriterion:
     @pytest.mark.parametrize("lab", simple_labels_up_to(8), ids=str)
     def test_wolf_pair(self, lab):
         g = build(lab)
-        w = isotropy_weights(g, g.wolf)
+        w = isotropy_weights(g.wolf)
         assert w.symmetric is pair_sum_scan(w) is is_symmetric_pair(w) is True
 
     @pytest.mark.parametrize("g", ["A5", "B5", "C5", "D5"])
@@ -308,7 +308,7 @@ class TestParityCriterion:
         parent = build_sum(parse_label_sum(g))
         flags = set()
         for h in enumerate_closed_subsystems(parent, dedup=False):
-            w = isotropy_weights(parent, h)
+            w = isotropy_weights(h)
             assert w.symmetric == pair_sum_scan(w) == is_symmetric_pair(w), h.positions
             flags.add(w.symmetric)
         assert flags == {True, False}
@@ -316,16 +316,16 @@ class TestParityCriterion:
     def test_symmetric_test_makes_no_pair_sum_lookup(self):
         # every lookup of the scan goes through W's index of its keys
         g = build(label("E", 8))
-        w = isotropy_weights(g, g.wolf)
+        w = isotropy_weights(g.wolf)
         assert is_symmetric_pair(w) and w.triple is None
         assert "index" not in vars(w)
 
     def test_weights_given_from_outside_are_scanned(self):
         g = build(label("B", 3))
         for h in (u3_embedding(g), g.wolf):
-            w = weights_from_set(isotropy_weights(g, h).weights)
-            assert w.symmetric is None
-            assert is_symmetric_pair(w) == pair_sum_scan(w) == (h == g.wolf)
+            w = weights_from_set(isotropy_weights(h).weights)
+            assert w.symmetric is pair_sum_scan(w) is (h == g.wolf)
+            assert is_symmetric_pair(w) is w.symmetric
 
 
 class TestWolf:
@@ -361,13 +361,13 @@ class TestWolf:
 
     def test_recognition(self):
         b3 = build(label("B", 3))
-        assert is_wolf_pair(b3, wolf_subsystem(b3))
-        assert not is_wolf_pair(b3, u3_embedding(b3))
+        assert is_wolf_pair(wolf_subsystem(b3))
+        assert not is_wolf_pair(u3_embedding(b3))
 
     def test_g2_long_a2_is_not_wolf(self):
         g = build(label("G", 2))
         long_roots = [r for r in g.roots if dot(r, r) == 6]
-        assert not is_wolf_pair(g, closed_subsystem(g, long_roots))
+        assert not is_wolf_pair(closed_subsystem(g, long_roots))
 
     def test_recognition_up_to_weyl(self):
         b2 = build(label("B", 2))
@@ -376,7 +376,7 @@ class TestWolf:
         h = wolf_subsystem(b2)
         for perm in wg.elements:
             image = [wg.roots[perm[index[r]]] for r in h.roots]
-            assert is_wolf_pair(b2, closed_subsystem(b2, image))
+            assert is_wolf_pair(closed_subsystem(b2, image))
 
     @pytest.mark.parametrize("lab", [
         ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3),
@@ -391,7 +391,7 @@ class TestWolf:
         orbit = {frozenset(perm[i] for i in target) for perm in wg.elements}
         for h in enumerate_closed_subsystems(parent, dedup=False):
             expected = frozenset(index[r] for r in h.roots) in orbit
-            assert is_wolf_pair(parent, h) == expected, h.roots
+            assert is_wolf_pair(h) == expected, h.roots
 
     def test_wolf_facts_built_on_first_read(self, monkeypatch):
         # Only the Wolf pair reads theta and wolf, so a system does not
@@ -400,7 +400,7 @@ class TestWolf:
         # earlier tests read.
         g = build.__wrapped__(label("B", 3))
         assert not {"theta", "wolf"} & set(vars(g))
-        isotropy_weights(g, closed_subsystem(g, ()))
+        isotropy_weights(closed_subsystem(g, ()))
         assert not {"theta", "wolf"} & set(vars(g))
         monkeypatch.setattr("rootsplit.rootcore._closed", lambda s, p: False)
         with pytest.raises(NotClosed, match="Wolf subsystem"):
@@ -409,5 +409,5 @@ class TestWolf:
     def test_wolf_pair_is_symmetric(self):
         for lab in [("A", 2), ("B", 3), ("C", 3), ("G", 2), ("F", 4)]:
             g = build(label(*lab))
-            w = isotropy_weights(g, g.wolf)
+            w = isotropy_weights(g.wolf)
             assert is_symmetric_pair(w), str(lab)
