@@ -1,13 +1,14 @@
 """Catalog of irreducible root systems, bases, Weyl groups and type identification.
 
-Standard coordinates throughout: A_n lives in the sum-zero hyperplane of
-dimension n+1, B/C/D_n in dimension n, G2 in the sum-zero hyperplane of
-dimension 3, F4 in dimension 4 and E6/E7/E8 inside the usual E8 realization.
+Each catalog system is the Weyl orbit of Bourbaki's simple roots (Lie
+Groups ch. VI, Plates I-IX), in his coordinates: A_n lives in the sum-zero
+hyperplane of dimension n+1, B/C/D_n in dimension n, G2 in the sum-zero
+hyperplane of dimension 3, F4 in dimension 4, and E6/E7 are spanned by
+the first 6/7 simple roots of E8.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -60,7 +61,7 @@ def label(series: str, rank: int) -> CartanLabel:
 def parse_label(text: str) -> CartanLabel:
     """Parse a single label like 'B3' or 'G2'."""
     text = text.strip()
-    if len(text) < 2 or text[0].upper() not in SERIES or not text[1:].isdigit():
+    if len(text) < 2 or text[0].upper() not in SERIES or not text[1:].isdecimal():
         raise ValueError(f"cannot parse Cartan label {text!r}")
     return label(text[0].upper(), int(text[1:]))
 
@@ -70,90 +71,65 @@ def parse_label_sum(text: str) -> list[CartanLabel]:
     return [parse_label(part) for part in text.split("+")]
 
 
-def _a_roots(n: int, one: int) -> set[IntVector]:
-    """The integer roots e_i - e_j of A_n, in dimension n + 1, with the
-    integer one standing for 1."""
-    return {
-        tuple(one if k == i else (-one if k == j else 0) for k in range(n + 1))
-        for i, j in itertools.permutations(range(n + 1), 2)
-    }
-
-
-def _bcd_roots(n: int, short: str, one: int) -> set[IntVector]:
-    """The integer roots of B_n, C_n or D_n (short "B", "C" or ""), with
-    the integer one standing for 1, as in every builder below."""
-    roots: set[IntVector] = set()
-    for i, j in itertools.combinations(range(n), 2):
-        for si in (one, -one):
-            for sj in (one, -one):
-                v = [0] * n
-                v[i], v[j] = si, sj
-                roots.add(tuple(v))
-    if short:
-        c = one if short == "B" else 2 * one
-        for i in range(n):
-            for s in (c, -c):
-                roots.add(tuple(s if j == i else 0 for j in range(n)))
-    return roots
-
-
-def _e8_roots(one: int) -> set[IntVector]:
-    roots = _bcd_roots(8, "", one)
+def _simple_roots(series: str, n: int, one: int) -> list[IntVector]:
+    """Bourbaki's simple roots of series_n (Lie Groups ch. VI, Plates
+    I-IX), with the integer one standing for 1; E6 and E7 are the first 6
+    and 7 of E8's."""
     half = one // 2
-    for signs in itertools.product((1, -1), repeat=8):
-        if sum(signs) % 4 == 0:  # even number of minus signs
-            roots.add(tuple(half * s for s in signs))
-    return roots
+    if series == "G":
+        return [(one, -one, 0), (-2 * one, one, one)]
+    if series == "F":
+        return [(0, one, -one, 0), (0, 0, one, -one), (0, 0, 0, one), (half, -half, -half, -half)]
+    dim = n + 1 if series == "A" else 8 if series == "E" else n
+
+    def e(i: int, c: int, j: int) -> IntVector:  # e_i + c e_j, counted from 0
+        return tuple(one * ((k == i) + c * (k == j)) for k in range(dim))
+
+    if series == "E":
+        e8 = [(half,) + (-half,) * 6 + (half,), e(0, 1, 1)]
+        return (e8 + [e(k, -1, k - 1) for k in range(1, 7)])[:n]
+    chain = [e(i, -1, i + 1) for i in range(n if series == "A" else n - 1)]
+    last = {"B": [e(n - 1, 0, 0)], "C": [e(n - 1, 1, n - 1)], "D": [e(n - 2, 1, n - 1)]}
+    return chain + last.get(series, [])  # then e_n, 2e_n or e_{n-1} + e_n
 
 
-def _g2_roots(one: int) -> set[IntVector]:
-    roots: set[IntVector] = set()
-    for i, j in itertools.permutations(range(3), 2):
-        v = [0] * 3
-        v[i], v[j] = one, -one
-        roots.add(tuple(v))
-    for i, j, k in itertools.permutations(range(3)):
-        if j < k:
-            for s in (one, -one):
-                v = [0] * 3
-                v[i], v[j], v[k] = 2 * s, -s, -s
-                roots.add(tuple(v))
-    return roots
-
-
-def _f4_roots(one: int) -> set[IntVector]:
-    roots = _bcd_roots(4, "B", one)
-    half = one // 2
-    for signs in itertools.product((1, -1), repeat=4):
-        roots.add(tuple(half * s for s in signs))
-    return roots
+def _weyl_orbit(simple: Sequence[IntVector]) -> set[IntVector]:
+    """The roots with these simple roots: their closure under the simple
+    reflections, since every root is a Weyl image of a simple root
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    10.3 Theorem (c)). A non-integral Cartan number raises ValueError, so
+    every step is an exact reflection: each root keeps its norm and stays
+    in the lattice of the simple roots, and the orbit is finite."""
+    pairs = [(a, idot(a, a)) for a in simple]
+    orbit = set(simple)
+    frontier = list(orbit)
+    while frontier:
+        new = []
+        for r in frontier:
+            for a, norm in pairs:
+                q, rem = divmod(2 * idot(r, a), norm)
+                if rem:
+                    raise ValueError(f"Cartan number 2<{r},{a}>/<{a},{a}> is not an integer")
+                if q:
+                    s = tuple(x - q * y for x, y in zip(r, a))
+                    if s not in orbit:
+                        orbit.add(s)
+                        new.append(s)
+        frontier = new
+    return orbit
 
 
 @lru_cache(maxsize=None)
 def build(lab: CartanLabel) -> RootSystem:
-    """Validated root system for an admissible label (label) of rank <= 8,
-    built on integers at its scale (twice the common denominator of its
-    roots): 2 for A-D and G2, 4 for F4 and E6-E8, whose roots have halves."""
+    """Validated root system for an admissible label (label) of rank <= 8:
+    the Weyl orbit of its simple roots (_simple_roots), on integers at its
+    scale (twice the common denominator of its roots): 2 for A-D and G2,
+    4 for F4 and E6-E8, whose roots have halves."""
     label(*lab)
     if lab.rank > 8:
         raise ValueError("catalog is limited to rank <= 8")
-    s, n = lab.series, lab.rank
-    scale = 4 if s in "EF" else 2
-    if s == "A":
-        roots = _a_roots(n, scale)
-    elif s in ("B", "C", "D"):
-        roots = _bcd_roots(n, s if s != "D" else "", scale)
-    elif s == "G":
-        roots = _g2_roots(scale)
-    elif s == "F":
-        roots = _f4_roots(scale)
-    else:  # E series, carved out of E8
-        roots = _e8_roots(scale)
-        if n < 8:
-            roots = {a for a in roots if a[6] + a[7] == 0}  # orthogonal to e7+e8
-        if n == 6:
-            roots = {a for a in roots if a[5] == a[6]}  # and to e6-e7
-    return lattice_root_system(scale, roots)
+    scale = 4 if lab.series in "EF" else 2
+    return lattice_root_system(scale, _weyl_orbit(_simple_roots(lab.series, lab.rank, scale)))
 
 
 def build_sum(labels: Sequence[CartanLabel]) -> RootSystem:

@@ -1,4 +1,5 @@
 """Catalog builders, type identification, Weyl groups, normalization."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,12 +8,15 @@ import pytest
 from oracles import (
     admissible_label,
     cartan_int,
+    cartan_matrix,
     cartan_types,
     catalog_roots,
     components_oracle,
     direct_sum_roots,
     dot,
     highest_root_oracle,
+    matrices_isomorphic,
+    reference_matrices,
     reflect,
     reflection_closure,
     simple_base,
@@ -21,7 +25,8 @@ from oracles import (
     vscale,
 )
 from parents import RANK_4_PARENTS
-from rootsplit.linalg import int_copy, pack, vec
+from rootsplit import catalog
+from rootsplit.linalg import idot, int_copy, pack, vec
 from rootsplit.catalog import (
     G2Component,
     build,
@@ -414,11 +419,36 @@ ORACLE_SPECS = list(dict.fromkeys([str(l) for l in simple_labels_up_to(8)] + RAN
 
 @pytest.mark.parametrize("g", ORACLE_SPECS)
 def test_integer_builders_match_rational_oracle(g):
-    # build and build_sum make their integers directly; the oracle builds
-    # the same roots on Fractions, and int_copy gives their copy.
+    # Two constructions of the same roots: build takes the Weyl orbit of
+    # the simple roots on integers, the oracle writes every root out in
+    # coordinates on Fractions (E6 and E7 cut from E8 by orthogonality),
+    # and int_copy gives the oracle's integer copy.
     labels = parse_label_sum(g)
     system = build_sum(labels)
     roots = direct_sum_roots([catalog_roots(l) for l in labels])
     assert system.roots == tuple(roots)
     assert (system.scale, system.ints) == int_copy(roots)
     assert system.ambient_dim == len(roots[0])
+
+
+@pytest.mark.parametrize("lab", simple_labels_up_to(8), ids=str)
+def test_simple_roots_have_their_types_cartan_matrix(lab):
+    # The simple roots build starts its orbit from, against the Cartan
+    # matrix of the oracle's roots of the same type.
+    simple = catalog._simple_roots(lab.series, lab.rank, 4)
+    assert matrices_isomorphic(cartan_matrix(simple), reference_matrices()[lab])
+
+
+def test_weyl_orbit_rejects_a_non_integral_cartan_number(monkeypatch):
+    # 2<(2,2),(1,3)>/<(1,3),(1,3)> = 8/5: an inexact step would leave the
+    # lattice and the norm, and the orbit would never close, so the
+    # counted idot stops such a loop as a failure.
+    calls = itertools.count()
+
+    def counted(u, v):
+        assert next(calls) < 10_000, "the orbit does not close"
+        return idot(u, v)
+
+    monkeypatch.setattr(catalog, "idot", counted)
+    with pytest.raises(ValueError, match="not an integer"):
+        catalog._weyl_orbit([(2, 0), (2, 2), (1, 3)])

@@ -253,6 +253,12 @@ class TestCli:
         r = run("classify", "--max-rank", "2", "--series", "b", "--format", "csv")
         assert r.returncode == 0 and "B2," in r.stdout
 
+    def test_label_with_a_non_ascii_digit_exits_one(self):
+        # '²' passes str.isdigit but not int(), which once gave the error.
+        r = run("build", "A²")
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr == "error: cannot parse Cartan label 'A²'\n"
+
     def test_bad_h_spec_exits_one(self):
         assert run("classify", "B3", "A2#9").returncode == 1
 

@@ -90,8 +90,7 @@ SCALING_HELPERS = {
 
 #: the definitions between parse and emit, which hold integers only
 INTEGER_ONLY = {
-    "catalog": {"_bcd_roots", "_e8_roots", "_g2_roots", "_f4_roots", "build",
-                "build_sum", "direct_sum"},
+    "catalog": {"_simple_roots", "_weyl_orbit", "build", "build_sum", "direct_sum"},
     "rootcore": {"_subsystem"},
     "subalgebra": {"isotropy_weights"},
     "splitting": {"_given_table", "_int_table", "_certify", "_plus_half", "find_splittings",

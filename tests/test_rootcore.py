@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from oracles import (
     NormscalViolation,
     cartan_int,
+    catalog_roots,
     coefficient_parities,
     dot,
     pair_class,
@@ -22,8 +23,6 @@ from parents import RANK_4_PARENTS
 from rootsplit import rootcore
 from rootsplit.linalg import int_rank, vec
 from rootsplit.catalog import (
-    _a_roots,
-    _bcd_roots,
     build,
     build_sum,
     direct_sum,
@@ -271,12 +270,10 @@ class TestFastAxiomCheck:
             assert validate_root_system(system.roots).ok, g
 
 
-#: the catalog builders' integer roots of A-D at any rank, on scale 2
+#: the oracle's roots of A-D at any rank, doubled to integers on scale 2
 SERIES_ROOTS = {
-    "A": lambda n: _a_roots(n, 2),
-    "B": lambda n: _bcd_roots(n, "B", 2),
-    "C": lambda n: _bcd_roots(n, "C", 2),
-    "D": lambda n: _bcd_roots(n, "", 2),
+    s: lambda n, s=s: {tuple(int(2 * a) for a in r) for r in catalog_roots(CartanLabel(s, n))}
+    for s in "ABCD"
 }
 
 
